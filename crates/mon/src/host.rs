@@ -82,10 +82,22 @@ impl HostPath {
         let Some(dt) = now.checked_duration_since(self.last_update) else {
             return;
         };
-        // bits drained = dt_ps × bps / 1e12.
-        let drained = dt.as_ps() as u128 * self.config.dma_bps as u128 / 1_000_000_000_000u128;
-        self.queued_bits = self.queued_bits.saturating_sub(drained);
         self.last_update = now;
+        // bits drained = ⌊dt_ps × bps / 10¹²⌋, which empties the queue
+        // exactly when dt_ps × bps ≥ queued × 10¹². That is the common
+        // case (the path outruns the capture), decided by multiplying;
+        // the 128-bit division runs only when a backlog survives.
+        const PS_PER_SEC: u128 = osnt_time::PS_PER_SEC as u128;
+        let drain = dt.as_ps() as u128 * self.config.dma_bps as u128;
+        let drains_all = self
+            .queued_bits
+            .checked_mul(PS_PER_SEC)
+            .is_some_and(|need| drain >= need);
+        if drains_all {
+            self.queued_bits = 0;
+        } else {
+            self.queued_bits -= drain / PS_PER_SEC;
+        }
     }
 
     /// Offer a captured packet of `captured_bytes` at time `now`.
@@ -116,6 +128,7 @@ impl HostPath {
 mod tests {
     use super::*;
     use osnt_time::SimDuration;
+    use proptest::prelude::*;
 
     fn cfg(bps: u64, buf: u64) -> HostPathConfig {
         HostPathConfig {
@@ -213,6 +226,37 @@ mod tests {
         assert!(h.admit(SimTime::ZERO, 1_000), "exact fill must be admitted");
         assert!(!h.admit(SimTime::ZERO, 1), "the buffer is now full");
         assert_eq!(h.dropped, 1);
+    }
+
+    proptest! {
+        /// `drain_to` decides "fully drained" without dividing; it must
+        /// leave exactly what the one-division form leaves — around the
+        /// boundary where the queue just empties, on the unlimited path
+        /// (whose rate makes `dt × bps` huge), and for a backlog so
+        /// large that `queued × 10¹²` overflows `u128`.
+        #[test]
+        fn drain_equals_the_division_form(
+            dt in any::<u64>(),
+            bps in any::<u64>(),
+            queued in any::<u64>(),
+            shift in 0u32..64,
+            near in 0u64..3,
+        ) {
+            for dma_bps in [bps, HostPathConfig::unlimited().dma_bps] {
+                let drained = dt as u128 * dma_bps as u128 / osnt_time::PS_PER_SEC as u128;
+                for queued_bits in [
+                    (queued as u128) << shift,
+                    (drained + near as u128).saturating_sub(1),
+                    u128::MAX - queued as u128,
+                ] {
+                    let mut h = HostPath::new(cfg(dma_bps, 0));
+                    h.queued_bits = queued_bits;
+                    h.drain_to(SimTime::from_ps(dt));
+                    prop_assert_eq!(h.queued_bits, queued_bits.saturating_sub(drained));
+                    prop_assert_eq!(h.last_update, SimTime::from_ps(dt));
+                }
+            }
+        }
     }
 
     #[test]

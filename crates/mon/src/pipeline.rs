@@ -108,6 +108,9 @@ pub struct MonitorPort {
     rates: Option<Rc<RefCell<RateEstimator>>>,
     batch: bool,
     capture_limit: Option<usize>,
+    /// Staging for the block path of `on_packet_batch` (lane `i` of the
+    /// block is `staged[i]`); empty between calls, capacity kept.
+    staged: Vec<(SimTime, HwTimestamp, Packet)>,
 }
 
 impl MonitorPort {
@@ -132,6 +135,7 @@ impl MonitorPort {
                 rates: None,
                 batch: config.batch,
                 capture_limit: config.capture_limit,
+                staged: Vec::new(),
             },
             buffer,
             stats,
@@ -147,10 +151,15 @@ impl MonitorPort {
         program: &Option<FilterProgram>,
         packet: &Packet,
     ) -> FilterAction {
-        let parsed = packet.parse();
         match program {
-            Some(prog) => filter.classify_compiled(prog, &FlowKey::extract(&parsed)),
-            None => filter.classify(&parsed),
+            // No rule to match (capture-all, drop-all): the verdict is
+            // the default action and needs no parse.
+            Some(prog) if prog.is_empty() => {
+                filter.default_hits += 1;
+                filter.default_action
+            }
+            Some(prog) => filter.classify_compiled(prog, &FlowKey::extract(&packet.parse())),
+            None => filter.classify(&packet.parse()),
         }
     }
 
@@ -167,11 +176,12 @@ impl MonitorPort {
         self.rates = Some(est.clone());
         est
     }
-}
 
-impl Component for MonitorPort {
-    fn on_packet(&mut self, kernel: &mut Kernel, _me: ComponentId, port: usize, packet: Packet) {
-        let now = kernel.now();
+    /// The scalar datapath for one frame whose last bit arrived on
+    /// `port` at `now`: `on_packet` (`now == kernel.now()`) and a
+    /// one-member batch (`now` = the member's own instant) both land
+    /// here.
+    fn frame_at(&mut self, now: SimTime, port: usize, packet: Packet) {
         // 1. Timestamp at the MAC — before anything else can add noise.
         let rx_stamp = self.stamper.stamp(now);
         {
@@ -228,6 +238,12 @@ impl Component for MonitorPort {
             hash: thinned.hash,
             port,
         });
+    }
+}
+
+impl Component for MonitorPort {
+    fn on_packet(&mut self, kernel: &mut Kernel, _me: ComponentId, port: usize, packet: Packet) {
+        self.frame_at(kernel.now(), port, packet);
     }
 
     fn wants_packet_batches(&self) -> bool {
@@ -333,6 +349,10 @@ impl Component for MonitorPort {
             block.clear();
         }
 
+        if batch.len() == 1 {
+            let (t, packet) = batch.pop().expect("length checked");
+            return self.frame_at(t, port, packet);
+        }
         let mut delta = MonStats::default();
         let overhead = self.host.config().per_packet_overhead;
         let limit = self.capture_limit;
@@ -344,15 +364,14 @@ impl Component for MonitorPort {
             host,
             buffer,
             rates,
+            staged,
             ..
         } = self;
         let clock = stamper.clock();
         let mut clock = clock.borrow_mut();
         let mut rates = rates.as_ref().map(|r| r.borrow_mut());
         let mut buf = buffer.borrow_mut();
-        // Lane i of `block` is the flow key of `staged[i]`.
         let mut block = FlowKeyBlock::new();
-        let mut staged: Vec<(SimTime, HwTimestamp, Packet)> = Vec::new();
         for (t, packet) in batch.drain(..) {
             // Same per-frame order as `on_packet`, against `t` — the
             // instant this frame's last bit arrived.
@@ -372,17 +391,8 @@ impl Component for MonitorPort {
                     staged.push((t, rx_stamp, packet));
                     if block.is_full() {
                         flush_block(
-                            filter,
-                            prog,
-                            &mut block,
-                            &mut staged,
-                            thinner,
-                            host,
-                            &mut delta,
-                            &mut buf,
-                            limit,
-                            overhead,
-                            port,
+                            filter, prog, &mut block, staged, thinner, host, &mut delta, &mut buf,
+                            limit, overhead, port,
                         );
                     }
                 }
@@ -403,17 +413,8 @@ impl Component for MonitorPort {
         if let Some(prog) = program {
             if !staged.is_empty() {
                 flush_block(
-                    filter,
-                    prog,
-                    &mut block,
-                    &mut staged,
-                    thinner,
-                    host,
-                    &mut delta,
-                    &mut buf,
-                    limit,
-                    overhead,
-                    port,
+                    filter, prog, &mut block, staged, thinner, host, &mut delta, &mut buf, limit,
+                    overhead, port,
                 );
             }
         }

@@ -28,9 +28,14 @@ pub const BURST_INLINE: usize = 8;
 /// `first_key + i` in the kernel's total order.
 #[derive(Debug)]
 pub struct PacketBurst {
-    /// Event key of `members[0]`.
+    /// Event key of the first member still in the burst.
     first_key: u64,
-    members: SmallVec<(SimTime, Packet), BURST_INLINE>,
+    /// Held as the vector's consuming iterator, which is the vector
+    /// plus a head index: the dispatch loop drains a burst member by
+    /// member from the front, and `next` moves one out without shifting
+    /// the tail. A burst is complete before its first pop — `push`
+    /// after `pop_front` is refused.
+    members: smallvec::IntoIter<(SimTime, Packet), BURST_INLINE>,
 }
 
 impl PacketBurst {
@@ -38,7 +43,7 @@ impl PacketBurst {
     pub(crate) fn new(first_key: u64) -> Self {
         PacketBurst {
             first_key,
-            members: SmallVec::new(),
+            members: SmallVec::new().into_iter(),
         }
     }
 
@@ -46,7 +51,7 @@ impl PacketBurst {
     /// order; the kernel's MAC arithmetic guarantees it).
     pub(crate) fn push(&mut self, at: SimTime, packet: Packet) {
         debug_assert!(
-            self.members.last().is_none_or(|(t, _)| *t < at),
+            self.members().last().is_none_or(|(t, _)| *t < at),
             "burst members must have strictly ascending arrival times"
         );
         self.members.push((at, packet));
@@ -61,7 +66,7 @@ impl PacketBurst {
     /// True when the burst holds no frames.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.members.len() == 0
     }
 
     /// Event key of the first (current) member.
@@ -73,13 +78,13 @@ impl PacketBurst {
     /// Arrival instant of the first member. Panics on an empty burst.
     #[inline]
     pub fn first_time(&self) -> SimTime {
-        self.members[0].0
+        self.members()[0].0
     }
 
     /// Arrival instant of the last member. Panics on an empty burst.
     #[inline]
     pub fn last_time(&self) -> SimTime {
-        self.members[self.members.len() - 1].0
+        self.members()[self.len() - 1].0
     }
 
     /// The members as a slice of `(arrival instant, frame)` pairs.
@@ -88,13 +93,11 @@ impl PacketBurst {
         self.members.as_slice()
     }
 
-    /// Remove and return the first member (advancing `first_key`).
+    /// Remove and return the first member (advancing `first_key`). O(1).
     pub(crate) fn pop_front(&mut self) -> Option<(SimTime, Packet)> {
-        if self.members.is_empty() {
-            return None;
-        }
+        let member = self.members.next()?;
         self.first_key += 1;
-        Some(self.members.remove(0))
+        Some(member)
     }
 
     /// Split off the tail starting at member index `at`, leaving
@@ -105,7 +108,11 @@ impl PacketBurst {
         if at >= self.members.len() {
             return None;
         }
-        let tail = self.members.split_off(at);
+        // The tail keeps the storage; the (short, window-boundary) head
+        // moves out of it into a vector of its own.
+        let mut tail = std::mem::replace(&mut self.members, SmallVec::new().into_iter());
+        let head: SmallVec<_, BURST_INLINE> = tail.by_ref().take(at).collect();
+        self.members = head.into_iter();
         Some(PacketBurst {
             first_key: self.first_key + at as u64,
             members: tail,
@@ -116,14 +123,14 @@ impl PacketBurst {
     /// dispatch-window boundaries). Returns `None` when all members are
     /// at or before `limit`.
     pub(crate) fn split_after(&mut self, limit: SimTime) -> Option<PacketBurst> {
-        let at = self.members.partition_point(|(t, _)| *t <= limit);
+        let at = self.members().partition_point(|(t, _)| *t <= limit);
         self.split_off(at)
     }
 
     /// Consume the burst, yielding `(arrival instant, frame)` pairs in
     /// arrival order.
     pub fn into_members(self) -> impl ExactSizeIterator<Item = (SimTime, Packet)> {
-        self.members.into_iter()
+        self.members
     }
 }
 
@@ -131,7 +138,7 @@ impl IntoIterator for PacketBurst {
     type Item = (SimTime, Packet);
     type IntoIter = smallvec::IntoIter<(SimTime, Packet), BURST_INLINE>;
     fn into_iter(self) -> Self::IntoIter {
-        self.members.into_iter()
+        self.members
     }
 }
 
@@ -159,6 +166,36 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(tail.first_key(), 102);
         assert_eq!(tail.first_time().as_ps(), 30);
+
+        // A spilled burst drained member by member, as the dispatch
+        // loop drains one at a batch sink: every pop leaves `members()`,
+        // the key and the length in step, and a split after the pops
+        // still cuts at the right member.
+        let times: Vec<u64> = (1..=128).map(|i| i * 10).collect();
+        let mut b = burst(&times);
+        for popped in 0..100u64 {
+            assert_eq!(b.len() as u64, 128 - popped);
+            assert_eq!(b.first_key(), 100 + popped);
+            assert_eq!(b.members()[0].0.as_ps(), (popped + 1) * 10);
+            assert_eq!(b.last_time().as_ps(), 1280);
+            let (t, _) = b.pop_front().unwrap();
+            assert_eq!(t.as_ps(), (popped + 1) * 10);
+        }
+        let tail = b.split_after(SimTime::from_ps(1100)).unwrap();
+        assert_eq!((b.len(), b.first_key()), (10, 200));
+        assert_eq!(
+            (b.first_time().as_ps(), b.last_time().as_ps()),
+            (1010, 1100)
+        );
+        assert_eq!((tail.len(), tail.first_key()), (18, 210));
+        assert_eq!(tail.first_time().as_ps(), 1110);
+        let tail2 = b.split_off(4).unwrap();
+        assert_eq!((b.len(), tail2.len(), tail2.first_key()), (4, 6, 204));
+        assert_eq!(
+            b.into_members().map(|(t, _)| t.as_ps()).collect::<Vec<_>>(),
+            [1010, 1020, 1030, 1040]
+        );
+        assert_eq!(tail.into_iter().count(), 18);
     }
 
     #[test]

@@ -96,6 +96,12 @@ pub trait Component {
     /// Only called when [`Component::wants_packet_batches`] is true.
     /// The default implementation replays the scalar path one frame at
     /// a time, so opting in without overriding this changes nothing.
+    ///
+    /// **A batch of one is a packet.** Behind a fabric that releases
+    /// each frame on its own timer every batch has one member. It must
+    /// behave as `on_packet` at that member's instant (`now` is later
+    /// when `TxDone`s coalesced behind it), so overrides route
+    /// `batch.len() == 1` to their scalar code, not their block path.
     fn on_packet_batch(
         &mut self,
         kernel: &mut Kernel,

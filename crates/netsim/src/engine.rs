@@ -6,6 +6,7 @@ use crate::kernel::Kernel;
 use crate::link::LinkSpec;
 use crate::shard::{ShardPlan, ShardedSim};
 use crate::trace::Tracer;
+use osnt_packet::Packet;
 use osnt_time::{SimDuration, SimTime};
 
 /// Declarative construction of a simulation: add components, wire ports,
@@ -146,6 +147,37 @@ fn warn_coalescing_disabled_once(name: &str) {
     }
 }
 
+/// How far past a batch's first arrival (`first`) the dispatch loop may
+/// coalesce for `c`: components that schedule from their handler bound
+/// the window ([`Component::batch_window`]) so nothing they arm can land
+/// before batch-end `now`.
+fn batch_limit(c: &dyn Component, first: SimTime, limit: SimTime) -> SimTime {
+    match c.batch_window() {
+        Some(w) => limit.min(first + w),
+        None => limit,
+    }
+}
+
+/// Hand `first` — already popped and accounted, `now` at its arrival —
+/// to a batch-capable receiver together with whatever coalesces behind
+/// it before `lim`. Returns the number of further events consumed.
+fn deliver_run(
+    kernel: &mut Kernel,
+    c: &mut dyn Component,
+    dst: ComponentId,
+    port: usize,
+    lim: SimTime,
+    first: (SimTime, Packet),
+) -> u64 {
+    let mut batch = std::mem::take(&mut kernel.batch_buf);
+    batch.push(first);
+    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
+    c.on_packet_batch(kernel, dst, port, &mut batch);
+    batch.clear();
+    kernel.batch_buf = batch;
+    coalesced
+}
+
 /// The shared dispatch loop: pop and run every event at or before
 /// `limit`. Used verbatim by the single-threaded [`Sim`] and by each
 /// shard worker — one code path, one semantics.
@@ -190,7 +222,7 @@ pub(crate) fn dispatch_events(
                 let mut c = components[dst.index()]
                     .take()
                     .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
-                // Burst delivery: when the receiver opts in, drain the
+                // Batch delivery: when the receiver opts in, drain the
                 // run of back-to-back arrivals to the same port in one
                 // handler call. Every coalesced event is popped at its
                 // exact total-order position (see
@@ -201,25 +233,13 @@ pub(crate) fn dispatch_events(
                 // questions out of scope; per-port traces live in
                 // components, which see the same frames either way.
                 if c.wants_packet_batches_on(port) && kernel.tracers.is_empty() {
-                    // Components that schedule from their handler bound
-                    // the window (`Component::batch_window`) so nothing
-                    // they arm can land before batch-end `now`.
-                    let lim = match c.batch_window() {
-                        Some(w) => limit.min(time + w),
-                        None => limit,
-                    };
-                    let mut batch = std::mem::take(&mut kernel.batch_buf);
-                    batch.clear();
-                    batch.push((time, packet));
-                    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
+                    let lim = batch_limit(&*c, time, limit);
+                    let coalesced = deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
                     dispatched += coalesced;
                     if kernel.progress.is_some() {
                         since_beat += coalesced;
                         last_ps = kernel.now().as_ps();
                     }
-                    c.on_packet_batch(kernel, dst, port, &mut batch);
-                    batch.clear();
-                    kernel.batch_buf = batch;
                 } else {
                     if c.wants_packet_batches_on(port) {
                         warn_coalescing_disabled_once(c.name());
@@ -267,27 +287,18 @@ pub(crate) fn dispatch_events(
                     // `coalesce_arrivals` consumes it member-at-a-time in
                     // exact total order (its DeliverBurst arm) along with
                     // any interleaved TxDones.
-                    let lim = match c.batch_window() {
-                        Some(w) => limit.min(time + w),
-                        None => limit,
-                    };
-                    let mut batch = std::mem::take(&mut kernel.batch_buf);
-                    batch.clear();
+                    let lim = batch_limit(&*c, time, limit);
                     let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
                     kernel.note_rx(dst, port, pkt0.frame_len());
-                    batch.push((t0, pkt0));
                     if !burst.is_empty() {
                         kernel.requeue_burst(dst, port, burst);
                     }
-                    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
+                    let coalesced = deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
                     dispatched += coalesced;
                     if kernel.progress.is_some() {
                         since_beat += coalesced;
                         last_ps = kernel.now().as_ps();
                     }
-                    c.on_packet_batch(kernel, dst, port, &mut batch);
-                    batch.clear();
-                    kernel.batch_buf = batch;
                 } else {
                     // Exact scalar replay: each member dispatches at its
                     // own `(time, key)` slot, yielding to the queue head

@@ -274,3 +274,225 @@ fn gilbert_elliott_walk_matches_across_paths() {
         },
     });
 }
+
+// ---------------------------------------------------------------------
+// Dispatch parity: a batch of one is a packet.
+//
+// A batch-capable forwarder (bounded by its `batch_window`) and a
+// batch-capable sink must see exactly what scalar-only twins see — the
+// same `(instant, bytes)` sequence, the twin logging `Kernel::now()` in
+// `on_packet` — and the kernel must dispatch the same number of events,
+// whichever way a run of one arrives: as a `Deliver`, as the head of a
+// requeued `DeliverBurst` tail, or with `TxDone`s coalesced behind it
+// (so that `now` has moved past the member).
+// ---------------------------------------------------------------------
+
+/// What one receiver saw, and in what shape.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Seen {
+    /// (instant ps, stored length, payload digest) per frame, in order.
+    log: Vec<(u64, usize, u32)>,
+    /// One-member batches with `now` at the member's instant.
+    singletons: u64,
+    /// One-member batches whose `now` had moved past the member.
+    late_singletons: u64,
+    /// Batches of two or more.
+    multi_batches: u64,
+}
+
+/// A receiver that records arrivals and, as a forwarder, relays them
+/// out of port 1 after a fixed fabric delay (its `batch_window`).
+struct Tap {
+    /// Opt into batch delivery, or stay the scalar-only reference.
+    batches: bool,
+    relay_after: Option<SimDuration>,
+    in_fabric: std::collections::VecDeque<Packet>,
+    seen: Rc<RefCell<Seen>>,
+}
+
+impl Tap {
+    fn frame_at(&mut self, k: &mut Kernel, me: ComponentId, at: SimTime, pkt: Packet) {
+        self.seen
+            .borrow_mut()
+            .log
+            .push((at.as_ps(), pkt.len(), crc32(pkt.data())));
+        if let Some(delay) = self.relay_after {
+            self.in_fabric.push_back(pkt);
+            k.schedule_timer_at(me, at + delay, 0);
+        }
+    }
+}
+
+impl Component for Tap {
+    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, _: usize, pkt: Packet) {
+        // The scalar twin: `now` is the frame's arrival.
+        self.frame_at(k, me, k.now(), pkt);
+    }
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _tag: u64) {
+        let pkt = self.in_fabric.pop_front().expect("one timer per frame");
+        let _ = k.transmit(me, 1, pkt);
+    }
+    fn wants_packet_batches(&self) -> bool {
+        self.batches
+    }
+    fn batch_window(&self) -> Option<SimDuration> {
+        self.relay_after
+    }
+    fn on_packet_batch(
+        &mut self,
+        k: &mut Kernel,
+        me: ComponentId,
+        _: usize,
+        batch: &mut Vec<(SimTime, Packet)>,
+    ) {
+        {
+            let mut seen = self.seen.borrow_mut();
+            match batch.len() {
+                1 if k.now() > batch[0].0 => seen.late_singletons += 1,
+                1 => seen.singletons += 1,
+                _ => seen.multi_batches += 1,
+            }
+        }
+        for (t, pkt) in batch.drain(..) {
+            self.frame_at(k, me, t, pkt);
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct DispatchCase {
+    bursts: u32,
+    burst_len: u32,
+    frame_len: usize,
+    gap_ns: u64,
+    /// The forwarder's fabric delay and batch window.
+    relay_ns: u64,
+    /// Propagation of both links.
+    prop_ns: u64,
+}
+
+/// source → forwarder → sink; returns what forwarder and sink saw and
+/// the kernel's event count.
+fn run_dispatch(case: &DispatchCase, batches: bool) -> (Seen, Seen, u64) {
+    let tap = |relay_after| {
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let tap = Tap {
+            batches,
+            relay_after,
+            in_fabric: Default::default(),
+            seen: seen.clone(),
+        };
+        (Box::new(tap), seen)
+    };
+    let mut b = SimBuilder::new();
+    let src = b.add_component(
+        "src",
+        Box::new(BurstSource {
+            bursts: case.bursts,
+            burst_len: case.burst_len,
+            frame_len: case.frame_len,
+            gap: SimDuration::from_ns(case.gap_ns),
+            emitted: 0,
+        }),
+        1,
+    );
+    let (fwd, fwd_seen) = tap(Some(SimDuration::from_ns(case.relay_ns)));
+    let (sink, sink_seen) = tap(None);
+    let fwd = b.add_component("fwd", fwd, 2);
+    let sink = b.add_component("sink", sink, 1);
+    let spec = LinkSpec::ten_gig().with_propagation(SimDuration::from_ns(case.prop_ns));
+    b.connect(src, 0, fwd, 0, spec);
+    b.connect(fwd, 1, sink, 0, spec);
+    let mut sim = b.build();
+    sim.run_until(SimTime::from_ms(50));
+    let events = sim.kernel().events_dispatched();
+    let (fwd, sink) = (fwd_seen.borrow().clone(), sink_seen.borrow().clone());
+    (fwd, sink, events)
+}
+
+/// Run the batch-capable pair against its scalar-only twin; returns
+/// what the batch-capable forwarder and sink saw.
+fn assert_dispatch_parity(case: &DispatchCase) -> (Seen, Seen) {
+    let (fwd_ref, sink_ref, events_ref) = run_dispatch(case, false);
+    let (fwd, sink, events) = run_dispatch(case, true);
+    let frames = (case.bursts * case.burst_len) as usize;
+    assert_eq!(fwd_ref.log.len(), frames, "harness lost frames: {case:?}");
+    assert_eq!(fwd.log, fwd_ref.log, "forwarder diverged: {case:?}");
+    assert_eq!(sink.log, sink_ref.log, "sink diverged: {case:?}");
+    assert_eq!(events, events_ref, "event count diverged: {case:?}");
+    (fwd, sink)
+}
+
+proptest! {
+    #[test]
+    fn batch_capable_receivers_match_scalar_twins(
+        bursts in 1u32..10,
+        burst_len in 1u32..40,
+        frame_len in (0usize..3).prop_map(|i| [64usize, 128, 1518][i]),
+        gap_ns in (0usize..5).prop_map(|i| [100u64, 150, 900, 5_000, 60_000][i]),
+        relay_ns in (0usize..4).prop_map(|i| [20u64, 100, 900, 4_000][i]),
+        prop_ns in (0usize..3).prop_map(|i| [1u64, 10, 200][i]),
+    ) {
+        assert_dispatch_parity(&DispatchCase { bursts, burst_len, frame_len, gap_ns, relay_ns, prop_ns });
+    }
+}
+
+/// Single frames 150 ns apart through a 100 ns fabric: every arrival at
+/// the forwarder is a lone `Deliver`. Each is followed, inside the
+/// window, by the `TxDone` of the frame relayed before it, so `now` has
+/// moved on when the one-member batch is handled — except for the
+/// first, which has nothing behind it.
+#[test]
+fn lone_delivers_with_and_without_a_txdone_behind_them() {
+    let (fwd, sink) = assert_dispatch_parity(&DispatchCase {
+        bursts: 200,
+        burst_len: 1,
+        frame_len: 64,
+        gap_ns: 150,
+        relay_ns: 100,
+        prop_ns: 10,
+    });
+    assert_eq!((fwd.singletons, fwd.late_singletons), (1, 199));
+    assert_eq!(fwd.multi_batches, 0);
+    assert_eq!(
+        sink.singletons, 200,
+        "the next relay timer always intervenes"
+    );
+}
+
+/// Bursts of 32 through a fabric faster than the frame spacing: the
+/// forwarder's own release timers fall between members, so the burst is
+/// drained one requeued tail at a time and every member is a run of one.
+#[test]
+fn burst_tails_are_drained_member_by_member() {
+    let (fwd, sink) = assert_dispatch_parity(&DispatchCase {
+        bursts: 8,
+        burst_len: 32,
+        frame_len: 128,
+        gap_ns: 60_000,
+        relay_ns: 100,
+        prop_ns: 10,
+    });
+    assert_eq!(fwd.singletons + fwd.late_singletons, 256);
+    assert!(fwd.singletons >= 8, "{fwd:?}");
+    assert_eq!(fwd.multi_batches, 0);
+    assert_eq!(sink.log.len(), 256);
+}
+
+/// The same bursts through a slow fabric: members do coalesce, so the
+/// batch machinery still runs where it pays, beside runs of one at the
+/// window edges.
+#[test]
+fn real_batches_still_form_inside_the_window() {
+    let (fwd, sink) = assert_dispatch_parity(&DispatchCase {
+        bursts: 8,
+        burst_len: 32,
+        frame_len: 128,
+        gap_ns: 60_000,
+        relay_ns: 900,
+        prop_ns: 10,
+    });
+    assert!(fwd.multi_batches >= 8, "{fwd:?}");
+    assert!(fwd.singletons + fwd.late_singletons > 0, "{fwd:?}");
+    assert_eq!(sink.log.len(), 256);
+}

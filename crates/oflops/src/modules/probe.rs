@@ -20,6 +20,10 @@ pub fn rule_ip(i: usize) -> Ipv4Addr {
 pub struct RoundRobinDst {
     n_rules: usize,
     frame_len: usize,
+    /// Frame `i` of the cycle, built the first time it is asked for and
+    /// handed out as clones from then on (the generator's stamp then
+    /// copies on write, the one copy a probe frame costs).
+    frames: Vec<Option<Packet>>,
 }
 
 impl RoundRobinDst {
@@ -27,18 +31,30 @@ impl RoundRobinDst {
     pub fn new(n_rules: usize, frame_len: usize) -> Self {
         assert!(n_rules > 0);
         assert!(frame_len >= 64);
-        RoundRobinDst { n_rules, frame_len }
+        RoundRobinDst {
+            n_rules,
+            frame_len,
+            frames: Vec::new(),
+        }
     }
 }
 
 impl Workload for RoundRobinDst {
     fn next_frame(&mut self, seq: u64) -> Packet {
         let i = (seq as usize) % self.n_rules;
-        PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
-            .ipv4(Ipv4Addr::new(10, 0, 0, 1), rule_ip(i))
-            .udp(5001, 9001)
-            .pad_to_frame(self.frame_len)
-            .build()
+        if self.frames.is_empty() {
+            self.frames.resize(self.n_rules, None);
+        }
+        let frame_len = self.frame_len;
+        self.frames[i]
+            .get_or_insert_with(|| {
+                PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
+                    .ipv4(Ipv4Addr::new(10, 0, 0, 1), rule_ip(i))
+                    .udp(5001, 9001)
+                    .pad_to_frame(frame_len)
+                    .build()
+            })
+            .clone()
     }
 }
 
@@ -63,5 +79,17 @@ mod tests {
         assert_eq!(ips[0], ips[3]);
         assert_eq!(ips[1], ips[4]);
         assert_ne!(ips[0], ips[1]);
+    }
+
+    #[test]
+    fn a_written_frame_leaves_the_next_cycle_clean() {
+        // The generator stamps the frame it is handed; the copy-on-write
+        // must keep that out of the frame the next cycle gets.
+        let mut w = RoundRobinDst::new(2, 128);
+        let first = w.next_frame(0);
+        let mut stamped = w.next_frame(2);
+        stamped.data_mut()[60] ^= 0xff;
+        assert_ne!(stamped, first);
+        assert_eq!(w.next_frame(4), first);
     }
 }

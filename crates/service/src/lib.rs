@@ -43,7 +43,9 @@ pub mod service;
 pub mod session;
 pub mod wire;
 
-pub use server::{serve, serve_listener, shutdown_over_tcp, submit_over_tcp, SubmitReply};
+pub use server::{
+    serve, serve_listener, serve_on, shutdown_over_tcp, submit_over_tcp, SubmitReply,
+};
 pub use service::{RunService, ServiceConfig};
 pub use session::{Admission, SessionId, SessionOutcome, SessionQuota, SessionRecord, SessionSpec};
 pub use wire::{read_frame, write_frame, Message};

@@ -41,6 +41,17 @@ pub fn serve(addr: &str, cfg: ServiceConfig) -> Result<RunService, OsntError> {
 /// 0 themselves to learn the address race-free).
 pub fn serve_listener(listener: TcpListener, cfg: ServiceConfig) -> Result<RunService, OsntError> {
     let service = Arc::new(RunService::start(cfg)?);
+    serve_on(listener, &service)?;
+    Arc::try_unwrap(service)
+        .map_err(|_| OsntError::config("service listener", "connection thread leaked"))
+}
+
+/// The accept loop of [`serve_listener`] over a service the caller
+/// started, and can therefore [`RunService::pause`], resume and inspect
+/// while clients connect. Returns after a [`Message::Shutdown`], once
+/// every connection thread has ended and in-flight sessions have
+/// drained.
+pub fn serve_on(listener: TcpListener, service: &Arc<RunService>) -> Result<(), OsntError> {
     let stop = Arc::new(AtomicBool::new(false));
     // Poll-accept so the shutdown flag is observed without a signal
     // handler: 5 ms of accept latency nobody can measure.
@@ -51,7 +62,7 @@ pub fn serve_listener(listener: TcpListener, cfg: ServiceConfig) -> Result<RunSe
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let service = Arc::clone(&service);
+                let service = Arc::clone(service);
                 let stop = Arc::clone(&stop);
                 conns.push(std::thread::spawn(move || {
                     // A connection error affects that client only.
@@ -74,8 +85,7 @@ pub fn serve_listener(listener: TcpListener, cfg: ServiceConfig) -> Result<RunSe
     }
     // Let in-flight sessions finish before tearing the pool down.
     service.drain();
-    Arc::try_unwrap(service)
-        .map_err(|_| OsntError::config("service listener", "connection thread leaked"))
+    Ok(())
 }
 
 fn handle_connection(

@@ -4,12 +4,13 @@
 //! submit`.
 
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Duration;
 
 use osnt_core::SweepConfig;
 use osnt_service::{
-    serve_listener, shutdown_over_tcp, submit_over_tcp, ServiceConfig, SessionOutcome, SessionSpec,
-    SubmitReply,
+    serve_listener, serve_on, shutdown_over_tcp, submit_over_tcp, RunService, ServiceConfig,
+    SessionOutcome, SessionSpec, SubmitReply,
 };
 use osnt_time::SimDuration;
 
@@ -103,12 +104,16 @@ fn tcp_rejection_carries_the_retry_hint() {
         est_session_cost: Duration::from_millis(7),
         ..ServiceConfig::default()
     };
-    let server = std::thread::spawn(move || serve_listener(listener, cfg).unwrap());
-    // The service starts unpaused, so dispatch races admission; with a
-    // 1-deep queue, the *second* un-waited burst submission hits a
-    // full queue unless the first finished already — submit enough
-    // that at least one rejection is guaranteed impossible to dodge:
-    // queue 1, worker 1 → 8 instant submissions cannot all fit.
+    let service = Arc::new(RunService::start(cfg).unwrap());
+    // Dispatch is held while the burst is submitted, so admission does
+    // not race the worker: the first submission takes the one queue
+    // slot and every later one finds it full, however fast a session
+    // runs.
+    service.pause();
+    let server = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || serve_on(listener, &service).unwrap())
+    };
     let mut rejections = Vec::new();
     for i in 0..8 {
         let spec = SessionSpec {
@@ -119,20 +124,31 @@ fn tcp_rejection_carries_the_retry_hint() {
             rejections.push(retry_after);
         }
     }
-    assert!(
-        !rejections.is_empty(),
-        "an 8-deep burst into a 1-slot queue must reject"
+    assert_eq!(
+        rejections.len(),
+        7,
+        "an 8-deep burst into a held 1-slot queue admits exactly one"
     );
     for r in &rejections {
-        assert!(
-            *r >= Duration::from_millis(7),
-            "hint must cover ≥ one wave: {r:?}"
-        );
+        // One session queued ahead of one worker: the wave in the
+        // queue plus the submitter's own.
+        assert_eq!(*r, Duration::from_millis(14), "hint must cover the backlog");
     }
+    service.resume_dispatch();
     shutdown_over_tcp(addr).unwrap();
-    let service = server.join().unwrap();
+    server.join().unwrap();
     let counts = service.counts();
-    assert_eq!(counts.admitted + counts.rejected, counts.submitted);
+    assert_eq!(
+        (counts.submitted, counts.admitted, counts.rejected),
+        (8, 1, 7)
+    );
+    assert_eq!(
+        counts.completed, 1,
+        "the admitted session ran once released"
+    );
+    let Ok(service) = Arc::try_unwrap(service) else {
+        panic!("the server still holds the service");
+    };
     service.shutdown();
     std::fs::remove_dir_all(&spool).ok();
 }

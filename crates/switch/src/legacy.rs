@@ -1,11 +1,11 @@
 //! A legacy store-and-forward L2 learning switch — the device under test
 //! of demo Part I.
 
+use crate::cam::Cam;
 use crate::fabric::{ForwardingPipeline, TIMER_FORWARD};
 use osnt_netsim::{Component, ComponentId, Kernel};
-use osnt_packet::{MacAddr, Packet};
+use osnt_packet::Packet;
 use osnt_time::SimDuration;
-use std::collections::HashMap;
 
 /// Forwarding architecture of the switch fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl LegacyConfig {
 pub struct LegacySwitch {
     config: LegacyConfig,
     /// MAC learning table: station → port.
-    cam: HashMap<MacAddr, usize>,
+    cam: Cam,
     pipeline: ForwardingPipeline,
     /// Frames received.
     pub rx_frames: u64,
@@ -80,7 +80,7 @@ impl LegacySwitch {
     pub fn new(config: LegacyConfig) -> Self {
         LegacySwitch {
             config,
-            cam: HashMap::new(),
+            cam: Cam::default(),
             pipeline: ForwardingPipeline::new(),
             rx_frames: 0,
             flooded: 0,
@@ -135,12 +135,12 @@ impl Component for LegacySwitch {
         };
         // Learn the source station.
         if src.is_unicast() {
-            self.cam.insert(src, port);
+            self.cam.learn(src, port);
         }
         // Forward: known unicast out its port, everything else flooded.
         let delay = self.fabric_delay(packet.frame_len());
-        match self.cam.get(&dst) {
-            Some(&out) if dst.is_unicast() => {
+        match self.cam.lookup(dst) {
+            Some(out) if dst.is_unicast() => {
                 if out != port {
                     self.pipeline.submit(kernel, me, delay, out, packet);
                 }
@@ -171,7 +171,7 @@ impl Component for LegacySwitch {
 mod tests {
     use super::*;
     use osnt_netsim::{LinkSpec, SimBuilder};
-    use osnt_packet::PacketBuilder;
+    use osnt_packet::{MacAddr, PacketBuilder};
     use osnt_time::SimTime;
     use std::cell::RefCell;
     use std::net::Ipv4Addr;

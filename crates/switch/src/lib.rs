@@ -19,6 +19,7 @@
 //!
 //! Both switches expose SNMP-style counters ([`snmp`]).
 
+mod cam;
 pub mod compiled;
 pub mod control;
 pub mod fabric;

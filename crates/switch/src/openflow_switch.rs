@@ -17,6 +17,7 @@
 //!   control-plane/data-plane gap that OFLOPS-turbo exposes (E6) and the
 //!   transient misforwarding during large updates (E7).
 
+use crate::cam::Cam;
 use crate::control::{decap_control, encap_control};
 use crate::fabric::{ForwardingPipeline, TIMER_FORWARD};
 use crate::flowtable::{Classifier, FlowEntry, FlowTable, RemovalReason};
@@ -29,7 +30,7 @@ use osnt_openflow::messages::{
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{FlowKey, FlowKeyBlock, MacAddr, Packet};
 use osnt_time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 const TAG_CPU: u64 = 2;
 const TAG_HW: u64 = 3;
@@ -154,7 +155,7 @@ struct HwCommit {
 pub struct OpenFlowSwitch {
     config: OfSwitchConfig,
     table: FlowTable,
-    cam: HashMap<MacAddr, usize>,
+    cam: Cam,
     pipeline: ForwardingPipeline,
     cpu_fifo: VecDeque<CpuJob>,
     cpu_busy_until: SimTime,
@@ -171,6 +172,9 @@ pub struct OpenFlowSwitch {
     pub flow_mods_accepted: u64,
     /// FLOW_MODs rejected (table full).
     pub flow_mods_rejected: u64,
+    /// Staging for the block path of `on_packet_batch` (lane `i` of the
+    /// block is `staged[i]`); empty between calls, capacity kept.
+    staged: Vec<(SimTime, Packet, FlowKey)>,
 }
 
 impl OpenFlowSwitch {
@@ -178,7 +182,7 @@ impl OpenFlowSwitch {
     pub fn new(config: OfSwitchConfig) -> Self {
         OpenFlowSwitch {
             table: FlowTable::with_classifier(config.table_capacity, config.classifier),
-            cam: HashMap::new(),
+            cam: Cam::default(),
             pipeline: ForwardingPipeline::new(),
             cpu_fifo: VecDeque::new(),
             cpu_busy_until: SimTime::ZERO,
@@ -190,6 +194,7 @@ impl OpenFlowSwitch {
             packet_ins: 0,
             flow_mods_accepted: 0,
             flow_mods_rejected: 0,
+            staged: Vec::new(),
             config,
         }
     }
@@ -618,6 +623,27 @@ impl OpenFlowSwitch {
         }
     }
 
+    /// Account a frame that arrived at `at` to table entry `i` and run
+    /// the entry's actions on it.
+    fn forward_matched(
+        &mut self,
+        kernel: &mut Kernel,
+        me: ComponentId,
+        at: SimTime,
+        i: usize,
+        in_port_wire: u16,
+        packet: Packet,
+    ) {
+        let entry = self.table.entry_mut(i);
+        FlowTable::account(entry, at, packet.frame_len());
+        // Forwarding needs `&mut self` beside the action list, so the
+        // list leaves the entry for the call and goes back after: nothing
+        // on the data path reads or moves table rows in between.
+        let actions = std::mem::take(&mut entry.actions);
+        self.forward_with_actions(kernel, me, at, &actions, in_port_wire, packet);
+        self.table.entry_mut(i).actions = actions;
+    }
+
     fn forward_normal(
         &mut self,
         kernel: &mut Kernel,
@@ -629,8 +655,8 @@ impl OpenFlowSwitch {
         let release_at = at + self.lookup_delay();
         let parsed = packet.parse();
         let Some(dst) = parsed.dst_mac() else { return };
-        match self.cam.get(&dst) {
-            Some(&out) if dst.is_unicast() => {
+        match self.cam.lookup(dst) {
+            Some(out) if dst.is_unicast() => {
                 if out + 1 != in_port_wire as usize {
                     self.pipeline
                         .submit_at(kernel, me, release_at, out, packet.clone());
@@ -683,10 +709,9 @@ impl OpenFlowSwitch {
         let parsed = packet.parse();
         if let Some(src) = parsed.src_mac() {
             if src.is_unicast() {
-                self.cam.insert(src, port);
+                self.cam.learn(src, port);
             }
         }
-        let frame_len = packet.frame_len();
         let idx = if self.config.compiled_lookup {
             self.table
                 .lookup_key_idx(in_port_wire, &FlowKey::extract(&parsed))
@@ -695,10 +720,7 @@ impl OpenFlowSwitch {
         };
         match idx {
             Some(i) => {
-                let entry = self.table.entry_mut(i);
-                FlowTable::account(entry, at, frame_len);
-                let actions = entry.actions.clone();
-                self.forward_with_actions(kernel, me, at, &actions, in_port_wire, packet);
+                self.forward_matched(kernel, me, at, i, in_port_wire, packet);
             }
             None => {
                 self.punt(
@@ -732,15 +754,12 @@ impl OpenFlowSwitch {
             // block before learning is exact.
             if let Some(src) = key.src_mac() {
                 if src.is_unicast() {
-                    self.cam.insert(src, (in_port_wire - 1) as usize);
+                    self.cam.learn(src, (in_port_wire - 1) as usize);
                 }
             }
             match verdicts[lane] {
                 Some(i) => {
-                    let entry = self.table.entry_mut(i);
-                    FlowTable::account(entry, at, packet.frame_len());
-                    let actions = entry.actions.clone();
-                    self.forward_with_actions(kernel, me, at, &actions, in_port_wire, packet);
+                    self.forward_matched(kernel, me, at, i, in_port_wire, packet);
                 }
                 None => {
                     self.punt(
@@ -836,7 +855,9 @@ impl Component for OpenFlowSwitch {
         batch: &mut Vec<(SimTime, Packet)>,
     ) {
         debug_assert_ne!(port, self.control_port());
-        if !self.config.compiled_lookup {
+        // A run of one is a packet: the scalar path, anchored at the
+        // member's own instant, with no block to fill or stage.
+        if batch.len() == 1 || !self.config.compiled_lookup {
             for (t, packet) in batch.drain(..) {
                 self.data_frame_at(kernel, me, t, port, packet);
             }
@@ -847,7 +868,7 @@ impl Component for OpenFlowSwitch {
         // then forward each at its own arrival instant.
         let in_port_wire = (port + 1) as u16;
         let mut block = FlowKeyBlock::new();
-        let mut staged: Vec<(SimTime, Packet, FlowKey)> = Vec::with_capacity(batch.len());
+        let mut staged = std::mem::take(&mut self.staged);
         for (t, packet) in batch.drain(..) {
             let key = FlowKey::extract(&packet.parse());
             block.push(&key);
@@ -860,6 +881,7 @@ impl Component for OpenFlowSwitch {
         if !staged.is_empty() {
             self.flush_block(kernel, me, in_port_wire, &block, &mut staged);
         }
+        self.staged = staged;
     }
 
     fn on_timer(&mut self, kernel: &mut Kernel, me: ComponentId, tag: u64) {

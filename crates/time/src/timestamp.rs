@@ -62,10 +62,14 @@ impl HwTimestamp {
     fn encode_ps(ps: u64) -> Self {
         let secs = ps / PS_PER_SEC;
         let frac_ps = ps % PS_PER_SEC;
-        // fraction = frac_ps / 1e12 * 2^32, rounded to nearest.
-        let frac = ((frac_ps as u128) << 32) / PS_PER_SEC as u128;
+        // fraction = ⌊frac_ps · 2³² / 10¹²⌋. 10¹² = 2¹² · 5¹², so the
+        // quotient is ⌊frac_ps · 2²⁰ / 5¹²⌋, and frac_ps < 2⁴⁰ keeps the
+        // product inside a u64: no 128-bit division on the stamp path.
+        const FIVE_POW_12: u64 = 244_140_625;
+        const _: () = assert!(PS_PER_SEC == FIVE_POW_12 << 12);
+        let frac = (frac_ps << 20) / FIVE_POW_12;
         debug_assert!(secs <= u32::MAX as u64, "timestamp seconds overflow");
-        HwTimestamp((secs << 32) | frac as u64)
+        HwTimestamp((secs << 32) | frac)
     }
 
     /// Decode back to picoseconds (rounded to the nearest picosecond).
@@ -206,6 +210,43 @@ mod tests {
         let a = HwTimestamp::from_sim_time(SimTime::from_ns(10));
         let b = HwTimestamp::from_sim_time(SimTime::from_ns(20));
         assert!(a < b);
+    }
+
+    /// The 32.32 encoding as first written: one 128-bit division.
+    fn encode_ps_u128(ps: u64) -> u64 {
+        let frac = (((ps % PS_PER_SEC) as u128) << 32) / PS_PER_SEC as u128;
+        ((ps / PS_PER_SEC) << 32) | frac as u64
+    }
+
+    #[test]
+    fn u64_encoding_equals_the_u128_form_at_second_boundaries() {
+        // Every u64 picosecond count lies below 2³² s; the last whole
+        // second one can hold is the last boundary.
+        for s in [0u64, 1, 2, 59, 3600, u64::MAX / PS_PER_SEC] {
+            let edge = s * PS_PER_SEC;
+            for ps in [
+                edge.saturating_sub(1),
+                edge,
+                edge + 1,
+                edge.saturating_add(PS_PER_SEC - 1),
+            ] {
+                assert_eq!(
+                    HwTimestamp::from_ps_unquantised(ps).as_raw(),
+                    encode_ps_u128(ps),
+                    "at {ps} ps"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn u64_encoding_equals_the_u128_form(ps in proptest::prelude::any::<u64>()) {
+            proptest::prop_assert_eq!(
+                HwTimestamp::from_ps_unquantised(ps).as_raw(),
+                encode_ps_u128(ps)
+            );
+        }
     }
 
     #[test]
