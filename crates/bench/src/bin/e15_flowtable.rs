@@ -29,7 +29,9 @@
 //! honestly; rates (`ops_per_wall_s`) are what is compared. With
 //! `OSNT_REQUIRE_SPEEDUP=1` the run fails unless at 100 000 entries the
 //! tuple engine reaches >= 5x the linear lookup rate and >= 10x the
-//! linear update rate. Like E12/E13 the gate is safe on a single-core
+//! linear update rate, and keeps at least a third of its own 100-entry
+//! update rate (flow_mods that are O(1) on paper must stay near-flat on
+//! the machine too). Like E12/E13 the gate is safe on a single-core
 //! runner: the speedup is algorithmic, not parallelism.
 //!
 //! `--max-size N` caps the sweep; `--json PATH` writes the sweep as
@@ -281,6 +283,8 @@ fn main() {
     ]);
     let mut json_rows = Vec::new();
     let mut gate: Option<(f64, f64)> = None;
+    // Tuple-engine flow_mod rate at 100 and at 100 000 entries.
+    let mut flat: (Option<f64>, Option<f64>) = (None, None);
     for &n in [100usize, 1_000, 10_000, 100_000, 1_000_000]
         .iter()
         .filter(|&&n| n <= max_size)
@@ -309,8 +313,12 @@ fn main() {
         let tup_update_rate = tup_mods as f64 / tup_update_s;
         let lookup_speedup = tup_lookup_rate / lin_lookup_rate;
         let update_speedup = tup_update_rate / lin_update_rate;
+        if n == 100 {
+            flat.0 = Some(tup_update_rate);
+        }
         if n == 100_000 {
             gate = Some((lookup_speedup, update_speedup));
+            flat.1 = Some(tup_update_rate);
         }
 
         table.row([
@@ -352,6 +360,21 @@ fn main() {
             "tuple-space update speedup {update:.2}x < 10.0x over linear at 100k entries"
         );
         println!("Speedup gate (>= 5x lookup, >= 10x flow_mod at 100k entries): passed.");
+        let (small, large) = (
+            flat.0.expect("the sweep starts at 100 entries"),
+            flat.1.expect("checked with the speedup gate"),
+        );
+        assert!(
+            3.0 * large >= small,
+            "tuple-space flow_mod rate falls {:.2}x from 100 to 100k entries \
+             ({small:.0}/s -> {large:.0}/s), more than 3x",
+            small / large
+        );
+        println!(
+            "Flatness gate (flow_mod rate at 100k entries >= 1/3 of the rate at 100): passed \
+             ({:.2}).",
+            large / small
+        );
     } else {
         println!("Speedup gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
     }

@@ -17,7 +17,7 @@
 
 use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::harness::ports;
-use crate::modules::probe::rule_ip;
+use crate::modules::probe::{rule_ip, RULE_IP_PERIOD};
 use osnt_openflow::messages::{FlowMod, Message};
 use osnt_openflow::{Action, OfMatch};
 use osnt_time::{SimDuration, SimTime};
@@ -80,12 +80,21 @@ const TAG_ROUND: u64 = 1;
 impl FlowChurnModule {
     /// `rounds` rounds of `batch` mods starting at `start_at`, holding
     /// at most `window` live rules. Returns the module and its state.
+    ///
+    /// Panics when `window + batch` (the rules live while a round's
+    /// ADDs wait for its DELETEs) exceeds [`RULE_IP_PERIOD`].
     pub fn new(
         rounds: usize,
         batch: usize,
         window: usize,
         start_at: SimTime,
     ) -> (Self, Rc<RefCell<FlowChurnState>>) {
+        assert!(
+            window + batch <= RULE_IP_PERIOD,
+            "flow churn: window {window} + batch {batch} rules are live at once, but \
+             rule_ip tells only {RULE_IP_PERIOD} consecutive rules apart: an ADD would \
+             replace a live rule in place and that rule's strict DELETE remove the newer one"
+        );
         let state = Rc::new(RefCell::new(FlowChurnState::default()));
         (
             FlowChurnModule {
@@ -213,5 +222,17 @@ mod tests {
         // Same wire behaviour, to the picosecond, on either classifier.
         assert_eq!(lin.borrow().round_latencies, tup.borrow().round_latencies);
         assert_eq!(lin_log, tup_log);
+    }
+
+    #[test]
+    fn a_live_set_rule_ip_cannot_tell_apart_is_refused() {
+        // The largest live set that fits, and one rule more.
+        let _ = FlowChurnModule::new(1, 536, 65_000, SimTime::ZERO);
+        let refused = std::panic::catch_unwind(|| {
+            let _ = FlowChurnModule::new(1, 537, 65_000, SimTime::ZERO);
+        })
+        .expect_err("a live set of 65 537 rules aliases");
+        let reason = refused.downcast_ref::<String>().expect("formatted message");
+        assert!(reason.contains("rule_ip tells only 65536"), "{reason}");
     }
 }

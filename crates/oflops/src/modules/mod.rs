@@ -13,5 +13,5 @@ pub use consistency::{ConsistencyModule, ConsistencyReport, ConsistencyState};
 pub use echo_load::{EchoLoadModule, EchoLoadState};
 pub use flow_churn::{FlowChurnModule, FlowChurnState};
 pub use packet_in::{PacketInModule, PacketInState};
-pub use probe::{rule_ip, RoundRobinDst};
+pub use probe::{rule_ip, RoundRobinDst, RULE_IP_PERIOD};
 pub use stats_accuracy::{PollSample, StatsAccuracyModule, StatsAccuracyState};

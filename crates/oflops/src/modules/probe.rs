@@ -4,10 +4,17 @@ use osnt_gen::Workload;
 use osnt_packet::{MacAddr, Packet, PacketBuilder};
 use std::net::Ipv4Addr;
 
+/// How many consecutive rule numbers [`rule_ip`] keeps apart.
+pub const RULE_IP_PERIOD: usize = 1 << 16;
+
 /// The destination address that exercises rule number `i` in the
-/// per-rule modules (one /32 per rule).
+/// per-rule modules (one /32 per rule): `10.1.x.y` with `x.y` the low
+/// 16 bits of `i + 1`. Rule 0 is `10.1.0.1`, so small rule sets stay
+/// clear of `10.1.0.0`; the mapping has period [`RULE_IP_PERIOD`]
+/// (`rule_ip(65_535)` *is* `10.1.0.0`, `rule_ip(65_536)` is rule 0's
+/// address again), so a module may hold at most that many consecutive
+/// rules live at once. Pinned by recorded digests — it cannot widen.
 pub fn rule_ip(i: usize) -> Ipv4Addr {
-    // 10.1.x.y with x.y = i+1 (avoid .0).
     let v = (i + 1) as u16;
     Ipv4Addr::new(10, 1, (v >> 8) as u8, v as u8)
 }
@@ -63,10 +70,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_ips_are_distinct() {
+    fn rule_ips_are_distinct_within_one_period_and_wrap_after_it() {
         let mut set = std::collections::HashSet::new();
-        for i in 0..1000 {
-            assert!(set.insert(rule_ip(i)));
+        for i in 0..RULE_IP_PERIOD {
+            assert!(set.insert(rule_ip(i)), "rule {i} aliases an earlier one");
+        }
+        assert_eq!(rule_ip(0), Ipv4Addr::new(10, 1, 0, 1));
+        assert_eq!(rule_ip(RULE_IP_PERIOD - 1), Ipv4Addr::new(10, 1, 0, 0));
+        for i in [0, 1, 49_999, RULE_IP_PERIOD - 1] {
+            assert_eq!(rule_ip(i + RULE_IP_PERIOD), rule_ip(i));
         }
     }
 

@@ -334,20 +334,63 @@ impl Message {
         }
     }
 
-    /// Serialise with header.
+    /// Serialise with header into a buffer of its own. One reservation
+    /// of [`TYPICAL_WIRE_LEN`] covers every fixed-size message and a
+    /// flow_mod with up to seven actions without a pass over the message
+    /// to size it first; a caller that wants the exact size reserves
+    /// [`Message::wire_len`] and calls [`Message::encode_into`].
     pub fn encode(&self, xid: u32) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.write_body(&mut body);
-        let mut out = Vec::with_capacity(OFP_HEADER_LEN + body.len());
+        let mut out = Vec::with_capacity(TYPICAL_WIRE_LEN);
+        self.encode_into(xid, &mut out);
+        out
+    }
+
+    /// Append the wire form (header, then body) to `out`. The body is
+    /// written in place behind a header whose length field is patched
+    /// once the body's end is known, so a caller that frames the message
+    /// (`encap_control`) pays for one buffer and no copy.
+    pub fn encode_into(&self, xid: u32, out: &mut Vec<u8>) {
+        let start = out.len();
         Header {
             version: OFP_VERSION,
             msg_type: self.msg_type(),
-            length: (OFP_HEADER_LEN + body.len()) as u16,
+            length: 0,
             xid,
         }
-        .write_to(&mut out);
-        out.extend_from_slice(&body);
-        out
+        .write_to(out);
+        self.write_body(out);
+        debug_assert_eq!(out.len() - start, self.wire_len());
+        patch_len(out, start + 2, start);
+    }
+
+    /// Bytes [`Message::encode_into`] appends: what a caller reserves.
+    pub fn wire_len(&self) -> usize {
+        let actions = |a: &[Action]| a.iter().map(Action::wire_len).sum::<usize>();
+        OFP_HEADER_LEN
+            + match self {
+                Message::Hello
+                | Message::FeaturesRequest
+                | Message::BarrierRequest
+                | Message::BarrierReply => 0,
+                Message::Error { data, .. } => 4 + data.len(),
+                Message::EchoRequest(d) | Message::EchoReply(d) => d.0.len(),
+                Message::FeaturesReply(f) => 24 + f.ports.len() * PhyPort::WIRE_LEN,
+                Message::PacketIn(p) => 10 + p.data.len(),
+                Message::FlowRemoved(_) => OFP_MATCH_LEN + 40,
+                Message::PacketOut(p) => 8 + actions(&p.actions) + p.data.len(),
+                Message::FlowMod(f) => OFP_MATCH_LEN + 24 + actions(&f.actions),
+                Message::StatsRequest(b) | Message::StatsReply(b) => {
+                    4 + match b {
+                        StatsBody::FlowRequest { .. } => OFP_MATCH_LEN + 4,
+                        StatsBody::FlowReply(entries) => entries
+                            .iter()
+                            .map(|e| FLOW_STATS_FIXED_LEN + actions(&e.actions))
+                            .sum(),
+                        StatsBody::PortRequest { .. } => 8,
+                        StatsBody::PortReply(entries) => entries.len() * PORT_STATS_LEN,
+                    }
+                }
+            }
     }
 
     fn write_body(&self, out: &mut Vec<u8>) {
@@ -406,10 +449,10 @@ impl Message {
             Message::PacketOut(p) => {
                 out.extend_from_slice(&p.buffer_id.to_be_bytes());
                 out.extend_from_slice(&p.in_port.to_be_bytes());
-                let mut acts = Vec::new();
-                Action::write_list(&p.actions, &mut acts);
-                out.extend_from_slice(&(acts.len() as u16).to_be_bytes());
-                out.extend_from_slice(&acts);
+                let len_at = out.len();
+                out.extend_from_slice(&[0, 0]); // actions_len, patched below
+                Action::write_list(&p.actions, out);
+                patch_len(out, len_at, len_at + 2);
                 out.extend_from_slice(&p.data);
             }
             Message::FlowMod(f) => {
@@ -547,8 +590,22 @@ impl Message {
     }
 }
 
+/// What [`Message::encode`] reserves.
+const TYPICAL_WIRE_LEN: usize = 128;
+
 const OFPST_FLOW: u16 = 1;
 const OFPST_PORT: u16 = 4;
+/// `ofp_flow_stats` up to its action list.
+const FLOW_STATS_FIXED_LEN: usize = 88;
+/// `ofp_port_stats`.
+const PORT_STATS_LEN: usize = 104;
+
+/// Overwrite the big-endian `u16` at `at` with the number of bytes `out`
+/// holds from `from` on: a length field written before what it counts.
+fn patch_len(out: &mut [u8], at: usize, from: usize) {
+    let len = (out.len() - from) as u16;
+    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+}
 
 fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
     match body {
@@ -566,10 +623,8 @@ fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
             out.extend_from_slice(&OFPST_FLOW.to_be_bytes());
             out.extend_from_slice(&0u16.to_be_bytes());
             for e in entries {
-                let mut acts = Vec::new();
-                Action::write_list(&e.actions, &mut acts);
-                let entry_len = 88 + acts.len();
-                out.extend_from_slice(&(entry_len as u16).to_be_bytes());
+                let entry_at = out.len();
+                out.extend_from_slice(&[0, 0]); // entry length, patched below
                 out.push(e.table_id);
                 out.push(0);
                 e.of_match.write_to(out);
@@ -582,7 +637,8 @@ fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
                 out.extend_from_slice(&e.cookie.to_be_bytes());
                 out.extend_from_slice(&e.packet_count.to_be_bytes());
                 out.extend_from_slice(&e.byte_count.to_be_bytes());
-                out.extend_from_slice(&acts);
+                Action::write_list(&e.actions, out);
+                patch_len(out, entry_at, entry_at);
             }
         }
         StatsBody::PortRequest { port_no } => {
@@ -632,11 +688,11 @@ fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
             let mut entries = Vec::new();
             let mut b = rest;
             while !b.is_empty() {
-                if b.len() < 88 {
+                if b.len() < FLOW_STATS_FIXED_LEN {
                     return Err(WireError::Truncated);
                 }
                 let entry_len = u16::from_be_bytes([b[0], b[1]]) as usize;
-                if entry_len < 88 || b.len() < entry_len {
+                if entry_len < FLOW_STATS_FIXED_LEN || b.len() < entry_len {
                     return Err(WireError::Truncated);
                 }
                 let of_match = OfMatch::parse(&b[4..])?;
@@ -649,7 +705,7 @@ fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
                     cookie: u64::from_be_bytes(b[64..72].try_into().unwrap()),
                     packet_count: u64::from_be_bytes(b[72..80].try_into().unwrap()),
                     byte_count: u64::from_be_bytes(b[80..88].try_into().unwrap()),
-                    actions: Action::parse_list(&b[88..entry_len])?,
+                    actions: Action::parse_list(&b[FLOW_STATS_FIXED_LEN..entry_len])?,
                 });
                 b = &b[entry_len..];
             }
@@ -666,9 +722,8 @@ fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
         (OFPST_PORT, false) => {
             let mut entries = Vec::new();
             let mut b = rest;
-            const LEN: usize = 104;
             while !b.is_empty() {
-                if b.len() < LEN {
+                if b.len() < PORT_STATS_LEN {
                     return Err(WireError::Truncated);
                 }
                 entries.push(PortStats {
@@ -680,7 +735,7 @@ fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
                     rx_dropped: u64::from_be_bytes(b[40..48].try_into().unwrap()),
                     tx_dropped: u64::from_be_bytes(b[48..56].try_into().unwrap()),
                 });
-                b = &b[LEN..];
+                b = &b[PORT_STATS_LEN..];
             }
             Ok(StatsBody::PortReply(entries))
         }
@@ -701,6 +756,44 @@ mod tests {
         // Length field is exact.
         let h = Header::parse(&wire).unwrap();
         assert_eq!(h.length as usize, wire.len());
+        assert_eq!(msg.wire_len(), wire.len());
+        // Appending behind a caller's prefix writes the same bytes and
+        // patches its own length field, not the prefix.
+        let mut framed = vec![0xee; 14];
+        msg.encode_into(0x1234_5678, &mut framed);
+        assert_eq!(framed[..14], [0xee; 14]);
+        assert_eq!(framed[14..], wire[..]);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Recorded from the two-buffer encoder this one replaced: frame
+        // bytes and lengths feed link timing, so they may not drift.
+        let m = OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 2, 3));
+        let out = vec![Action::Output {
+            port: 2,
+            max_len: 0,
+        }];
+        assert_eq!(
+            hex(&Message::FlowMod(FlowMod::add(m, 100, out)).encode(0x0102_0304)),
+            "010e00500102030400303fef0000000000000000000000000000ffff00000800\
+             00000000000000000a01020300000000000000000000000000000000000000\
+             64ffffffffffff00000000000800020000"
+        );
+        assert_eq!(
+            hex(&Message::FlowMod(FlowMod::delete_strict(m, 100)).encode(0x0102_0304)),
+            "010e00480102030400303fef0000000000000000000000000000ffff00000800\
+             00000000000000000a01020300000000000000000000000000040000000000\
+             64ffffffffffff0000"
+        );
+        assert_eq!(
+            hex(&Message::BarrierRequest.encode(0x0102_0304)),
+            "0112000801020304"
+        );
     }
 
     #[test]

@@ -13,19 +13,23 @@ use osnt_packet::{MacAddr, Packet};
 /// (IEEE local experimental 2).
 pub const CONTROL_ETHERTYPE: u16 = 0x88B6;
 
-/// Wrap one OpenFlow message in a control frame.
+/// Respect the Ethernet minimum so timing stays realistic.
+const MIN_FRAME_BYTES: usize = 60;
+
+/// Wrap one OpenFlow message in a control frame: one buffer, sized once,
+/// the message encoded straight behind the Ethernet header.
 pub fn encap_control(msg: &Message, xid: u32) -> Packet {
-    let mut bytes = Vec::new();
+    let len = osnt_packet::ethernet::HEADER_LEN + msg.wire_len();
+    let mut bytes = Vec::with_capacity(len.max(MIN_FRAME_BYTES));
     EthernetHeader {
         dst: MacAddr::local(0xC0),
         src: MacAddr::local(0xC1),
         ethertype: CONTROL_ETHERTYPE,
     }
     .write_to(&mut bytes);
-    bytes.extend_from_slice(&msg.encode(xid));
-    // Respect the Ethernet minimum so timing stays realistic.
-    if bytes.len() < 60 {
-        bytes.resize(60, 0);
+    msg.encode_into(xid, &mut bytes);
+    if bytes.len() < MIN_FRAME_BYTES {
+        bytes.resize(MIN_FRAME_BYTES, 0);
     }
     Packet::from_vec(bytes)
 }
@@ -62,6 +66,23 @@ mod tests {
         assert!(frame.frame_len() >= 64);
         // Padding must not confuse the decoder (OF length field governs).
         assert!(decap_control(&frame).unwrap().is_ok());
+    }
+
+    #[test]
+    fn padded_hello_frame_bytes_are_pinned() {
+        // Recorded from the copy-twice framing this one replaced.
+        let hex: String = encap_control(&Message::Hello, 7)
+            .data()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            format!(
+                "0200000000c00200000000c188b60100000800000007{}",
+                "00".repeat(38)
+            )
+        );
     }
 
     #[test]

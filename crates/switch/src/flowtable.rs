@@ -1,14 +1,15 @@
 //! The OpenFlow switch's flow table.
 //!
-//! Storage is a dense vector with `swap_remove` deletion, indexed two
-//! ways: a strict `(match, priority)` map makes strict flow_mods O(1),
-//! and a selectable **classifier** resolves packet lookups — either the
-//! rank-sorted compiled linear scan (the reference) or the
-//! [`TupleSpace`] engine (sublinear: probes per distinct wildcard mask,
-//! not per rule). Both produce byte-identical verdicts, including the
-//! priority/specificity/insertion-order tie-break, which installation
-//! sequence numbers keep exact even after `swap_remove` disturbs the
-//! vector order.
+//! Storage is a dense vector with `swap_remove` deletion. A selectable
+//! **classifier** indexes it, resolving both packet lookups and strict
+//! `(match, priority)` flow_mods in O(1) of table size — either the
+//! reference (a rank-sorted compiled linear scan beside an obvious
+//! `(match, priority)` map) or the [`TupleSpace`] engine (sublinear:
+//! probes per distinct wildcard mask, not per rule; one narrow index
+//! serves lookups and flow_mods alike). Both produce byte-identical
+//! verdicts, including the priority/specificity/insertion-order
+//! tie-break, which installation sequence numbers keep exact even after
+//! `swap_remove` disturbs the vector order.
 
 use crate::compiled::CompiledOfMatch;
 use crate::tuple_space::{Rank, TupleSpace};
@@ -16,6 +17,7 @@ use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{FlowKey, FlowKeyBlock, FxBuildHasher, ParsedPacket, BLOCK_LANES};
 use osnt_time::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Returned when an ADD would exceed the table capacity
@@ -166,10 +168,37 @@ struct CompiledRow {
 #[derive(Debug, Clone)]
 enum Engine {
     Linear {
+        /// `(match, priority)` → entry index. ADD-replace semantics keep
+        /// the pairs unique, so strict flow_mods are single hash probes.
+        strict: HashMap<(OfMatch, u16), usize, FxBuildHasher>,
         /// `None` means stale; rebuilt on the next compiled lookup.
         compiled: Option<Vec<CompiledRow>>,
     },
     Tuple(TupleSpace),
+}
+
+impl Engine {
+    /// The index of `classifier` over `entries` (installed as `seqs`).
+    fn build(classifier: Classifier, entries: &[FlowEntry], seqs: &[u64]) -> Engine {
+        match classifier {
+            Classifier::Linear => Engine::Linear {
+                strict: entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| ((e.of_match, e.priority), i))
+                    .collect(),
+                compiled: None,
+            },
+            Classifier::TupleSpace => {
+                let mut space = TupleSpace::new();
+                for (e, &seq) in entries.iter().zip(seqs) {
+                    let compiled = CompiledOfMatch::compile(&e.of_match);
+                    space.insert(space.locate(&compiled), seq, e.rank(), &compiled);
+                }
+                Engine::Tuple(space)
+            }
+        }
+    }
 }
 
 impl Default for Engine {
@@ -188,9 +217,6 @@ pub struct FlowTable {
     seqs: Vec<u64>,
     next_seq: u64,
     capacity: usize,
-    /// `(match, priority)` → entry index. ADD-replace semantics keep
-    /// the pairs unique, so strict flow_mods are single hash probes.
-    strict: HashMap<(OfMatch, u16), usize, FxBuildHasher>,
     engine: Engine,
 }
 
@@ -208,11 +234,17 @@ impl FlowTable {
             seqs: Vec::new(),
             next_seq: 0,
             capacity,
-            strict: HashMap::default(),
-            engine: match classifier {
-                Classifier::Linear => Engine::Linear { compiled: None },
-                Classifier::TupleSpace => Engine::Tuple(TupleSpace::new()),
-            },
+            engine: Engine::build(classifier, &[], &[]),
+        }
+    }
+
+    /// A tuple-space table whose index keeps only the top `bits` bits of
+    /// every hash, so that unrelated rules share chains.
+    #[cfg(test)]
+    fn with_index_hash_bits(capacity: usize, bits: u32) -> Self {
+        FlowTable {
+            engine: Engine::Tuple(TupleSpace::with_hash_bits(bits)),
+            ..Self::with_classifier(capacity, Classifier::TupleSpace)
         }
     }
 
@@ -230,21 +262,7 @@ impl FlowTable {
         if self.classifier() == classifier {
             return;
         }
-        self.engine = match classifier {
-            Classifier::Linear => Engine::Linear { compiled: None },
-            Classifier::TupleSpace => {
-                let mut space = TupleSpace::new();
-                for (i, e) in self.entries.iter().enumerate() {
-                    space.insert(
-                        i as u32,
-                        self.seqs[i],
-                        e.rank(),
-                        &CompiledOfMatch::compile(&e.of_match),
-                    );
-                }
-                Engine::Tuple(space)
-            }
-        };
+        self.engine = Engine::build(classifier, &self.entries, &self.seqs);
     }
 
     /// Installed entries.
@@ -278,61 +296,79 @@ impl FlowTable {
         }
     }
 
+    /// The entry installed under exactly `(of_match, priority)`.
+    fn find_strict(&self, of_match: &OfMatch, priority: u16) -> Option<usize> {
+        match &self.engine {
+            Engine::Linear { strict, .. } => strict.get(&(*of_match, priority)).copied(),
+            Engine::Tuple(space) => {
+                let compiled = CompiledOfMatch::compile(of_match);
+                space.find(space.locate(&compiled), &compiled, priority, |i| {
+                    self.entries[i].of_match == *of_match
+                })
+            }
+        }
+    }
+
     /// ADD semantics: identical (match, priority) replaces in place;
     /// otherwise append, failing when full.
     pub fn add(&mut self, entry: FlowEntry) -> Result<(), TableFull> {
-        let key = (entry.of_match, entry.priority);
-        if let Some(&i) = self.strict.get(&key) {
-            // Same (match, priority): rank, seq, and the compiled form
-            // are all unchanged, so both engines stay valid.
-            self.entries[i] = entry;
-            return Ok(());
+        let (id, full) = (self.entries.len(), self.entries.len() >= self.capacity);
+        // A replaced entry keeps its rank, seq and compiled form, so
+        // both engines stay valid. The probe that looks for it is the
+        // probe that indexes the newcomer.
+        let replaced = match &mut self.engine {
+            Engine::Linear { strict, compiled } => {
+                match strict.entry((entry.of_match, entry.priority)) {
+                    Entry::Occupied(at) => Some(*at.get()),
+                    Entry::Vacant(_) if full => return Err(TableFull),
+                    Entry::Vacant(at) => {
+                        at.insert(id);
+                        *compiled = None;
+                        None
+                    }
+                }
+            }
+            Engine::Tuple(space) => {
+                let compiled = CompiledOfMatch::compile(&entry.of_match);
+                let slot = space.locate(&compiled);
+                let entries = &self.entries;
+                let found = space.find(slot, &compiled, entry.priority, |i| {
+                    entries[i].of_match == entry.of_match
+                });
+                if found.is_none() {
+                    if full {
+                        return Err(TableFull);
+                    }
+                    space.insert(slot, self.next_seq, entry.rank(), &compiled);
+                }
+                found
+            }
+        };
+        match replaced {
+            Some(i) => self.entries[i] = entry,
+            None => {
+                self.entries.push(entry);
+                self.seqs.push(self.next_seq);
+                self.next_seq += 1;
+            }
         }
-        if self.entries.len() >= self.capacity {
-            return Err(TableFull);
-        }
-        let id = self.entries.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &mut self.engine {
-            Engine::Linear { compiled } => *compiled = None,
-            Engine::Tuple(space) => space.insert(
-                id as u32,
-                seq,
-                entry.rank(),
-                &CompiledOfMatch::compile(&entry.of_match),
-            ),
-        }
-        self.strict.insert(key, id);
-        self.entries.push(entry);
-        self.seqs.push(seq);
         Ok(())
     }
 
     /// Remove the entry at `idx` (`swap_remove`: the tail entry slides
-    /// into the hole) and fix both indexes — O(1) in table size.
+    /// into the hole) and move the index with it — O(1) in table size.
     fn remove_at(&mut self, idx: usize) -> FlowEntry {
-        let last = self.entries.len() - 1;
-        let victim = &self.entries[idx];
-        self.strict.remove(&(victim.of_match, victim.priority));
-        match &mut self.engine {
-            Engine::Linear { compiled } => *compiled = None,
-            Engine::Tuple(space) => {
-                space.remove(idx as u32, &CompiledOfMatch::compile(&victim.of_match));
-                if idx < last {
-                    space.relocate(
-                        last as u32,
-                        idx as u32,
-                        &CompiledOfMatch::compile(&self.entries[last].of_match),
-                    );
-                }
-            }
-        }
         let gone = self.entries.swap_remove(idx);
         self.seqs.swap_remove(idx);
-        if idx < self.entries.len() {
-            let moved = &self.entries[idx];
-            self.strict.insert((moved.of_match, moved.priority), idx);
+        match &mut self.engine {
+            Engine::Linear { strict, compiled } => {
+                strict.remove(&(gone.of_match, gone.priority));
+                if let Some(moved) = self.entries.get(idx) {
+                    strict.insert((moved.of_match, moved.priority), idx);
+                }
+                *compiled = None;
+            }
+            Engine::Tuple(space) => space.remove(idx as u32),
         }
         gone
     }
@@ -375,7 +411,7 @@ impl FlowTable {
     }
 
     fn ensure_compiled(&mut self) -> &[CompiledRow] {
-        let Engine::Linear { compiled } = &mut self.engine else {
+        let Engine::Linear { compiled, .. } = &mut self.engine else {
             unreachable!("compiled row cache exists only on the linear engine");
         };
         if compiled.is_none() {
@@ -472,8 +508,8 @@ impl FlowTable {
         actions: &[Action],
     ) -> usize {
         if strict {
-            return match self.strict.get(&(*of_match, priority)) {
-                Some(&i) => {
+            return match self.find_strict(of_match, priority) {
+                Some(i) => {
                     self.entries[i].actions = actions.to_vec();
                     1
                 }
@@ -490,15 +526,20 @@ impl FlowTable {
         n
     }
 
+    /// Strict DELETE: remove and return the entry installed under
+    /// exactly `(of_match, priority)`. One index probe, nothing scanned.
+    pub fn delete_strict(&mut self, of_match: &OfMatch, priority: u16) -> Option<FlowEntry> {
+        let i = self.find_strict(of_match, priority)?;
+        Some(self.remove_at(i))
+    }
+
     /// DELETE semantics. Returns the removed entries in table-scan
-    /// order. Strict deletes are one hash probe; non-strict deletes
-    /// scan for covering (inherently a wildcard-containment question).
+    /// order. Strict deletes are [`FlowTable::delete_strict`]; non-strict
+    /// deletes scan for covering (inherently a wildcard-containment
+    /// question).
     pub fn delete(&mut self, of_match: &OfMatch, priority: u16, strict: bool) -> Vec<FlowEntry> {
         if strict {
-            return match self.strict.get(&(*of_match, priority)).copied() {
-                Some(i) => vec![self.remove_at(i)],
-                None => Vec::new(),
-            };
+            return self.delete_strict(of_match, priority).into_iter().collect();
         }
         let hits: Vec<usize> = (0..self.entries.len())
             .filter(|&i| covers(of_match, &self.entries[i].of_match))
@@ -971,6 +1012,57 @@ mod tests {
                 let j = t.lookup_key_idx(0, &key).unwrap();
                 assert_eq!(j, i, "{c:?}");
             }
+        }
+    }
+
+    #[test]
+    fn colliding_index_hashes_change_nothing_observable() {
+        // 4000 flow_mods over 64 /32 rules × 2 priorities plus 16 port
+        // rules, with the index hash cut to one and to three bits: every
+        // chain holds dozens of unrelated rules, so strict ADD / MODIFY /
+        // DELETE walk past strangers, unlink from mid-chain and move
+        // chained tails. The linear table is the reference, op by op.
+        for bits in [1, 3] {
+            let mut reference = FlowTable::with_classifier(96, Classifier::Linear);
+            let mut t = FlowTable::with_index_hash_bits(96, bits);
+            let mut r = 0x9e37_79b9_7f4a_7c15u64;
+            for step in 0..4000u16 {
+                r = r
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pick = (r >> 33) as u8;
+                let m = if pick & 0x40 != 0 {
+                    OfMatch::udp_dst_port((pick & 0xf) as u16)
+                } else {
+                    OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 0, pick & 0x3f))
+                };
+                let priority = [5, 9][(r >> 41) as usize & 1];
+                match (r >> 45) % 4 {
+                    0 | 1 => {
+                        let e = FlowEntry::new(m, priority, out(step), SimTime::ZERO);
+                        assert_eq!(t.add(e.clone()), reference.add(e), "step {step}");
+                    }
+                    2 => assert_eq!(
+                        t.delete_strict(&m, priority),
+                        reference.delete_strict(&m, priority),
+                        "step {step}"
+                    ),
+                    _ => assert_eq!(
+                        t.modify(&m, priority, true, &out(step)),
+                        reference.modify(&m, priority, true, &out(step)),
+                        "step {step}"
+                    ),
+                }
+                assert!(t.iter().eq(reference.iter()), "step {step}");
+                let frame = udp_frame(Ipv4Addr::new(10, 1, 0, pick & 0x3f), (pick & 0xf) as u16);
+                let parsed = frame.parse();
+                assert_eq!(
+                    t.lookup_key_idx(0, &osnt_packet::FlowKey::extract(&parsed)),
+                    reference.lookup_idx(0, &parsed),
+                    "step {step}"
+                );
+            }
+            assert!(t.len() > 48, "the table must stay well filled");
         }
     }
 

@@ -378,9 +378,8 @@ impl OpenFlowSwitch {
                     .map(|e| FlowStatsEntry {
                         table_id: 0,
                         of_match: e.of_match,
-                        duration_sec: (now - e.installed_at).as_ps() as u32
-                            / 1_000_000_000_000u64 as u32,
-                        duration_nsec: ((now - e.installed_at).as_ns() % 1_000_000_000) as u32,
+                        duration_sec: duration_sec(now - e.installed_at),
+                        duration_nsec: duration_nsec(now - e.installed_at),
                         priority: e.priority,
                         cookie: e.cookie,
                         packet_count: e.packets,
@@ -488,20 +487,33 @@ impl OpenFlowSwitch {
                     }
                 }
             }
-            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                let strict = fm.command == FlowModCommand::DeleteStrict;
-                let removed = self.table.delete(&fm.of_match, fm.priority, strict);
-                self.logical_len = self
-                    .logical_len
-                    .saturating_sub(removed.len())
-                    .max(self.table.len());
-                for e in removed {
-                    if e.flags & 1 != 0 {
-                        self.send_flow_removed(kernel, me, &e, RemovalReason::Delete);
-                    }
-                }
+            FlowModCommand::DeleteStrict => {
+                let removed = self.table.delete_strict(&fm.of_match, fm.priority);
+                self.reconcile_removed(kernel, me, removed);
+            }
+            FlowModCommand::Delete => {
+                let removed = self.table.delete(&fm.of_match, fm.priority, false);
+                self.reconcile_removed(kernel, me, removed);
             }
         }
+    }
+
+    /// Bring the CPU's logical occupancy in line with what a DELETE took
+    /// out of hardware and send the FLOW_REMOVEDs the entries asked for.
+    fn reconcile_removed(
+        &mut self,
+        kernel: &mut Kernel,
+        me: ComponentId,
+        removed: impl IntoIterator<Item = FlowEntry>,
+    ) {
+        let mut n = 0;
+        for e in removed {
+            n += 1;
+            if e.flags & 1 != 0 {
+                self.send_flow_removed(kernel, me, &e, RemovalReason::Delete);
+            }
+        }
+        self.logical_len = self.logical_len.saturating_sub(n).max(self.table.len());
     }
 
     fn send_flow_removed(
@@ -523,8 +535,8 @@ impl OpenFlowSwitch {
                 cookie: e.cookie,
                 priority: e.priority,
                 reason: reason.code(),
-                duration_sec: (dur.as_ps() / 1_000_000_000_000) as u32,
-                duration_nsec: (dur.as_ns() % 1_000_000_000) as u32,
+                duration_sec: duration_sec(dur),
+                duration_nsec: duration_nsec(dur),
                 packet_count: e.packets,
                 byte_count: e.bytes,
             }),
@@ -774,6 +786,17 @@ impl OpenFlowSwitch {
             }
         }
     }
+}
+
+/// An entry's age as `ofp_flow_stats` / `ofp_flow_removed` carry it:
+/// whole seconds…
+fn duration_sec(age: SimDuration) -> u32 {
+    (age.as_ps() / 1_000_000_000_000) as u32
+}
+
+/// …and the nanoseconds beyond them.
+fn duration_nsec(age: SimDuration) -> u32 {
+    (age.as_ns() % 1_000_000_000) as u32
 }
 
 /// Rewrite (or insert) the 802.1Q tag of a frame.

@@ -28,14 +28,28 @@
 //!   the earliest install, exactly like the interpreter's first-wins
 //!   scan.
 //!
-//! `flow_mod` becomes a hash operation on one tuple: ADD inserts into
-//! the signature's bucket map, strict MODIFY/DELETE recompile the match
-//! to find the tuple and bucket directly. The per-tuple rank multiset
-//! (a `BTreeMap` counter) keeps the pruning bound exact under churn.
+//! The index itself is narrow on purpose. Each rule's classification
+//! record (masked value words, port, rank, seq) sits in one dense vector
+//! at the rule's entry id, in lock-step with the flow table's own
+//! `swap_remove` storage. A tuple's table maps the 64-bit Fx hash of
+//! (value words, port) to the id of the first rule indexed under it —
+//! 16-byte slots, keyed by the hash itself, so growing the table never
+//! hashes a key again — and rules that share a hash (the same lowered
+//! match at another priority, or a true collision) chain through their
+//! records. A probe is one table access and one record compare; the
+//! record, not the hash, decides a match.
+//!
+//! The same probe serves `flow_mod`s: the table resolves a strict
+//! ADD/MODIFY/DELETE with [`TupleSpace::locate`] + [`TupleSpace::find`]
+//! (one compile, one hash) and removal needs neither, because a record
+//! remembers its tuple and hash. The per-tuple rank multiset (a
+//! `BTreeMap` counter) keeps the pruning bound exact under churn.
 
 use crate::compiled::CompiledOfMatch;
-use osnt_packet::{FlowKey, FlowKeyBlock, FxBuildHasher, BLOCK_LANES, KEY_WORDS};
+use osnt_packet::{FlowKey, FlowKeyBlock, FxBuildHasher, FxHasher64, BLOCK_LANES, KEY_WORDS};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A classification rank: `(priority, specificity)`, compared
 /// lexicographically, higher wins. Ties break toward the lower
@@ -46,25 +60,50 @@ pub type Rank = (u16, u32);
 /// constrains the ingress port (which lives beside the key words).
 type Signature = ([u64; KEY_WORDS], bool);
 
-/// Hash-bucket key inside one tuple: the key words under the tuple's
-/// mask, plus the ingress port when the tuple constrains it (0
-/// otherwise, so port-wildcarding tuples collapse all ports into one
-/// bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct BucketKey {
-    words: [u64; KEY_WORDS],
-    port: u16,
+/// "No rule": the end of a chain, or a [`Slot`] whose mask signature no
+/// tuple holds yet.
+const NIL: u32 = u32::MAX;
+
+/// Hasher for tables keyed by a value that already is a hash.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("prehashed tables are keyed by u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
 
-/// One rule's residence inside a bucket. Self-contained — lookups never
-/// touch the flow-entry storage.
+/// Index hash → id of the first rule chained under it.
+type Heads = HashMap<u64, u32, BuildHasherDefault<Prehashed>>;
+
+/// One rule's classification record, stored at the rule's entry id.
+/// Self-contained — lookups never touch the flow-entry storage.
 #[derive(Debug, Clone, Copy)]
-struct Resident {
-    rank: Rank,
+struct Record {
+    /// The rule's value words: what a key must equal under the tuple's
+    /// mask.
+    words: [u64; KEY_WORDS],
+    /// Index hash of (`words`, `port`): the key of this rule's chain.
+    hash: u64,
     /// Installation sequence (tie-break: lowest wins among equal rank).
     seq: u64,
-    /// The owning [`crate::flowtable::FlowTable`] entry index.
-    id: u32,
+    rank: Rank,
+    /// The next rule chained under the same hash, or [`NIL`].
+    next: u32,
+    /// The owning tuple.
+    tuple: u32,
+    /// The required ingress port when the tuple constrains it, else 0
+    /// (so port-wildcarding tuples collapse all ports into one chain).
+    port: u16,
 }
 
 /// All rules sharing one wildcard mask signature.
@@ -72,9 +111,7 @@ struct Resident {
 struct Tuple {
     mask: [u64; KEY_WORDS],
     port_masked: bool,
-    /// Masked-key-words → residents. Multiple residents per bucket are
-    /// possible (same lowered match at different priorities).
-    buckets: HashMap<BucketKey, Vec<Resident>, FxBuildHasher>,
+    heads: Heads,
     /// Multiset of resident ranks; `last_key_value` is the pruning
     /// bound. Kept exact under churn so the bound never goes stale.
     ranks: BTreeMap<Rank, u32>,
@@ -87,20 +124,14 @@ impl Tuple {
     fn max_rank(&self) -> Option<Rank> {
         self.ranks.last_key_value().map(|(r, _)| *r)
     }
+}
 
-    fn bucket_key(&self, compiled: &CompiledOfMatch) -> BucketKey {
-        BucketKey {
-            words: *compiled.key_match().value_words(),
-            port: compiled.in_port_req().unwrap_or(0),
-        }
-    }
-
-    fn probe_key(&self, in_port: u16, key: &FlowKey) -> BucketKey {
-        BucketKey {
-            words: key.masked(&self.mask),
-            port: if self.port_masked { in_port } else { 0 },
-        }
-    }
+/// Where a compiled match belongs in the index: its tuple ([`NIL`] when
+/// no rule with that mask signature was ever indexed) and index hash.
+#[derive(Debug, Clone, Copy)]
+pub struct Slot {
+    tuple: u32,
+    hash: u64,
 }
 
 /// Winner of a probe: `(rank, Reverse-able seq, entry id)`. Candidate
@@ -123,22 +154,52 @@ impl Best {
     }
 }
 
-/// The tuple-space search engine. Owns no flow entries — it indexes the
-/// [`crate::flowtable::FlowTable`]'s dense entry vector by id and is
-/// kept in lock-step by the table's mutation paths.
+/// The tuple-space search engine. Owns no flow entries — it mirrors the
+/// [`crate::flowtable::FlowTable`]'s dense entry vector id for id
+/// (append on insert, `swap_remove` on remove) and is kept in lock-step
+/// by the table's mutation paths.
 #[derive(Debug, Clone, Default)]
 pub struct TupleSpace {
+    /// Record `i` classifies the table's entry `i`.
+    records: Vec<Record>,
     tuples: Vec<Tuple>,
-    by_sig: HashMap<Signature, usize, FxBuildHasher>,
+    by_sig: HashMap<Signature, u32, FxBuildHasher>,
     /// Tuple indices in descending `max_rank` order — the probe order
     /// that makes rank pruning sound. Rebuilt lazily: mask diversity is
     /// tiny next to rule count, so a rebuild is cheap and rare.
-    order: Vec<usize>,
+    order: Vec<u32>,
     order_dirty: bool,
-    len: usize,
     /// Non-empty tuple count — the simulated cost model charges per
     /// tuple probed, so this is the "units of work" a lookup costs.
     active: usize,
+    #[cfg(test)]
+    hash_drop_bits: u32,
+}
+
+/// The tuple `compiled` belongs to.
+fn signature(compiled: &CompiledOfMatch) -> Signature {
+    (
+        *compiled.key_match().mask_words(),
+        compiled.in_port_req().is_some(),
+    )
+}
+
+/// What a rule's chain is keyed and compared by: its value words and
+/// the ingress port it requires (0 when it takes any).
+fn identity(compiled: &CompiledOfMatch) -> (&[u64; KEY_WORDS], u16) {
+    (
+        compiled.key_match().value_words(),
+        compiled.in_port_req().unwrap_or(0),
+    )
+}
+
+/// The rule whose chain link points at `target`, walking from `head`.
+fn predecessor(records: &[Record], head: u32, target: u32) -> usize {
+    let mut at = head as usize;
+    while records[at].next != target {
+        at = records[at].next as usize;
+    }
+    at
 }
 
 impl TupleSpace {
@@ -149,12 +210,12 @@ impl TupleSpace {
 
     /// Indexed rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// True when no rules are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
     /// Distinct non-empty mask signatures — the number of hash probes a
@@ -163,67 +224,135 @@ impl TupleSpace {
         self.active
     }
 
-    fn signature(compiled: &CompiledOfMatch) -> Signature {
-        (
-            *compiled.key_match().mask_words(),
-            compiled.in_port_req().is_some(),
-        )
+    #[inline]
+    fn index_hash(&self, words: &[u64; KEY_WORDS], port: u16) -> u64 {
+        let mut h = FxHasher64::default();
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.write_u16(port);
+        h.finish() >> self.hash_drop_bits()
     }
 
-    /// Index entry `id` (installed with sequence `seq` at `rank`) under
-    /// its compiled match.
-    pub fn insert(&mut self, id: u32, seq: u64, rank: Rank, compiled: &CompiledOfMatch) {
-        let sig = Self::signature(compiled);
-        let ti = *self.by_sig.entry(sig).or_insert_with(|| {
+    #[cfg(not(test))]
+    #[inline]
+    fn hash_drop_bits(&self) -> u32 {
+        0
+    }
+
+    /// Index-hash bits thrown away, so tests can force long chains.
+    #[cfg(test)]
+    fn hash_drop_bits(&self) -> u32 {
+        self.hash_drop_bits
+    }
+
+    /// An engine that keeps only the top `bits` bits of every index
+    /// hash: most rules of a tuple then share a chain.
+    #[cfg(test)]
+    pub(crate) fn with_hash_bits(bits: u32) -> Self {
+        TupleSpace {
+            hash_drop_bits: 64 - bits,
+            ..TupleSpace::default()
+        }
+    }
+
+    /// Where `compiled` belongs: one signature lookup, one hash.
+    pub fn locate(&self, compiled: &CompiledOfMatch) -> Slot {
+        let (words, port) = identity(compiled);
+        Slot {
+            tuple: self
+                .by_sig
+                .get(&signature(compiled))
+                .copied()
+                .unwrap_or(NIL),
+            hash: self.index_hash(words, port),
+        }
+    }
+
+    /// The indexed rule at `slot` that lowers to `compiled`, holds
+    /// `priority` and satisfies `same` — the strict flow_mod probe. Two
+    /// matches that differ only under wildcarded fields lower alike, so
+    /// the caller's `same` compares the matches themselves.
+    pub fn find(
+        &self,
+        slot: Slot,
+        compiled: &CompiledOfMatch,
+        priority: u16,
+        mut same: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        let t = self.tuples.get(slot.tuple as usize)?;
+        let (words, port) = identity(compiled);
+        let mut id = t.heads.get(&slot.hash).copied().unwrap_or(NIL);
+        while id != NIL {
+            let r = &self.records[id as usize];
+            if r.rank.0 == priority && r.port == port && r.words == *words && same(id as usize) {
+                return Some(id as usize);
+            }
+            id = r.next;
+        }
+        None
+    }
+
+    /// Index the table's next entry (its id is the number of rules
+    /// indexed so far) at `slot`, which [`TupleSpace::locate`] returned
+    /// for `compiled` with no mutation since.
+    pub fn insert(&mut self, slot: Slot, seq: u64, rank: Rank, compiled: &CompiledOfMatch) {
+        let id = self.records.len() as u32;
+        let ti = if slot.tuple != NIL {
+            slot.tuple
+        } else {
+            let ti = self.tuples.len() as u32;
+            let (mask, port_masked) = signature(compiled);
+            self.by_sig.insert((mask, port_masked), ti);
             self.tuples.push(Tuple {
-                mask: sig.0,
-                port_masked: sig.1,
+                mask,
+                port_masked,
                 ..Tuple::default()
             });
             self.order_dirty = true;
-            self.tuples.len() - 1
-        });
-        let t = &mut self.tuples[ti];
+            ti
+        };
+        let t = &mut self.tuples[ti as usize];
         let before = t.max_rank();
-        let key = t.bucket_key(compiled);
-        t.buckets
-            .entry(key)
-            .or_default()
-            .push(Resident { rank, seq, id });
+        let (words, port) = identity(compiled);
+        self.records.push(Record {
+            words: *words,
+            hash: slot.hash,
+            seq,
+            rank,
+            next: t.heads.insert(slot.hash, id).unwrap_or(NIL),
+            tuple: ti,
+            port,
+        });
         *t.ranks.entry(rank).or_insert(0) += 1;
         if t.len == 0 {
             self.active += 1;
         }
         t.len += 1;
-        self.len += 1;
         if t.max_rank() != before {
             self.order_dirty = true;
         }
     }
 
-    /// Un-index entry `id`. The caller supplies the entry's compiled
-    /// match so the owning tuple and bucket are found by hashing, never
-    /// by scanning.
-    pub fn remove(&mut self, id: u32, compiled: &CompiledOfMatch) {
-        let sig = Self::signature(compiled);
-        let ti = *self
-            .by_sig
-            .get(&sig)
-            .expect("tuple-space remove: unknown mask signature");
-        let t = &mut self.tuples[ti];
+    /// Un-index rule `id` the way the table's `swap_remove` drops its
+    /// entry: the last rule takes over `id`. Nothing is compiled or
+    /// hashed — a record knows its tuple and its chain.
+    pub fn remove(&mut self, id: u32) {
+        let gone = self.records[id as usize];
+        let t = &mut self.tuples[gone.tuple as usize];
         let before = t.max_rank();
-        let key = t.bucket_key(compiled);
-        let bucket = t
-            .buckets
-            .get_mut(&key)
-            .expect("tuple-space remove: unknown bucket");
-        let pos = bucket
-            .iter()
-            .position(|r| r.id == id)
-            .expect("tuple-space remove: id not resident");
-        let gone = bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            t.buckets.remove(&key);
+        match t.heads.entry(gone.hash) {
+            Entry::Occupied(mut head) => {
+                if *head.get() != id {
+                    let pred = predecessor(&self.records, *head.get(), id);
+                    self.records[pred].next = gone.next;
+                } else if gone.next != NIL {
+                    *head.get_mut() = gone.next;
+                } else {
+                    head.remove();
+                }
+            }
+            Entry::Vacant(_) => unreachable!("tuple-space remove: rule has no chain"),
         }
         match t.ranks.get_mut(&gone.rank) {
             Some(n) if *n > 1 => *n -= 1,
@@ -232,35 +361,28 @@ impl TupleSpace {
             }
         }
         t.len -= 1;
-        self.len -= 1;
         if t.len == 0 {
             self.active -= 1;
         }
         if t.max_rank() != before {
             self.order_dirty = true;
         }
-    }
 
-    /// Rewrite the entry id of an already-indexed rule — the table's
-    /// `swap_remove` storage moves the tail entry into the vacated slot,
-    /// and its residence here must follow. O(bucket) via hashing.
-    pub fn relocate(&mut self, old_id: u32, new_id: u32, compiled: &CompiledOfMatch) {
-        let sig = Self::signature(compiled);
-        let ti = *self
-            .by_sig
-            .get(&sig)
-            .expect("tuple-space relocate: unknown mask signature");
-        let t = &mut self.tuples[ti];
-        let key = t.bucket_key(compiled);
-        let bucket = t
-            .buckets
-            .get_mut(&key)
-            .expect("tuple-space relocate: unknown bucket");
-        let r = bucket
-            .iter_mut()
-            .find(|r| r.id == old_id)
-            .expect("tuple-space relocate: id not resident");
-        r.id = new_id;
+        let last = self.records.len() as u32 - 1;
+        self.records.swap_remove(id as usize);
+        if id != last {
+            let moved = self.records[id as usize];
+            let head = self.tuples[moved.tuple as usize]
+                .heads
+                .get_mut(&moved.hash)
+                .expect("tuple-space remove: moved rule has no chain");
+            if *head == last {
+                *head = id;
+            } else {
+                let pred = predecessor(&self.records, *head, last);
+                self.records[pred].next = id;
+            }
+        }
     }
 
     /// Probe order: tuple indices, descending `max_rank`, empties
@@ -268,10 +390,39 @@ impl TupleSpace {
     fn ensure_order(&mut self) {
         if self.order_dirty {
             let tuples = &self.tuples;
-            self.order = (0..tuples.len()).filter(|&i| tuples[i].len > 0).collect();
-            self.order
-                .sort_by_key(|&i| std::cmp::Reverse((tuples[i].max_rank(), std::cmp::Reverse(i))));
+            self.order = (0..tuples.len() as u32)
+                .filter(|&i| tuples[i as usize].len > 0)
+                .collect();
+            self.order.sort_by_key(|&i| {
+                std::cmp::Reverse((tuples[i as usize].max_rank(), std::cmp::Reverse(i)))
+            });
             self.order_dirty = false;
+        }
+    }
+
+    /// Fold every rule of `t` that a key with these masked `words`
+    /// arriving on `in_port` matches into `best`.
+    #[inline]
+    fn probe(&self, t: &Tuple, words: [u64; KEY_WORDS], in_port: u16, best: &mut Option<Best>) {
+        let port = if t.port_masked { in_port } else { 0 };
+        let mut id = t
+            .heads
+            .get(&self.index_hash(&words, port))
+            .copied()
+            .unwrap_or(NIL);
+        while id != NIL {
+            let r = &self.records[id as usize];
+            if r.port == port && r.words == words {
+                let cand = Best {
+                    rank: r.rank,
+                    seq: r.seq,
+                    id,
+                };
+                if cand.beats(best) {
+                    *best = Some(cand);
+                }
+            }
+            id = r.next;
         }
     }
 
@@ -282,7 +433,7 @@ impl TupleSpace {
         self.ensure_order();
         let mut best: Option<Best> = None;
         for &ti in &self.order {
-            let t = &self.tuples[ti];
+            let t = &self.tuples[ti as usize];
             if t.len == 0 {
                 continue;
             }
@@ -293,18 +444,7 @@ impl TupleSpace {
                     break;
                 }
             }
-            if let Some(bucket) = t.buckets.get(&t.probe_key(in_port, key)) {
-                for r in bucket {
-                    let cand = Best {
-                        rank: r.rank,
-                        seq: r.seq,
-                        id: r.id,
-                    };
-                    if cand.beats(&best) {
-                        best = Some(cand);
-                    }
-                }
-            }
+            self.probe(t, key.masked(&t.mask), in_port, &mut best);
         }
         best.map(|b| b.id as usize)
     }
@@ -331,7 +471,7 @@ impl TupleSpace {
             if undecided == 0 {
                 break;
             }
-            let t = &self.tuples[ti];
+            let t = &self.tuples[ti as usize];
             if t.len == 0 {
                 continue;
             }
@@ -346,22 +486,8 @@ impl TupleSpace {
                         continue;
                     }
                 }
-                let probe = BucketKey {
-                    words: block.masked_lane(lane, &t.mask),
-                    port: if t.port_masked { in_port } else { 0 },
-                };
-                if let Some(bucket) = t.buckets.get(&probe) {
-                    for r in bucket {
-                        let cand = Best {
-                            rank: r.rank,
-                            seq: r.seq,
-                            id: r.id,
-                        };
-                        if cand.beats(&best[lane]) {
-                            best[lane] = Some(cand);
-                        }
-                    }
-                }
+                let words = block.masked_lane(lane, &t.mask);
+                self.probe(t, words, in_port, &mut best[lane]);
             }
         }
         let mut out = [None; BLOCK_LANES];
@@ -387,17 +513,18 @@ mod tests {
         FlowKey::extract(&p.parse())
     }
 
-    fn rank_of(m: &OfMatch, priority: u16) -> Rank {
-        (priority, m.specificity())
+    /// Index `m` as the next entry, installed `seq`-th at `priority`.
+    fn index(ts: &mut TupleSpace, seq: u64, m: &OfMatch, priority: u16) {
+        let compiled = CompiledOfMatch::compile(m);
+        let slot = ts.locate(&compiled);
+        ts.insert(slot, seq, (priority, m.specificity()), &compiled);
     }
 
     #[test]
     fn exact_probe_and_rank_order() {
         let mut ts = TupleSpace::new();
-        let any = OfMatch::any();
-        let porty = OfMatch::udp_dst_port(9001);
-        ts.insert(0, 0, rank_of(&any, 1), &CompiledOfMatch::compile(&any));
-        ts.insert(1, 1, rank_of(&porty, 5), &CompiledOfMatch::compile(&porty));
+        index(&mut ts, 0, &OfMatch::any(), 1);
+        index(&mut ts, 1, &OfMatch::udp_dst_port(9001), 5);
         assert_eq!(ts.active_tuples(), 2);
         assert_eq!(
             ts.lookup(0, &key_of(Ipv4Addr::new(1, 1, 1, 1), 9001)),
@@ -427,8 +554,8 @@ mod tests {
         for flip in [false, true] {
             let mut ts = TupleSpace::new();
             let (first, second) = if flip { (&dst, &src) } else { (&src, &dst) };
-            ts.insert(0, 0, rank_of(first, 5), &CompiledOfMatch::compile(first));
-            ts.insert(1, 1, rank_of(second, 5), &CompiledOfMatch::compile(second));
+            index(&mut ts, 0, first, 5);
+            index(&mut ts, 1, second, 5);
             // 10.0.0.1 -> 10.9.9.9 hits both prefixes.
             let k = key_of(Ipv4Addr::new(10, 9, 9, 9), 80);
             assert_eq!(ts.lookup(0, &k), Some(0), "flip={flip}");
@@ -436,23 +563,103 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_relocate_keep_the_index_exact() {
+    fn remove_moves_the_last_rule_into_the_hole() {
         let mut ts = TupleSpace::new();
-        let any = OfMatch::any();
         let porty = OfMatch::udp_dst_port(9001);
-        let c_any = CompiledOfMatch::compile(&any);
-        let c_porty = CompiledOfMatch::compile(&porty);
-        ts.insert(0, 0, rank_of(&any, 1), &c_any);
-        ts.insert(1, 1, rank_of(&porty, 5), &c_porty);
+        index(&mut ts, 0, &porty, 5);
+        index(&mut ts, 1, &OfMatch::udp_dst_port(80), 5);
+        index(&mut ts, 2, &OfMatch::any(), 1);
         let k = key_of(Ipv4Addr::new(1, 1, 1, 1), 9001);
-        assert_eq!(ts.lookup(0, &k), Some(1));
-        ts.remove(1, &c_porty);
-        assert_eq!(ts.len(), 1);
-        assert_eq!(ts.active_tuples(), 1);
         assert_eq!(ts.lookup(0, &k), Some(0));
-        // Simulate a swap_remove: entry 0 becomes entry 5.
-        ts.relocate(0, 5, &c_any);
-        assert_eq!(ts.lookup(0, &k), Some(5));
+        // Like the table's swap_remove: `any` (id 2) becomes id 0.
+        ts.remove(0);
+        assert_eq!(ts.len(), 2);
+        assert_eq!(ts.active_tuples(), 2);
+        assert_eq!(ts.lookup(0, &k), Some(0));
+        assert_eq!(
+            ts.lookup(0, &key_of(Ipv4Addr::new(1, 1, 1, 1), 80)),
+            Some(1)
+        );
+        // Dropping the last id moves nothing; its tuple empties.
+        ts.remove(1);
+        assert_eq!(ts.active_tuples(), 1);
+        let compiled = CompiledOfMatch::compile(&porty);
+        assert_eq!(ts.find(ts.locate(&compiled), &compiled, 5, |_| true), None);
+    }
+
+    #[test]
+    fn find_tells_priorities_and_the_callers_notion_of_same_apart() {
+        let mut ts = TupleSpace::new();
+        let m = OfMatch::udp_dst_port(9001);
+        index(&mut ts, 0, &m, 5);
+        index(&mut ts, 1, &m, 9);
+        let compiled = CompiledOfMatch::compile(&m);
+        let slot = ts.locate(&compiled);
+        assert_eq!(ts.find(slot, &compiled, 5, |_| true), Some(0));
+        assert_eq!(ts.find(slot, &compiled, 9, |_| true), Some(1));
+        assert_eq!(ts.find(slot, &compiled, 7, |_| true), None);
+        assert_eq!(ts.find(slot, &compiled, 9, |_| false), None);
+        // A mask no rule uses has no tuple to look in.
+        let other = CompiledOfMatch::compile(&OfMatch::ipv4_dst(Ipv4Addr::new(1, 2, 3, 4)));
+        assert_eq!(ts.find(ts.locate(&other), &other, 5, |_| true), None);
+    }
+
+    /// Every rule of a 48-rule, two-tuple set stays reachable — by
+    /// lookup and by `find` — while rules leave from the front, the
+    /// middle and the back, at full hash width and with the hash cut to
+    /// 1–2 bits so that chains hold a dozen rules: insert behind a head,
+    /// unlink from mid-chain and a moved rule that is itself chained all
+    /// happen.
+    #[test]
+    fn long_chains_survive_churn() {
+        for bits in [1, 2, 64] {
+            let mut ts = TupleSpace::with_hash_bits(bits);
+            // The model: entry id -> (match, priority, seq).
+            let mut model: Vec<(OfMatch, u16, u64)> = Vec::new();
+            for i in 0..48u16 {
+                let m = if i % 3 == 0 {
+                    OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 0, i as u8))
+                } else {
+                    OfMatch::udp_dst_port(i)
+                };
+                // Every fourth rule twice: same words, another priority.
+                for priority in [5u16, 9].into_iter().take(1 + usize::from(i % 4 == 0)) {
+                    index(&mut ts, model.len() as u64, &m, priority);
+                    model.push((m, priority, model.len() as u64));
+                }
+            }
+            let mut step = 0usize;
+            while !model.is_empty() {
+                for (id, (m, priority, _)) in model.iter().enumerate() {
+                    let compiled = CompiledOfMatch::compile(m);
+                    let slot = ts.locate(&compiled);
+                    assert_eq!(
+                        ts.find(slot, &compiled, *priority, |_| true),
+                        Some(id),
+                        "bits={bits}"
+                    );
+                    // The key that hits exactly this rule's words.
+                    let k = if m.tp_dst != 0 {
+                        key_of(Ipv4Addr::new(9, 9, 9, 9), m.tp_dst)
+                    } else {
+                        key_of(m.nw_dst, 0)
+                    };
+                    let want = model
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (o, _, _))| o == m)
+                        .max_by_key(|(_, (_, p, _))| *p)
+                        .map(|(i, _)| i);
+                    assert_eq!(ts.lookup(0, &k), want, "bits={bits}");
+                }
+                let victim = (step * 7) % model.len();
+                step += 1;
+                ts.remove(victim as u32);
+                model.swap_remove(victim);
+                assert_eq!(ts.len(), model.len());
+            }
+            assert_eq!(ts.active_tuples(), 0);
+        }
     }
 
     #[test]
@@ -461,13 +668,8 @@ mod tests {
         let any = OfMatch::any();
         let porty = OfMatch::udp_dst_port(9001);
         let exact = OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 0, 1));
-        for (id, m, prio) in [(0u32, &any, 1u16), (1, &porty, 5), (2, &exact, 5)] {
-            ts.insert(
-                id,
-                id as u64,
-                rank_of(m, prio),
-                &CompiledOfMatch::compile(m),
-            );
+        for (seq, m, prio) in [(0u64, &any, 1u16), (1, &porty, 5), (2, &exact, 5)] {
+            index(&mut ts, seq, m, prio);
         }
         let keys = [
             key_of(Ipv4Addr::new(10, 1, 0, 1), 9001),

@@ -5,10 +5,19 @@
 //! of flow_mods, expiry, and lookups.
 //!
 //! Two tables run the *same* operation sequence, one per classifier.
-//! Because all mutation logic is engine-independent, their entry
-//! vectors must stay byte-identical, so lookup verdicts can be compared
-//! as raw indices. The interpreter (`lookup_idx`) is additionally
-//! consulted as the semantic ground truth.
+//! Each engine resolves strict flow_mods through its own index, so what
+//! every op reports (added or full, entries removed, entries modified)
+//! is compared op by op, and the entry vectors must stay byte-identical,
+//! so lookup verdicts can be compared as raw indices. The interpreter
+//! (`lookup_idx`) is additionally consulted as the semantic ground
+//! truth.
+//!
+//! Generated matches carry **junk under their wildcards** (host bits
+//! below a prefix, values in wildcarded fields): two such matches lower
+//! to the same masked words, so they classify alike, yet they are
+//! unequal `OfMatch` values and therefore distinct entries to every
+//! strict flow_mod. An index that told rules apart by lowered form alone
+//! would merge them.
 
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
@@ -39,18 +48,29 @@ struct MatchSpec {
     in_port: Option<u8>,
     priority: u16,
     hard_timeout: u16,
+    /// Written wherever the match does not look: 0 leaves it clean.
+    junk: u8,
 }
 
 impl MatchSpec {
     fn build(&self) -> OfMatch {
         let mut m = OfMatch::any();
+        // Junk first, everywhere; the fields the match does look at are
+        // overwritten below.
+        m.nw_dst = Ipv4Addr::new(0, 0, 0, self.junk);
+        m.tp_dst = self.junk as u16;
+        m.in_port = self.junk as u16;
+        m.nw_tos = self.junk;
         if self.ipv4 {
             m.dl_type = 0x0800;
             m.wildcards &= !wildcards::DL_TYPE;
         }
         if let Some((ip, plen)) = self.nw_dst {
-            m.nw_dst = IP_POOL[ip as usize];
-            m.set_nw_dst_prefix(PREFIX_POOL[plen as usize]);
+            let plen = PREFIX_POOL[plen as usize];
+            // Below a /8../24 the low byte is host bits.
+            let host = if plen < 32 { self.junk } else { 0 };
+            m.nw_dst = Ipv4Addr::from(u32::from(IP_POOL[ip as usize]) ^ host as u32);
+            m.set_nw_dst_prefix(plen);
         }
         if let Some(p) = self.tp_dst {
             m.tp_dst = PORT_POOL[p as usize];
@@ -74,16 +94,17 @@ enum Op {
 }
 
 fn match_spec() -> impl Strategy<Value = MatchSpec> {
-    (0u8..2, 0u8..17, 0u8..5, 0u8..4, 0u8..4, 0u8..5).prop_map(|(ipv4, nw, tp, inp, prio, hto)| {
-        MatchSpec {
+    (0u8..2, 0u8..17, 0u8..5, 0u8..4, 0u8..4, 0u8..5, 0u8..3).prop_map(
+        |(ipv4, nw, tp, inp, prio, hto, junk)| MatchSpec {
             ipv4: ipv4 == 1,
             nw_dst: (nw < 16).then_some((nw & 3, nw >> 2)),
             tp_dst: (tp < 4).then_some(tp),
             in_port: (inp < 3).then_some(inp),
             priority: [1u16, 5, 5, 9][prio as usize],
             hard_timeout: [0u16, 0, 0, 1, 2][hto as usize],
-        }
-    })
+            junk,
+        },
+    )
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -107,33 +128,24 @@ fn out(port: u16) -> Vec<Action> {
     vec![Action::Output { port, max_len: 0 }]
 }
 
-/// Apply one op to a table. All mutation logic is engine-independent,
-/// so both tables stay structurally identical.
-fn apply(t: &mut FlowTable, i: usize, op: &Op) {
+/// Apply one op to a table and say what it reported: a count (entries
+/// added or modified) and the entries it removed, in the order given.
+fn apply(t: &mut FlowTable, i: usize, op: &Op) -> (usize, Vec<FlowEntry>) {
     let now = SimTime::from_ms(i as u64);
     match op {
         Op::Add(s) => {
             let mut e = FlowEntry::new(s.build(), s.priority, out(i as u16), now);
             e.hard_timeout = s.hard_timeout;
-            let _ = t.add(e); // TableFull rejections are part of the behaviour
+            // TableFull rejections are part of the behaviour.
+            (t.add(e).is_ok() as usize, Vec::new())
         }
-        Op::DeleteStrict(s) => {
-            t.delete(&s.build(), s.priority, true);
-        }
-        Op::Delete(s) => {
-            t.delete(&s.build(), s.priority, false);
-        }
+        Op::DeleteStrict(s) => (0, t.delete(&s.build(), s.priority, true)),
+        Op::Delete(s) => (0, t.delete(&s.build(), s.priority, false)),
         Op::ModifyStrict(s) => {
-            t.modify(
-                &s.build(),
-                s.priority,
-                true,
-                &out((i as u16).wrapping_add(10_000)),
-            );
+            let actions = out((i as u16).wrapping_add(10_000));
+            (t.modify(&s.build(), s.priority, true, &actions), Vec::new())
         }
-        Op::Expire => {
-            t.expire(now);
-        }
+        Op::Expire => (0, t.expire(now).into_iter().map(|(e, _)| e).collect()),
     }
 }
 
@@ -167,8 +179,7 @@ proptest! {
         let mut linear = FlowTable::with_classifier(capacity, Classifier::Linear);
         let mut tuple = FlowTable::with_classifier(capacity, Classifier::TupleSpace);
         for (i, o) in ops.iter().enumerate() {
-            apply(&mut linear, i, o);
-            apply(&mut tuple, i, o);
+            prop_assert_eq!(apply(&mut linear, i, o), apply(&mut tuple, i, o));
         }
         prop_assert_eq!(snapshot(&linear), snapshot(&tuple));
 
@@ -210,6 +221,94 @@ proptest! {
     }
 }
 
+/// Twins — matches that lower alike and differ as values — at equal
+/// and at different priorities, walked through every strict and
+/// non-strict flow_mod by hand: each twin is its own entry on both
+/// engines, and a lookup that hits both picks the one the interpreter
+/// picks.
+#[test]
+fn lowered_twins_stay_distinct_entries() {
+    let shapes = [
+        // Host bits under a /24; junk in three wildcarded fields.
+        MatchSpec {
+            ipv4: true,
+            nw_dst: Some((2, 2)),
+            tp_dst: None,
+            in_port: None,
+            priority: 5,
+            hard_timeout: 0,
+            junk: 0,
+        },
+        // Nothing but junk: two `any`s.
+        MatchSpec {
+            ipv4: false,
+            nw_dst: None,
+            tp_dst: None,
+            in_port: None,
+            priority: 5,
+            hard_timeout: 0,
+            junk: 0,
+        },
+    ];
+    let frame = udp_frame(IP_POOL[2], PORT_POOL[0]);
+    let parsed = frame.parse();
+    let key = FlowKey::extract(&parsed);
+    for clean in shapes {
+        for twin_priority in [5u16, 9] {
+            let twin = MatchSpec {
+                junk: 2,
+                priority: twin_priority,
+                ..clean
+            };
+            assert_ne!(clean.build(), twin.build());
+            let history = [
+                Op::Add(clean),
+                Op::Add(twin),
+                Op::Add(twin), // replaces the twin, not the clean one
+                Op::ModifyStrict(twin),
+                Op::DeleteStrict(clean),
+                Op::Add(clean),    // back, now the later install
+                Op::Delete(clean), // covers both
+            ];
+            let lens = [1, 2, 2, 2, 1, 2, 0];
+            let mut linear = FlowTable::with_classifier(8, Classifier::Linear);
+            let mut tuple = FlowTable::with_classifier(8, Classifier::TupleSpace);
+            for (i, (o, len)) in history.iter().zip(lens).enumerate() {
+                let reported = apply(&mut tuple, i, o);
+                assert_eq!(apply(&mut linear, i, o), reported, "op {i}");
+                assert_eq!(tuple.len(), len, "op {i}");
+                assert_eq!(snapshot(&linear), snapshot(&tuple), "op {i}");
+                let truth = linear.lookup_idx(1, &parsed);
+                assert_eq!(truth.is_some(), len > 0);
+                assert_eq!(linear.lookup_key_idx(1, &key), truth, "op {i}");
+                assert_eq!(tuple.lookup_key_idx(1, &key), truth, "op {i}");
+                match i {
+                    // Only the twin took the new actions.
+                    3 => assert_eq!(
+                        (
+                            reported.0,
+                            tuple.iter().filter(|e| e.actions == out(10_003)).count()
+                        ),
+                        (1, 1)
+                    ),
+                    // The strict delete took the clean one and left the twin.
+                    4 => {
+                        assert_eq!(reported.1.len(), 1);
+                        assert_eq!(reported.1[0].of_match, clean.build());
+                        assert_eq!(tuple.iter().next().unwrap().of_match, twin.build());
+                    }
+                    // The covering delete reports both, in scan order.
+                    6 => assert_eq!(
+                        reported.1.iter().map(|e| e.of_match).collect::<Vec<_>>(),
+                        [twin.build(), clean.build()]
+                    ),
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic splitmix64 — a seeded op stream without touching the
 /// tables' entropy or adding dependencies.
 struct SplitMix(u64);
@@ -247,6 +346,7 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             in_port: ((r >> 24) & 7 == 0).then_some(((r >> 27) & 1) as u8),
             priority: [1u16, 5, 5, 9][((r >> 32) & 3) as usize],
             hard_timeout: [0u16, 0, 0, 1][((r >> 40) & 3) as usize],
+            junk: ((r >> 48) % 3) as u8,
         }
     };
     let mut lookups = 0u64;
@@ -261,8 +361,11 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             13..=14 => Op::ModifyStrict(s),
             _ => Op::Expire,
         };
-        apply(&mut linear, i, &o);
-        apply(&mut tuple, i, &o);
+        assert_eq!(
+            apply(&mut linear, i, &o),
+            apply(&mut tuple, i, &o),
+            "op {i} reported differently"
+        );
         assert_eq!(linear.len(), tuple.len(), "len diverged at op {i}");
         // Tuple-engine lookups are cheap — probe every 8 ops; pull the
         // linear reference in every 512th op (it recompiles O(n) rows).

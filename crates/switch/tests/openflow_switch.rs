@@ -328,6 +328,51 @@ fn flow_stats_report_match_counters() {
 }
 
 #[test]
+fn flow_stats_report_the_entry_age_in_whole_seconds_and_nanoseconds() {
+    // The entry is installed 2 µs (CPU + TCAM) after its flow_mod has
+    // arrived and the reply is stamped 2 µs (base + one entry) after the
+    // request has. The request frame is 16 bytes shorter than the
+    // flow_mod's, 128 ns less on the 1G control link, so sending it
+    // 2.5 s + 128 ns later makes the entry exactly 2.5 s old.
+    let us = SimDuration::from_us(1);
+    let cfg = OfSwitchConfig {
+        flowmod_proc: us,
+        hw_install_delay: us,
+        stats_proc_base: us,
+        stats_proc_per_entry: us,
+        ..OfSwitchConfig::default()
+    };
+    let ctl = vec![
+        (
+            SimTime::from_ms(1),
+            Message::FlowMod(FlowMod::add(OfMatch::any(), 10, vec![])),
+        ),
+        (
+            SimTime::from_ms(2501) + SimDuration::from_ns(128),
+            Message::StatsRequest(StatsBody::FlowRequest {
+                of_match: OfMatch::any(),
+                table_id: 0xff,
+            }),
+        ),
+    ];
+    let mut net = build(cfg, ctl, vec![]);
+    net.sim.run_until(SimTime::from_ms(2600));
+    let log = net.ctl_log.borrow();
+    let reply = log
+        .iter()
+        .find_map(|(_, m, _)| match m {
+            Message::StatsReply(StatsBody::FlowReply(e)) => Some(e.clone()),
+            _ => None,
+        })
+        .expect("flow stats reply");
+    assert_eq!(reply.len(), 1);
+    assert_eq!(
+        (reply[0].duration_sec, reply[0].duration_nsec),
+        (2, 500_000_000)
+    );
+}
+
+#[test]
 fn port_stats_reflect_forwarded_traffic() {
     let dst = Ipv4Addr::new(10, 1, 0, 1);
     let probes: Vec<(SimTime, Packet)> = (0..5)

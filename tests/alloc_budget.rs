@@ -11,8 +11,9 @@
 //! staging `Vec`, an action-list clone or a batch built for one frame
 //! costs a whole allocation per frame and breaks the budget.
 //!
-//! Own test binary: a `#[global_allocator]` is per binary, and one test
-//! keeps the window free of other threads' allocations.
+//! Own test binary: see `common`.
+
+mod common;
 
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
@@ -24,57 +25,15 @@ use osnt::openflow::{Action, OfMatch};
 use osnt::packet::{MacAddr, Packet, WildcardRule};
 use osnt::switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt::time::{HwClock, SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Allocations per captured frame the steady-state window may cost.
 const BUDGET: f64 = 2.5;
 
-struct Counting;
-
-// Statistics only: neither publishes other data, so `Relaxed`.
-static ON: AtomicBool = AtomicBool::new(false);
-static COUNT: AtomicU64 = AtomicU64::new(0);
-
-fn note() {
-    if ON.load(Ordering::Relaxed) {
-        COUNT.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose `GlobalAlloc` contract the caller already upholds; the counter
-// touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: forwarded, see the impl comment.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: forwarded, see the impl comment.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: forwarded, see the impl comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded, see the impl comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: common::Counting = common::Counting;
 
 const FRAME_LEN: usize = 128;
 const DECOY_RULES: u16 = 256;
@@ -193,12 +152,11 @@ fn steady_state_frames_stay_within_the_allocation_budget() {
     let before = capture.borrow().len() as u64;
     assert!(before > WARM_FRAMES / 2, "warm-up captured {before} frames");
 
-    ON.store(true, Ordering::Relaxed);
-    sim.run_until(warm + SimDuration::from_ps(WINDOW_FRAMES * FRAME_PS));
-    ON.store(false, Ordering::Relaxed);
+    let allocs = common::count(|| {
+        sim.run_until(warm + SimDuration::from_ps(WINDOW_FRAMES * FRAME_PS));
+    });
 
     let frames = capture.borrow().len() as u64 - before;
-    let allocs = COUNT.load(Ordering::Relaxed);
     assert_eq!(punts.get(), 0, "the live rule must forward every frame");
     assert!(
         frames.abs_diff(WINDOW_FRAMES) <= 64,

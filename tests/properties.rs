@@ -247,6 +247,9 @@ proptest! {
         fm.hard_timeout = hard;
         let msg = Message::FlowMod(fm);
         let wire = msg.encode(xid);
+        let mut framed = vec![0xee];
+        msg.encode_into(xid, &mut framed);
+        prop_assert_eq!(&framed[1..], &wire[..]);
         let (back, back_xid) = Message::decode(&wire).unwrap();
         prop_assert_eq!(back, msg);
         prop_assert_eq!(back_xid, xid);
@@ -257,6 +260,9 @@ proptest! {
         use osnt::openflow::messages::{EchoData, Message};
         let msg = Message::EchoRequest(EchoData(data));
         let wire = msg.encode(xid);
+        let mut framed = vec![0xee];
+        msg.encode_into(xid, &mut framed);
+        prop_assert_eq!(&framed[1..], &wire[..]);
         let (back, _) = Message::decode(&wire).unwrap();
         prop_assert_eq!(back, msg);
     }
