@@ -4,37 +4,26 @@
 //! One 10G generator streams stamped UDP frames back-to-back through a
 //! fault-free `FaultyLink` (burst-forwarding pass-through) into an
 //! OpenFlow switch whose hardware table carries `DECOY_RULES` near-miss
-//! flow rules (same priority, different IPv4 destination) plus the one
-//! rule that forwards the traffic out the monitored port — the worst
-//! case for the rule interpreter, which walks every decoy's full field
-//! chain per frame. The forwarded stream lands on a monitor port that
-//! captures everything with hardware stamps.
+//! flow rules (same priority, different UDP destination port) plus the
+//! one rule that forwards the traffic out the monitored port. The
+//! forwarded stream lands on a monitor port that captures everything
+//! with hardware stamps.
 //!
-//! For each burst size B in the sweep the identical workload (generator
-//! batch = B) runs twice:
-//!
-//! * **scalar** — switch rule interpreter, per-frame dispatch
-//!   (`batch = false, compiled_lookup = false`), monitor likewise;
-//! * **burst** — the full fast path: bursts propagate as single queue
-//!   entries, the switch classifies whole `FlowKeyBlock`s against
-//!   compiled masked-word rows, the monitor runs its compiled filter
-//!   over kernel batches.
-//!
-//! Both runs of a pair must produce byte-identical output — same
-//! `MonStats`, same capture digest (rx stamps, arrival instants, stored
-//! bytes, lengths, hashes), same latency summary, zero control-plane
-//! punts — else the bench panics. With `OSNT_REQUIRE_SPEEDUP=1` the run
-//! additionally fails unless the burst path reaches >= 2x the scalar
-//! frames/wall-s at the largest burst size. Like E12's gate (and unlike
-//! E10's shard gate) this is safe on a single-core runner: the speedup
-//! is algorithmic, not parallelism.
+//! The identical workload runs once per generator burst size B in the
+//! sweep: bursts propagate as single queue entries, the switch
+//! classifies whole `FlowKeyBlock`s against its tuple-space index, the
+//! monitor runs its compiled filter over kernel batches. Burst size
+//! must be unobservable: every run of the sweep must produce the same
+//! `MonStats` and capture digest (rx stamps, arrival instants, stored
+//! bytes, lengths), with zero control-plane punts — and at the default
+//! frame count that digest must equal the committed artifact's
+//! ([`COMMITTED_DIGEST`]) — else the bench panics.
 //!
 //! `--frames N` sets frames per run; `--json PATH` writes the sweep as
 //! JSON (committed as `BENCH_burst.json`, consumed by the CI
 //! perf-regression guard).
 
 use osnt_bench::Table;
-use osnt_core::{latencies_from_capture, Summary};
 use osnt_gen::workload::FixedTemplate;
 use osnt_gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
 use osnt_mon::{FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort};
@@ -55,6 +44,10 @@ const DECOY_RULES: u32 = 256;
 /// Generator starts well after the last decoy has reached hardware
 /// (64 x 25 us CPU + 1 ms install << 10 ms).
 const TRAFFIC_START_MS: u64 = 10;
+/// Frame count of the committed `BENCH_burst.json` and the capture
+/// digest every burst size of that run must reproduce.
+const COMMITTED_FRAMES: u64 = 100_000;
+const COMMITTED_DIGEST: u32 = 0x6186_348f;
 
 /// Fire-and-forget controller: installs the scripted flow mods at t=0
 /// and counts every frame the switch sends back up (there must be
@@ -80,9 +73,7 @@ impl Component for RuleLoader {
 }
 
 /// A full 10-tuple exact match on the offered flow, parameterised by
-/// UDP destination port — the field [`OfMatch::matches`] checks
-/// *last*, so a near-miss on it costs the interpreter the entire field
-/// chain.
+/// UDP destination port.
 fn flow_match(tp_dst: u16) -> OfMatch {
     let mut m = OfMatch::any();
     m.dl_src = MacAddr::local(1);
@@ -107,10 +98,8 @@ fn flow_match(tp_dst: u16) -> OfMatch {
 /// The switch's hardware table: `DECOY_RULES` near-miss flow rules
 /// that agree with the offered traffic on every field except the UDP
 /// destination port, then the one rule that forwards to the monitored
-/// port — a table of almost-equal per-flow entries, the workload the
-/// compiled block classifier exists for. The interpreter walks the
-/// full field chain of every decoy per frame (early-exit never helps);
-/// the compiled path classifies eight frames per masked-word pass.
+/// port — a table of almost-equal per-flow entries sharing one mask,
+/// which the tuple-space index resolves with one probe per frame.
 fn table_mods() -> Vec<FlowMod> {
     let mut mods: Vec<FlowMod> = (0..DECOY_RULES)
         .map(|i| {
@@ -126,9 +115,7 @@ fn table_mods() -> Vec<FlowMod> {
         .collect();
     // The live rule: template traffic is UDP 5001 -> 9001, out the wire
     // port feeding the monitor, at a higher priority than the decoy
-    // sea. The rank-sorted compiled table ends every scan at this row;
-    // the interpreter still walks all the decoys to prove nothing
-    // outranks its hit.
+    // sea.
     mods.push(FlowMod::add(
         flow_match(9001),
         20,
@@ -145,10 +132,9 @@ struct RunOut {
     stats: MonStats,
     captured: usize,
     digest: u32,
-    latency: Option<Summary>,
 }
 
-fn run(frames: u64, burst: u32, fast: bool) -> RunOut {
+fn run(frames: u64, burst: u32) -> RunOut {
     let clock_tx = Rc::new(RefCell::new(HwClock::ideal()));
     let clock_rx = Rc::new(RefCell::new(HwClock::ideal()));
     let gen_cfg = GenConfig {
@@ -166,12 +152,7 @@ fn run(frames: u64, burst: u32, fast: bool) -> RunOut {
     );
     let (link, _lstats) =
         FaultyLink::new(FaultConfig::default()).expect("fault-free config is valid");
-    let sw_cfg = OfSwitchConfig {
-        compiled_lookup: fast,
-        batch: fast,
-        ..OfSwitchConfig::default()
-    };
-    let switch = OpenFlowSwitch::new(sw_cfg);
+    let switch = OpenFlowSwitch::new(OfSwitchConfig::default());
     let ctrl_port = switch.control_port();
     let kports = switch.kernel_ports();
     let mut filter = FilterTable::drop_by_default();
@@ -182,8 +163,6 @@ fn run(frames: u64, burst: u32, fast: bool) -> RunOut {
     let mon_cfg = MonConfig {
         filter,
         host: HostPathConfig::unlimited(),
-        compiled_filter: fast,
-        batch: fast,
         ..MonConfig::default()
     };
     let (mon, buffer, stats) = MonitorPort::new(mon_cfg, clock_rx);
@@ -225,15 +204,12 @@ fn run(frames: u64, burst: u32, fast: bool) -> RunOut {
         digest = crc32_update(digest, cap.packet.data());
         digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
     }
-    let latency =
-        Summary::from_durations(&latencies_from_capture(&buf, StampConfig::DEFAULT_OFFSET));
     let stats_copy = *stats.borrow();
     RunOut {
         wall_s,
         stats: stats_copy,
         captured: buf.len(),
         digest,
-        latency,
     }
 }
 
@@ -257,75 +233,44 @@ fn main() {
          {DECOY_RULES} decoy rules + 1 forwarding rule, burst sweep\n"
     );
 
-    let mut table = Table::new([
-        "burst",
-        "scalar(ms)",
-        "burst(ms)",
-        "frames/wall-s",
-        "speedup",
-        "digest",
-    ]);
+    let mut table = Table::new(["burst", "wall(ms)", "frames/wall-s", "digest"]);
     let mut json_rows = Vec::new();
-    let mut last_speedup = 0.0f64;
+    let mut first: Option<(MonStats, u32)> = None;
     for burst in [1u32, 8, 32, 128] {
-        let scalar = run(frames, burst, false);
-        let fast = run(frames, burst, true);
+        let r = run(frames, burst);
         assert_eq!(
-            fast.stats, scalar.stats,
-            "burst {burst}: MonStats diverged from scalar"
-        );
-        assert_eq!(
-            fast.captured, scalar.captured,
-            "burst {burst}: capture count diverged from scalar"
-        );
-        assert_eq!(
-            fast.digest, scalar.digest,
-            "burst {burst}: capture digest diverged from scalar"
-        );
-        assert_eq!(
-            fast.latency, scalar.latency,
-            "burst {burst}: latency summary diverged from scalar"
-        );
-        assert_eq!(
-            fast.captured as u64, frames,
+            r.captured as u64, frames,
             "burst {burst}: monitor captured {} of {frames} frames",
-            fast.captured
+            r.captured
         );
-        let speedup = scalar.wall_s / fast.wall_s;
-        last_speedup = speedup;
+        if frames == COMMITTED_FRAMES {
+            assert_eq!(
+                r.digest, COMMITTED_DIGEST,
+                "burst {burst}: capture digest diverged from the committed BENCH_burst.json"
+            );
+        }
         table.row([
             burst.to_string(),
-            format!("{:.2}", scalar.wall_s * 1e3),
-            format!("{:.2}", fast.wall_s * 1e3),
-            format!("{:.0}", frames as f64 / fast.wall_s),
-            format!("{speedup:.2}x"),
-            format!("{:08x}", fast.digest),
+            format!("{:.2}", r.wall_s * 1e3),
+            format!("{:.0}", frames as f64 / r.wall_s),
+            format!("{:08x}", r.digest),
         ]);
         json_rows.push(format!(
-            "{{\"burst\":{burst},\"scalar_wall_s\":{:.6},\"burst_wall_s\":{:.6},\
-             \"frames_per_wall_s\":{:.0},\"speedup\":{speedup:.4},\
+            "{{\"burst\":{burst},\"wall_s\":{:.6},\"frames_per_wall_s\":{:.0},\
              \"digest\":\"{:08x}\",\"captured\":{}}}",
-            scalar.wall_s,
-            fast.wall_s,
-            frames as f64 / fast.wall_s,
-            fast.digest,
-            fast.captured
+            r.wall_s,
+            frames as f64 / r.wall_s,
+            r.digest,
+            r.captured
         ));
+        let sweep = *first.get_or_insert((r.stats, r.digest));
+        assert_eq!(
+            (r.stats, r.digest),
+            sweep,
+            "burst {burst}: burst size changed the monitor's output"
+        );
     }
     table.print();
-    println!(
-        "\nMonStats, capture digests and latency summaries identical on every\n\
-         pair; zero control-plane punts."
-    );
-    if std::env::var("OSNT_REQUIRE_SPEEDUP").as_deref() == Ok("1") {
-        assert!(
-            last_speedup >= 2.0,
-            "burst-path speedup {last_speedup:.2}x < 2.0x over scalar at burst 128"
-        );
-        println!("Speedup gate (>= 2.0x burst over scalar at burst 128): passed.");
-    } else {
-        println!("Speedup gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
-    }
 
     if let Some(path) = json {
         let body = format!(

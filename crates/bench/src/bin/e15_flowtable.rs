@@ -5,34 +5,25 @@
 //! over a handful of wildcard shapes (exact /32 + L4 port, exact /32,
 //! /24 prefix, /16 prefix + L4 port, port-constrained /32) — a few
 //! *tuples* in the tuple-space sense, which is exactly the regime real
-//! OpenFlow rule sets live in. The same corpus is loaded into two
-//! [`FlowTable`]s, one per classifier:
+//! OpenFlow rule sets live in — and loaded into a [`FlowTable`].
 //!
-//! * **linear** — the reference: rank-sorted compiled rows, O(table)
-//!   per lookup, full recompilation after any mutation;
-//! * **tuple** — the tuple-space engine: one hash probe per distinct
-//!   mask signature, O(1) flow_mods, rank-pruned probe order.
-//!
-//! Before anything is timed, both engines answer a 512-key verdict
-//! sweep (with an interpreter subsample as ground truth); the verdicts
-//! are CRC'd into a digest that must be byte-identical across engines
-//! or the bench panics. Then, per size:
+//! Before anything is timed, the table answers a 512-key verdict sweep
+//! through its index, with the rule interpreter (`lookup_idx`) as ground
+//! truth on a subsample; the verdicts are CRC'd into a digest that must
+//! equal the committed artifact's for that size ([`COMMITTED`]) or the
+//! bench panics. Then, per size:
 //!
 //! * **lookup** leg — pure `lookup_key_idx` over the key set;
 //! * **update** leg — sustained flow_mod churn (add one rule, strict-
-//!   delete the oldest, one lookup per iteration — the lookup is what
-//!   forces the linear engine to recompile, as any real datapath
+//!   delete the oldest, one lookup per iteration, as any real datapath
 //!   interleaving would).
 //!
-//! Op counts are scaled per engine so the O(table) legs stay in CI
-//! budget while the sublinear legs accumulate enough ops to time
-//! honestly; rates (`ops_per_wall_s`) are what is compared. With
-//! `OSNT_REQUIRE_SPEEDUP=1` the run fails unless at 100 000 entries the
-//! tuple engine reaches >= 5x the linear lookup rate and >= 10x the
-//! linear update rate, and keeps at least a third of its own 100-entry
-//! update rate (flow_mods that are O(1) on paper must stay near-flat on
-//! the machine too). Like E12/E13 the gate is safe on a single-core
-//! runner: the speedup is algorithmic, not parallelism.
+//! Rates (`ops_per_wall_s`) are gated across commits by
+//! `scripts/perf_guard.py`. With `OSNT_REQUIRE_SPEEDUP=1` the run also
+//! fails unless the flow_mod rate at 100 000 entries keeps at least a
+//! third of the 100-entry rate (flow_mods that are O(1) on paper must
+//! stay near-flat on the machine too). The gate is safe on a
+//! single-core runner: it compares the engine with itself.
 //!
 //! `--max-size N` caps the sweep; `--json PATH` writes the sweep as
 //! JSON (committed as `BENCH_e15.json`, consumed by the CI
@@ -43,7 +34,7 @@ use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::hash::crc32_update;
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
-use osnt_switch::{Classifier, FlowEntry, FlowTable};
+use osnt_switch::{FlowEntry, FlowTable};
 use osnt_time::SimTime;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -51,6 +42,15 @@ use std::net::Ipv4Addr;
 const KEY_COUNT: usize = 512;
 /// Churn headroom: the update leg holds one extra rule in flight.
 const CAPACITY_SLACK: usize = 1_024;
+/// Table sizes of the sweep with the verdict digest the committed
+/// `BENCH_e15.json` records for each.
+const COMMITTED: [(usize, u32); 5] = [
+    (100, 0xe22a_5682),
+    (1_000, 0xfecb_354f),
+    (10_000, 0xfe47_e1d9),
+    (100_000, 0x1fb1_9464),
+    (1_000_000, 0x7a3e_ef1f),
+];
 
 fn out(port: u16) -> Vec<Action> {
     vec![Action::Output { port, max_len: 0 }]
@@ -120,8 +120,8 @@ fn rule(i: usize) -> (OfMatch, u16) {
     }
 }
 
-fn build_table(classifier: Classifier, n: usize) -> FlowTable {
-    let mut t = FlowTable::with_classifier(n + CAPACITY_SLACK, classifier);
+fn build_table(n: usize) -> FlowTable {
+    let mut t = FlowTable::new(n + CAPACITY_SLACK);
     for i in 0..n {
         let (m, prio) = rule(i);
         t.add(FlowEntry::new(m, prio, out(2), SimTime::ZERO))
@@ -183,35 +183,30 @@ fn probe_keys(n: usize) -> Vec<LookupKey> {
         .collect()
 }
 
-/// Cross-engine verdict sweep: every key must get the same verdict from
-/// both engines (and from the interpreter on a subsample); the verdicts
-/// are CRC'd so the JSON artifact records *what* was agreed on, not
-/// just that agreement happened.
-fn parity_digest(linear: &mut FlowTable, tuple: &mut FlowTable, keys: &[LookupKey]) -> u32 {
+/// Verdict sweep: every key's index verdict is CRC'd, so the JSON
+/// artifact records *what* was answered, and checked against the
+/// interpreter on a subsample.
+fn verdict_digest(t: &mut FlowTable, keys: &[LookupKey]) -> u32 {
     let mut digest = 0u32;
     let mut hits = 0u64;
     for (k, lk) in keys.iter().enumerate() {
-        let lv = linear.lookup_key_idx(lk.in_port, &lk.key);
-        let tv = tuple.lookup_key_idx(lk.in_port, &lk.key);
-        assert_eq!(lv, tv, "key {k}: tuple verdict diverged from linear");
+        let verdict = t.lookup_key_idx(lk.in_port, &lk.key);
         if k % 8 == 0 {
             assert_eq!(
-                linear.lookup_idx(lk.in_port, &lk.frame.parse()),
-                lv,
-                "key {k}: compiled verdict diverged from the interpreter"
+                t.lookup_idx(lk.in_port, &lk.frame.parse()),
+                verdict,
+                "key {k}: index verdict diverged from the interpreter"
             );
         }
-        let v = lv.map_or(u64::MAX, |i| i as u64);
+        let v = verdict.map_or(u64::MAX, |i| i as u64);
         digest = crc32_update(digest, &v.to_le_bytes());
-        hits += u64::from(lv.is_some());
+        hits += u64::from(verdict.is_some());
     }
     assert!(hits > 0, "probe keys never hit the table");
     digest
 }
 
 fn bench_lookups(t: &mut FlowTable, keys: &[LookupKey], ops: u64) -> f64 {
-    // Warm once so the linear engine's compile pass is not timed.
-    black_box(t.lookup_key_idx(keys[0].in_port, &keys[0].key));
     let t0 = std::time::Instant::now();
     let mut acc = 0u64;
     for j in 0..ops {
@@ -227,8 +222,7 @@ fn bench_lookups(t: &mut FlowTable, keys: &[LookupKey], ops: u64) -> f64 {
 
 /// Sustained churn: add rule `n+j`, strict-delete rule `j` (adds stay
 /// exactly `n` ahead of deletes, so the victim always exists), then one
-/// lookup — the lookup is what charges the linear engine its
-/// post-mutation recompilation, as interleaved datapath traffic would.
+/// lookup, as interleaved datapath traffic would.
 /// Returns (wall seconds, flow_mods applied).
 fn bench_updates(t: &mut FlowTable, n: usize, iters: u64, keys: &[LookupKey]) -> (f64, u64) {
     let t0 = std::time::Instant::now();
@@ -270,113 +264,71 @@ fn main() {
          5 wildcard shapes, {KEY_COUNT} probe keys, lookup + flow_mod churn legs\n"
     );
 
-    let mut table = Table::new([
-        "entries",
-        "tuples",
-        "lin lookup/s",
-        "tup lookup/s",
-        "speedup",
-        "lin mods/s",
-        "tup mods/s",
-        "speedup",
-        "digest",
-    ]);
+    let mut table = Table::new(["entries", "tuples", "lookup/s", "mods/s", "digest"]);
     let mut json_rows = Vec::new();
-    let mut gate: Option<(f64, f64)> = None;
-    // Tuple-engine flow_mod rate at 100 and at 100 000 entries.
+    // Flow_mod rate at 100 and at 100 000 entries.
     let mut flat: (Option<f64>, Option<f64>) = (None, None);
-    for &n in [100usize, 1_000, 10_000, 100_000, 1_000_000]
-        .iter()
-        .filter(|&&n| n <= max_size)
-    {
-        let mut linear = build_table(Classifier::Linear, n);
-        let mut tuple = build_table(Classifier::TupleSpace, n);
-        let tuples = tuple.lookup_cost_units();
+    for (n, committed) in COMMITTED.into_iter().filter(|&(n, _)| n <= max_size) {
+        let mut t = build_table(n);
+        let tuples = t.lookup_cost_units();
         let keys = probe_keys(n);
-        let digest = parity_digest(&mut linear, &mut tuple, &keys);
+        let digest = verdict_digest(&mut t, &keys);
+        assert_eq!(
+            digest, committed,
+            "{n} entries: verdict digest diverged from the committed BENCH_e15.json"
+        );
 
-        // Op counts: the O(table) linear legs shrink with size, the
-        // sublinear tuple legs stay large enough to time honestly.
-        let lin_lookup_ops = (4_000_000 / n as u64).max(64);
-        let tup_lookup_ops = 200_000;
-        let lin_update_iters = (1_000_000 / n as u64).max(16);
-        let tup_update_iters = 100_000;
-
-        let lin_lookup_s = bench_lookups(&mut linear, &keys, lin_lookup_ops);
-        let tup_lookup_s = bench_lookups(&mut tuple, &keys, tup_lookup_ops);
-        let (lin_update_s, lin_mods) = bench_updates(&mut linear, n, lin_update_iters, &keys);
-        let (tup_update_s, tup_mods) = bench_updates(&mut tuple, n, tup_update_iters, &keys);
-
-        let lin_lookup_rate = lin_lookup_ops as f64 / lin_lookup_s;
-        let tup_lookup_rate = tup_lookup_ops as f64 / tup_lookup_s;
-        let lin_update_rate = lin_mods as f64 / lin_update_s;
-        let tup_update_rate = tup_mods as f64 / tup_update_s;
-        let lookup_speedup = tup_lookup_rate / lin_lookup_rate;
-        let update_speedup = tup_update_rate / lin_update_rate;
+        let lookup_ops = 200_000;
+        let lookup_s = bench_lookups(&mut t, &keys, lookup_ops);
+        let (update_s, mods) = bench_updates(&mut t, n, 100_000, &keys);
+        let lookup_rate = lookup_ops as f64 / lookup_s;
+        let update_rate = mods as f64 / update_s;
         if n == 100 {
-            flat.0 = Some(tup_update_rate);
+            flat.0 = Some(update_rate);
         }
         if n == 100_000 {
-            gate = Some((lookup_speedup, update_speedup));
-            flat.1 = Some(tup_update_rate);
+            flat.1 = Some(update_rate);
         }
 
         table.row([
             n.to_string(),
             tuples.to_string(),
-            format!("{lin_lookup_rate:.0}"),
-            format!("{tup_lookup_rate:.0}"),
-            format!("{lookup_speedup:.2}x"),
-            format!("{lin_update_rate:.0}"),
-            format!("{tup_update_rate:.0}"),
-            format!("{update_speedup:.2}x"),
+            format!("{lookup_rate:.0}"),
+            format!("{update_rate:.0}"),
             format!("{digest:08x}"),
         ]);
         json_rows.push(format!(
-            "{{\"size\":{n},\"phase\":\"lookup\",\"ops\":{tup_lookup_ops},\
-             \"linear_wall_s\":{lin_lookup_s:.6},\"tuple_wall_s\":{tup_lookup_s:.6},\
-             \"ops_per_wall_s\":{tup_lookup_rate:.0},\"linear_ops_per_wall_s\":{lin_lookup_rate:.0},\
-             \"speedup\":{lookup_speedup:.4},\"digest\":\"{digest:08x}\"}}"
+            "{{\"size\":{n},\"phase\":\"lookup\",\"ops\":{lookup_ops},\
+             \"tuple_wall_s\":{lookup_s:.6},\"ops_per_wall_s\":{lookup_rate:.0},\
+             \"digest\":\"{digest:08x}\"}}"
         ));
         json_rows.push(format!(
-            "{{\"size\":{n},\"phase\":\"update\",\"ops\":{tup_mods},\
-             \"linear_wall_s\":{lin_update_s:.6},\"tuple_wall_s\":{tup_update_s:.6},\
-             \"ops_per_wall_s\":{tup_update_rate:.0},\"linear_ops_per_wall_s\":{lin_update_rate:.0},\
-             \"speedup\":{update_speedup:.4},\"digest\":\"{digest:08x}\"}}"
+            "{{\"size\":{n},\"phase\":\"update\",\"ops\":{mods},\
+             \"tuple_wall_s\":{update_s:.6},\"ops_per_wall_s\":{update_rate:.0},\
+             \"digest\":\"{digest:08x}\"}}"
         ));
     }
     table.print();
-    println!("\nVerdict digests byte-identical across engines at every size.");
 
     if std::env::var("OSNT_REQUIRE_SPEEDUP").as_deref() == Ok("1") {
-        let (lookup, update) =
-            gate.expect("speedup gate needs the 100000-entry point (--max-size >= 100000)");
-        assert!(
-            lookup >= 5.0,
-            "tuple-space lookup speedup {lookup:.2}x < 5.0x over linear at 100k entries"
-        );
-        assert!(
-            update >= 10.0,
-            "tuple-space update speedup {update:.2}x < 10.0x over linear at 100k entries"
-        );
-        println!("Speedup gate (>= 5x lookup, >= 10x flow_mod at 100k entries): passed.");
         let (small, large) = (
             flat.0.expect("the sweep starts at 100 entries"),
-            flat.1.expect("checked with the speedup gate"),
+            flat.1
+                .expect("flatness gate needs the 100000-entry point (--max-size >= 100000)"),
         );
         assert!(
             3.0 * large >= small,
-            "tuple-space flow_mod rate falls {:.2}x from 100 to 100k entries \
+            "flow_mod rate falls {:.2}x from 100 to 100k entries \
              ({small:.0}/s -> {large:.0}/s), more than 3x",
             small / large
         );
         println!(
-            "Flatness gate (flow_mod rate at 100k entries >= 1/3 of the rate at 100): passed \
+            "\nFlatness gate (flow_mod rate at 100k entries >= 1/3 of the rate at 100): passed \
              ({:.2}).",
             large / small
         );
     } else {
-        println!("Speedup gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
+        println!("\nFlatness gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
     }
 
     if let Some(path) = json {

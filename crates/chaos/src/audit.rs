@@ -403,9 +403,9 @@ impl InvariantAuditor {
         );
     }
 
-    /// Audit classifier parity: the tuple-space flow-table engine must
-    /// leave the table in a byte-identical state to the linear
-    /// reference after an identical flow_mod history.
+    /// Audit classifier parity: after an identical flow_mod history the
+    /// flow table must hold exactly the rules its naive model
+    /// (`reference`) holds.
     pub fn audit_classifier_parity(&mut self, label: &str, reference: &str, got: &str) {
         self.audited += 1;
         self.check("classifier-parity", reference == got, || {
@@ -414,9 +414,7 @@ impl InvariantAuditor {
                 .zip(got.bytes())
                 .position(|(a, b)| a != b)
                 .unwrap_or(reference.len().min(got.len()));
-            format!(
-                "{label}: tuple-space table state diverges from the linear reference at byte {at}"
-            )
+            format!("{label}: flow-table contents diverge from the naive model at byte {at}")
         });
     }
 }

@@ -35,7 +35,8 @@ use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
 use osnt_supervisor::SupervisorConfig;
-use osnt_switch::{Classifier, FlowEntry, FlowTable, LegacyConfig};
+use osnt_switch::flowtable::covers;
+use osnt_switch::{FlowEntry, FlowTable, LegacyConfig};
 use osnt_time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -359,8 +360,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, OsntError> {
                 merged.delivered += stats.delivered;
             }
 
-            // Classifier parity: identical flow_mod history on both
-            // flow-table engines must be observationally identical.
+            // Index parity: the flow table against its interpreter and
+            // a naive model, over one seeded flow_mod history.
             classifier_parity_audit(seed, &mut auditor, &label);
 
             // Crash axes.
@@ -415,10 +416,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, OsntError> {
 }
 
 // ---------------------------------------------------------------------
-// Classifier parity: tuple-space engine vs the linear reference.
+// Index parity: the flow table vs its interpreter and a naive model.
 // ---------------------------------------------------------------------
 
-const PARITY_OPS: usize = 1_500;
+const PARITY_OPS: usize = 2_000;
 
 /// splitmix64 — a deterministic op stream without an RNG dependency.
 fn splitmix(state: &mut u64) -> u64 {
@@ -430,10 +431,13 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// A wildcard rule drawn from a small colliding pool: overlapping
-/// prefixes, shared values, frequent equal-priority ties.
+/// prefixes, shared values, frequent equal-priority ties — and junk
+/// under the wildcards (host bits below the prefix, a port value in a
+/// wildcarded field), so that distinct entries lower alike.
 fn parity_rule(r: u64) -> (OfMatch, u16) {
     let mut m = OfMatch::ipv4_dst(Ipv4Addr::new(10, 2, ((r >> 8) & 3) as u8, (r & 3) as u8));
     m.set_nw_dst_prefix([8, 16, 24, 32][((r >> 16) & 3) as usize]);
+    m.tp_dst = ((r >> 28) & 1) as u16;
     if (r >> 20) & 3 == 0 {
         m.tp_dst = 4000 + ((r >> 24) & 3) as u16;
         m.wildcards &= !wildcards::TP_DST;
@@ -441,20 +445,42 @@ fn parity_rule(r: u64) -> (OfMatch, u16) {
     (m, [1u16, 5, 5, 9][((r >> 32) & 3) as usize])
 }
 
-/// Drive an identical flow_mod history into a linear- and a
-/// tuple-space-classified table, cross-checking lookup verdicts along
-/// the way and auditing the final table states byte-for-byte. This is
-/// the chaos matrix's standing guard that the `OSNT_CLASSIFIER` knob is
-/// behaviour-neutral.
-fn classifier_parity_audit(seed: u64, auditor: &mut InvariantAuditor, label: &str) {
+/// Drive a seeded flow_mod history into a flow table and into a naive
+/// model of it (a vector, every op a scan), auditing what each flow_mod
+/// reports against the model, the index verdict (`lookup_key_idx`) of
+/// a probe key against the rule interpreter (`lookup_idx`) after every
+/// op, and the final table contents against the model's. This is the
+/// chaos matrix's standing guard on the tuple-space index;
+/// `tests/contract.rs` runs it under tier-1.
+pub fn classifier_parity_audit(seed: u64, auditor: &mut InvariantAuditor, label: &str) {
+    /// Rule identities, order-free (the model does not mimic the
+    /// table's `swap_remove` storage order).
+    fn ids<'a>(entries: impl Iterator<Item = &'a FlowEntry>) -> Vec<String> {
+        let mut out: Vec<String> = entries
+            .map(|e| format!("{:?}|{};", e.of_match, e.priority))
+            .collect();
+        out.sort();
+        out
+    }
+    /// Remove and report the model rows `gone` selects.
+    fn take(model: &mut Vec<FlowEntry>, gone: impl Fn(&FlowEntry) -> bool) -> Vec<String> {
+        let (out, kept): (Vec<FlowEntry>, Vec<FlowEntry>) =
+            std::mem::take(model).into_iter().partition(|e| gone(e));
+        *model = kept;
+        ids(out.iter())
+    }
+
+    const CAPACITY: usize = 256;
     let mut rng = seed;
-    let mut linear = FlowTable::with_classifier(256, Classifier::Linear);
-    let mut tuple = FlowTable::with_classifier(256, Classifier::TupleSpace);
+    let mut table = FlowTable::new(CAPACITY);
+    let mut model: Vec<FlowEntry> = Vec::new();
     for i in 0..PARITY_OPS {
         let r = splitmix(&mut rng);
         let (m, priority) = parity_rule(r);
-        let now = SimTime::from_us(i as u64);
-        match r % 8 {
+        // A millisecond per op, so the one-second hard timeouts below
+        // do expire inside the history.
+        let now = SimTime::from_ms(i as u64);
+        let (reported, expected) = match r % 8 {
             0..=4 => {
                 let mut e = FlowEntry::new(
                     m,
@@ -466,51 +492,73 @@ fn classifier_parity_audit(seed: u64, auditor: &mut InvariantAuditor, label: &st
                     now,
                 );
                 e.hard_timeout = ((r >> 40) & 1) as u16;
-                let _ = linear.add(e.clone());
-                let _ = tuple.add(e);
-            }
-            5 => {
-                linear.delete(&m, priority, true);
-                tuple.delete(&m, priority, true);
-            }
-            6 => {
-                linear.delete(&m, priority, false);
-                tuple.delete(&m, priority, false);
-            }
-            _ => {
-                linear.expire(now);
-                tuple.expire(now);
-            }
-        }
-        if i % 16 == 0 {
-            let k = splitmix(&mut rng);
-            let frame = PacketBuilder::ethernet(MacAddr::local(3), MacAddr::local(4))
-                .ipv4(
-                    Ipv4Addr::new(10, 9, 9, 9),
-                    Ipv4Addr::new(10, 2, ((k >> 2) & 3) as u8, (k & 3) as u8),
+                let same = |row: &FlowEntry| row.of_match == m && row.priority == priority;
+                let fits = match model.iter().position(same) {
+                    Some(at) => {
+                        model[at] = e.clone();
+                        true
+                    }
+                    None if model.len() >= CAPACITY => false,
+                    None => {
+                        model.push(e.clone());
+                        true
+                    }
+                };
+                (
+                    vec![table.add(e).is_ok().to_string()],
+                    vec![fits.to_string()],
                 )
-                .udp(5000, 4000 + ((k >> 4) & 3) as u16)
-                .build();
-            let key = FlowKey::extract(&frame.parse());
-            let in_port = ((k >> 8) & 1) as u16 + 1;
-            let lv = linear.lookup_key_idx(in_port, &key);
-            let tv = tuple.lookup_key_idx(in_port, &key);
-            if lv != tv {
-                auditor.violate(
-                    "classifier-parity",
-                    format!(
-                        "{label}: lookup verdict diverged at op {i}: linear {lv:?} vs tuple {tv:?}"
-                    ),
-                );
             }
+            5 => (
+                ids(table.delete(&m, priority, true).iter()),
+                take(&mut model, |row| {
+                    row.of_match == m && row.priority == priority
+                }),
+            ),
+            6 => (
+                ids(table.delete(&m, priority, false).iter()),
+                take(&mut model, |row| covers(&m, &row.of_match)),
+            ),
+            _ => (
+                ids(table.expire(now).iter().map(|(e, _)| e)),
+                take(&mut model, |row| {
+                    let life = SimDuration::from_secs(row.hard_timeout as u64);
+                    row.hard_timeout > 0 && now >= row.installed_at + life
+                }),
+            ),
+        };
+        if reported != expected {
+            auditor.violate(
+                "classifier-parity",
+                format!("{label}: op {i} reported {reported:?}, the model {expected:?}"),
+            );
+        }
+        let k = splitmix(&mut rng);
+        let frame = PacketBuilder::ethernet(MacAddr::local(3), MacAddr::local(4))
+            .ipv4(
+                Ipv4Addr::new(10, 9, 9, 9),
+                Ipv4Addr::new(10, 2, ((k >> 2) & 3) as u8, (k & 3) as u8),
+            )
+            .udp(5000, 4000 + ((k >> 4) & 3) as u16)
+            .build();
+        let parsed = frame.parse();
+        let in_port = ((k >> 8) & 1) as u16 + 1;
+        let oracle = table.lookup_idx(in_port, &parsed);
+        let index = table.lookup_key_idx(in_port, &FlowKey::extract(&parsed));
+        if index != oracle {
+            auditor.violate(
+                "classifier-parity",
+                format!(
+                    "{label}: lookup verdict diverged at op {i}: index {index:?} vs interpreter {oracle:?}"
+                ),
+            );
         }
     }
-    let render = |t: &FlowTable| {
-        t.iter()
-            .map(|e| format!("{:?}|{}|{:?};", e.of_match, e.priority, e.actions))
-            .collect::<String>()
-    };
-    auditor.audit_classifier_parity(label, &render(&linear), &render(&tuple));
+    auditor.audit_classifier_parity(
+        label,
+        &ids(model.iter()).concat(),
+        &ids(table.iter()).concat(),
+    );
 }
 
 // ---------------------------------------------------------------------

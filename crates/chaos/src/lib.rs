@@ -35,6 +35,8 @@ pub mod plan;
 pub mod toml;
 
 pub use audit::{InvariantAuditor, SessionCounts, Violation};
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport, ScenarioResult};
+pub use campaign::{
+    classifier_parity_audit, run_campaign, CampaignConfig, CampaignReport, ScenarioResult,
+};
 pub use crash::{crash_point_sweep, journal_torture, CrashSweepReport, TortureReport};
 pub use plan::{ChaosPlan, ChaosScenario, Episode, LoweredScenario, OverloadStorm};

@@ -87,6 +87,7 @@ pub fn latency(args: &Args) -> Result<(), CliError> {
         background_load: load,
         duration: SimDuration::from_ms(ms),
         warmup: SimDuration::from_ms(ms / 4),
+        shards: args.shards,
         ..LatencyExperiment::default()
     };
     let r = exp.run_legacy(LegacyConfig::default())?;
@@ -396,7 +397,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 )
                 .into());
             }
-            SupervisedSweep::resume(Path::new(&path), supervisor)?
+            SupervisedSweep::resume(Path::new(&path), supervisor, args.shards)?
         }
         (None, Some(path)) => {
             let config = SweepConfig {
@@ -411,6 +412,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             sweep.supervisor = supervisor;
             sweep.kill_at_phase = kill_at;
             sweep.wedge_at_phase = wedge_at;
+            sweep.shards = args.shards;
             let outcome = sweep.run(Path::new(&path))?;
             (config, outcome)
         }

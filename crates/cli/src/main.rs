@@ -57,6 +57,10 @@ COMMANDS:
                    --wait <true> --out <report.txt> --shutdown <false>
     help         print this text
 
+ENVIRONMENT:
+    OSNT_SHARDS=<n>   run `latency` and `run` on n simulation kernels
+                      (n >= 2: sharded; the reports are byte-identical)
+
 EXIT CODES:
     0 success   1 other failure   2 usage error
     3 run aborted (watchdog stall / contained panic)   4 partial result
@@ -76,7 +80,8 @@ fn main() {
 }
 
 fn dispatch(command: &str, rest: Vec<String>) -> Result<(), CliError> {
-    let args = Args::parse(rest)?;
+    let mut args = Args::parse(rest)?;
+    args.shards = args::env_shards()?;
     match command {
         "linerate" => commands::linerate(&args),
         "latency" => commands::latency(&args),

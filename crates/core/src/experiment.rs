@@ -78,11 +78,10 @@ pub struct LatencyExperiment {
     /// report — the supervisor journals them so a resumed run can
     /// splice byte-identical sample streams.
     pub record_raw: bool,
-    /// Shard count override. `Some(1)` forces the single kernel,
-    /// `Some(n ≥ 2)` the sharded one, regardless of the `OSNT_SHARDS`
-    /// environment variable; `None` keeps the env-driven behaviour.
-    /// Chaos campaigns use this to run the same plan at 1/2/4 shards in
-    /// one process without racing on process-global state.
+    /// Shard count. `None` or `Some(1)` runs the single kernel,
+    /// `Some(n ≥ 2)` the sharded one; the report is byte-identical
+    /// either way. Chaos campaigns run the same plan at 1/2/4 shards in
+    /// one process; `osnt` fills it from `OSNT_SHARDS`.
     pub shards: Option<usize>,
     /// GPS signal feeding the card's PPS discipline (`None` =
     /// always-locked). Chaos plans lower holdover episodes into outage
@@ -357,7 +356,7 @@ impl LatencyExperiment {
         }
 
         // Run to the end of generation plus drain time. With
-        // `OSNT_SHARDS` ≥ 2 the run executes on the sharded kernel:
+        // `shards` ≥ 2 the run executes on the sharded kernel:
         // the tester device (whose four ports share one card-clock
         // `Rc`, and so must stay together) plus the probe-path fault
         // injector on shard 0, the DUT alone on shard 1. Any larger
@@ -366,15 +365,7 @@ impl LatencyExperiment {
         // byte-identical either way (the sharded kernel's determinism
         // contract, pinned in `tests/shard_experiment_parity.rs`).
         let horizon = stop_at + SimDuration::from_ms(10);
-        // Explicit override first (chaos shard-parity runs 1/2/4 in one
-        // process), the environment second.
-        let shards = self.shards.unwrap_or_else(|| {
-            std::env::var("OSNT_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1)
-        });
-        if shards >= 2 {
+        if self.shards.is_some_and(|n| n >= 2) {
             let mut plan = ShardPlan::new(b.component_count(), 2);
             plan.assign(dut.id, 1);
             let mut sim = b.build_sharded(plan);

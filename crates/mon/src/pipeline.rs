@@ -23,32 +23,6 @@ pub struct MonConfig {
     pub thin: ThinConfig,
     /// Host DMA model (default: the 8 Gb/s loss-limited path).
     pub host: HostPathConfig,
-    /// Match frames against a compiled [`FilterProgram`] (one parse +
-    /// flow-key extraction per frame, masked-word compares per rule)
-    /// instead of interpreting each [`osnt_packet::WildcardRule`]
-    /// per packet. Default: true. Verdicts and hit counters are
-    /// identical either way — see [`FilterTable::compile`].
-    pub compiled_filter: bool,
-    /// Opt into kernel burst delivery: frames arriving back-to-back in
-    /// one event window are stamped, filtered, thinned and
-    /// DMA-accounted as a batch, amortizing `RefCell` borrows and
-    /// per-frame stats publication. When `compiled_filter` is also set,
-    /// batched frames are classified in [`osnt_packet::FlowKeyBlock`]
-    /// groups of [`osnt_packet::BLOCK_LANES`] via masked-word compares
-    /// over all lanes at once. Default: true. `MonStats` and capture
-    /// output are byte-identical to the scalar path (pinned by the
-    /// parity tests below).
-    ///
-    /// Caveat: batching needs the kernel's arrival-coalescing fast
-    /// path, and that path switches itself off while any
-    /// [`osnt_netsim::Tracer`] is installed on the kernel (tracers
-    /// observe individual `Deliver` events, so coalescing them would
-    /// change what the trace records). With a tracer present this flag
-    /// still *works* — results are identical — but every frame arrives
-    /// through the scalar [`Component::on_packet`] path, so the batch
-    /// speedup silently disappears. The kernel prints a one-time
-    /// warning naming the first batch-capable component it downgrades.
-    pub batch: bool,
     /// Bound on the in-memory [`CaptureBuffer`] (packets). When the
     /// buffer is full, further frames are *shed* — counted in
     /// [`MonStats::capture_shed`] and discarded before DMA admission —
@@ -65,8 +39,6 @@ impl Default for MonConfig {
             filter: FilterTable::capture_all(),
             thin: ThinConfig::disabled(),
             host: HostPathConfig::default(),
-            compiled_filter: true,
-            batch: true,
             capture_limit: None,
         }
     }
@@ -98,15 +70,14 @@ impl MonConfig {
 pub struct MonitorPort {
     stamper: RxStamper,
     filter: FilterTable,
-    /// The filter table lowered to masked-word compares (when
-    /// `MonConfig::compiled_filter`); counters stay in `filter`.
-    program: Option<FilterProgram>,
+    /// The filter table lowered to masked-word compares
+    /// ([`FilterTable::compile`]); counters stay in `filter`.
+    program: FilterProgram,
     thinner: Thinner,
     host: HostPath,
     buffer: Rc<RefCell<CaptureBuffer>>,
     stats: Rc<RefCell<MonStats>>,
     rates: Option<Rc<RefCell<RateEstimator>>>,
-    batch: bool,
     capture_limit: Option<usize>,
     /// Staging for the block path of `on_packet_batch` (lane `i` of the
     /// block is `staged[i]`); empty between calls, capacity kept.
@@ -122,7 +93,7 @@ impl MonitorPort {
     ) -> (Self, Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
         let buffer = CaptureBuffer::new_shared();
         let stats = Rc::new(RefCell::new(MonStats::default()));
-        let program = config.compiled_filter.then(|| config.filter.compile());
+        let program = config.filter.compile();
         (
             MonitorPort {
                 stamper: RxStamper::new(clock),
@@ -133,7 +104,6 @@ impl MonitorPort {
                 buffer: buffer.clone(),
                 stats: stats.clone(),
                 rates: None,
-                batch: config.batch,
                 capture_limit: config.capture_limit,
                 staged: Vec::new(),
             },
@@ -142,25 +112,23 @@ impl MonitorPort {
         )
     }
 
-    /// Classify one frame, through the compiled program when one is
-    /// installed and the rule interpreter otherwise. Same verdicts, same
-    /// hit counters.
+    /// Classify one frame through the compiled program. Same verdicts
+    /// and hit counters as the rule interpreter
+    /// ([`FilterTable::classify`], the oracle the compiled-rule property
+    /// test compares against).
     #[inline]
     fn classify(
         filter: &mut FilterTable,
-        program: &Option<FilterProgram>,
+        program: &FilterProgram,
         packet: &Packet,
     ) -> FilterAction {
-        match program {
-            // No rule to match (capture-all, drop-all): the verdict is
-            // the default action and needs no parse.
-            Some(prog) if prog.is_empty() => {
-                filter.default_hits += 1;
-                filter.default_action
-            }
-            Some(prog) => filter.classify_compiled(prog, &FlowKey::extract(&packet.parse())),
-            None => filter.classify(&packet.parse()),
+        // No rule to match (capture-all, drop-all): the verdict is the
+        // default action and needs no parse.
+        if program.is_empty() {
+            filter.default_hits += 1;
+            return filter.default_action;
         }
+        filter.classify_compiled(program, &FlowKey::extract(&packet.parse()))
     }
 
     /// Read access to the filter table (hit counters).
@@ -246,17 +214,22 @@ impl Component for MonitorPort {
         self.frame_at(kernel.now(), port, packet);
     }
 
+    /// Frames arriving back-to-back in one event window come as a
+    /// batch. Batching needs the kernel's arrival-coalescing fast path,
+    /// which switches itself off while any [`osnt_netsim::Tracer`] is
+    /// installed (tracers observe individual `Deliver` events); results
+    /// are identical, every frame then takes [`Component::on_packet`],
+    /// and the kernel prints a one-time note.
     fn wants_packet_batches(&self) -> bool {
-        self.batch
+        true
     }
 
     /// The burst path: one `RefCell` borrow of the clock, rate
     /// estimator, and capture buffer per batch instead of per frame, and
     /// one `MonStats` publication per batch (a local delta folded in at
-    /// the end via [`MonStats::accumulate`]). With a compiled program
-    /// installed, FCS-clean frames are additionally staged into
-    /// [`FlowKeyBlock`]s of up to [`osnt_packet::BLOCK_LANES`] flow keys
-    /// and classified with one masked-word sweep per rule over all
+    /// the end via [`MonStats::accumulate`]). FCS-clean frames are staged
+    /// into [`FlowKeyBlock`]s of up to [`osnt_packet::BLOCK_LANES`] flow
+    /// keys and classified with one masked-word sweep per rule over all
     /// lanes ([`FilterTable::classify_block_compiled`]).
     ///
     /// Per-frame processing still runs in arrival order with each
@@ -385,38 +358,20 @@ impl Component for MonitorPort {
                 delta.crc_fail += 1;
                 continue;
             }
-            match program {
-                Some(prog) => {
-                    block.push(&FlowKey::extract(&packet.parse()));
-                    staged.push((t, rx_stamp, packet));
-                    if block.is_full() {
-                        flush_block(
-                            filter, prog, &mut block, staged, thinner, host, &mut delta, &mut buf,
-                            limit, overhead, port,
-                        );
-                    }
-                }
-                None => {
-                    // Interpreted rules have no block form; classify
-                    // frame by frame as the scalar path does.
-                    if filter.classify(&packet.parse()) == FilterAction::Drop {
-                        delta.filtered_out += 1;
-                        continue;
-                    }
-                    capture_tail(
-                        thinner, host, &mut delta, &mut buf, limit, overhead, port, t, rx_stamp,
-                        packet,
-                    );
-                }
-            }
-        }
-        if let Some(prog) = program {
-            if !staged.is_empty() {
+            block.push(&FlowKey::extract(&packet.parse()));
+            staged.push((t, rx_stamp, packet));
+            if block.is_full() {
                 flush_block(
-                    filter, prog, &mut block, staged, thinner, host, &mut delta, &mut buf, limit,
-                    overhead, port,
+                    filter, program, &mut block, staged, thinner, host, &mut delta, &mut buf,
+                    limit, overhead, port,
                 );
             }
+        }
+        if !staged.is_empty() {
+            flush_block(
+                filter, program, &mut block, staged, thinner, host, &mut delta, &mut buf, limit,
+                overhead, port,
+            );
         }
         drop(buf);
         drop(rates);
@@ -444,6 +399,17 @@ mod tests {
         frame_len: usize,
         run_ms: u64,
     ) -> (Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
+        gen_to_wrapped_mon(gen_cfg, mon_cfg, frame_len, run_ms, |mon| Box::new(mon))
+    }
+
+    /// [`gen_to_mon`] with the monitor behind whatever `wrap` returns.
+    fn gen_to_wrapped_mon(
+        gen_cfg: GenConfig,
+        mon_cfg: MonConfig,
+        frame_len: usize,
+        run_ms: u64,
+        wrap: impl FnOnce(MonitorPort) -> Box<dyn Component>,
+    ) -> (Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
         let clock_tx = Rc::new(RefCell::new(HwClock::ideal()));
         let clock_rx = Rc::new(RefCell::new(HwClock::ideal()));
         let (gen, _gstats) = GeneratorPort::new(
@@ -454,7 +420,7 @@ mod tests {
         let (mon, buffer, stats) = MonitorPort::new(mon_cfg, clock_rx);
         let mut b = SimBuilder::new();
         let g = b.add_component("gen", Box::new(gen), 1);
-        let m = b.add_component("mon", Box::new(mon), 1);
+        let m = b.add_component("mon", wrap(mon), 1);
         b.connect(g, 0, m, 0, LinkSpec::ten_gig());
         let mut sim = b.build();
         sim.run_until(SimTime::from_ms(run_ms));
@@ -696,36 +662,96 @@ mod tests {
         assert_eq!(s.host_frames, s.rx_frames);
     }
 
-    /// The fast path (compiled filter + burst delivery) must be
-    /// observationally identical to the scalar one: same `MonStats`,
-    /// same captured packets (stamps, bytes, hashes, lengths), frame by
-    /// frame.
-    fn assert_paths_agree(gen_cfg: GenConfig, mon_cfg: MonConfig, frame_len: usize, run_ms: u64) {
-        let scalar_cfg = MonConfig {
-            compiled_filter: false,
-            batch: false,
-            ..mon_cfg.clone()
+    /// The scalar reference: forwards the scalar handlers and nothing
+    /// else, so the kernel hands it every frame through `on_packet`.
+    struct ScalarOnly(MonitorPort);
+
+    impl Component for ScalarOnly {
+        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
+            self.0.on_packet(k, me, port, p);
+        }
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+    }
+
+    /// The fast side: forwards every method the monitor overrides and
+    /// keeps the length of each batch the kernel delivered.
+    struct Recording {
+        inner: MonitorPort,
+        batches: Rc<RefCell<Vec<usize>>>,
+    }
+
+    impl Component for Recording {
+        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
+            self.inner.on_packet(k, me, port, p);
+        }
+        fn wants_packet_batches(&self) -> bool {
+            self.inner.wants_packet_batches()
+        }
+        fn on_packet_batch(
+            &mut self,
+            k: &mut Kernel,
+            me: ComponentId,
+            port: usize,
+            batch: &mut Vec<(SimTime, Packet)>,
+        ) {
+            self.batches.borrow_mut().push(batch.len());
+            self.inner.on_packet_batch(k, me, port, batch);
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// The block path must be observationally identical to scalar
+    /// dispatch: same `MonStats`, same captured packets (stamps, bytes,
+    /// hashes, lengths), frame by frame — and the fast side must really
+    /// have taken it, full blocks and a tail flush both. Returns the fast
+    /// side's capture for further assertions.
+    fn assert_paths_agree(
+        gen_cfg: GenConfig,
+        mon_cfg: MonConfig,
+        frame_len: usize,
+        run_ms: u64,
+    ) -> Rc<RefCell<CaptureBuffer>> {
+        let gen_cfg = GenConfig {
+            batch: 32,
+            ..gen_cfg
         };
-        let fast_cfg = MonConfig {
-            compiled_filter: true,
-            batch: true,
-            ..mon_cfg
-        };
-        let (buf_s, stats_s) = gen_to_mon(gen_cfg.clone(), scalar_cfg, frame_len, run_ms);
-        let (buf_f, stats_f) = gen_to_mon(gen_cfg, fast_cfg, frame_len, run_ms);
-        assert_eq!(*stats_s.borrow(), *stats_f.borrow(), "MonStats diverged");
-        let (buf_s, buf_f) = (buf_s.borrow(), buf_f.borrow());
-        assert_eq!(buf_s.len(), buf_f.len(), "capture count diverged");
-        assert_eq!(
-            buf_s.packets, buf_f.packets,
-            "captured packets diverged between scalar and fast paths"
+        let batches = Rc::new(RefCell::new(Vec::new()));
+        let (buf_s, stats_s) =
+            gen_to_wrapped_mon(gen_cfg.clone(), mon_cfg.clone(), frame_len, run_ms, |mon| {
+                Box::new(ScalarOnly(mon))
+            });
+        let (buf_f, stats_f) = gen_to_wrapped_mon(gen_cfg, mon_cfg, frame_len, run_ms, |mon| {
+            Box::new(Recording {
+                inner: mon,
+                batches: batches.clone(),
+            })
+        });
+        let batches = batches.borrow();
+        assert!(
+            batches.iter().any(|&n| n >= 8),
+            "no full block reached the monitor: {batches:?}"
         );
+        assert!(
+            batches.iter().any(|&n| n > 1 && n % 8 != 0),
+            "no tail flush reached the monitor: {batches:?}"
+        );
+        assert_eq!(*stats_s.borrow(), *stats_f.borrow(), "MonStats diverged");
+        assert_eq!(
+            buf_s.borrow().packets,
+            buf_f.borrow().packets,
+            "captured packets diverged between scalar and block paths"
+        );
+        buf_f
     }
 
     #[test]
     fn fast_path_is_byte_identical_on_back_to_back_bursts() {
-        // Back-to-back frames coalesce into real batches; a filter table
-        // with decoys and thinning exercises every pipeline stage.
+        // A filter table with decoys and thinning exercises every
+        // pipeline stage.
         let mut filter = FilterTable::drop_by_default();
         filter.push(WildcardRule::any().with_dst_port(7), FilterAction::Drop);
         filter.push(WildcardRule::any().with_src_port(3), FilterAction::Drop);
@@ -754,11 +780,12 @@ mod tests {
     fn fast_path_is_byte_identical_under_host_loss() {
         // The loss-limited default host path makes DMA admission
         // time-sensitive: any divergence in per-frame processing instants
-        // would change which frames drop.
+        // would change which frames drop. (A frame count, not `stop_at`:
+        // the generator only batches departures it can count ahead.)
         assert_paths_agree(
             GenConfig {
                 schedule: Schedule::BackToBack,
-                stop_at: Some(SimTime::from_ms(20)),
+                count: Some(16_250),
                 ..GenConfig::default()
             },
             MonConfig::default(),
@@ -795,7 +822,7 @@ mod tests {
     #[test]
     fn fast_path_is_byte_identical_under_a_capture_bound() {
         // Shedding is time- and order-sensitive (first `limit` survivors
-        // win); any divergence between the scalar and batched pipelines
+        // win); any divergence between the scalar and block pipelines
         // would move the cutoff.
         assert_paths_agree(
             GenConfig {
@@ -815,25 +842,20 @@ mod tests {
 
     #[test]
     fn batched_delivery_reaches_the_burst_handler() {
-        // Sanity that the parity tests above actually compare different
-        // code paths: with batching on and a back-to-back workload, the
-        // kernel must coalesce multi-frame bursts (observable through
-        // identical results but exercised here via the default config
-        // running the full suite — a regression that silently disabled
-        // batching would leave this spacing test meaningless).
-        let gen_cfg = GenConfig {
-            count: Some(50),
-            schedule: Schedule::BackToBack,
-            ..GenConfig::default()
-        };
-        let mon_cfg = MonConfig {
-            host: HostPathConfig::unlimited(),
-            ..MonConfig::default()
-        };
-        assert!(mon_cfg.batch, "batching must default on");
-        let (buffer, stats) = gen_to_mon(gen_cfg, mon_cfg, 64, 10);
+        let buffer = assert_paths_agree(
+            GenConfig {
+                count: Some(50),
+                schedule: Schedule::BackToBack,
+                ..GenConfig::default()
+            },
+            MonConfig {
+                host: HostPathConfig::unlimited(),
+                ..MonConfig::default()
+            },
+            64,
+            10,
+        );
         assert_eq!(buffer.borrow().len(), 50);
-        assert_eq!(stats.borrow().rx_frames, 50);
         // Per-frame arrival instants survive batching.
         for w in buffer.borrow().packets.windows(2) {
             assert_eq!((w[1].rx_true - w[0].rx_true).as_ps(), 67_200);

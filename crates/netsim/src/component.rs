@@ -120,8 +120,8 @@ pub trait Component {
     /// [`Kernel::transmit_burst`]) one queue entry out — instead of
     /// being split back into per-member [`Component::on_packet`] calls.
     ///
-    /// Intended for stateless-per-frame *forwarders* (impairment stages,
-    /// fault models, switch fabrics). The contract differs from the
+    /// Intended for stateless-per-frame *forwarders* (fault models,
+    /// switch fabrics). The contract differs from the
     /// scalar path in one way: during [`Component::on_burst`],
     /// [`Kernel::now`] reads the **first** member's arrival instant for
     /// the whole call. Handlers must therefore derive timing from each

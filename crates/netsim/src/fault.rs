@@ -1,10 +1,11 @@
 //! Composable link fault models: bursty loss, reordering, duplication
 //! and bit corruption.
 //!
-//! [`crate::Impairment`] models a *well-behaved* bad link — uniform
-//! loss, fixed delay, FIFO jitter. Real networks misbehave in richer
-//! ways, and a network tester exists precisely to measure devices under
-//! those conditions. [`FaultyLink`] is the composable generalisation:
+//! Inserted between two devices, [`FaultyLink`] turns a clean simulated
+//! cable into the path a network tester exists to measure. The
+//! *well-behaved* bad link — uniform loss, fixed delay, FIFO jitter — is
+//! a preset ([`FaultConfig::uniform_loss`], [`FaultConfig::delay_jitter`]);
+//! real networks misbehave in richer ways, and the family composes:
 //!
 //! * **Gilbert–Elliott bursty loss** — a two-state Markov channel
 //!   (good/burst) whose loss probability depends on the state, so drops
@@ -41,7 +42,7 @@ pub enum LossModel {
     /// No loss.
     #[default]
     None,
-    /// Independent per-frame loss (what [`crate::Impairment`] does).
+    /// Independent per-frame loss.
     Uniform {
         /// Per-frame drop probability.
         probability: f64,
@@ -113,7 +114,7 @@ pub struct FaultConfig {
     /// Fixed extra one-way delay.
     pub extra_delay: SimDuration,
     /// Uniform random jitter on top of `extra_delay` (0..jitter); does
-    /// not reorder (FIFO per direction, like [`crate::Impairment`]).
+    /// not reorder (FIFO per direction).
     pub jitter: SimDuration,
     /// RNG seed for every stochastic decision above.
     pub seed: u64,
@@ -135,27 +136,28 @@ impl Default for FaultConfig {
     }
 }
 
-impl From<crate::impair::ImpairConfig> for FaultConfig {
-    /// An [`crate::ImpairConfig`] is the uniform special case of the
-    /// fault family.
-    fn from(c: crate::impair::ImpairConfig) -> Self {
+impl FaultConfig {
+    /// Independent per-frame loss and nothing else.
+    pub fn uniform_loss(probability: f64, seed: u64) -> Self {
         FaultConfig {
-            loss: if c.drop_probability > 0.0 {
-                LossModel::Uniform {
-                    probability: c.drop_probability,
-                }
-            } else {
-                LossModel::None
-            },
-            extra_delay: c.extra_delay,
-            jitter: c.jitter,
-            seed: c.seed,
+            loss: LossModel::Uniform { probability },
+            seed,
             ..FaultConfig::default()
         }
     }
-}
 
-impl FaultConfig {
+    /// A fixed extra one-way delay with uniform `0..jitter` on top,
+    /// released in per-direction FIFO order — a queue with a variable
+    /// service time, not a reordering network.
+    pub fn delay_jitter(extra_delay: SimDuration, jitter: SimDuration, seed: u64) -> Self {
+        FaultConfig {
+            extra_delay,
+            jitter,
+            seed,
+            ..FaultConfig::default()
+        }
+    }
+
     /// Validate the configuration (probabilities in `[0, 1]`, burst
     /// parameters sane). Construction goes through this, so a bad config
     /// is a typed error at build time, not a panic mid-run.
@@ -711,15 +713,79 @@ mod tests {
     }
 
     #[test]
-    fn impair_config_upgrades_losslessly() {
-        let imp = crate::impair::ImpairConfig::loss(0.25, 7);
-        let fc: FaultConfig = imp.into();
-        assert!(matches!(
-            fc.loss,
-            LossModel::Uniform { probability } if (probability - 0.25).abs() < 1e-12
-        ));
-        assert_eq!(fc.seed, 7);
-        fc.validate().unwrap();
+    fn presets_are_the_well_behaved_bad_link() {
+        let n = 2000;
+        let gap = SimDuration::from_us(1);
+        let (clean, _) = run_faulty(FaultConfig::default(), n, gap);
+        let (lossy, s) = run_faulty(FaultConfig::uniform_loss(0.3, env_seed(42)), n, gap);
+        let frac = lossy.len() as f64 / n as f64;
+        assert!((frac - 0.7).abs() < 0.05, "pass fraction {frac}");
+        assert_eq!(s.duplicated + s.corrupted + s.reordered, 0);
+        // A fixed delay shifts every arrival by exactly that much.
+        let fixed = FaultConfig::delay_jitter(SimDuration::from_us(50), SimDuration::ZERO, 1);
+        let (delayed, _) = run_faulty(fixed, n, gap);
+        for (c, d) in clean.iter().zip(&delayed) {
+            assert_eq!((d.0 - c.0).as_ps(), 50_000_000);
+        }
+    }
+
+    /// Both at once: sources sequence-numbered frames, records arrivals.
+    struct EndPoint {
+        tx: SeqBlaster,
+        rx: SeqSink,
+    }
+    impl Component for EndPoint {
+        fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+            self.tx.on_start(k, me);
+        }
+        fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+            self.tx.on_timer(k, me, tag);
+        }
+        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
+            self.rx.on_packet(k, me, port, p);
+        }
+    }
+
+    /// Regression pin for the documented contract: jitter never reorders
+    /// frames *within a direction*, even when both directions are active
+    /// and their release timers interleave in the event queue. The
+    /// per-direction FIFO clamp (`last_release[out]`) is what guarantees
+    /// this; a clamp shared between the directions would fail here.
+    #[test]
+    fn bidirectional_jitter_keeps_per_direction_fifo() {
+        let n = 400u64;
+        let mut b = SimBuilder::new();
+        let mut ends = Vec::new();
+        for name in ["end-a", "end-b"] {
+            let rx = SeqSink::default();
+            let got = rx.got.clone();
+            let tx = SeqBlaster {
+                n,
+                gap: SimDuration::from_us(1),
+            };
+            ends.push((b.add_component(name, Box::new(EndPoint { tx, rx }), 1), got));
+        }
+        let jittery =
+            FaultConfig::delay_jitter(SimDuration::from_us(5), SimDuration::from_us(40), 13);
+        let (link, _) = FaultyLink::new(jittery).expect("valid config");
+        let f = b.add_component("fault", Box::new(link), 2);
+        b.connect(ends[0].0, 0, f, 0, LinkSpec::ten_gig());
+        b.connect(f, 1, ends[1].0, 0, LinkSpec::ten_gig());
+        let mut sim = b.build();
+        sim.run_until(SimTime::from_ms(50));
+
+        // Both directions complete, each strictly in order, and the gaps
+        // vary (jitter was applied).
+        for (dir, (_, got)) in ["b→a", "a→b"].iter().zip(&ends) {
+            let got = got.borrow();
+            assert_eq!(got.len() as u64, n, "direction {dir} lost frames");
+            for (i, w) in got.windows(2).enumerate() {
+                assert!(w[1].1 > w[0].1, "direction {dir} reordered at index {i}");
+            }
+            let gaps: std::collections::HashSet<u64> =
+                got.windows(2).map(|w| (w[1].0 - w[0].0).as_ps()).collect();
+            assert!(gaps.len() > 10, "jitter should vary the gaps");
+        }
     }
 
     #[test]

@@ -66,7 +66,6 @@ pub mod component;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod impair;
 pub mod kernel;
 pub mod link;
 pub mod queue;
@@ -80,11 +79,10 @@ pub use burst::{PacketBurst, BURST_INLINE};
 pub use component::{Component, ComponentId};
 pub use engine::{Sim, SimBuilder};
 pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};
-pub use impair::{ImpairConfig, Impairment};
 pub use kernel::{BatchTx, Kernel, TxResult};
 pub use link::LinkSpec;
 pub use queue::ByteFifo;
-pub use shard::{ShardPlan, ShardedSim, WindowPolicy};
+pub use shard::{ShardPlan, ShardedSim};
 pub use stats::{PortCounters, ShardStats};
 pub use sync::{BarrierPoisoned, RingCounters, SpinBarrier, SpscRing};
 pub use trace::{TraceEvent, Tracer};

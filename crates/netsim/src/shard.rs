@@ -32,10 +32,9 @@
 //! provably empty regions: an idle peer (published min = ∞, or far in
 //! the future) contributes a huge bound, and a shard whose only busy
 //! influencers are far away executes thousands of local events in one
-//! round instead of marching in global-minimum-lookahead steps. See
-//! [`WindowPolicy`] for the legacy scalar-lookahead mode kept as a
-//! verification reference, and DESIGN.md §5k for the full safety
-//! argument.
+//! round instead of marching in global-minimum-lookahead steps. The
+//! unsharded [`crate::Sim`] is the oracle every shard-parity test
+//! compares against; DESIGN.md §5k has the full safety argument.
 //!
 //! Cross-shard events travel over bounded SPSC rings and are folded
 //! into the destination wheel at the next window boundary. Per-shard
@@ -58,8 +57,8 @@
 //! order is irrelevant: entries are keyed and the wheel re-sorts them.
 //! Window *boundaries* affect only how the same totally ordered event
 //! sequence is sliced across rounds, never which events run or in what
-//! order — which is why both window policies (and any shard count)
-//! produce byte-identical results.
+//! order — which is why any shard count produces byte-identical
+//! results.
 //!
 //! # Safety model
 //!
@@ -89,40 +88,6 @@ const RING_CAPACITY: usize = 1024;
 /// Sentinel for "no pending events" in the published per-shard minima,
 /// and for "no channel" in the lookahead matrix.
 const IDLE: u64 = u64::MAX;
-
-/// How the executive sizes each shard's conservative window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowPolicy {
-    /// Per-incoming-channel lookahead bounds with next-event window
-    /// extension (the module-level algorithm). The default.
-    #[default]
-    Adaptive,
-    /// The pre-adaptive reference: every shard bounds every window by
-    /// `global_min + L` where `L` is the single minimum lookahead over
-    /// *all* cross-shard links. Kept selectable (API or
-    /// `OSNT_WINDOW_POLICY=legacy`) because it is the natural
-    /// differential-testing oracle for the adaptive policy — both must
-    /// produce byte-identical simulation results, differing only in
-    /// `ShardStats` — and the baseline the `e17_windows` window-count
-    /// gate measures against.
-    GlobalLookahead,
-}
-
-impl WindowPolicy {
-    /// Resolve the startup default: `OSNT_WINDOW_POLICY` when set
-    /// (`adaptive`, or `legacy`/`global` for [`GlobalLookahead`]),
-    /// adaptive otherwise.
-    fn from_env() -> WindowPolicy {
-        match std::env::var("OSNT_WINDOW_POLICY").ok().as_deref() {
-            None | Some("adaptive") => WindowPolicy::Adaptive,
-            Some("legacy") | Some("global") => WindowPolicy::GlobalLookahead,
-            Some(other) => panic!(
-                "OSNT_WINDOW_POLICY={other:?} is not a window policy \
-                 (expected \"adaptive\", \"legacy\" or \"global\")"
-            ),
-        }
-    }
-}
 
 /// A thread-portable event: what crosses a shard boundary. `Deliver`
 /// flattens its [`osnt_packet::Packet`] into a [`SendPacket`] (stealing
@@ -454,9 +419,6 @@ impl Drop for PoisonGuard<'_> {
 
 /// Window-sizing inputs shared by all workers of a run (read-only).
 struct WindowConfig {
-    policy: WindowPolicy,
-    /// Global minimum cross-shard lookahead (legacy policy), ps.
-    global_lookahead_ps: Option<u64>,
     /// `matrix[p * n + s]` = minimum influence-path delay `D(p→s)` in
     /// ps ([`IDLE`] when no path exists); the diagonal holds the
     /// minimum cycle through each shard. See the module docs.
@@ -466,34 +428,24 @@ struct WindowConfig {
 
 impl WindowConfig {
     /// This shard's window end (inclusive) for a round with published
-    /// minima `mins`, capped at `limit_ps`. `m` is the global minimum.
-    ///
-    /// Adaptive: `min over incoming channels p→my of mins[p] + L[p][my]`,
-    /// exclusive, so subtract one — the module-level bound. A shard
-    /// with no incoming channels is never sent anything and may run to
-    /// the horizon. Legacy: the historical `[m, m + L)` global window.
-    fn window_end(&self, my_shard: usize, mins: &[u64], m: u64, limit_ps: u64) -> u64 {
-        match self.policy {
-            WindowPolicy::GlobalLookahead => match self.global_lookahead_ps {
-                Some(l) => limit_ps.min(m.saturating_add(l).saturating_sub(1)),
-                None => limit_ps,
-            },
-            WindowPolicy::Adaptive => {
-                let n = self.n_shards;
-                let mut bound = IDLE;
-                // All shards, *including* our own: `matrix[my][my]` is
-                // the minimum cycle through this shard, bounding how
-                // soon our own sends can boomerang back to us.
-                for (p, &peer_min) in mins.iter().enumerate() {
-                    let d = self.matrix[p * n + my_shard];
-                    if d == IDLE {
-                        continue;
-                    }
-                    bound = bound.min(peer_min.saturating_add(d));
-                }
-                limit_ps.min(bound.saturating_sub(1))
+    /// minima `mins`, capped at `limit_ps`: `min over incoming channels
+    /// p→my of mins[p] + D[p][my]`, exclusive, so subtract one — the
+    /// module-level bound. A shard with no incoming channels is never
+    /// sent anything and may run to the horizon.
+    fn window_end(&self, my_shard: usize, mins: &[u64], limit_ps: u64) -> u64 {
+        let n = self.n_shards;
+        let mut bound = IDLE;
+        // All shards, *including* our own: `matrix[my][my]` is the
+        // minimum cycle through this shard, bounding how soon our own
+        // sends can boomerang back to us.
+        for (p, &peer_min) in mins.iter().enumerate() {
+            let d = self.matrix[p * n + my_shard];
+            if d == IDLE {
+                continue;
             }
+            bound = bound.min(peer_min.saturating_add(d));
         }
+        limit_ps.min(bound.saturating_sub(1))
     }
 }
 
@@ -571,7 +523,7 @@ fn run_windows(
         // inside it. Progress is guaranteed: the shard owning the
         // global minimum `m` has `end >= m` (every incoming bound is
         // `>= m + lookahead > m`), so `m` strictly advances each round.
-        let end_inclusive = windows.window_end(my_shard, &mins, m, limit_ps);
+        let end_inclusive = windows.window_end(my_shard, &mins, limit_ps);
         if mins[my_shard] <= end_inclusive {
             slot.stats.windows_executed += 1;
             let n = dispatch_events(
@@ -603,13 +555,10 @@ fn run_windows(
 /// A simulation partitioned across worker threads. Built with
 /// [`crate::SimBuilder::build_sharded`]; produces byte-identical
 /// per-component state, counters and event streams to [`crate::Sim`]
-/// for any shard plan — and for either [`WindowPolicy`].
+/// for any shard plan.
 pub struct ShardedSim {
     slots: Vec<ShardSlot>,
     shard_of: Arc<Vec<usize>>,
-    /// Global minimum cross-shard lookahead, ps (legacy window policy;
-    /// also the coarse summary [`ShardedSim::lookahead`] reports).
-    lookahead_ps: Option<u64>,
     /// Influence matrix `D`, `matrix[p * n + s]` = minimum path delay
     /// p→s in ps ([`IDLE`] where no influence path exists); diagonal =
     /// minimum cycle. See the module docs.
@@ -617,7 +566,6 @@ pub struct ShardedSim {
     /// All rings, `rings[producer][consumer]`, kept for the stats
     /// roll-up (workers hold clones of the `Arc`s).
     rings: Vec<Vec<Option<Arc<SpscRing<CrossEntry>>>>>,
-    policy: WindowPolicy,
     names: Vec<String>,
     started: bool,
     stress_seed: Option<u64>,
@@ -645,10 +593,8 @@ impl ShardedSim {
         // Single-hop lookahead: for every ordered shard pair (p, s),
         // the minimum propagation delay over links from a component on
         // `p` to one on `s`. A zero-delay cross link would make some
-        // window empty — reject it at build time. The scalar global
-        // minimum (the legacy policy's `L`) is the single-hop minimum.
+        // window empty — reject it at build time.
         let mut matrix = vec![IDLE; n * n];
-        let mut lookahead_ps: Option<u64> = None;
         for (src, peer, propagation) in kernel.wire_endpoints() {
             let (sp, dp) = (shard_of[src.index()], shard_of[peer.index()]);
             if sp == dp {
@@ -666,7 +612,6 @@ impl ShardedSim {
             );
             let cell = &mut matrix[sp * n + dp];
             *cell = (*cell).min(ps);
-            lookahead_ps = Some(lookahead_ps.map_or(ps, |l| l.min(ps)));
         }
         // Close it into the influence matrix D (all-pairs shortest
         // path, Floyd–Warshall): an event chain can reach `s` from `p`
@@ -727,33 +672,20 @@ impl ShardedSim {
             })
             .collect();
 
-        let stress_seed = std::env::var("OSNT_SHARD_STRESS")
-            .ok()
-            .map(|v| v.parse::<u64>().unwrap_or(1).max(1));
-
         ShardedSim {
             slots,
             shard_of,
-            lookahead_ps,
             lookahead_matrix: Arc::new(matrix),
             rings,
-            policy: WindowPolicy::from_env(),
             names,
             started: false,
-            stress_seed,
+            stress_seed: None,
         }
     }
 
     /// Number of shards (worker threads used per run).
     pub fn n_shards(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The minimum cross-shard lookahead over the whole topology —
-    /// the legacy policy's scalar window length. `None` when no link
-    /// crosses a shard boundary (the whole horizon is one window).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead_ps.map(SimDuration::from_ps)
     }
 
     /// The influence lookahead from shard `from` to shard `to`: the
@@ -768,17 +700,14 @@ impl ShardedSim {
         (ps != IDLE).then(|| SimDuration::from_ps(ps))
     }
 
-    /// The window policy runs execute under.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.policy
-    }
-
-    /// Override the window policy (defaults to [`WindowPolicy::Adaptive`]
-    /// or the `OSNT_WINDOW_POLICY` environment override). Either policy
-    /// yields byte-identical simulation results; they differ only in
-    /// how many rounds/windows the executive needs ([`ShardStats`]).
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.policy = policy;
+    /// Test harness: make every worker yield a pseudo-random number of
+    /// times (a stream per shard, derived from `seed`) around each
+    /// barrier, so host interleavings that a quiet machine never
+    /// produces get exercised. Results must not change. `None` (the
+    /// default) turns it off.
+    #[doc(hidden)]
+    pub fn set_yield_stress(&mut self, seed: Option<u64>) {
+        self.stress_seed = seed;
     }
 
     /// Current simulated time (all shards agree between runs).
@@ -976,8 +905,6 @@ impl ShardedSim {
             abort: std::sync::atomic::AtomicBool::new(false),
         };
         let windows = WindowConfig {
-            policy: self.policy,
-            global_lookahead_ps: self.lookahead_ps,
             matrix: self.lookahead_matrix.clone(),
             n_shards: n,
         };

@@ -193,5 +193,10 @@ fn lookahead_is_min_cross_shard_propagation() {
     plan.assign(c, 0);
     plan.assign(sink, 1);
     let sim = b.build_sharded(plan);
-    assert_eq!(sim.lookahead(), Some(SimDuration::from_ns(7)));
+    for (from, to) in [(0, 1), (1, 0)] {
+        assert_eq!(
+            sim.lookahead_between(from, to),
+            Some(SimDuration::from_ns(7))
+        );
+    }
 }

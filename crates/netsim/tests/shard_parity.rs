@@ -236,7 +236,19 @@ fn run_single(t: &Topo) -> Observed {
     snapshot(&built.logs, &built.fault, counters, dispatched)
 }
 
+/// The yield-stress seed CI's `OSNT_SHARD_STRESS` leg asks for: every
+/// sharded run in this file then jitters its workers around each
+/// barrier (`ShardedSim::set_yield_stress`).
+fn env_stress() -> Option<u64> {
+    let v = std::env::var("OSNT_SHARD_STRESS").ok()?;
+    Some(v.parse::<u64>().unwrap_or(1).max(1))
+}
+
 fn run_sharded(t: &Topo, n_shards: usize) -> Observed {
+    run_sharded_stressed(t, n_shards, env_stress())
+}
+
+fn run_sharded_stressed(t: &Topo, n_shards: usize, stress: Option<u64>) -> Observed {
     let built = build(t);
     let n = built.builder.component_count();
     // Deterministic cut: group g → shard g % n_shards. This splits
@@ -248,6 +260,7 @@ fn run_sharded(t: &Topo, n_shards: usize) -> Observed {
         }
     }
     let mut sim = built.builder.build_sharded(plan);
+    sim.set_yield_stress(stress);
     let dispatched = sim.run_until(SimTime::from_ms(HORIZON_MS));
     let counters = built
         .ids
@@ -357,8 +370,9 @@ fn auto_sharding_parity() {
     let built = build(&t);
     let mut sim = built.builder.build_auto_sharded(4);
     assert_eq!(sim.n_shards(), 4);
+    sim.set_yield_stress(env_stress());
     assert!(
-        sim.lookahead().is_none(),
+        (0..4).all(|p| (0..4).all(|s| sim.lookahead_between(p, s).is_none())),
         "independent pairs have no cross-shard wires"
     );
     let dispatched = sim.run_until(SimTime::from_ms(HORIZON_MS));
@@ -374,11 +388,11 @@ fn auto_sharding_parity() {
     assert_eq!(got, reference);
 }
 
-/// Randomized-yield stress: with `OSNT_SHARD_STRESS` set, every worker
-/// inserts pseudo-random `yield_now` bursts around its window phases,
-/// shaking out schedules the quiet run never exhibits. Parity must
-/// hold under every interleaving — this is the repo's no-TSan race
-/// check (see CONTRIBUTING.md).
+/// Randomized-yield stress: every worker inserts pseudo-random
+/// `yield_now` bursts around its window phases, shaking out schedules
+/// the quiet run never exhibits. Parity must hold under every
+/// interleaving — this is the repo's no-TSan race check (see
+/// CONTRIBUTING.md). Five seeds, offset by CI's when it sets one.
 #[test]
 fn yield_stress_keeps_parity() {
     let t = Topo {
@@ -392,22 +406,15 @@ fn yield_stress_keeps_parity() {
         loss: 0.1,
     };
     let reference = run_single(&t);
-    std::env::set_var("OSNT_SHARD_STRESS", "1");
-    let result = std::panic::catch_unwind(|| {
-        for round in 0..5u64 {
-            std::env::set_var("OSNT_SHARD_STRESS", (round + 1).to_string());
-            for shards in [2, 4] {
-                let got = run_sharded(&t, shards);
-                assert_eq!(
-                    got, reference,
-                    "stress round {round} diverged at {shards} shards"
-                );
-            }
+    let base = env_stress().unwrap_or(0);
+    for round in 1..=5u64 {
+        for shards in [2, 4] {
+            let got = run_sharded_stressed(&t, shards, Some(base + round));
+            assert_eq!(
+                got, reference,
+                "stress round {round} diverged at {shards} shards"
+            );
         }
-    });
-    std::env::remove_var("OSNT_SHARD_STRESS");
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
     }
 }
 

@@ -7,13 +7,7 @@
 //! barrier. Per-round barrier latency is the switch's sustained update
 //! cost — on a real switch this is where O(n) flow-table rewrite cost
 //! shows up as rounds slowing down with table occupancy, and where the
-//! tuple-space engine's O(1) flow_mods keep it flat.
-//!
-//! The module is classifier-agnostic on purpose: run it twice with
-//! `OfSwitchConfig { classifier: Linear | TupleSpace, .. }` and the
-//! control logs must be byte-identical (the engines differ only in host
-//! cost, which the simulation does not observe unless
-//! `lookup_per_unit` is configured).
+//! tuple-space index's O(1) flow_mods keep it flat.
 
 use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::harness::ports;
@@ -188,13 +182,13 @@ impl MeasurementModule for FlowChurnModule {
 mod tests {
     use super::*;
     use crate::harness::{Testbed, TestbedSpec};
-    use osnt_switch::{Classifier, OfSwitchConfig};
+    use osnt_switch::OfSwitchConfig;
 
-    fn churn_run(classifier: Classifier) -> (Rc<RefCell<FlowChurnState>>, String) {
+    #[test]
+    fn churn_completes_with_pinned_latencies_and_control_log() {
         let (module, state) = FlowChurnModule::new(10, 16, 64, SimTime::from_ms(5));
         let spec = TestbedSpec {
             switch: OfSwitchConfig {
-                classifier,
                 honest_barrier: true,
                 ..OfSwitchConfig::default()
             },
@@ -202,26 +196,23 @@ mod tests {
         };
         let mut tb = Testbed::build(spec, Box::new(module));
         tb.run_until(SimTime::from_ms(100));
+        let st = state.borrow();
+        assert!(st.done, "all rounds completed");
+        assert_eq!(st.errors, 0);
+        // 10 rounds × 16 adds + deletes keeping the window at 64.
+        assert_eq!(st.mods_sent, 160 + (160 - 64));
+        assert!(st.mods_per_sec(SimTime::from_ms(100)).unwrap() > 0.0);
+        // The wire behaviour, to the picosecond: rounds 1-4 only add,
+        // rounds 5-10 add and delete.
+        let ps: Vec<u64> = st.round_latencies.iter().map(|d| d.as_ps()).collect();
+        let (adds_only, with_deletes) = (1_401_524_000, 1_801_524_000);
+        assert_eq!(ps[..4], [adds_only; 4]);
+        assert_eq!(ps[4..], [with_deletes; 6]);
         let log = format!("{:?}", tb.control_log.borrow());
-        (state, log)
-    }
-
-    #[test]
-    fn churn_completes_and_classifiers_are_indistinguishable() {
-        let (lin, lin_log) = churn_run(Classifier::Linear);
-        let (tup, tup_log) = churn_run(Classifier::TupleSpace);
-        for st in [&lin, &tup] {
-            let st = st.borrow();
-            assert!(st.done, "all rounds completed");
-            assert_eq!(st.round_latencies.len(), 10);
-            assert_eq!(st.errors, 0);
-            // 10 rounds × 16 adds + deletes keeping the window at 64.
-            assert_eq!(st.mods_sent, 160 + (160 - 64));
-            assert!(st.mods_per_sec(SimTime::from_ms(100)).unwrap() > 0.0);
-        }
-        // Same wire behaviour, to the picosecond, on either classifier.
-        assert_eq!(lin.borrow().round_latencies, tup.borrow().round_latencies);
-        assert_eq!(lin_log, tup_log);
+        assert_eq!(
+            (log.len(), osnt_packet::hash::crc32(log.as_bytes())),
+            (134_140, 0x75dc_c528)
+        );
     }
 
     #[test]

@@ -1,40 +1,14 @@
 //! Minimal binary encoding for journal records: little-endian fixed
 //! width integers, length-prefixed strings, and the CRC32 (IEEE,
-//! reflected) that frames every record. Hand-rolled because the build
-//! environment is offline — no serde, no crc crates.
+//! reflected, `osnt-packet`'s) that frames every record. Hand-rolled
+//! because the build environment is offline — no serde, no crc crates.
 
 use osnt_error::OsntError;
 
-/// CRC32 lookup table (IEEE 802.3 polynomial, reflected form
-/// 0xEDB88320), generated at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes` — the checksum zlib, PNG and pcapng use.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC32 (IEEE) of `bytes` — the checksum zlib, PNG and pcapng use,
+/// and the one on every journal record on disk (pinned by the reference
+/// vectors below).
+pub use osnt_packet::hash::crc32;
 
 /// An append-only encoder over a growable byte buffer.
 #[derive(Default)]

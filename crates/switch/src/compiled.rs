@@ -4,25 +4,24 @@
 //! [`OfMatch::matches`] per packet — a branchy re-walk of the parse for
 //! each TCAM row. This module lowers an `ofp_match` onto the same
 //! [`KeyMatch`] value/mask substrate the monitor's compiled filters use,
-//! so a hardware-table lookup becomes masked-word compares against a
-//! pre-extracted [`FlowKey`] — and, through
-//! [`CompiledOfMatch::matches_block`], against a whole
-//! [`FlowKeyBlock`] of burst arrivals at once.
+//! so the tuple-space index ([`crate::tuple_space`]) can group rules by
+//! mask signature and hash their value words against a pre-extracted
+//! [`osnt_packet::FlowKey`].
 //!
-//! The lowering is exact: `compiled.matches(in_port, &key) ==
-//! of_match.matches(in_port, &parsed)` for every frame and ingress port
-//! (pinned by the corpus test below). Two `ofp_match` quirks need care:
+//! The lowering is exact: a table holding one rule finds it for
+//! `(in_port, key)` precisely when `of_match.matches(in_port, &parsed)`,
+//! for every frame and ingress port (pinned by the corpus test below).
+//! Two `ofp_match` quirks need care:
 //!
 //! * `dl_vlan == 0xffff` (`OFP_VLAN_NONE`) means "untagged", which
 //!   lowers to *forbidding* the VLAN presence flag rather than matching
 //!   a vid value;
 //! * `in_port` is ingress metadata, not a header field, so it lives
-//!   beside the key words and is checked separately (once per block on
-//!   the block path, since every member of a burst shares one port).
+//!   beside the key words and is checked separately.
 
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::OfMatch;
-use osnt_packet::{FlowKey, FlowKeyBlock, IpPrefix, KeyMatch};
+use osnt_packet::{IpPrefix, KeyMatch};
 use std::net::IpAddr;
 
 /// An [`OfMatch`] lowered to masked-word compares over a [`FlowKey`],
@@ -90,33 +89,14 @@ impl CompiledOfMatch {
     pub fn in_port_req(&self) -> Option<u16> {
         self.in_port
     }
-
-    /// Whether a frame with `key` arriving on `in_port` satisfies the
-    /// match.
-    #[inline]
-    pub fn matches(&self, in_port: u16, key: &FlowKey) -> bool {
-        match self.in_port {
-            Some(p) if p != in_port => false,
-            _ => self.key.matches(key),
-        }
-    }
-
-    /// Match every occupied lane of `block` (all arrived on `in_port`)
-    /// at once; bit `i` of the returned mask is set when lane `i`
-    /// matches. Exactly equivalent to per-lane [`CompiledOfMatch::matches`].
-    #[inline]
-    pub fn matches_block(&self, in_port: u16, block: &FlowKeyBlock) -> u8 {
-        match self.in_port {
-            Some(p) if p != in_port => 0,
-            _ => self.key.matches_block(block),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osnt_packet::{MacAddr, Packet, PacketBuilder};
+    use crate::flowtable::{FlowEntry, FlowTable};
+    use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
+    use osnt_time::SimTime;
     use std::net::Ipv4Addr;
 
     /// Frames covering every header shape an `ofp_match` can
@@ -244,41 +224,21 @@ mod tests {
     }
 
     #[test]
-    fn compiled_of_match_equals_interpreted() {
+    fn lowered_match_classifies_like_the_interpreter() {
         for m in matches_shapes() {
-            let compiled = CompiledOfMatch::compile(&m);
+            let mut table = FlowTable::new(1);
+            table
+                .add(FlowEntry::new(m, 1, vec![], SimTime::ZERO))
+                .expect("one rule fits");
             for frame in corpus() {
                 let parsed = frame.parse();
                 let key = FlowKey::extract(&parsed);
                 for in_port in [0u16, 1, 2, 3] {
                     assert_eq!(
-                        compiled.matches(in_port, &key),
+                        table.lookup_key_idx(in_port, &key).is_some(),
                         m.matches(in_port, &parsed),
                         "divergence: {m:?} on port {in_port}, frame {:02x?}",
                         frame.data()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_matching_equals_per_lane() {
-        let frames = corpus();
-        for m in matches_shapes() {
-            let compiled = CompiledOfMatch::compile(&m);
-            for in_port in [0u16, 2] {
-                let mut block = FlowKeyBlock::new();
-                let mut expect = 0u8;
-                for (lane, frame) in frames.iter().take(8).enumerate() {
-                    let key = FlowKey::extract(&frame.parse());
-                    block.push(&key);
-                    expect |= u8::from(compiled.matches(in_port, &key)) << lane;
-                    assert_eq!(
-                        compiled.matches_block(in_port, &block),
-                        expect,
-                        "{m:?} port {in_port} fill {}",
-                        block.len()
                     );
                 }
             }

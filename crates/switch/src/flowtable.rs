@@ -1,24 +1,20 @@
 //! The OpenFlow switch's flow table.
 //!
-//! Storage is a dense vector with `swap_remove` deletion. A selectable
-//! **classifier** indexes it, resolving both packet lookups and strict
-//! `(match, priority)` flow_mods in O(1) of table size — either the
-//! reference (a rank-sorted compiled linear scan beside an obvious
-//! `(match, priority)` map) or the [`TupleSpace`] engine (sublinear:
-//! probes per distinct wildcard mask, not per rule; one narrow index
-//! serves lookups and flow_mods alike). Both produce byte-identical
-//! verdicts, including the priority/specificity/insertion-order
-//! tie-break, which installation sequence numbers keep exact even after
-//! `swap_remove` disturbs the vector order.
+//! Storage is a dense vector with `swap_remove` deletion, indexed by a
+//! [`TupleSpace`]: packet lookups probe once per distinct wildcard mask
+//! (not per rule) and strict `(match, priority)` flow_mods are single
+//! probes of the same narrow index. The rule interpreter
+//! ([`FlowTable::lookup_idx`]) is the semantic reference the index must
+//! reproduce byte-for-byte, including the priority/specificity/
+//! insertion-order tie-break, which installation sequence numbers keep
+//! exact even after `swap_remove` disturbs the vector order.
 
 use crate::compiled::CompiledOfMatch;
 use crate::tuple_space::{Rank, TupleSpace};
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
-use osnt_packet::{FlowKey, FlowKeyBlock, FxBuildHasher, ParsedPacket, BLOCK_LANES};
+use osnt_packet::{FlowKey, FlowKeyBlock, ParsedPacket, BLOCK_LANES};
 use osnt_time::SimTime;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Returned when an ADD would exceed the table capacity
 /// (`OFPET_FLOW_MOD_FAILED` / `ALL_TABLES_FULL` on the wire).
@@ -33,36 +29,6 @@ impl From<TableFull> for osnt_error::OsntError {
             what: "flow table",
             needed: 1,
             available: 0,
-        }
-    }
-}
-
-/// Which classification structure resolves compiled lookups.
-///
-/// The interpreter path ([`FlowTable::lookup_idx`]) is always the
-/// semantic reference; this only selects how the key-word fast path is
-/// implemented. Both choices return identical verdicts — the tuple
-/// engine exists so verdict cost scales with mask diversity instead of
-/// rule count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Classifier {
-    /// Rank-sorted compiled rows, scanned first-hit. O(rules) per
-    /// lookup, O(rules) per strict flow_mod rebuild. The reference.
-    Linear,
-    /// Tuple-space search: hash probe per distinct wildcard mask with
-    /// rank pruning. O(masks) per lookup, O(1) per flow_mod.
-    #[default]
-    TupleSpace,
-}
-
-impl Classifier {
-    /// Resolve from the `OSNT_CLASSIFIER` environment variable:
-    /// `linear` selects the reference scan, anything else (including
-    /// unset) the tuple-space engine.
-    pub fn from_env() -> Self {
-        match std::env::var("OSNT_CLASSIFIER") {
-            Ok(v) if v.eq_ignore_ascii_case("linear") => Classifier::Linear,
-            _ => Classifier::TupleSpace,
         }
     }
 }
@@ -140,73 +106,6 @@ impl RemovalReason {
     }
 }
 
-/// One row of the linear engine's compiled cache: the entry's match
-/// lowered to masked-word compares plus its precomputed tie-break rank.
-///
-/// Rows are kept sorted by **descending rank, ascending seq**. That
-/// turns best-match search into first-match search: the scan stops at
-/// the first row that matches, where the interpreter must always walk
-/// the whole table to find the best rank.
-#[derive(Debug, Clone, Copy)]
-struct CompiledRow {
-    m: CompiledOfMatch,
-    /// `(priority, specificity)` — cached so winner selection doesn't
-    /// recount wildcard bits, and the primary sort key.
-    rank: Rank,
-    /// Installation sequence — the tie-break sort key, since
-    /// `swap_remove` storage means vector order is *not* install order.
-    seq: u64,
-    /// Index of the source row in `entries` (rank-sorting reorders the
-    /// compiled rows but lookups must report entry indices).
-    idx: usize,
-}
-
-/// The selected classification structure. The linear engine compiles
-/// lazily (flow-mod trains pay one rebuild); the tuple engine is
-/// maintained incrementally (that's the point — flow_mods are hash
-/// ops, not rebuilds).
-#[derive(Debug, Clone)]
-enum Engine {
-    Linear {
-        /// `(match, priority)` → entry index. ADD-replace semantics keep
-        /// the pairs unique, so strict flow_mods are single hash probes.
-        strict: HashMap<(OfMatch, u16), usize, FxBuildHasher>,
-        /// `None` means stale; rebuilt on the next compiled lookup.
-        compiled: Option<Vec<CompiledRow>>,
-    },
-    Tuple(TupleSpace),
-}
-
-impl Engine {
-    /// The index of `classifier` over `entries` (installed as `seqs`).
-    fn build(classifier: Classifier, entries: &[FlowEntry], seqs: &[u64]) -> Engine {
-        match classifier {
-            Classifier::Linear => Engine::Linear {
-                strict: entries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| ((e.of_match, e.priority), i))
-                    .collect(),
-                compiled: None,
-            },
-            Classifier::TupleSpace => {
-                let mut space = TupleSpace::new();
-                for (e, &seq) in entries.iter().zip(seqs) {
-                    let compiled = CompiledOfMatch::compile(&e.of_match);
-                    space.insert(space.locate(&compiled), seq, e.rank(), &compiled);
-                }
-                Engine::Tuple(space)
-            }
-        }
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::Tuple(TupleSpace::default())
-    }
-}
-
 /// A bounded, priority-ordered flow table.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
@@ -217,52 +116,26 @@ pub struct FlowTable {
     seqs: Vec<u64>,
     next_seq: u64,
     capacity: usize,
-    engine: Engine,
+    space: TupleSpace,
 }
 
 impl FlowTable {
-    /// A table holding at most `capacity` entries (a TCAM budget),
-    /// classified by the default engine ([`Classifier::TupleSpace`]).
+    /// A table holding at most `capacity` entries (a TCAM budget).
     pub fn new(capacity: usize) -> Self {
-        Self::with_classifier(capacity, Classifier::default())
-    }
-
-    /// A table with an explicit classifier choice.
-    pub fn with_classifier(capacity: usize, classifier: Classifier) -> Self {
         FlowTable {
-            entries: Vec::new(),
-            seqs: Vec::new(),
-            next_seq: 0,
             capacity,
-            engine: Engine::build(classifier, &[], &[]),
+            ..FlowTable::default()
         }
     }
 
-    /// A tuple-space table whose index keeps only the top `bits` bits of
-    /// every hash, so that unrelated rules share chains.
+    /// A table whose index keeps only the top `bits` bits of every hash,
+    /// so that unrelated rules share chains.
     #[cfg(test)]
     fn with_index_hash_bits(capacity: usize, bits: u32) -> Self {
         FlowTable {
-            engine: Engine::Tuple(TupleSpace::with_hash_bits(bits)),
-            ..Self::with_classifier(capacity, Classifier::TupleSpace)
+            space: TupleSpace::with_hash_bits(bits),
+            ..Self::new(capacity)
         }
-    }
-
-    /// The active classifier.
-    pub fn classifier(&self) -> Classifier {
-        match self.engine {
-            Engine::Linear { .. } => Classifier::Linear,
-            Engine::Tuple(_) => Classifier::TupleSpace,
-        }
-    }
-
-    /// Switch classifier, rebuilding the new engine's index over the
-    /// installed entries. A no-op when `classifier` is already active.
-    pub fn set_classifier(&mut self, classifier: Classifier) {
-        if self.classifier() == classifier {
-            return;
-        }
-        self.engine = Engine::build(classifier, &self.entries, &self.seqs);
     }
 
     /// Installed entries.
@@ -285,68 +158,42 @@ impl FlowTable {
         self.entries.iter()
     }
 
-    /// The units of simulated work a lookup costs: rules scanned on the
-    /// linear engine, distinct tuples probed on the tuple engine. Pure
-    /// function of table state, so both datapath legs of a parity pair
-    /// charge identically.
+    /// The units of simulated work a lookup costs: distinct tuples
+    /// probed. Pure function of table state, so scalar and block dispatch
+    /// of the same arrivals charge identically.
     pub fn lookup_cost_units(&self) -> usize {
-        match &self.engine {
-            Engine::Linear { .. } => self.entries.len(),
-            Engine::Tuple(space) => space.active_tuples(),
-        }
+        self.space.active_tuples()
     }
 
     /// The entry installed under exactly `(of_match, priority)`.
     fn find_strict(&self, of_match: &OfMatch, priority: u16) -> Option<usize> {
-        match &self.engine {
-            Engine::Linear { strict, .. } => strict.get(&(*of_match, priority)).copied(),
-            Engine::Tuple(space) => {
-                let compiled = CompiledOfMatch::compile(of_match);
-                space.find(space.locate(&compiled), &compiled, priority, |i| {
-                    self.entries[i].of_match == *of_match
-                })
-            }
-        }
+        let compiled = CompiledOfMatch::compile(of_match);
+        self.space
+            .find(self.space.locate(&compiled), &compiled, priority, |i| {
+                self.entries[i].of_match == *of_match
+            })
     }
 
     /// ADD semantics: identical (match, priority) replaces in place;
     /// otherwise append, failing when full.
     pub fn add(&mut self, entry: FlowEntry) -> Result<(), TableFull> {
-        let (id, full) = (self.entries.len(), self.entries.len() >= self.capacity);
-        // A replaced entry keeps its rank, seq and compiled form, so
-        // both engines stay valid. The probe that looks for it is the
-        // probe that indexes the newcomer.
-        let replaced = match &mut self.engine {
-            Engine::Linear { strict, compiled } => {
-                match strict.entry((entry.of_match, entry.priority)) {
-                    Entry::Occupied(at) => Some(*at.get()),
-                    Entry::Vacant(_) if full => return Err(TableFull),
-                    Entry::Vacant(at) => {
-                        at.insert(id);
-                        *compiled = None;
-                        None
-                    }
-                }
-            }
-            Engine::Tuple(space) => {
-                let compiled = CompiledOfMatch::compile(&entry.of_match);
-                let slot = space.locate(&compiled);
-                let entries = &self.entries;
-                let found = space.find(slot, &compiled, entry.priority, |i| {
-                    entries[i].of_match == entry.of_match
-                });
-                if found.is_none() {
-                    if full {
-                        return Err(TableFull);
-                    }
-                    space.insert(slot, self.next_seq, entry.rank(), &compiled);
-                }
-                found
-            }
-        };
+        // A replaced entry keeps its rank, seq and compiled form, so the
+        // index stays valid. The probe that looks for it is the probe
+        // that indexes the newcomer.
+        let compiled = CompiledOfMatch::compile(&entry.of_match);
+        let slot = self.space.locate(&compiled);
+        let entries = &self.entries;
+        let replaced = self.space.find(slot, &compiled, entry.priority, |i| {
+            entries[i].of_match == entry.of_match
+        });
         match replaced {
             Some(i) => self.entries[i] = entry,
             None => {
+                if self.entries.len() >= self.capacity {
+                    return Err(TableFull);
+                }
+                self.space
+                    .insert(slot, self.next_seq, entry.rank(), &compiled);
                 self.entries.push(entry);
                 self.seqs.push(self.next_seq);
                 self.next_seq += 1;
@@ -360,16 +207,7 @@ impl FlowTable {
     fn remove_at(&mut self, idx: usize) -> FlowEntry {
         let gone = self.entries.swap_remove(idx);
         self.seqs.swap_remove(idx);
-        match &mut self.engine {
-            Engine::Linear { strict, compiled } => {
-                strict.remove(&(gone.of_match, gone.priority));
-                if let Some(moved) = self.entries.get(idx) {
-                    strict.insert((moved.of_match, moved.priority), idx);
-                }
-                *compiled = None;
-            }
-            Engine::Tuple(space) => space.remove(idx as u32),
-        }
+        self.space.remove(idx as u32);
         gone
     }
 
@@ -383,8 +221,8 @@ impl FlowTable {
 
     /// Index form of [`FlowTable::lookup`], for callers that need to
     /// release the borrow between lookup and accounting. This is the
-    /// interpreter — the semantic reference every classifier must
-    /// reproduce byte-for-byte.
+    /// interpreter — the semantic reference the index must reproduce
+    /// byte-for-byte.
     pub fn lookup_idx(&self, in_port: u16, packet: &ParsedPacket<'_>) -> Option<usize> {
         let mut best: Option<(Rank, u64, usize)> = None;
         for (i, e) in self.entries.iter().enumerate() {
@@ -410,48 +248,15 @@ impl FlowTable {
         &mut self.entries[idx]
     }
 
-    fn ensure_compiled(&mut self) -> &[CompiledRow] {
-        let Engine::Linear { compiled, .. } = &mut self.engine else {
-            unreachable!("compiled row cache exists only on the linear engine");
-        };
-        if compiled.is_none() {
-            let mut rows: Vec<CompiledRow> = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(idx, e)| CompiledRow {
-                    m: CompiledOfMatch::compile(&e.of_match),
-                    rank: e.rank(),
-                    seq: self.seqs[idx],
-                    idx,
-                })
-                .collect();
-            // Descending rank, ascending seq within a rank: first match
-            // == best match, and equal ranks resolve to the earliest
-            // install, reproducing the interpreter's tie-break exactly.
-            rows.sort_by_key(|row| (std::cmp::Reverse(row.rank), row.seq));
-            *compiled = Some(rows);
-        }
-        compiled.as_deref().unwrap_or_default()
-    }
-
-    /// [`FlowTable::lookup_idx`] over a pre-extracted [`FlowKey`] using
-    /// the active classifier. Same result, same tie-break; only the
-    /// probe cost differs — O(rules) linear, O(masks) tuple-space.
+    /// [`FlowTable::lookup_idx`] over a pre-extracted [`FlowKey`]
+    /// through the tuple-space index. Same result, same tie-break;
+    /// O(masks) probes instead of O(rules) interpretation.
     pub fn lookup_key_idx(&mut self, in_port: u16, key: &FlowKey) -> Option<usize> {
-        if let Engine::Tuple(space) = &mut self.engine {
-            return space.lookup(in_port, key);
-        }
-        self.ensure_compiled()
-            .iter()
-            .find(|row| row.m.matches(in_port, key))
-            .map(|row| row.idx)
+        self.space.lookup(in_port, key)
     }
 
     /// Look up every occupied lane of `block` (a burst that arrived on
-    /// `in_port`) in one sweep. On the linear engine each compiled
-    /// row's masked-word compare runs across all lanes before moving to
-    /// the next row; on the tuple engine each tuple is probed for all
+    /// `in_port`) in one sweep: each tuple is probed for all
     /// still-undecided lanes before moving to the next tuple. Lane `i`
     /// of the result is what [`FlowTable::lookup_key_idx`] would return
     /// for key `i`.
@@ -460,31 +265,7 @@ impl FlowTable {
         in_port: u16,
         block: &FlowKeyBlock,
     ) -> [Option<usize>; BLOCK_LANES] {
-        if let Engine::Tuple(space) = &mut self.engine {
-            return space.lookup_block(in_port, block);
-        }
-        let occupied: u8 = if block.len() >= BLOCK_LANES {
-            u8::MAX
-        } else {
-            (1u8 << block.len()) - 1
-        };
-        let rows = self.ensure_compiled();
-        let mut verdict: [Option<usize>; BLOCK_LANES] = [None; BLOCK_LANES];
-        let mut undecided = occupied;
-        for row in rows {
-            let hits = row.m.matches_block(in_port, block) & undecided;
-            let mut h = hits;
-            while h != 0 {
-                let lane = h.trailing_zeros() as usize;
-                h &= h - 1;
-                verdict[lane] = Some(row.idx);
-            }
-            undecided &= !hits;
-            if undecided == 0 {
-                break;
-            }
-        }
-        verdict
+        self.space.lookup_block(in_port, block)
     }
 
     /// Record that `entry_bytes` matched (updates counters and idle
@@ -499,7 +280,7 @@ impl FlowTable {
     /// (strict: exact match + priority, resolved by one hash probe).
     /// Returns how many entries changed; OpenFlow adds a new entry when
     /// none matched — the caller handles that case. Actions don't
-    /// participate in classification, so no engine state is touched.
+    /// participate in classification, so the index is not touched.
     pub fn modify(
         &mut self,
         of_match: &OfMatch,
@@ -661,8 +442,6 @@ mod tests {
     use osnt_packet::{MacAddr, PacketBuilder};
     use std::net::Ipv4Addr;
 
-    const BOTH: [Classifier; 2] = [Classifier::Linear, Classifier::TupleSpace];
-
     fn udp_frame(dst_ip: Ipv4Addr, dst_port: u16) -> osnt_packet::Packet {
         PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
             .ipv4(Ipv4Addr::new(10, 0, 0, 1), dst_ip)
@@ -761,53 +540,49 @@ mod tests {
 
     #[test]
     fn strict_delete_removes_only_exact() {
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(10, c);
+        let mut t = FlowTable::new(10);
+        t.add(FlowEntry::new(
+            OfMatch::udp_dst_port(1),
+            5,
+            out(1),
+            SimTime::ZERO,
+        ))
+        .unwrap();
+        t.add(FlowEntry::new(
+            OfMatch::udp_dst_port(1),
+            9,
+            out(1),
+            SimTime::ZERO,
+        ))
+        .unwrap();
+        let removed = t.delete(&OfMatch::udp_dst_port(1), 5, true);
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].priority, 5);
+        assert_eq!(t.len(), 1);
+        // The survivor stays findable through every path.
+        let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
+        assert_eq!(t.lookup(0, &pkt.parse()).unwrap().priority, 9);
+        assert!(t.delete(&OfMatch::udp_dst_port(1), 5, true).is_empty());
+    }
+
+    #[test]
+    fn nonstrict_delete_uses_covering() {
+        let mut t = FlowTable::new(10);
+        for port in 1..=5 {
             t.add(FlowEntry::new(
-                OfMatch::udp_dst_port(1),
+                OfMatch::udp_dst_port(port),
                 5,
                 out(1),
                 SimTime::ZERO,
             ))
             .unwrap();
-            t.add(FlowEntry::new(
-                OfMatch::udp_dst_port(1),
-                9,
-                out(1),
-                SimTime::ZERO,
-            ))
-            .unwrap();
-            let removed = t.delete(&OfMatch::udp_dst_port(1), 5, true);
-            assert_eq!(removed.len(), 1);
-            assert_eq!(removed[0].priority, 5);
-            assert_eq!(t.len(), 1);
-            // The survivor stays findable through every path.
-            let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
-            assert_eq!(t.lookup(0, &pkt.parse()).unwrap().priority, 9);
-            assert!(t.delete(&OfMatch::udp_dst_port(1), 5, true).is_empty());
         }
-    }
-
-    #[test]
-    fn nonstrict_delete_uses_covering() {
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(10, c);
-            for port in 1..=5 {
-                t.add(FlowEntry::new(
-                    OfMatch::udp_dst_port(port),
-                    5,
-                    out(1),
-                    SimTime::ZERO,
-                ))
-                .unwrap();
-            }
-            // Delete-all (any covers everything), reported in scan order.
-            let removed = t.delete(&OfMatch::any(), 0, false);
-            assert_eq!(removed.len(), 5);
-            let ports: Vec<u16> = removed.iter().map(|e| e.of_match.tp_dst).collect();
-            assert_eq!(ports, vec![1, 2, 3, 4, 5]);
-            assert!(t.is_empty());
-        }
+        // Delete-all (any covers everything), reported in scan order.
+        let removed = t.delete(&OfMatch::any(), 0, false);
+        assert_eq!(removed.len(), 5);
+        let ports: Vec<u16> = removed.iter().map(|e| e.of_match.tp_dst).collect();
+        assert_eq!(ports, vec![1, 2, 3, 4, 5]);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -832,22 +607,20 @@ mod tests {
 
     #[test]
     fn modify_replaces_actions() {
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(10, c);
-            t.add(FlowEntry::new(
-                OfMatch::udp_dst_port(1),
-                5,
-                out(1),
-                SimTime::ZERO,
-            ))
-            .unwrap();
-            let n = t.modify(&OfMatch::udp_dst_port(1), 5, true, &out(7));
-            assert_eq!(n, 1);
-            let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
-            assert_eq!(t.lookup(0, &pkt.parse()).unwrap().actions, out(7));
-            // Strict modify of an absent pair changes nothing.
-            assert_eq!(t.modify(&OfMatch::udp_dst_port(1), 6, true, &out(8)), 0);
-        }
+        let mut t = FlowTable::new(10);
+        t.add(FlowEntry::new(
+            OfMatch::udp_dst_port(1),
+            5,
+            out(1),
+            SimTime::ZERO,
+        ))
+        .unwrap();
+        let n = t.modify(&OfMatch::udp_dst_port(1), 5, true, &out(7));
+        assert_eq!(n, 1);
+        let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
+        assert_eq!(t.lookup(0, &pkt.parse()).unwrap().actions, out(7));
+        // Strict modify of an absent pair changes nothing.
+        assert_eq!(t.modify(&OfMatch::udp_dst_port(1), 6, true, &out(8)), 0);
     }
 
     #[test]
@@ -882,97 +655,64 @@ mod tests {
     }
 
     #[test]
-    fn compiled_lookup_matches_interpreted_including_ties() {
+    fn index_lookup_matches_interpreted_including_ties() {
         use osnt_packet::FlowKey;
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(32, c);
-            // Overlapping entries: wildcards, port matches, prefixes, an
-            // exact-priority tie (two distinct matches, same priority and
-            // specificity, both hitting port-9001 frames to 10.0.0.0/8 —
-            // earliest row must win), and an in_port-constrained row.
-            t.add(FlowEntry::new(OfMatch::any(), 1, out(1), SimTime::ZERO))
-                .unwrap();
-            t.add(FlowEntry::new(
-                OfMatch::udp_dst_port(9001),
-                5,
-                out(2),
-                SimTime::ZERO,
-            ))
+        let mut t = FlowTable::new(32);
+        // Overlapping entries: wildcards, port matches, prefixes, an
+        // exact-priority tie (two distinct matches, same priority and
+        // specificity, both hitting port-9001 frames to 10.0.0.0/8 —
+        // earliest row must win), and an in_port-constrained row.
+        t.add(FlowEntry::new(OfMatch::any(), 1, out(1), SimTime::ZERO))
             .unwrap();
-            let mut src8 = OfMatch::any();
-            src8.nw_src = Ipv4Addr::new(10, 0, 0, 0);
-            src8.set_nw_src_prefix(8);
-            t.add(FlowEntry::new(src8, 5, out(3), SimTime::ZERO))
-                .unwrap();
-            let mut dst8 = OfMatch::any();
-            dst8.nw_dst = Ipv4Addr::new(10, 0, 0, 0);
-            dst8.set_nw_dst_prefix(8);
-            t.add(FlowEntry::new(dst8, 5, out(4), SimTime::ZERO))
-                .unwrap();
-            let mut inport = OfMatch::any();
-            inport.in_port = 2;
-            inport.wildcards &= !wildcards::IN_PORT;
-            t.add(FlowEntry::new(inport, 7, out(5), SimTime::ZERO))
-                .unwrap();
+        t.add(FlowEntry::new(
+            OfMatch::udp_dst_port(9001),
+            5,
+            out(2),
+            SimTime::ZERO,
+        ))
+        .unwrap();
+        let mut src8 = OfMatch::any();
+        src8.nw_src = Ipv4Addr::new(10, 0, 0, 0);
+        src8.set_nw_src_prefix(8);
+        t.add(FlowEntry::new(src8, 5, out(3), SimTime::ZERO))
+            .unwrap();
+        let mut dst8 = OfMatch::any();
+        dst8.nw_dst = Ipv4Addr::new(10, 0, 0, 0);
+        dst8.set_nw_dst_prefix(8);
+        t.add(FlowEntry::new(dst8, 5, out(4), SimTime::ZERO))
+            .unwrap();
+        let mut inport = OfMatch::any();
+        inport.in_port = 2;
+        inport.wildcards &= !wildcards::IN_PORT;
+        t.add(FlowEntry::new(inport, 7, out(5), SimTime::ZERO))
+            .unwrap();
 
-            let frames: Vec<osnt_packet::Packet> = vec![
-                udp_frame(Ipv4Addr::new(10, 1, 0, 1), 9001),
-                udp_frame(Ipv4Addr::new(10, 1, 0, 1), 80),
-                udp_frame(Ipv4Addr::new(192, 168, 0, 1), 9001),
-                udp_frame(Ipv4Addr::new(192, 168, 0, 1), 80),
-                PacketBuilder::ethernet(MacAddr::local(1), MacAddr::BROADCAST)
-                    .raw_ethertype(0x0806)
-                    .payload(&[0u8; 46])
-                    .build(),
-            ];
-            for in_port in [1u16, 2, 3] {
-                let mut block = FlowKeyBlock::new();
-                let mut expect = Vec::new();
-                for frame in &frames {
-                    let parsed = frame.parse();
-                    let key = FlowKey::extract(&parsed);
-                    let interp = t.lookup_idx(in_port, &parsed);
-                    assert_eq!(t.lookup_key_idx(in_port, &key), interp, "{c:?}");
-                    block.push(&key);
-                    expect.push(interp);
-                }
-                let lanes = t.lookup_block_idx(in_port, &block);
-                assert_eq!(&lanes[..expect.len()], &expect[..], "{c:?}");
-                for lane in lanes.iter().skip(expect.len()) {
-                    assert_eq!(*lane, None);
-                }
+        let frames: Vec<osnt_packet::Packet> = vec![
+            udp_frame(Ipv4Addr::new(10, 1, 0, 1), 9001),
+            udp_frame(Ipv4Addr::new(10, 1, 0, 1), 80),
+            udp_frame(Ipv4Addr::new(192, 168, 0, 1), 9001),
+            udp_frame(Ipv4Addr::new(192, 168, 0, 1), 80),
+            PacketBuilder::ethernet(MacAddr::local(1), MacAddr::BROADCAST)
+                .raw_ethertype(0x0806)
+                .payload(&[0u8; 46])
+                .build(),
+        ];
+        for in_port in [1u16, 2, 3] {
+            let mut block = FlowKeyBlock::new();
+            let mut expect = Vec::new();
+            for frame in &frames {
+                let parsed = frame.parse();
+                let key = FlowKey::extract(&parsed);
+                let interp = t.lookup_idx(in_port, &parsed);
+                assert_eq!(t.lookup_key_idx(in_port, &key), interp);
+                block.push(&key);
+                expect.push(interp);
             }
-        }
-    }
-
-    #[test]
-    fn compiled_cache_invalidates_on_mutation() {
-        use osnt_packet::FlowKey;
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(8, c);
-            let frame = udp_frame(Ipv4Addr::new(10, 1, 0, 1), 9001);
-            let key = FlowKey::extract(&frame.parse());
-            assert_eq!(t.lookup_key_idx(0, &key), None);
-            t.add(FlowEntry::new(OfMatch::any(), 1, out(1), SimTime::ZERO))
-                .unwrap();
-            assert_eq!(t.lookup_key_idx(0, &key), Some(0));
-            t.add(FlowEntry::new(
-                OfMatch::udp_dst_port(9001),
-                5,
-                out(2),
-                SimTime::ZERO,
-            ))
-            .unwrap();
-            assert_eq!(t.lookup_key_idx(0, &key), Some(1));
-            t.delete(&OfMatch::udp_dst_port(9001), 5, true);
-            assert_eq!(t.lookup_key_idx(0, &key), Some(0));
-            // Expiry invalidates too.
-            let mut short = FlowEntry::new(OfMatch::udp_dst_port(9001), 5, out(2), SimTime::ZERO);
-            short.hard_timeout = 1;
-            t.add(short).unwrap();
-            assert_eq!(t.lookup_key_idx(0, &key), Some(1));
-            t.expire(SimTime::from_secs(2));
-            assert_eq!(t.lookup_key_idx(0, &key), Some(0));
+            let lanes = t.lookup_block_idx(in_port, &block);
+            assert_eq!(&lanes[..expect.len()], &expect[..]);
+            for lane in lanes.iter().skip(expect.len()) {
+                assert_eq!(*lane, None);
+            }
         }
     }
 
@@ -981,37 +721,35 @@ mod tests {
         // Install three equal-rank overlapping entries, delete the
         // first: the vector reorders (tail slides into slot 0) but the
         // tie-break must still pick the *earliest surviving install*,
-        // on every lookup path, under both classifiers.
-        for c in BOTH {
-            let mut t = FlowTable::with_classifier(8, c);
-            // Three overlapping matches of strictly increasing
-            // specificity at one priority.
-            let mut m1 = OfMatch::any();
-            m1.tp_src = 1000;
-            m1.wildcards &= !wildcards::TP_SRC;
-            let mut m2 = m1;
-            m2.dl_type = 0x0800;
-            m2.wildcards &= !wildcards::DL_TYPE;
-            let mut m3 = m2;
-            m3.nw_proto = 17;
-            m3.wildcards &= !wildcards::NW_PROTO;
-            t.add(FlowEntry::new(m1, 5, out(1), SimTime::ZERO)).unwrap();
-            t.add(FlowEntry::new(m2, 5, out(2), SimTime::ZERO)).unwrap();
-            t.add(FlowEntry::new(m3, 5, out(3), SimTime::ZERO)).unwrap();
-            let pkt = udp_frame(Ipv4Addr::new(9, 9, 9, 9), 7);
-            // m3 is most specific → wins; delete it, m2 wins; delete
-            // m2 (slot churn from swap_remove), m1 wins.
-            let parsed = pkt.parse();
-            let key = osnt_packet::FlowKey::extract(&parsed);
-            for (victim, expect_port) in [(None, 3u16), (Some(m3), 2), (Some(m2), 1)] {
-                if let Some(v) = victim {
-                    assert_eq!(t.delete(&v, 5, true).len(), 1);
-                }
-                let i = t.lookup_idx(0, &parsed).unwrap();
-                assert_eq!(t.entry_mut(i).actions, out(expect_port), "{c:?}");
-                let j = t.lookup_key_idx(0, &key).unwrap();
-                assert_eq!(j, i, "{c:?}");
+        // on every lookup path.
+        let mut t = FlowTable::new(8);
+        // Three overlapping matches of strictly increasing
+        // specificity at one priority.
+        let mut m1 = OfMatch::any();
+        m1.tp_src = 1000;
+        m1.wildcards &= !wildcards::TP_SRC;
+        let mut m2 = m1;
+        m2.dl_type = 0x0800;
+        m2.wildcards &= !wildcards::DL_TYPE;
+        let mut m3 = m2;
+        m3.nw_proto = 17;
+        m3.wildcards &= !wildcards::NW_PROTO;
+        t.add(FlowEntry::new(m1, 5, out(1), SimTime::ZERO)).unwrap();
+        t.add(FlowEntry::new(m2, 5, out(2), SimTime::ZERO)).unwrap();
+        t.add(FlowEntry::new(m3, 5, out(3), SimTime::ZERO)).unwrap();
+        let pkt = udp_frame(Ipv4Addr::new(9, 9, 9, 9), 7);
+        // m3 is most specific → wins; delete it, m2 wins; delete
+        // m2 (slot churn from swap_remove), m1 wins.
+        let parsed = pkt.parse();
+        let key = osnt_packet::FlowKey::extract(&parsed);
+        for (victim, expect_port) in [(None, 3u16), (Some(m3), 2), (Some(m2), 1)] {
+            if let Some(v) = victim {
+                assert_eq!(t.delete(&v, 5, true).len(), 1);
             }
+            let i = t.lookup_idx(0, &parsed).unwrap();
+            assert_eq!(t.entry_mut(i).actions, out(expect_port));
+            let j = t.lookup_key_idx(0, &key).unwrap();
+            assert_eq!(j, i);
         }
     }
 
@@ -1021,9 +759,11 @@ mod tests {
         // rules, with the index hash cut to one and to three bits: every
         // chain holds dozens of unrelated rules, so strict ADD / MODIFY /
         // DELETE walk past strangers, unlink from mid-chain and move
-        // chained tails. The linear table is the reference, op by op.
+        // chained tails. A plain vector scanned for the equal
+        // `(match, priority)` pair is the reference, op by op, and the
+        // interpreter the reference for every verdict.
         for bits in [1, 3] {
-            let mut reference = FlowTable::with_classifier(96, Classifier::Linear);
+            let mut reference: Vec<FlowEntry> = Vec::new();
             let mut t = FlowTable::with_index_hash_bits(96, bits);
             let mut r = 0x9e37_79b9_7f4a_7c15u64;
             for step in 0..4000u16 {
@@ -1037,89 +777,52 @@ mod tests {
                     OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 0, pick & 0x3f))
                 };
                 let priority = [5, 9][(r >> 41) as usize & 1];
+                let at = reference
+                    .iter()
+                    .position(|e| e.of_match == m && e.priority == priority);
                 match (r >> 45) % 4 {
                     0 | 1 => {
                         let e = FlowEntry::new(m, priority, out(step), SimTime::ZERO);
-                        assert_eq!(t.add(e.clone()), reference.add(e), "step {step}");
+                        let expect = match at {
+                            None if reference.len() >= 96 => Err(TableFull),
+                            Some(i) => {
+                                reference[i] = e.clone();
+                                Ok(())
+                            }
+                            None => {
+                                reference.push(e.clone());
+                                Ok(())
+                            }
+                        };
+                        assert_eq!(t.add(e), expect, "step {step}");
                     }
                     2 => assert_eq!(
                         t.delete_strict(&m, priority),
-                        reference.delete_strict(&m, priority),
+                        at.map(|i| reference.swap_remove(i)),
                         "step {step}"
                     ),
-                    _ => assert_eq!(
-                        t.modify(&m, priority, true, &out(step)),
-                        reference.modify(&m, priority, true, &out(step)),
-                        "step {step}"
-                    ),
+                    _ => {
+                        if let Some(i) = at {
+                            reference[i].actions = out(step);
+                        }
+                        assert_eq!(
+                            t.modify(&m, priority, true, &out(step)),
+                            at.is_some() as usize,
+                            "step {step}"
+                        );
+                    }
                 }
                 assert!(t.iter().eq(reference.iter()), "step {step}");
                 let frame = udp_frame(Ipv4Addr::new(10, 1, 0, pick & 0x3f), (pick & 0xf) as u16);
                 let parsed = frame.parse();
                 assert_eq!(
                     t.lookup_key_idx(0, &osnt_packet::FlowKey::extract(&parsed)),
-                    reference.lookup_idx(0, &parsed),
+                    t.lookup_idx(0, &parsed),
                     "step {step}"
                 );
             }
             assert!(t.len() > 48, "the table must stay well filled");
         }
-    }
-
-    #[test]
-    fn set_classifier_rebuilds_in_place() {
-        let mut t = FlowTable::new(8);
-        assert_eq!(t.classifier(), Classifier::TupleSpace);
-        t.add(FlowEntry::new(OfMatch::any(), 1, out(1), SimTime::ZERO))
-            .unwrap();
-        t.add(FlowEntry::new(
-            OfMatch::udp_dst_port(9001),
-            5,
-            out(2),
-            SimTime::ZERO,
-        ))
-        .unwrap();
-        let frame = udp_frame(Ipv4Addr::new(10, 1, 0, 1), 9001);
-        let key = osnt_packet::FlowKey::extract(&frame.parse());
-        assert_eq!(t.lookup_key_idx(0, &key), Some(1));
-        t.set_classifier(Classifier::Linear);
-        assert_eq!(t.classifier(), Classifier::Linear);
-        assert_eq!(t.lookup_key_idx(0, &key), Some(1));
-        t.set_classifier(Classifier::TupleSpace);
-        assert_eq!(t.lookup_key_idx(0, &key), Some(1));
-    }
-
-    #[test]
-    fn lookup_cost_units_track_the_engine() {
-        let mut linear = FlowTable::with_classifier(64, Classifier::Linear);
-        let mut tuple = FlowTable::with_classifier(64, Classifier::TupleSpace);
-        // 32 rules, 2 distinct masks.
-        for p in 0..16u16 {
-            for t in [&mut linear, &mut tuple] {
-                t.add(FlowEntry::new(
-                    OfMatch::udp_dst_port(p),
-                    5,
-                    out(1),
-                    SimTime::ZERO,
-                ))
-                .unwrap();
-                t.add(FlowEntry::new(
-                    OfMatch::ipv4_dst(Ipv4Addr::new(10, 0, 0, p as u8)),
-                    5,
-                    out(1),
-                    SimTime::ZERO,
-                ))
-                .unwrap();
-            }
-        }
-        assert_eq!(linear.lookup_cost_units(), 32);
-        assert_eq!(tuple.lookup_cost_units(), 2);
-    }
-
-    #[test]
-    fn classifier_env_knob_parses() {
-        // Pure parsing check (no env mutation: tests run in parallel).
-        assert_eq!(Classifier::default(), Classifier::TupleSpace);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod tuple_space;
 pub use compiled::CompiledOfMatch;
 pub use control::{decap_control, encap_control, CONTROL_ETHERTYPE};
 pub use fabric::ForwardingPipeline;
-pub use flowtable::{Classifier, FlowEntry, FlowTable, TableFull};
+pub use flowtable::{FlowEntry, FlowTable, TableFull};
 pub use legacy::{ForwardingMode, LegacyConfig, LegacySwitch};
 pub use openflow_switch::{OfSwitchConfig, OpenFlowSwitch};
 pub use tuple_space::TupleSpace;

@@ -20,7 +20,7 @@
 use crate::cam::Cam;
 use crate::control::{decap_control, encap_control};
 use crate::fabric::{ForwardingPipeline, TIMER_FORWARD};
-use crate::flowtable::{Classifier, FlowEntry, FlowTable, RemovalReason};
+use crate::flowtable::{FlowEntry, FlowTable, RemovalReason};
 use osnt_netsim::{Component, ComponentId, Kernel};
 use osnt_openflow::actions::port_no;
 use osnt_openflow::messages::{
@@ -71,33 +71,15 @@ pub struct OfSwitchConfig {
     /// Dataplane fabric/lookup latency (the fixed part).
     pub lookup_latency: SimDuration,
     /// Additional dataplane latency per *unit of classification work*:
-    /// rules scanned on the linear classifier, distinct tuples probed on
-    /// the tuple-space classifier ([`FlowTable::lookup_cost_units`]).
-    /// This makes simulated DUT latency track the classification
-    /// structure — a million-rule table with ten masks costs ten units,
-    /// not a million. Zero (the default) keeps the flat-latency model.
+    /// distinct tuples probed ([`FlowTable::lookup_cost_units`]). This
+    /// makes simulated DUT latency track the classification structure —
+    /// a million-rule table with ten masks costs ten units, not a
+    /// million. Zero (the default) keeps the flat-latency model.
     pub lookup_per_unit: SimDuration,
-    /// Which classification engine backs the hardware table. Defaults
-    /// from the `OSNT_CLASSIFIER` env knob (`linear` | `tuple`); both
-    /// produce byte-identical forwarding.
-    pub classifier: Classifier,
     /// Output buffer per data port, bytes.
     pub output_buffer_bytes: usize,
     /// Bytes of a punted frame included in PACKET_IN.
     pub miss_send_len: usize,
-    /// Use the compiled flow-table lookup (masked-word compares against
-    /// pre-extracted flow keys) instead of interpreting each entry's
-    /// `ofp_match` per packet. Results are identical; this only trades
-    /// a lazy compile per table change for cheaper per-packet matching.
-    pub compiled_lookup: bool,
-    /// Classify coalesced data-port arrivals in [`osnt_packet::FlowKeyBlock`]
-    /// groups (one masked-word sweep per table row across up to 8
-    /// frames). Byte-identical to scalar dispatch: the coalescing window
-    /// is bounded by the switch's minimum side-effect delay (see
-    /// `Component::batch_window`), and each member's forwarding is
-    /// anchored at its own arrival instant. The control channel always
-    /// stays on the scalar path.
-    pub batch: bool,
 }
 
 impl Default for OfSwitchConfig {
@@ -117,11 +99,8 @@ impl Default for OfSwitchConfig {
             packet_in_proc: SimDuration::from_us(20),
             lookup_latency: SimDuration::from_ns(900),
             lookup_per_unit: SimDuration::ZERO,
-            classifier: Classifier::from_env(),
             output_buffer_bytes: 512 * 1024,
             miss_send_len: 128,
-            compiled_lookup: true,
-            batch: true,
         }
     }
 }
@@ -181,7 +160,7 @@ impl OpenFlowSwitch {
     /// A switch with the given configuration.
     pub fn new(config: OfSwitchConfig) -> Self {
         OpenFlowSwitch {
-            table: FlowTable::with_classifier(config.table_capacity, config.classifier),
+            table: FlowTable::new(config.table_capacity),
             cam: Cam::default(),
             pipeline: ForwardingPipeline::new(),
             cpu_fifo: VecDeque::new(),
@@ -545,11 +524,10 @@ impl OpenFlowSwitch {
     }
 
     /// The full dataplane lookup delay for the current table state:
-    /// fixed fabric latency plus the per-unit charge for the active
-    /// classifier's work ([`FlowTable::lookup_cost_units`] — rules
-    /// scanned linear, tuples probed tuple-space). A pure function of
-    /// config and table contents, so scalar and batched dispatch of the
-    /// same arrivals charge identically.
+    /// fixed fabric latency plus the per-unit charge for the tuples a
+    /// lookup probes ([`FlowTable::lookup_cost_units`]). A pure function
+    /// of config and table contents, so scalar and batched dispatch of
+    /// the same arrivals charge identically.
     pub fn lookup_delay(&self) -> SimDuration {
         self.config.lookup_latency
             + self
@@ -707,8 +685,8 @@ impl OpenFlowSwitch {
 
     /// The dataplane path for one frame that arrived on data port
     /// `port` at instant `at`: CAM learn, table lookup, forward or
-    /// punt. Used by scalar dispatch (`at == kernel.now()`) and by the
-    /// non-block batch fallback.
+    /// punt. Used by scalar dispatch (`at == kernel.now()`) and for a
+    /// batch of one.
     fn data_frame_at(
         &mut self,
         kernel: &mut Kernel,
@@ -724,12 +702,9 @@ impl OpenFlowSwitch {
                 self.cam.learn(src, port);
             }
         }
-        let idx = if self.config.compiled_lookup {
-            self.table
-                .lookup_key_idx(in_port_wire, &FlowKey::extract(&parsed))
-        } else {
-            self.table.lookup_idx(in_port_wire, &parsed)
-        };
+        let idx = self
+            .table
+            .lookup_key_idx(in_port_wire, &FlowKey::extract(&parsed));
         match idx {
             Some(i) => {
                 self.forward_matched(kernel, me, at, i, in_port_wire, packet);
@@ -850,14 +825,19 @@ impl Component for OpenFlowSwitch {
         self.data_frame_at(kernel, me, kernel.now(), port, packet);
     }
 
+    /// Coalesced data-port arrivals are classified in
+    /// [`osnt_packet::FlowKeyBlock`] groups. Byte-identical to scalar
+    /// dispatch: the coalescing window is bounded by the switch's minimum
+    /// side-effect delay (see `Component::batch_window`), and each
+    /// member's forwarding is anchored at its own arrival instant.
     fn wants_packet_batches(&self) -> bool {
-        self.config.batch
+        true
     }
 
     fn wants_packet_batches_on(&self, port: usize) -> bool {
         // The control channel stays scalar: its handler sends immediate
         // Hello replies, which need per-frame `now`.
-        self.config.batch && port != self.control_port()
+        port != self.control_port()
     }
 
     fn batch_window(&self) -> Option<SimDuration> {
@@ -880,15 +860,14 @@ impl Component for OpenFlowSwitch {
         debug_assert_ne!(port, self.control_port());
         // A run of one is a packet: the scalar path, anchored at the
         // member's own instant, with no block to fill or stage.
-        if batch.len() == 1 || !self.config.compiled_lookup {
-            for (t, packet) in batch.drain(..) {
-                self.data_frame_at(kernel, me, t, port, packet);
-            }
+        if batch.len() == 1 {
+            let (t, packet) = batch.pop().expect("len checked");
+            self.data_frame_at(kernel, me, t, port, packet);
             return;
         }
         // Block path: stage up to a block's worth of arrivals, classify
-        // them against the whole table in one masked-word sweep per row,
-        // then forward each at its own arrival instant.
+        // them against the whole table in one sweep per tuple, then
+        // forward each at its own arrival instant.
         let in_port_wire = (port + 1) as u16;
         let mut block = FlowKeyBlock::new();
         let mut staged = std::mem::take(&mut self.staged);
@@ -979,42 +958,29 @@ mod tests {
     }
 
     #[test]
-    fn lookup_delay_tracks_the_classifier() {
+    fn lookup_delay_charges_per_tuple_probed() {
         use osnt_openflow::OfMatch;
-        let base = SimDuration::from_ns(900);
         let per_unit = SimDuration::from_ns(10);
-        for (classifier, want_units) in [(Classifier::Linear, 32u64), (Classifier::TupleSpace, 2)] {
-            let mut sw = OpenFlowSwitch::new(OfSwitchConfig {
-                lookup_per_unit: per_unit,
-                classifier,
-                table_capacity: 64,
-                ..OfSwitchConfig::default()
-            });
-            // 32 rules over 2 distinct wildcard masks: the linear
-            // engine charges per rule, the tuple engine per mask.
-            for p in 0..16u16 {
+        let mut sw = OpenFlowSwitch::new(OfSwitchConfig {
+            lookup_per_unit: per_unit,
+            table_capacity: 64,
+            ..OfSwitchConfig::default()
+        });
+        // 32 rules over 2 distinct wildcard masks: two units.
+        for p in 0..16u16 {
+            for m in [
+                OfMatch::udp_dst_port(p),
+                OfMatch::ipv4_dst(std::net::Ipv4Addr::new(10, 0, 0, p as u8)),
+            ] {
                 sw.table
-                    .add(FlowEntry::new(
-                        OfMatch::udp_dst_port(p),
-                        5,
-                        vec![],
-                        SimTime::ZERO,
-                    ))
-                    .unwrap();
-                sw.table
-                    .add(FlowEntry::new(
-                        OfMatch::ipv4_dst(std::net::Ipv4Addr::new(10, 0, 0, p as u8)),
-                        5,
-                        vec![],
-                        SimTime::ZERO,
-                    ))
+                    .add(FlowEntry::new(m, 5, vec![], SimTime::ZERO))
                     .unwrap();
             }
-            assert_eq!(
-                sw.lookup_delay(),
-                base + per_unit.saturating_mul(want_units)
-            );
         }
+        assert_eq!(
+            sw.lookup_delay(),
+            SimDuration::from_ns(900) + per_unit.saturating_mul(2)
+        );
     }
 
     #[test]

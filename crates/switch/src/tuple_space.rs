@@ -1,9 +1,9 @@
 //! Tuple-space search: sublinear wildcard classification.
 //!
-//! The interpreter ([`crate::flowtable::FlowTable::lookup_idx`]) and the
-//! compiled linear scan both walk O(n) rows per packet, and a strict
-//! `flow_mod` walks O(n) rows to find its victim — hopeless at the 10^6
-//! wildcard entries the ROADMAP demands. This module is the classical
+//! The interpreter ([`crate::flowtable::FlowTable::lookup_idx`]) walks
+//! O(n) rows per packet, and a strict `flow_mod` resolved by scanning
+//! walks O(n) rows to find its victim — hopeless at the 10^6 wildcard
+//! entries the ROADMAP demands. This module is the classical
 //! fix (Srinivasan/Suri/Varghese's tuple-space search, the same engine
 //! Open vSwitch ships): group rules by their wildcard **mask signature**
 //! (a "tuple"), so every rule inside a tuple masks the same key bits.
@@ -15,8 +15,8 @@
 //! A lookup probes each distinct tuple once: mask the key, hash, compare.
 //! Rule count stops mattering; only *mask diversity* does, and real rule
 //! sets have tens of masks for millions of rules. Two refinements keep
-//! the probe loop short and the verdict byte-identical to the linear
-//! reference:
+//! the probe loop short and the verdict byte-identical to the
+//! interpreter's:
 //!
 //! * **Rank pruning** — tuples are visited in descending order of their
 //!   best `(priority, specificity)` rank. Once the best hit so far

@@ -1,16 +1,15 @@
-//! Classifier equivalence: the tuple-space engine must be
-//! observationally identical to the linear reference — same verdicts
-//! (including the priority/specificity/insertion-order tie-break), same
-//! hit counters, same table contents — across arbitrary interleavings
-//! of flow_mods, expiry, and lookups.
+//! Index equivalence: the flow table's tuple-space index must be
+//! observationally identical to its two oracles — the rule interpreter
+//! (`FlowTable::lookup_idx`) for verdicts, and a naive scan-everything
+//! model (below) for what flow_mods report and leave behind — across
+//! arbitrary interleavings of flow_mods, expiry, and lookups.
 //!
-//! Two tables run the *same* operation sequence, one per classifier.
-//! Each engine resolves strict flow_mods through its own index, so what
-//! every op reports (added or full, entries removed, entries modified)
-//! is compared op by op, and the entry vectors must stay byte-identical,
-//! so lookup verdicts can be compared as raw indices. The interpreter
-//! (`lookup_idx`) is additionally consulted as the semantic ground
-//! truth.
+//! The table and the model run the *same* operation sequence. What every
+//! op reports (added or full, entries removed, entries modified) is
+//! compared op by op, and the entry vectors must stay byte-identical, so
+//! lookup verdicts can be compared as raw indices — including the
+//! priority/specificity/insertion-order tie-break, which the model
+//! resolves from installation numbers it keeps itself.
 //!
 //! Generated matches carry **junk under their wildcards** (host bits
 //! below a prefix, values in wildcarded fields): two such matches lower
@@ -22,9 +21,8 @@
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{FlowKey, FlowKeyBlock, MacAddr, Packet, PacketBuilder};
-use osnt_switch::flowtable::{FlowEntry, FlowTable};
-use osnt_switch::Classifier;
-use osnt_time::SimTime;
+use osnt_switch::flowtable::{covers, FlowEntry, FlowTable};
+use osnt_time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -128,78 +126,176 @@ fn out(port: u16) -> Vec<Action> {
     vec![Action::Output { port, max_len: 0 }]
 }
 
+/// The naive model: entries in a plain vector beside their installation
+/// numbers, every op a scan. Removal is `swap_remove` in descending
+/// position order, the table's documented storage discipline — `iter()`
+/// order reaches the wire in flow-stats replies, so it is compared
+/// position by position.
+struct Naive {
+    rows: Vec<(u64, FlowEntry)>,
+    installs: u64,
+    capacity: usize,
+}
+
+impl Naive {
+    fn new(capacity: usize) -> Self {
+        Naive {
+            rows: Vec::new(),
+            installs: 0,
+            capacity,
+        }
+    }
+
+    fn position(&self, m: &OfMatch, priority: u16) -> Option<usize> {
+        self.rows
+            .iter()
+            .position(|(_, e)| e.of_match == *m && e.priority == priority)
+    }
+
+    /// Remove the rows at ascending positions `hits`, reported in that
+    /// order.
+    fn remove_all(&mut self, hits: Vec<usize>) -> Vec<FlowEntry> {
+        let mut out: Vec<FlowEntry> = hits
+            .iter()
+            .rev()
+            .map(|&i| self.rows.swap_remove(i).1)
+            .collect();
+        out.reverse();
+        out
+    }
+
+    /// Best match by scanning: highest `(priority, specificity)`, then
+    /// earliest install.
+    fn lookup(&self, in_port: u16, frame: &Packet) -> Option<usize> {
+        let parsed = frame.parse();
+        (0..self.rows.len())
+            .filter(|&i| self.rows[i].1.of_match.matches(in_port, &parsed))
+            .max_by_key(|&i| {
+                let (seq, e) = &self.rows[i];
+                (
+                    e.priority,
+                    e.of_match.specificity(),
+                    std::cmp::Reverse(*seq),
+                )
+            })
+    }
+
+    fn apply(&mut self, i: usize, op: &Op) -> (usize, Vec<FlowEntry>) {
+        let now = SimTime::from_ms(i as u64);
+        match op {
+            Op::Add(s) => {
+                let e = new_entry(s, i, now);
+                match self.position(&e.of_match, e.priority) {
+                    Some(at) => self.rows[at].1 = e,
+                    None if self.rows.len() >= self.capacity => return (0, Vec::new()),
+                    None => {
+                        self.rows.push((self.installs, e));
+                        self.installs += 1;
+                    }
+                }
+                (1, Vec::new())
+            }
+            Op::DeleteStrict(s) => {
+                let hit = self.position(&s.build(), s.priority);
+                (0, self.remove_all(hit.into_iter().collect()))
+            }
+            Op::Delete(s) => {
+                let filter = s.build();
+                let hits = (0..self.rows.len())
+                    .filter(|&i| covers(&filter, &self.rows[i].1.of_match))
+                    .collect();
+                (0, self.remove_all(hits))
+            }
+            Op::ModifyStrict(s) => match self.position(&s.build(), s.priority) {
+                Some(at) => {
+                    self.rows[at].1.actions = modify_actions(i);
+                    (1, Vec::new())
+                }
+                None => (0, Vec::new()),
+            },
+            Op::Expire => {
+                let hits = (0..self.rows.len())
+                    .filter(|&i| {
+                        let e = &self.rows[i].1;
+                        e.hard_timeout > 0
+                            && now >= e.installed_at + SimDuration::from_secs(e.hard_timeout as u64)
+                    })
+                    .collect();
+                (0, self.remove_all(hits))
+            }
+        }
+    }
+}
+
+fn new_entry(s: &MatchSpec, i: usize, now: SimTime) -> FlowEntry {
+    let mut e = FlowEntry::new(s.build(), s.priority, out(i as u16), now);
+    e.hard_timeout = s.hard_timeout;
+    e
+}
+
+fn modify_actions(i: usize) -> Vec<Action> {
+    out((i as u16).wrapping_add(10_000))
+}
+
 /// Apply one op to a table and say what it reported: a count (entries
 /// added or modified) and the entries it removed, in the order given.
 fn apply(t: &mut FlowTable, i: usize, op: &Op) -> (usize, Vec<FlowEntry>) {
     let now = SimTime::from_ms(i as u64);
     match op {
-        Op::Add(s) => {
-            let mut e = FlowEntry::new(s.build(), s.priority, out(i as u16), now);
-            e.hard_timeout = s.hard_timeout;
-            // TableFull rejections are part of the behaviour.
-            (t.add(e).is_ok() as usize, Vec::new())
-        }
+        // TableFull rejections are part of the behaviour.
+        Op::Add(s) => (t.add(new_entry(s, i, now)).is_ok() as usize, Vec::new()),
         Op::DeleteStrict(s) => (0, t.delete(&s.build(), s.priority, true)),
         Op::Delete(s) => (0, t.delete(&s.build(), s.priority, false)),
-        Op::ModifyStrict(s) => {
-            let actions = out((i as u16).wrapping_add(10_000));
-            (t.modify(&s.build(), s.priority, true, &actions), Vec::new())
-        }
+        Op::ModifyStrict(s) => (
+            t.modify(&s.build(), s.priority, true, &modify_actions(i)),
+            Vec::new(),
+        ),
         Op::Expire => (0, t.expire(now).into_iter().map(|(e, _)| e).collect()),
     }
 }
 
-/// The state both engines must agree on, entry for entry.
-fn snapshot(t: &FlowTable) -> Vec<(OfMatch, u16, Vec<Action>, u64, u64)> {
-    t.iter()
-        .map(|e| {
-            (
-                e.of_match,
-                e.priority,
-                e.actions.clone(),
-                e.packets,
-                e.bytes,
-            )
-        })
-        .collect()
+/// Table and model hold the same entries — every field, counters and
+/// timestamps included — in the same order.
+fn agree(naive: &Naive, table: &FlowTable) -> bool {
+    naive.rows.iter().map(|(_, e)| e).eq(table.iter())
 }
 
 proptest! {
-    /// Random flow_mod histories + random traffic: both classifiers
-    /// must return identical verdicts on every lookup path (scalar key,
-    /// 8-lane block, interpreter ground truth) and accumulate identical
-    /// hit counters — under overlapping masks, equal-priority ties, and
-    /// capacity-constrained (table-full) histories.
+    /// Random flow_mod histories + random traffic: the index must return
+    /// the model's and the interpreter's verdict on every lookup path
+    /// (scalar key, 8-lane block) and leave the model's table — under
+    /// overlapping masks, equal-priority ties, and capacity-constrained
+    /// (table-full) histories.
     #[test]
-    fn tuple_space_equals_linear(
+    fn tuple_space_equals_the_oracles(
         capacity in 4usize..24,
         ops in proptest::collection::vec(op(), 1..80),
         keys in proptest::collection::vec((0u8..4, 0u8..4), 1..24),
     ) {
-        let mut linear = FlowTable::with_classifier(capacity, Classifier::Linear);
-        let mut tuple = FlowTable::with_classifier(capacity, Classifier::TupleSpace);
+        let mut naive = Naive::new(capacity);
+        let mut table = FlowTable::new(capacity);
         for (i, o) in ops.iter().enumerate() {
-            prop_assert_eq!(apply(&mut linear, i, o), apply(&mut tuple, i, o));
+            prop_assert_eq!(naive.apply(i, o), apply(&mut table, i, o));
         }
-        prop_assert_eq!(snapshot(&linear), snapshot(&tuple));
+        prop_assert!(agree(&naive, &table));
 
         let frames: Vec<Packet> = keys
             .iter()
             .map(|&(ip, port)| udp_frame(IP_POOL[ip as usize], PORT_POOL[port as usize]))
             .collect();
         for in_port in [1u16, 2, 3] {
-            // Scalar verdicts, all three paths.
+            // Scalar verdicts: model, interpreter, index.
             for frame in &frames {
                 let parsed = frame.parse();
                 let key = FlowKey::extract(&parsed);
-                let truth = linear.lookup_idx(in_port, &parsed);
-                prop_assert_eq!(linear.lookup_key_idx(in_port, &key), truth);
-                prop_assert_eq!(tuple.lookup_key_idx(in_port, &key), truth);
+                let truth = naive.lookup(in_port, frame);
+                prop_assert_eq!(table.lookup_idx(in_port, &parsed), truth);
+                prop_assert_eq!(table.lookup_key_idx(in_port, &key), truth);
                 // Account on both so counters must track together.
                 if let Some(i) = truth {
                     let now = SimTime::from_secs(999);
-                    FlowTable::account(linear.entry_mut(i), now, frame.frame_len());
-                    FlowTable::account(tuple.entry_mut(i), now, frame.frame_len());
+                    FlowTable::account(&mut naive.rows[i].1, now, frame.frame_len());
+                    FlowTable::account(table.entry_mut(i), now, frame.frame_len());
                 }
             }
             // Block verdicts, 8 lanes at a time.
@@ -207,25 +303,22 @@ proptest! {
                 let mut block = FlowKeyBlock::new();
                 let mut expect = Vec::new();
                 for frame in chunk {
-                    let parsed = frame.parse();
-                    block.push(&FlowKey::extract(&parsed));
-                    expect.push(linear.lookup_idx(in_port, &parsed));
+                    block.push(&FlowKey::extract(&frame.parse()));
+                    expect.push(naive.lookup(in_port, frame));
                 }
-                let lin = linear.lookup_block_idx(in_port, &block);
-                let tup = tuple.lookup_block_idx(in_port, &block);
-                prop_assert_eq!(&lin[..expect.len()], &expect[..]);
-                prop_assert_eq!(&tup[..expect.len()], &expect[..]);
+                let lanes = table.lookup_block_idx(in_port, &block);
+                prop_assert_eq!(&lanes[..expect.len()], &expect[..]);
             }
         }
-        prop_assert_eq!(snapshot(&linear), snapshot(&tuple));
+        prop_assert!(agree(&naive, &table));
     }
 }
 
 /// Twins — matches that lower alike and differ as values — at equal
 /// and at different priorities, walked through every strict and
-/// non-strict flow_mod by hand: each twin is its own entry on both
-/// engines, and a lookup that hits both picks the one the interpreter
-/// picks.
+/// non-strict flow_mod by hand: each twin is its own entry in the table
+/// as in the model, and a lookup that hits both picks the one the
+/// interpreter picks.
 #[test]
 fn lowered_twins_stay_distinct_entries() {
     let shapes = [
@@ -271,16 +364,16 @@ fn lowered_twins_stay_distinct_entries() {
                 Op::Delete(clean), // covers both
             ];
             let lens = [1, 2, 2, 2, 1, 2, 0];
-            let mut linear = FlowTable::with_classifier(8, Classifier::Linear);
-            let mut tuple = FlowTable::with_classifier(8, Classifier::TupleSpace);
+            let mut naive = Naive::new(8);
+            let mut tuple = FlowTable::new(8);
             for (i, (o, len)) in history.iter().zip(lens).enumerate() {
                 let reported = apply(&mut tuple, i, o);
-                assert_eq!(apply(&mut linear, i, o), reported, "op {i}");
+                assert_eq!(naive.apply(i, o), reported, "op {i}");
                 assert_eq!(tuple.len(), len, "op {i}");
-                assert_eq!(snapshot(&linear), snapshot(&tuple), "op {i}");
-                let truth = linear.lookup_idx(1, &parsed);
+                assert!(agree(&naive, &tuple), "op {i}");
+                let truth = naive.lookup(1, &frame);
                 assert_eq!(truth.is_some(), len > 0);
-                assert_eq!(linear.lookup_key_idx(1, &key), truth, "op {i}");
+                assert_eq!(tuple.lookup_idx(1, &parsed), truth, "op {i}");
                 assert_eq!(tuple.lookup_key_idx(1, &key), truth, "op {i}");
                 match i {
                     // Only the twin took the new actions.
@@ -323,19 +416,19 @@ impl SplitMix {
     }
 }
 
-/// 100k-flow_mod churn with interleaved lookups: the tuple engine's
+/// 100k-flow_mod churn with interleaved lookups: the index's
 /// incremental maintenance (insert/remove/relocate under `swap_remove`
-/// storage) must never drift from the linear reference, no matter how
-/// long the history. Verdicts are cross-checked periodically (the
-/// linear table recompiles O(n) rows per check, so checks are sampled);
+/// storage) must never drift from the model, no matter how long the
+/// history. Index verdicts are probed every 8 ops and cross-checked
+/// against model and interpreter on a sample (both scan O(n) rows);
 /// final table state is compared entry-for-entry.
 #[test]
 fn hundred_k_flowmod_churn_stays_equivalent() {
     const OPS: usize = 100_000;
     const CAPACITY: usize = 1024;
     let mut rng = SplitMix(0xE15_F10);
-    let mut linear = FlowTable::with_classifier(CAPACITY, Classifier::Linear);
-    let mut tuple = FlowTable::with_classifier(CAPACITY, Classifier::TupleSpace);
+    let mut naive = Naive::new(CAPACITY);
+    let mut tuple = FlowTable::new(CAPACITY);
 
     let spec_from = |r: u64| {
         let nw = (r >> 8) & 0xf;
@@ -362,13 +455,11 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             _ => Op::Expire,
         };
         assert_eq!(
-            apply(&mut linear, i, &o),
+            naive.apply(i, &o),
             apply(&mut tuple, i, &o),
             "op {i} reported differently"
         );
-        assert_eq!(linear.len(), tuple.len(), "len diverged at op {i}");
-        // Tuple-engine lookups are cheap — probe every 8 ops; pull the
-        // linear reference in every 512th op (it recompiles O(n) rows).
+        assert_eq!(naive.rows.len(), tuple.len(), "len diverged at op {i}");
         if i % 8 == 0 {
             let k = rng.next();
             let frame = udp_frame(
@@ -382,19 +473,19 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             hits += t.is_some() as u64;
             if i % 512 == 0 {
                 assert_eq!(
-                    linear.lookup_key_idx(in_port, &key),
+                    naive.lookup(in_port, &frame),
                     t,
                     "verdict diverged at op {i}"
                 );
                 assert_eq!(
-                    linear.lookup_idx(in_port, &frame.parse()),
+                    tuple.lookup_idx(in_port, &frame.parse()),
                     t,
                     "interpreter diverged at op {i}"
                 );
             }
         }
     }
-    assert_eq!(snapshot(&linear), snapshot(&tuple));
+    assert!(agree(&naive, &tuple));
     assert!(lookups >= (OPS / 8) as u64);
     // The workload must actually exercise matches, not just misses.
     assert!(hits > 0, "churn produced no matching lookups");
@@ -405,8 +496,8 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             let parsed = frame.parse();
             let key = FlowKey::extract(&parsed);
             for in_port in [1u16, 2] {
-                let truth = linear.lookup_idx(in_port, &parsed);
-                assert_eq!(linear.lookup_key_idx(in_port, &key), truth);
+                let truth = naive.lookup(in_port, &frame);
+                assert_eq!(tuple.lookup_idx(in_port, &parsed), truth);
                 assert_eq!(tuple.lookup_key_idx(in_port, &key), truth);
             }
         }

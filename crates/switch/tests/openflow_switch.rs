@@ -2,7 +2,7 @@
 //! controller drives the control channel directly and hosts observe the
 //! dataplane.
 
-use osnt_netsim::{Component, ComponentId, Kernel, LinkSpec, SimBuilder};
+use osnt_netsim::{Component, ComponentId, Kernel, LinkSpec, PacketBurst, SimBuilder};
 use osnt_openflow::messages::{FlowMod, Message, PacketOut, StatsBody};
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{MacAddr, Packet, PacketBuilder};
@@ -491,12 +491,78 @@ impl Component for BurstHost {
 /// bytes) and the controller log, fully ordered.
 type RunTrace = (Vec<Vec<(u64, Vec<u8>)>>, Vec<(u64, String)>);
 
-fn burst_run(cfg: OfSwitchConfig) -> RunTrace {
+/// The scalar reference: forwards the scalar handlers and nothing else,
+/// so the kernel replays every arrival through `on_packet`.
+struct ScalarOnly(OpenFlowSwitch);
+
+impl Component for ScalarOnly {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        self.0.on_start(k, me);
+    }
+    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, pkt: Packet) {
+        self.0.on_packet(k, me, port, pkt);
+    }
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+        self.0.on_timer(k, me, tag);
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// The fast side: forwards the whole `Component` surface and keeps the
+/// length of each batch the kernel delivered.
+struct Recording {
+    inner: OpenFlowSwitch,
+    batches: Rc<RefCell<Vec<usize>>>,
+}
+
+impl Component for Recording {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        self.inner.on_start(k, me);
+    }
+    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, pkt: Packet) {
+        self.inner.on_packet(k, me, port, pkt);
+    }
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+        self.inner.on_timer(k, me, tag);
+    }
+    fn wants_packet_batches(&self) -> bool {
+        self.inner.wants_packet_batches()
+    }
+    fn wants_packet_batches_on(&self, port: usize) -> bool {
+        self.inner.wants_packet_batches_on(port)
+    }
+    fn batch_window(&self) -> Option<SimDuration> {
+        self.inner.batch_window()
+    }
+    fn on_packet_batch(
+        &mut self,
+        k: &mut Kernel,
+        me: ComponentId,
+        port: usize,
+        batch: &mut Vec<(SimTime, Packet)>,
+    ) {
+        self.batches.borrow_mut().push(batch.len());
+        self.inner.on_packet_batch(k, me, port, batch);
+    }
+    fn wants_bursts(&self) -> bool {
+        self.inner.wants_bursts()
+    }
+    fn on_burst(&mut self, k: &mut Kernel, me: ComponentId, port: usize, burst: PacketBurst) {
+        self.inner.on_burst(k, me, port, burst);
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+fn burst_run(wrap: impl FnOnce(OpenFlowSwitch) -> Box<dyn Component>) -> RunTrace {
     let mut b = SimBuilder::new();
-    let switch = OpenFlowSwitch::new(cfg);
+    let switch = OpenFlowSwitch::new(OfSwitchConfig::default());
     let ctrl_port = switch.control_port();
     let kports = switch.kernel_ports();
-    let sw = b.add_component("switch", Box::new(switch), kports);
+    let sw = b.add_component("switch", wrap(switch), kports);
 
     let dst_a = Ipv4Addr::new(10, 1, 0, 1); // rule → wire port 2
     let dst_b = Ipv4Addr::new(10, 1, 0, 2); // rule → wire port 3
@@ -554,14 +620,17 @@ fn burst_run(cfg: OfSwitchConfig) -> RunTrace {
     };
     // Bursts from t=2ms (rules are in hardware by ~1.1ms): mixed hits,
     // misses, and NORMAL-matched frames, at several frame sizes so some
-    // inter-arrival gaps straddle the 900 ns batch window.
+    // inter-arrival gaps straddle the 900 ns batch window. Every fourth
+    // burst is twelve minimum-size frames — 806 ns of wire, so one
+    // window holds a full block and a tail.
     let mut bursts = Vec::new();
     for i in 0..40u64 {
-        let frames: Vec<Packet> = (0..8u64)
+        let small = i % 4 == 3;
+        let frames: Vec<Packet> = (0..if small { 12 } else { 8u64 })
             .map(|j| match (i + j) % 5 {
                 0 => frame_to(dst_a, 64),
                 1 => frame_to(dst_b, 64),
-                2 => frame_to(dst_a, 1000),
+                2 if !small => frame_to(dst_a, 1000),
                 3 if i % 8 == 0 => frame_to(dst_miss, 64),
                 3 => frame_to(dst_a, 64),
                 _ => PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(9))
@@ -635,19 +704,12 @@ fn burst_run(cfg: OfSwitchConfig) -> RunTrace {
     (hosts, ctl)
 }
 
-/// The tentpole invariant: the block-classified batch path and the
-/// compiled lookup are byte-identical to scalar interpreted dispatch —
-/// same frames, same arrival instants, same punts, same flow counters.
+/// The block-classified batch path is byte-identical to scalar
+/// dispatch — same frames, same arrival instants, same punts, same flow
+/// counters — and the fast side really took it with full blocks.
 #[test]
 fn batched_block_dispatch_is_byte_identical_to_scalar() {
-    let run = |batch: bool, compiled: bool| {
-        burst_run(OfSwitchConfig {
-            batch,
-            compiled_lookup: compiled,
-            ..OfSwitchConfig::default()
-        })
-    };
-    let reference = run(false, false);
+    let reference = burst_run(|sw| Box::new(ScalarOnly(sw)));
     // The reference run must actually exercise the interesting paths.
     let deliveries: usize = reference.0.iter().map(Vec::len).sum();
     assert!(deliveries > 300, "only {deliveries} deliveries");
@@ -659,11 +721,17 @@ fn batched_block_dispatch_is_byte_identical_to_scalar() {
         reference.1.iter().any(|(_, m)| m.contains("StatsReply")),
         "no stats snapshot"
     );
-    for (batch, compiled) in [(true, true), (true, false), (false, true)] {
-        let got = run(batch, compiled);
-        assert_eq!(
-            got, reference,
-            "divergence with batch={batch} compiled={compiled}"
-        );
-    }
+    let batches = Rc::new(RefCell::new(Vec::new()));
+    let got = burst_run(|sw| {
+        Box::new(Recording {
+            inner: sw,
+            batches: batches.clone(),
+        })
+    });
+    assert_eq!(got, reference);
+    let batches = batches.borrow();
+    assert!(
+        batches.iter().any(|&n| n > 8),
+        "no full block plus tail reached the switch: {batches:?}"
+    );
 }

@@ -13,7 +13,7 @@ use osnt::gen::txstamp::StampConfig;
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, Schedule};
 use osnt::mon::{HostPathConfig, MonConfig};
-use osnt::netsim::{ImpairConfig, Impairment, LinkSpec, SimBuilder};
+use osnt::netsim::{FaultConfig, FaultyLink, LinkSpec, LossModel, SimBuilder};
 use osnt::time::{DriftModel, SimDuration, SimTime};
 
 fn main() {
@@ -45,13 +45,14 @@ fn main() {
             ],
         },
     );
-    let impairment = Impairment::new(ImpairConfig {
-        drop_probability: injected_loss,
-        extra_delay: SimDuration::from_us(20),
-        jitter: SimDuration::from_us(15),
-        seed: 4242,
-    });
-    let imp = b.add_component("bad-link", Box::new(impairment), 2);
+    let (bad_link, _) = FaultyLink::new(FaultConfig {
+        loss: LossModel::Uniform {
+            probability: injected_loss,
+        },
+        ..FaultConfig::delay_jitter(SimDuration::from_us(20), SimDuration::from_us(15), 4242)
+    })
+    .expect("valid fault config");
+    let imp = b.add_component("bad-link", Box::new(bad_link), 2);
     b.connect(device.ports[0].id, 0, imp, 0, LinkSpec::ten_gig());
     b.connect(imp, 1, device.ports[1].id, 0, LinkSpec::ten_gig());
 

@@ -6,7 +6,7 @@ use osnt::core::{analyze_sequence, DeviceConfig, OsntDevice, PortRole};
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, Schedule};
 use osnt::mon::{HostPathConfig, MonConfig};
-use osnt::netsim::{ImpairConfig, Impairment, LinkSpec, SimBuilder};
+use osnt::netsim::{FaultConfig, FaultyLink, LinkSpec, SimBuilder};
 use osnt::oflops::modules::{EchoLoadModule, RoundRobinDst};
 use osnt::oflops::{Testbed, TestbedSpec};
 use osnt::switch::OfSwitchConfig;
@@ -40,11 +40,8 @@ fn tester_measures_impaired_link_loss_with_sequence_tags() {
             ],
         },
     );
-    let imp = b.add_component(
-        "impairment",
-        Box::new(Impairment::new(ImpairConfig::loss(0.10, 99))),
-        2,
-    );
+    let (link, _) = FaultyLink::new(FaultConfig::uniform_loss(0.10, 99)).expect("valid config");
+    let imp = b.add_component("impairment", Box::new(link), 2);
     b.connect(device.ports[0].id, 0, imp, 0, LinkSpec::ten_gig());
     b.connect(imp, 1, device.ports[1].id, 0, LinkSpec::ten_gig());
     let mut sim = b.build();
@@ -97,15 +94,10 @@ fn impairment_jitter_inflates_measured_latency_spread() {
                 ],
             },
         );
-        let imp = b.add_component(
-            "imp",
-            Box::new(Impairment::new(ImpairConfig {
-                jitter: SimDuration::from_us(jitter_us),
-                seed: 3,
-                ..ImpairConfig::default()
-            })),
-            2,
-        );
+        let jitter = SimDuration::from_us(jitter_us);
+        let (link, _) = FaultyLink::new(FaultConfig::delay_jitter(SimDuration::ZERO, jitter, 3))
+            .expect("valid config");
+        let imp = b.add_component("imp", Box::new(link), 2);
         b.connect(device.ports[0].id, 0, imp, 0, LinkSpec::ten_gig());
         b.connect(imp, 1, device.ports[1].id, 0, LinkSpec::ten_gig());
         let mut sim = b.build();

@@ -1,8 +1,8 @@
 //! End-to-end sharding parity: the canonical latency experiment (the
 //! paper's Fig. 2 topology) must produce a **byte-identical**
 //! `LatencyReport` whether it runs on the single-threaded kernel or on
-//! the sharded kernel (`OSNT_SHARDS` ≥ 2: tester device on one shard,
-//! DUT on the other). Every field — Poisson probe timestamps, latency
+//! the sharded kernel (`shards` ≥ 2: tester device on one shard, DUT on
+//! the other). Every field — Poisson probe timestamps, latency
 //! summary floats, fault tallies — goes through the comparison via the
 //! report's `Debug` rendering, so even a one-ULP drift fails.
 
@@ -10,7 +10,7 @@ use osnt::chaos::{ChaosScenario, Episode};
 use osnt::core::experiment::LatencyExperiment;
 use osnt::netsim::{
     Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, LossModel, ShardPlan,
-    ShardStats, SimBuilder, WindowPolicy,
+    ShardStats, SimBuilder,
 };
 use osnt::packet::{hash::crc32, Packet};
 use osnt::switch::LegacyConfig;
@@ -19,12 +19,13 @@ use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn short_run(faults: Option<FaultConfig>, background: f64) -> String {
+fn short_run(faults: Option<FaultConfig>, background: f64, shards: Option<usize>) -> String {
     let exp = LatencyExperiment {
         duration: SimDuration::from_ms(5),
         warmup: SimDuration::from_ms(1),
         background_load: background,
         probe_faults: faults,
+        shards,
         ..LatencyExperiment::default()
     };
     let report = exp
@@ -33,8 +34,6 @@ fn short_run(faults: Option<FaultConfig>, background: f64) -> String {
     format!("{report:?}")
 }
 
-/// One test (not several) because the shard count comes from a
-/// process-global environment variable.
 #[test]
 fn sharded_experiment_reports_are_byte_identical() {
     let faulty = Some(FaultConfig {
@@ -44,42 +43,27 @@ fn sharded_experiment_reports_are_byte_identical() {
         ..FaultConfig::default()
     });
 
-    std::env::remove_var("OSNT_SHARDS");
-    let clean_ref = short_run(None, 0.5);
-    let faulty_ref = short_run(faulty.clone(), 0.0);
+    let clean_ref = short_run(None, 0.5, None);
+    let faulty_ref = short_run(faulty.clone(), 0.0, None);
 
-    for shards in ["2", "4"] {
-        // Both window policies: adaptive (the default) and the legacy
-        // global-lookahead reference must render the same bytes — the
-        // policy only changes how the event order is sliced into
-        // rounds, never the order itself.
-        for policy in [None, Some("legacy")] {
-            std::env::set_var("OSNT_SHARDS", shards);
-            match policy {
-                Some(p) => std::env::set_var("OSNT_WINDOW_POLICY", p),
-                None => std::env::remove_var("OSNT_WINDOW_POLICY"),
-            }
-            let clean = short_run(None, 0.5);
-            let faulty_run = short_run(faulty.clone(), 0.0);
-            std::env::remove_var("OSNT_SHARDS");
-            std::env::remove_var("OSNT_WINDOW_POLICY");
-            assert_eq!(
-                clean, clean_ref,
-                "clean report diverged at OSNT_SHARDS={shards} (policy {policy:?})"
-            );
-            assert_eq!(
-                faulty_run, faulty_ref,
-                "faulty report diverged at OSNT_SHARDS={shards} (policy {policy:?})"
-            );
-        }
+    for shards in [2, 4] {
+        assert_eq!(
+            short_run(None, 0.5, Some(shards)),
+            clean_ref,
+            "clean report diverged at {shards} shards"
+        );
+        assert_eq!(
+            short_run(faulty.clone(), 0.0, Some(shards)),
+            faulty_ref,
+            "faulty report diverged at {shards} shards"
+        );
     }
 }
 
 /// A lowered chaos scenario — composed loss, duplication, jitter, GPS
 /// holdover and a capture bound all at once — is the hardest parity
-/// input the platform has: every stochastic subsystem is live. The
-/// experiment's explicit `shards` override (no env var) must still
-/// render byte-identical at 1, 2 and 4 shards.
+/// input the platform has: every stochastic subsystem is live. It must
+/// still render byte-identical at 1, 2 and 4 shards.
 #[test]
 fn chaos_scenario_reports_are_byte_identical_across_shard_counts() {
     let scenario = ChaosScenario {
@@ -142,8 +126,8 @@ fn chaos_scenario_reports_are_byte_identical_across_shard_counts() {
 // ---------------------------------------------------------------------
 // Adaptive-window parity on raw netsim topologies: random multi-shard
 // rings with *asymmetric* per-direction cross-shard delays, optional
-// fault injection mid-ring, run under the adaptive per-channel-lookahead
-// policy and the legacy global-lookahead reference. Every observable —
+// fault injection mid-ring, run under the per-channel-lookahead windows
+// of the sharded executive. Every observable —
 // arrival logs (time, digest), per-port counters, dispatched-event
 // count — must be byte-identical to the single-threaded run, and the
 // executive's window-accounting ledger must balance.
@@ -318,14 +302,13 @@ fn ring_single(t: &RingTopo) -> RingObserved {
     }
 }
 
-fn ring_sharded(t: &RingTopo, shards: usize, policy: WindowPolicy) -> RingObserved {
+fn ring_sharded(t: &RingTopo, shards: usize) -> RingObserved {
     let built = build_ring(t);
     let mut plan = ShardPlan::new(built.builder.component_count(), shards);
     for &(c, node) in &built.node_of {
         plan.assign(c, node % shards);
     }
     let mut sim = built.builder.build_sharded(plan);
-    sim.set_window_policy(policy);
     let dispatched = sim.run_until(SimTime::from_ms(RING_HORIZON_MS));
 
     // The executive's deterministic ledger must balance on every run:
@@ -390,18 +373,15 @@ proptest! {
         prop_assert!(reference.dispatched > 0);
         for shards in [2, 4] {
             let shards = shards.min(nodes);
-            for policy in [WindowPolicy::Adaptive, WindowPolicy::GlobalLookahead] {
-                let got = ring_sharded(&t, shards, policy);
-                prop_assert!(
-                    got == reference,
-                    "{:?} diverged at {} shards under {:?}:\n got {:?}\n ref {:?}",
-                    t.delays,
-                    shards,
-                    policy,
-                    got,
-                    reference
-                );
-            }
+            let got = ring_sharded(&t, shards);
+            prop_assert!(
+                got == reference,
+                "{:?} diverged at {} shards:\n got {:?}\n ref {:?}",
+                t.delays,
+                shards,
+                got,
+                reference
+            );
         }
     }
 }
