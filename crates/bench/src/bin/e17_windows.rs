@@ -309,7 +309,6 @@ struct RunResult {
     barrier_waits: u64,
     ring_pushes: u64,
     ring_drains: u64,
-    spill_events: u64,
     /// (frames, digest) per digest state, fixed order.
     digests: Vec<(u64, u32)>,
 }
@@ -338,7 +337,6 @@ fn run(topology: &str, mode: Mode, shards: usize) -> RunResult {
         barrier_waits: merged.barrier_waits,
         ring_pushes: merged.ring_pushes,
         ring_drains: merged.ring_drains,
-        spill_events: merged.spill_events,
         digests: built
             .states
             .iter()
@@ -377,7 +375,6 @@ fn main() {
 
     let mut table = Table::new([
         "topology", "mode", "shards", "wall(ms)", "events", "win exec", "win skip", "rings",
-        "spills",
     ]);
     let mut json_rows = Vec::new();
     for topology in ["chain", "star", "leaf_spine"] {
@@ -409,7 +406,6 @@ fn main() {
                     r.windows_executed.to_string(),
                     r.windows_skipped.to_string(),
                     r.ring_pushes.to_string(),
-                    r.spill_events.to_string(),
                 ]);
                 // (`policy` stays in the row identity so the committed
                 // trajectory of these rows remains comparable.)
@@ -418,7 +414,7 @@ fn main() {
                      \"policy\":\"adaptive\",\"wall_s\":{:.6},\"events\":{},\
                      \"events_per_wall_s\":{:.0},\"windows_executed\":{},\
                      \"windows_skipped\":{},\"barrier_waits\":{},\"ring_pushes\":{},\
-                     \"ring_drains\":{},\"spill_events\":{}}}",
+                     \"ring_drains\":{}}}",
                     mode.name(),
                     r.wall_s,
                     r.events,
@@ -428,7 +424,6 @@ fn main() {
                     r.barrier_waits,
                     r.ring_pushes,
                     r.ring_drains,
-                    r.spill_events,
                 ));
                 reference.get_or_insert(r);
             }

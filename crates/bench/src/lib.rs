@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-bench — experiment harnesses and benchmarks
 //!
 //! One binary per experiment (E1–E8, see `EXPERIMENTS.md`) plus Criterion

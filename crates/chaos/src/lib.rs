@@ -27,6 +27,7 @@
 //! function of `(plan, seeds)`, so any violation reproduces exactly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod campaign;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-core — the OSNT platform API
 //!
 //! "The OSNT platform provides a simple and programmer-friendly API to

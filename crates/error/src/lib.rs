@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-error — the workspace error taxonomy
 //!
 //! A network tester exists to measure networks that misbehave; its own

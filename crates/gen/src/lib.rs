@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-gen — the OSNT traffic-generation subsystem
 //!
 //! Reproduces the generator half of the OSNT platform:

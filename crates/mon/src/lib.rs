@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-mon — the OSNT traffic-monitoring subsystem
 //!
 //! Reproduces the capture half of the OSNT platform:

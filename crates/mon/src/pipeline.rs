@@ -215,11 +215,7 @@ impl Component for MonitorPort {
     }
 
     /// Frames arriving back-to-back in one event window come as a
-    /// batch. Batching needs the kernel's arrival-coalescing fast path,
-    /// which switches itself off while any [`osnt_netsim::Tracer`] is
-    /// installed (tracers observe individual `Deliver` events); results
-    /// are identical, every frame then takes [`Component::on_packet`],
-    /// and the kernel prints a one-time note.
+    /// batch (the kernel's arrival-coalescing fast path).
     fn wants_packet_batches(&self) -> bool {
         true
     }

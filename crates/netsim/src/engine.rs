@@ -5,12 +5,11 @@ use crate::event::EventKind;
 use crate::kernel::Kernel;
 use crate::link::LinkSpec;
 use crate::shard::{ShardPlan, ShardedSim};
-use crate::trace::Tracer;
 use osnt_packet::Packet;
 use osnt_time::{SimDuration, SimTime};
 
 /// Declarative construction of a simulation: add components, wire ports,
-/// register tracers, then [`SimBuilder::build`].
+/// then [`SimBuilder::build`].
 pub struct SimBuilder {
     kernel: Kernel,
     components: Vec<Option<Box<dyn Component>>>,
@@ -76,11 +75,6 @@ impl SimBuilder {
         self.components.len()
     }
 
-    /// Register a trace observer.
-    pub fn add_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.kernel.add_tracer(tracer);
-    }
-
     /// Finish construction.
     pub fn build(self) -> Sim {
         Sim {
@@ -102,9 +96,7 @@ impl SimBuilder {
     /// * components that share non-`Send` state (an `Rc<RefCell<..>>`
     ///   clock, a shared result log) are assigned to the **same
     ///   shard** — the wiring is visible to this builder, Rust-level
-    ///   sharing is not, so this is a contract, not a check,
-    /// * no kernel [`Tracer`]s are registered (panics here; per-port
-    ///   traces belong in components, which shard cleanly).
+    ///   sharing is not, so this is a contract, not a check.
     ///
     /// For any plan the run is byte-identical to [`SimBuilder::build`]
     /// plus [`Sim::run_until`]: same event order, counters, and
@@ -127,23 +119,6 @@ impl SimBuilder {
             .collect();
         let plan = ShardPlan::auto(self.components.len(), n_shards, &edges);
         self.build_sharded(plan)
-    }
-}
-
-/// Arrival coalescing (and burst delivery) silently falls back to
-/// per-frame dispatch while kernel tracers are installed — correct, but
-/// easy to mistake for a performance regression. Say so once per
-/// process instead of never.
-fn warn_coalescing_disabled_once(name: &str) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    if !WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "osnt-netsim: note: kernel tracers are installed, so batch-capable \
-             components (first: {name:?}) receive frames one at a time instead of \
-             coalesced batches. This preserves trace interleaving but costs \
-             throughput; detach tracers for performance runs."
-        );
     }
 }
 
@@ -200,17 +175,16 @@ pub(crate) fn dispatch_events(
     // making the common-case event free of shared-cacheline traffic.
     const HEARTBEAT_EVERY: u64 = 64;
     let mut dispatched = 0;
-    let mut since_beat = 0;
-    let mut last_ps = 0;
+    // `dispatched` as of the last beat: the arms below only ever add to
+    // `dispatched`, and the difference is what the next beat publishes.
+    let mut beat_mark = 0;
     while let Some((time, kind)) = kernel.pop_event_until(limit) {
         dispatched += 1;
         if let Some(probe) = kernel.progress.as_ref() {
-            since_beat += 1;
-            last_ps = time.as_ps();
-            if since_beat >= HEARTBEAT_EVERY {
-                probe.advance_time(last_ps);
-                probe.tick_by(since_beat);
-                since_beat = 0;
+            if dispatched - beat_mark >= HEARTBEAT_EVERY {
+                probe.advance_time(time.as_ps());
+                probe.tick_by(dispatched - beat_mark);
+                beat_mark = dispatched;
                 if probe.abort_requested() {
                     break;
                 }
@@ -228,22 +202,11 @@ pub(crate) fn dispatch_events(
                 // exact total-order position (see
                 // `Kernel::coalesce_arrivals`), so event order, counters
                 // and `events_dispatched` are identical to the scalar
-                // path — only the handler granularity changes. Gated off
-                // under kernel tracers purely to keep trace interleaving
-                // questions out of scope; per-port traces live in
-                // components, which see the same frames either way.
-                if c.wants_packet_batches_on(port) && kernel.tracers.is_empty() {
+                // path — only the handler granularity changes.
+                if c.wants_packet_batches_on(port) {
                     let lim = batch_limit(&*c, time, limit);
-                    let coalesced = deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
-                    dispatched += coalesced;
-                    if kernel.progress.is_some() {
-                        since_beat += coalesced;
-                        last_ps = kernel.now().as_ps();
-                    }
+                    dispatched += deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
                 } else {
-                    if c.wants_packet_batches_on(port) {
-                        warn_coalescing_disabled_once(c.name());
-                    }
                     c.on_packet(kernel, dst, port, packet);
                 }
                 components[dst.index()] = Some(c);
@@ -253,10 +216,6 @@ pub(crate) fn dispatch_events(
                 port,
                 mut burst,
             } => {
-                // Bursts are only created when no kernel tracers are
-                // installed (both transmit_batch and transmit_burst fall
-                // back to per-frame Deliver events under tracers), so the
-                // tracer gates of the scalar branch don't reappear here.
                 let mut c = components[dst.index()]
                     .take()
                     .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
@@ -276,10 +235,6 @@ pub(crate) fn dispatch_events(
                     }
                     kernel.events_dispatched += extra;
                     dispatched += extra;
-                    if kernel.progress.is_some() {
-                        since_beat += extra;
-                        last_ps = kernel.now().as_ps();
-                    }
                     c.on_burst(kernel, dst, port, *burst);
                 } else if c.wants_packet_batches_on(port) {
                     // Batch sinks: member 0 seeds the arrival batch and
@@ -293,39 +248,19 @@ pub(crate) fn dispatch_events(
                     if !burst.is_empty() {
                         kernel.requeue_burst(dst, port, burst);
                     }
-                    let coalesced = deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
-                    dispatched += coalesced;
-                    if kernel.progress.is_some() {
-                        since_beat += coalesced;
-                        last_ps = kernel.now().as_ps();
-                    }
+                    dispatched += deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
                 } else {
                     // Exact scalar replay: each member dispatches at its
                     // own `(time, key)` slot, yielding to the queue head
-                    // (a timer the handler just armed, a TxDone, a
-                    // competing delivery) whenever that would
-                    // scalar-dispatch first. Byte-identical total order.
+                    // whenever that would scalar-dispatch first (see
+                    // `Kernel::pop_burst_member`). Byte-identical total
+                    // order.
                     let (_t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
                     kernel.note_rx(dst, port, pkt0.frame_len());
                     c.on_packet(kernel, dst, port, pkt0);
-                    while let Some(&(t_next, _)) = burst.members().first() {
-                        if t_next > limit {
-                            break;
-                        }
-                        if let Some((th, kh)) = kernel.queue.peek() {
-                            if (th, kh) < (t_next, burst.first_key()) {
-                                break;
-                            }
-                        }
-                        let (t, pkt) = burst.pop_front().expect("checked above");
-                        kernel.now = t;
-                        kernel.events_dispatched += 1;
+                    while let Some((_, pkt)) = kernel.pop_burst_member(dst, port, &mut burst, limit)
+                    {
                         dispatched += 1;
-                        if kernel.progress.is_some() {
-                            since_beat += 1;
-                            last_ps = t.as_ps();
-                        }
-                        kernel.note_rx(dst, port, pkt.frame_len());
                         c.on_packet(kernel, dst, port, pkt);
                     }
                     if !burst.is_empty() {
@@ -351,12 +286,29 @@ pub(crate) fn dispatch_events(
         }
     }
     // Flush the residual beat so `last_progress` in abort reports (and
-    // any final watchdog observation) reflects the true high-water mark.
+    // any final watchdog observation) reflects the true high-water mark
+    // (`now` is the last dispatched event's instant).
     if let Some(probe) = kernel.progress.as_ref() {
-        if since_beat > 0 {
-            probe.advance_time(last_ps);
-            probe.tick_by(since_beat);
+        if dispatched > beat_mark {
+            probe.advance_time(kernel.now().as_ps());
+            probe.tick_by(dispatched - beat_mark);
         }
+    }
+    dispatched
+}
+
+/// Run every event at or before `limit`, then advance the clock to
+/// `limit` unless the attached probe asked for an abort (the clock then
+/// stays at the last dispatched event). The whole of [`Sim::run_until`],
+/// and of a [`ShardedSim`] with one shard — no threads, no barriers.
+pub(crate) fn run_kernel_until(
+    kernel: &mut Kernel,
+    components: &mut [Option<Box<dyn Component>>],
+    limit: SimTime,
+) -> u64 {
+    let dispatched = dispatch_events(kernel, components, limit);
+    if !kernel.abort_requested() {
+        kernel.advance_now(limit);
     }
     dispatched
 }
@@ -398,13 +350,6 @@ impl Sim {
         self.kernel.progress = Some(probe);
     }
 
-    fn abort_requested(&self) -> bool {
-        self.kernel
-            .progress
-            .as_ref()
-            .is_some_and(|p| p.abort_requested())
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -424,11 +369,7 @@ impl Sim {
     /// run early, leaving the clock at the last dispatched event.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
         self.start_if_needed();
-        let dispatched = dispatch_events(&mut self.kernel, &mut self.components, limit);
-        if !self.abort_requested() {
-            self.kernel.advance_now(limit);
-        }
-        dispatched
+        run_kernel_until(&mut self.kernel, &mut self.components, limit)
     }
 
     /// Run for `d` beyond the current time.
@@ -443,7 +384,7 @@ impl Sim {
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
         let mut dispatched = 0;
-        while self.kernel.pending_events() > 0 && !self.abort_requested() {
+        while self.kernel.pending_events() > 0 && !self.kernel.abort_requested() {
             dispatched += self.run_until(SimTime::MAX);
             assert!(
                 dispatched <= max_events,
@@ -458,18 +399,9 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::kernel::TxResult;
-    use crate::trace::{CountingTracer, TraceEvent, Tracer};
     use osnt_packet::Packet;
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    /// Shared-handle tracer so tests can observe after the run.
-    struct SharedTracer(Rc<RefCell<CountingTracer>>);
-    impl Tracer for SharedTracer {
-        fn trace(&mut self, t: SimTime, ev: &TraceEvent) {
-            self.0.borrow_mut().trace(t, ev);
-        }
-    }
 
     /// Sends `n` back-to-back frames of `frame_len` at start.
     struct Blaster {
@@ -669,40 +601,6 @@ mod tests {
         assert_eq!(rx.rx_frames, 5);
         assert_eq!(rx.rx_bytes, 5 * 128);
         assert_eq!(tx.tx_drops, 0);
-    }
-
-    #[test]
-    fn tracer_sees_all_events() {
-        let counter = Rc::new(RefCell::new(CountingTracer::default()));
-        let (mut sim, _r, _a) = {
-            let results = Rc::new(RefCell::new(Vec::new()));
-            let arrivals = Rc::new(RefCell::new(Vec::new()));
-            let mut b = SimBuilder::new();
-            let tx = b.add_component(
-                "blaster",
-                Box::new(Blaster {
-                    n: 7,
-                    frame_len: 64,
-                    results: results.clone(),
-                }),
-                1,
-            );
-            let rx = b.add_component(
-                "sink",
-                Box::new(Sink {
-                    arrivals: arrivals.clone(),
-                }),
-                1,
-            );
-            b.connect(tx, 0, rx, 0, LinkSpec::ten_gig());
-            b.add_tracer(Box::new(SharedTracer(counter.clone())));
-            (b.build(), results, arrivals)
-        };
-        sim.run_until(SimTime::from_ms(1));
-        let c = counter.borrow();
-        assert_eq!(c.tx_accepted, 7);
-        assert_eq!(c.delivered, 7);
-        assert_eq!(c.tx_dropped, 0);
     }
 
     #[test]

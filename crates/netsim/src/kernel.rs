@@ -6,7 +6,6 @@ use crate::component::ComponentId;
 use crate::event::EventKind;
 use crate::link::LinkSpec;
 use crate::stats::PortCounters;
-use crate::trace::{TraceEvent, Tracer};
 use crate::wheel::TimerWheel;
 use osnt_packet::{Packet, IFG_LEN};
 use osnt_time::{SimDuration, SimTime};
@@ -54,6 +53,17 @@ pub struct BatchTx {
     pub not_connected: bool,
 }
 
+impl BatchTx {
+    /// Account one accepted frame.
+    fn accept(&mut self, frame_len: usize, tx_start: SimTime, delivery: SimTime) {
+        self.accepted += 1;
+        self.accepted_bytes += frame_len as u64;
+        self.first_tx_start.get_or_insert(tx_start);
+        self.last_tx_start = Some(tx_start);
+        self.last_delivery = Some(delivery);
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Wire {
     spec: LinkSpec,
@@ -75,6 +85,22 @@ pub(crate) struct OutPort {
     counters: PortCounters,
 }
 
+/// The wire slot the MAC reserved for one frame.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// First bit goes on the wire.
+    tx_start: SimTime,
+    /// Last visible bit has left the MAC (the frame's `TxDone` instant).
+    tx_end: SimTime,
+    /// Last bit arrives at the peer.
+    delivery: SimTime,
+}
+
+/// Serialisation times memoised for the last wire length seen, as
+/// `(wire_len, visible, visible + IFG)`: runs are overwhelmingly
+/// same-sized frames.
+type SerMemo = Option<(usize, SimDuration, SimDuration)>;
+
 impl OutPort {
     fn new() -> Self {
         OutPort {
@@ -84,6 +110,49 @@ impl OutPort {
             buffer_bytes: None,
             counters: PortCounters::default(),
         }
+    }
+
+    /// The MAC, for one frame offered at `earliest`: tail-drop it
+    /// (`None`) when the output buffer is full, otherwise reserve its
+    /// wire slot — it starts when the port is free, is visible on the
+    /// wire for preamble + frame, and holds the port for the
+    /// inter-frame gap after that. Every transmit entry point goes
+    /// through here, so this is the one copy of the arithmetic.
+    #[inline]
+    fn reserve(
+        &mut self,
+        wire: &Wire,
+        earliest: SimTime,
+        frame_len: usize,
+        wire_len: usize,
+        memo: &mut SerMemo,
+    ) -> Option<Slot> {
+        if let Some(cap) = self.buffer_bytes {
+            if self.queued_bytes + frame_len > cap {
+                self.counters.tx_drops += 1;
+                return None;
+            }
+        }
+        let (ser_visible, ser_total) = match *memo {
+            Some((len, vis, tot)) if len == wire_len => (vis, tot),
+            _ => {
+                let vis = wire.spec.serialization(wire_len - IFG_LEN);
+                let tot = wire.spec.serialization(wire_len);
+                *memo = Some((wire_len, vis, tot));
+                (vis, tot)
+            }
+        };
+        let tx_start = earliest.max(self.busy_until);
+        let tx_end = tx_start + ser_visible;
+        self.busy_until = tx_start + ser_total;
+        self.queued_bytes += frame_len;
+        self.counters.tx_frames += 1;
+        self.counters.tx_bytes += frame_len as u64;
+        Some(Slot {
+            tx_start,
+            tx_end,
+            delivery: tx_end + wire.spec.propagation,
+        })
     }
 }
 
@@ -125,7 +194,6 @@ pub struct Kernel {
     pub(crate) queue: TimerWheel<EventKind>,
     /// ports[component][port]
     pub(crate) ports: Vec<Vec<OutPort>>,
-    pub(crate) tracers: Vec<Box<dyn Tracer>>,
     pub(crate) events_dispatched: u64,
     /// Cross-shard routing state — `None` on single-threaded sims, so the
     /// fast path pays one branch.
@@ -145,7 +213,6 @@ impl Kernel {
             comp_seq: Vec::new(),
             queue: TimerWheel::new(),
             ports: Vec::new(),
-            tracers: Vec::new(),
             events_dispatched: 0,
             router: None,
             progress: None,
@@ -161,10 +228,6 @@ impl Kernel {
         self.ports
             .push((0..n_ports).map(|_| OutPort::new()).collect());
         self.comp_seq.push(0);
-    }
-
-    pub(crate) fn add_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracers.push(tracer);
     }
 
     pub(crate) fn connect_simplex(
@@ -256,22 +319,15 @@ impl Kernel {
     }
 
     /// Clone this kernel's static state (wiring, counters, clock) for
-    /// one shard of a sharded build. The event queue must be empty and
-    /// no tracers registered: events are created per-shard by
-    /// `on_start`, and `Box<dyn Tracer>` cannot be replicated (the
-    /// sharded builder rejects traced sims up front).
+    /// one shard of a sharded build. The event queue must be empty:
+    /// events are created per-shard by `on_start`.
     pub(crate) fn replicate_for_shard(&self) -> Kernel {
         assert_eq!(self.queue.len(), 0, "replicate before scheduling events");
-        assert!(
-            self.tracers.is_empty(),
-            "kernel tracers are not supported on sharded sims"
-        );
         Kernel {
             now: self.now,
             comp_seq: self.comp_seq.clone(),
             queue: TimerWheel::new(),
             ports: self.ports.clone(),
-            tracers: Vec::new(),
             events_dispatched: 0,
             router: None,
             // Shards share the one probe: `fetch_max` publishing keeps
@@ -354,38 +410,17 @@ impl Kernel {
             "transmit_at: earliest start {earliest} is in the past (now {})",
             self.now
         );
-        let now = earliest;
         let frame_len = packet.frame_len();
         let wire_len = packet.wire_len();
         let p = self.out_port_mut(me, port);
         let Some(wire) = p.wire else {
             return TxResult::NotConnected;
         };
-        if let Some(cap) = p.buffer_bytes {
-            if p.queued_bytes + frame_len > cap {
-                p.counters.tx_drops += 1;
-                self.emit_trace(TraceEvent::TxDropped {
-                    src: me,
-                    port,
-                    frame_len,
-                });
-                return TxResult::Dropped;
-            }
-        }
-        let tx_start = now.max(p.busy_until);
-        // Time on the wire: preamble + frame (visible), then the IFG
-        // before the next frame may start.
-        let ser_visible = wire.spec.serialization(wire_len - IFG_LEN);
-        let ser_total = wire.spec.serialization(wire_len);
-        let tx_end = tx_start + ser_visible;
-        let delivery = tx_end + wire.spec.propagation;
-        p.busy_until = tx_start + ser_total;
-        p.queued_bytes += frame_len;
-        p.counters.tx_frames += 1;
-        p.counters.tx_bytes += frame_len as u64;
-        let (peer, peer_port) = (wire.peer, wire.peer_port);
+        let Some(slot) = p.reserve(&wire, earliest, frame_len, wire_len, &mut None) else {
+            return TxResult::Dropped;
+        };
         self.push_event(
-            tx_end,
+            slot.tx_end,
             me,
             EventKind::TxDone {
                 src: me,
@@ -394,26 +429,24 @@ impl Kernel {
             },
         );
         self.push_event(
-            delivery,
+            slot.delivery,
             me,
             EventKind::Deliver {
-                dst: peer,
-                port: peer_port,
+                dst: wire.peer,
+                port: wire.peer_port,
                 packet,
             },
         );
-        self.emit_trace(TraceEvent::TxAccepted {
-            src: me,
-            port,
-            frame_len,
-        });
-        TxResult::Transmitted { tx_start, delivery }
+        TxResult::Transmitted {
+            tx_start: slot.tx_start,
+            delivery: slot.delivery,
+        }
     }
 
     /// Transmit a burst of frames back-to-back out of (`me`, `port`),
-    /// coalescing the bookkeeping: one MAC reservation walk and a single
-    /// TxDone event for the whole batch (frames still get individual
-    /// Deliver events — the peer observes identical arrival times as
+    /// coalescing the bookkeeping: one MAC reservation walk, one queue
+    /// entry for the accepted frames and a single TxDone event for the
+    /// whole batch (the peer observes identical arrival times as
     /// `count` separate [`Kernel::transmit`] calls).
     ///
     /// `frames` is a factory, not an iterator: it is handed the wire
@@ -431,13 +464,12 @@ impl Kernel {
     /// Each accepted frame's wire start time is appended to `tx_starts`
     /// when provided (the generator's departure log).
     ///
-    /// With no tracers installed the accepted frames leave as a single
-    /// [`crate::PacketBurst`] event — one timer-wheel entry for the
-    /// whole run, carrying per-member arrival instants and the same
-    /// per-member event keys the per-frame path would have allocated,
-    /// so the dispatch-side total order is unchanged (the dispatch loop
-    /// splits the burst lazily when a timer or foreign event interleaves).
-    /// Under tracers the batch falls back to one `Deliver` per frame.
+    /// The accepted frames leave as a single [`crate::PacketBurst`]
+    /// event — one timer-wheel entry for the whole run, carrying
+    /// per-member arrival instants and the same per-member event keys
+    /// the per-frame path would have allocated, so the dispatch-side
+    /// total order is unchanged (the dispatch loop splits the burst
+    /// lazily when a timer or foreign event interleaves).
     ///
     /// Note the event stream is *not* byte-for-byte identical to
     /// per-frame transmits — TxDone events are merged, so sequence
@@ -448,118 +480,116 @@ impl Kernel {
         me: ComponentId,
         port: usize,
         frames: &mut dyn FnMut(SimTime) -> Option<Packet>,
-        mut tx_starts: Option<&mut Vec<SimTime>>,
+        tx_starts: Option<&mut Vec<SimTime>>,
     ) -> BatchTx {
         let now = self.now;
-        let mut out = BatchTx::default();
-        if self.ports[me.0][port].wire.is_none() {
-            out.not_connected = true;
-            return out;
+        self.transmit_run(
+            me,
+            port,
+            |mac_free| frames(now.max(mac_free)).map(|packet| (now, packet)),
+            tx_starts,
+        )
+    }
+
+    /// Transmit a burst of frames out of (`me`, `port`), each with its
+    /// own earliest-start instant (the member-wise analogue of
+    /// [`Kernel::transmit_at`], the burst-wise analogue of
+    /// [`Kernel::transmit_batch`]).
+    ///
+    /// This is how burst-aware forwarders ([`crate::Component::on_burst`])
+    /// keep a burst *one* queue entry across a hop: the accepted frames
+    /// leave as a single [`crate::PacketBurst`] plus one merged TxDone,
+    /// and every member's wire timing is exactly what per-frame
+    /// [`Kernel::transmit_at`] calls with the same `earliest` instants
+    /// would have produced.
+    ///
+    /// Falls back to per-frame transmits (scalar event stream) on
+    /// buffer-capped ports — a merged TxDone would delay the
+    /// queued-byte drain and change tail-drop verdicts.
+    pub fn transmit_burst(
+        &mut self,
+        me: ComponentId,
+        port: usize,
+        frames: impl IntoIterator<Item = (SimTime, Packet)>,
+    ) -> BatchTx {
+        let mut frames = frames.into_iter();
+        let p = &self.ports[me.0][port];
+        // (An unconnected port goes to the run routine too, which
+        // reports it.)
+        if p.wire.is_none() || p.buffer_bytes.is_none() {
+            return self.transmit_run(me, port, |_| frames.next(), None);
         }
-        let mut batch_bytes = 0usize;
-        let mut last_tx_end = None;
-        // Batches are overwhelmingly same-sized frames: memoise the
-        // serialisation times for the last wire length seen. The port,
-        // wire and event-queue borrows are hoisted/split so the loop
-        // body touches disjoint fields instead of re-resolving the port
-        // per frame.
-        let mut ser_cache: Option<(usize, SimDuration, SimDuration)> = None;
+        let mut out = BatchTx::default();
+        for (earliest, packet) in frames {
+            let frame_len = packet.frame_len();
+            match self.transmit_at(me, port, earliest, packet) {
+                TxResult::Transmitted { tx_start, delivery } => {
+                    out.accept(frame_len, tx_start, delivery)
+                }
+                TxResult::Dropped => out.dropped += 1,
+                TxResult::NotConnected => unreachable!("wire checked above"),
+            }
+        }
+        out
+    }
+
+    /// The shared body of [`Kernel::transmit_batch`] and
+    /// [`Kernel::transmit_burst`]: walk the MAC over a run of frames and
+    /// ship what it accepted as one queue entry plus one merged TxDone.
+    ///
+    /// `next` is handed the instant the MAC becomes free and returns the
+    /// next frame with its earliest start (`None` ends the run).
+    fn transmit_run(
+        &mut self,
+        me: ComponentId,
+        port: usize,
+        mut next: impl FnMut(SimTime) -> Option<(SimTime, Packet)>,
+        mut tx_starts: Option<&mut Vec<SimTime>>,
+    ) -> BatchTx {
+        let mut out = BatchTx::default();
+        let now = self.now;
+        // The port, wire and event-queue borrows are hoisted/split so
+        // the loop body touches disjoint fields instead of re-resolving
+        // the port per frame.
         let Kernel {
             ports,
             comp_seq,
             queue,
             router,
-            tracers,
             ..
         } = self;
         let p = &mut ports[me.0][port];
-        let wire = p.wire.expect("checked above");
-        let tracing = !tracers.is_empty();
-        // Is the peer on another shard? Resolved once for the batch —
-        // a wire's peer never moves.
+        let Some(wire) = p.wire else {
+            out.not_connected = true;
+            return out;
+        };
+        // Is the peer on another shard? Resolved once for the run — a
+        // wire's peer never moves.
         let remote = router.as_ref().is_some_and(|r| r.is_remote(wire.peer));
-        // Accepted frames accumulate into one burst event (traced runs
-        // keep the legacy one-Deliver-per-frame stream instead).
+        let mut memo = None;
+        let mut last_tx_end = None;
         let mut burst: Option<Box<PacketBurst>> = None;
-        loop {
-            let tx_start = now.max(p.busy_until);
-            let Some(packet) = frames(tx_start) else {
-                break;
-            };
+        while let Some((earliest, packet)) = next(p.busy_until) {
+            debug_assert!(
+                earliest >= now,
+                "transmit: earliest start {earliest} is in the past (now {now})"
+            );
             let frame_len = packet.frame_len();
-            let wire_len = packet.wire_len();
-            if let Some(cap) = p.buffer_bytes {
-                if p.queued_bytes + frame_len > cap {
-                    p.counters.tx_drops += 1;
-                    out.dropped += 1;
-                    if tracing {
-                        let ev = TraceEvent::TxDropped {
-                            src: me,
-                            port,
-                            frame_len,
-                        };
-                        for tr in tracers.iter_mut() {
-                            tr.trace(now, &ev);
-                        }
-                    }
-                    continue;
-                }
-            }
-            let (ser_visible, ser_total) = match ser_cache {
-                Some((len, vis, tot)) if len == wire_len => (vis, tot),
-                _ => {
-                    let vis = wire.spec.serialization(wire_len - IFG_LEN);
-                    let tot = wire.spec.serialization(wire_len);
-                    ser_cache = Some((wire_len, vis, tot));
-                    (vis, tot)
-                }
+            let Some(slot) = p.reserve(&wire, earliest, frame_len, packet.wire_len(), &mut memo)
+            else {
+                out.dropped += 1;
+                continue;
             };
-            let tx_end = tx_start + ser_visible;
-            let delivery = tx_end + wire.spec.propagation;
-            p.busy_until = tx_start + ser_total;
-            p.queued_bytes += frame_len;
-            p.counters.tx_frames += 1;
-            p.counters.tx_bytes += frame_len as u64;
-            batch_bytes += frame_len;
-            last_tx_end = Some(tx_end);
-            out.accepted += 1;
-            out.accepted_bytes += frame_len as u64;
-            out.first_tx_start.get_or_insert(tx_start);
-            out.last_tx_start = Some(tx_start);
-            out.last_delivery = Some(delivery);
+            out.accept(frame_len, slot.tx_start, slot.delivery);
+            last_tx_end = Some(slot.tx_end);
             if let Some(ts) = tx_starts.as_deref_mut() {
-                ts.push(tx_start);
+                ts.push(slot.tx_start);
             }
             let ctr = comp_seq[me.0];
             comp_seq[me.0] = ctr + 1;
-            let key = event_key(me, ctr);
-            if tracing {
-                let ev = EventKind::Deliver {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    packet,
-                };
-                if remote {
-                    router
-                        .as_mut()
-                        .expect("remote implies router")
-                        .send(delivery, key, ev);
-                } else {
-                    queue.push(delivery, key, ev);
-                }
-                let ev = TraceEvent::TxAccepted {
-                    src: me,
-                    port,
-                    frame_len,
-                };
-                for tr in tracers.iter_mut() {
-                    tr.trace(now, &ev);
-                }
-            } else {
-                burst
-                    .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
-                    .push(delivery, packet);
-            }
+            burst
+                .get_or_insert_with(|| Box::new(PacketBurst::new(event_key(me, ctr))))
+                .push(slot.delivery, packet);
         }
         if let Some(mut b) = burst {
             let time = b.first_time();
@@ -590,149 +620,13 @@ impl Kernel {
             }
         }
         if let Some(tx_end) = last_tx_end {
-            // TxDone targets `me`, which is by definition local — no
-            // routing check needed, but push_event does it anyway.
             self.push_event(
                 tx_end,
                 me,
                 EventKind::TxDone {
                     src: me,
                     port,
-                    frame_len: batch_bytes,
-                },
-            );
-        }
-        out
-    }
-
-    /// Transmit a burst of frames out of (`me`, `port`), each with its
-    /// own earliest-start instant (the member-wise analogue of
-    /// [`Kernel::transmit_at`], the burst-wise analogue of
-    /// [`Kernel::transmit_batch`]).
-    ///
-    /// This is how burst-aware forwarders ([`crate::Component::on_burst`])
-    /// keep a burst *one* queue entry across a hop: the accepted frames
-    /// leave as a single [`crate::PacketBurst`] plus one merged TxDone,
-    /// and every member's wire timing is exactly what per-frame
-    /// [`Kernel::transmit_at`] calls with the same `earliest` instants
-    /// would have produced.
-    ///
-    /// Falls back to per-frame transmits (scalar event stream) on
-    /// buffer-capped ports — a merged TxDone would delay the
-    /// queued-byte drain and change tail-drop verdicts — and under
-    /// kernel tracers.
-    pub fn transmit_burst(
-        &mut self,
-        me: ComponentId,
-        port: usize,
-        frames: impl IntoIterator<Item = (SimTime, Packet)>,
-    ) -> BatchTx {
-        let mut out = BatchTx::default();
-        if self.ports[me.0][port].wire.is_none() {
-            out.not_connected = true;
-            return out;
-        }
-        if self.ports[me.0][port].buffer_bytes.is_some() || !self.tracers.is_empty() {
-            for (earliest, packet) in frames {
-                match self.transmit_at(me, port, earliest, packet) {
-                    TxResult::Transmitted { tx_start, delivery } => {
-                        out.accepted += 1;
-                        out.first_tx_start.get_or_insert(tx_start);
-                        out.last_tx_start = Some(tx_start);
-                        out.last_delivery = Some(delivery);
-                    }
-                    TxResult::Dropped => out.dropped += 1,
-                    TxResult::NotConnected => unreachable!("wire checked above"),
-                }
-            }
-            return out;
-        }
-        let mut batch_bytes = 0usize;
-        let mut last_tx_end = None;
-        let mut ser_cache: Option<(usize, SimDuration, SimDuration)> = None;
-        let now = self.now;
-        let Kernel {
-            ports,
-            comp_seq,
-            queue,
-            router,
-            ..
-        } = self;
-        let p = &mut ports[me.0][port];
-        let wire = p.wire.expect("checked above");
-        let remote = router.as_ref().is_some_and(|r| r.is_remote(wire.peer));
-        let mut burst: Option<Box<PacketBurst>> = None;
-        for (earliest, packet) in frames {
-            debug_assert!(
-                earliest >= now,
-                "transmit_burst: earliest start {earliest} is in the past (now {now})"
-            );
-            let frame_len = packet.frame_len();
-            let wire_len = packet.wire_len();
-            let (ser_visible, ser_total) = match ser_cache {
-                Some((len, vis, tot)) if len == wire_len => (vis, tot),
-                _ => {
-                    let vis = wire.spec.serialization(wire_len - IFG_LEN);
-                    let tot = wire.spec.serialization(wire_len);
-                    ser_cache = Some((wire_len, vis, tot));
-                    (vis, tot)
-                }
-            };
-            let tx_start = earliest.max(p.busy_until);
-            let tx_end = tx_start + ser_visible;
-            let delivery = tx_end + wire.spec.propagation;
-            p.busy_until = tx_start + ser_total;
-            p.queued_bytes += frame_len;
-            p.counters.tx_frames += 1;
-            p.counters.tx_bytes += frame_len as u64;
-            batch_bytes += frame_len;
-            last_tx_end = Some(tx_end);
-            out.accepted += 1;
-            out.accepted_bytes += frame_len as u64;
-            out.first_tx_start.get_or_insert(tx_start);
-            out.last_tx_start = Some(tx_start);
-            out.last_delivery = Some(delivery);
-            let ctr = comp_seq[me.0];
-            comp_seq[me.0] = ctr + 1;
-            let key = event_key(me, ctr);
-            burst
-                .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
-                .push(delivery, packet);
-        }
-        if let Some(mut b) = burst {
-            let time = b.first_time();
-            let key = b.first_key();
-            let ev = if b.len() == 1 {
-                let (_, packet) = b.pop_front().expect("len checked");
-                EventKind::Deliver {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    packet,
-                }
-            } else {
-                EventKind::DeliverBurst {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    burst: b,
-                }
-            };
-            if remote {
-                router
-                    .as_mut()
-                    .expect("remote implies router")
-                    .send(time, key, ev);
-            } else {
-                queue.push(time, key, ev);
-            }
-        }
-        if let Some(tx_end) = last_tx_end {
-            self.push_event(
-                tx_end,
-                me,
-                EventKind::TxDone {
-                    src: me,
-                    port,
-                    frame_len: batch_bytes,
+                    frame_len: out.accepted_bytes as usize,
                 },
             );
         }
@@ -752,29 +646,39 @@ impl Kernel {
         );
     }
 
-    #[inline]
-    pub(crate) fn emit_trace(&mut self, ev: TraceEvent) {
-        // With no tracers installed (the common case, and every perf
-        // path) this inlines to a load + branch and the event
-        // construction sinks away.
-        if self.tracers.is_empty() {
-            return;
+    /// One step of lazy burst replay: dispatch `burst`'s next member at
+    /// its own `(time, key)` slot — stamp `now`, count the event, note
+    /// the arrival — unless it is due after `limit` or the queue head
+    /// (a timer a handler just armed, a TxDone, a competing delivery)
+    /// would scalar-dispatch first. `None` leaves the burst untouched;
+    /// the caller re-queues whatever is left.
+    pub(crate) fn pop_burst_member(
+        &mut self,
+        dst: ComponentId,
+        port: usize,
+        burst: &mut PacketBurst,
+        limit: SimTime,
+    ) -> Option<(SimTime, Packet)> {
+        let &(t_next, _) = burst.members().first()?;
+        if t_next > limit {
+            return None;
         }
-        let t = self.now;
-        for tr in &mut self.tracers {
-            tr.trace(t, &ev);
+        if let Some(head) = self.queue.peek() {
+            if head < (t_next, burst.first_key()) {
+                return None;
+            }
         }
+        let (t, pkt) = burst.pop_front()?;
+        self.now = t;
+        self.events_dispatched += 1;
+        self.note_rx(dst, port, pkt.frame_len());
+        Some((t, pkt))
     }
 
     pub(crate) fn note_rx(&mut self, dst: ComponentId, port: usize, frame_len: usize) {
         let p = self.out_port_mut(dst, port);
         p.counters.rx_frames += 1;
         p.counters.rx_bytes += frame_len as u64;
-        self.emit_trace(TraceEvent::Delivered {
-            dst,
-            port,
-            frame_len,
-        });
     }
 
     pub(crate) fn note_tx_done(&mut self, src: ComponentId, port: usize, frame_len: usize) {
@@ -838,32 +742,17 @@ impl Kernel {
                     mut burst,
                 } => {
                     // The pop above accounted for member 0 only; the
-                    // remaining members dispatch one at a time at their
-                    // own `(time, key)` slots, stopping (and re-queuing
-                    // the tail) as soon as the queue head — a TxDone or
-                    // a competing delivery — would scalar-dispatch
-                    // first. The batch a coalescing run hands to the
-                    // sink is therefore byte-identical to the scalar
+                    // remaining members replay lazily (see
+                    // `pop_burst_member`), so the batch a coalescing run
+                    // hands to the sink is byte-identical to the scalar
                     // event stream's.
                     let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
                     debug_assert_eq!(t0, time, "burst scheduled at member 0's arrival");
                     self.note_rx(dst, port, pkt0.frame_len());
                     batch.push((t0, pkt0));
-                    while let Some(&(t_next, _)) = burst.members().first() {
-                        if t_next > lim {
-                            break;
-                        }
-                        if let Some((th, kh)) = self.queue.peek() {
-                            if (th, kh) < (t_next, burst.first_key()) {
-                                break;
-                            }
-                        }
-                        let (t, pkt) = burst.pop_front().expect("checked above");
-                        self.now = t;
-                        self.events_dispatched += 1;
+                    while let Some(member) = self.pop_burst_member(dst, port, &mut burst, lim) {
                         consumed += 1;
-                        self.note_rx(dst, port, pkt.frame_len());
-                        batch.push((t, pkt));
+                        batch.push(member);
                     }
                     if !burst.is_empty() {
                         self.requeue_burst(dst, port, burst);
@@ -886,6 +775,11 @@ impl Kernel {
         self.now = time;
         self.events_dispatched += 1;
         Some((time, kind))
+    }
+
+    /// True once the attached supervision probe asked the run to stop.
+    pub(crate) fn abort_requested(&self) -> bool {
+        self.progress.as_ref().is_some_and(|p| p.abort_requested())
     }
 
     pub(crate) fn advance_now(&mut self, t: SimTime) {
@@ -941,6 +835,13 @@ mod tests {
     }
 
     fn run(plan: Vec<(SimTime, usize)>) -> Vec<(SimTime, TxResult, SimTime, usize)> {
+        run_capped(plan, None)
+    }
+
+    fn run_capped(
+        plan: Vec<(SimTime, usize)>,
+        cap: Option<usize>,
+    ) -> Vec<(SimTime, TxResult, SimTime, usize)> {
         let results = Rc::new(RefCell::new(Vec::new()));
         let mut b = SimBuilder::new();
         let p = b.add_component(
@@ -954,6 +855,7 @@ mod tests {
         let s = b.add_component("sink", Box::new(Sink), 1);
         b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
         let mut sim = b.build();
+        sim.kernel_mut().set_tx_buffer(p, 0, cap);
         sim.run_until(SimTime::from_ms(10));
         let out = results.borrow().clone();
         out
@@ -1016,9 +918,11 @@ mod tests {
         assert_eq!(k.tx_queue_bytes(probe_id, 0), 0, "MAC drained");
     }
 
-    /// Sends one batch of `n` frames at t=0 via `transmit_batch`.
+    /// Sends one batch of `n` frames at t=0 via `transmit_batch`, or
+    /// via `transmit_burst` when `as_burst` is set.
     struct BatchProbe {
         n: u64,
+        as_burst: bool,
         tx_starts: Rc<RefCell<Vec<SimTime>>>,
         result: Rc<RefCell<Option<BatchTx>>>,
     }
@@ -1030,6 +934,12 @@ mod tests {
         fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _tag: u64) {
             let mut starts = Vec::new();
             let template = Packet::zeroed(64);
+            if self.as_burst {
+                let now = k.now();
+                let frames = (0..self.n).map(|_| (now, template.clone()));
+                *self.result.borrow_mut() = Some(k.transmit_burst(me, 0, frames));
+                return;
+            }
             let (n, mut sent) = (self.n, 0u64);
             let mut frames = |_tx_start: SimTime| {
                 (sent < n).then(|| {
@@ -1066,6 +976,7 @@ mod tests {
             "batch",
             Box::new(BatchProbe {
                 n: 3,
+                as_burst: false,
                 tx_starts: tx_starts.clone(),
                 result: result.clone(),
             }),
@@ -1089,16 +1000,16 @@ mod tests {
         assert_eq!(k.tx_queue_bytes(p, 0), 0, "coalesced TxDone drained MAC");
     }
 
-    #[test]
-    fn transmit_batch_respects_buffer_cap() {
-        let tx_starts = Rc::new(RefCell::new(Vec::new()));
+    /// Five 64 B frames at t=0 through a port with room for two.
+    fn capped_batch(as_burst: bool) -> (BatchTx, PortCounters, PortCounters) {
         let result = Rc::new(RefCell::new(None));
         let mut b = SimBuilder::new();
         let p = b.add_component(
             "batch",
             Box::new(BatchProbe {
                 n: 5,
-                tx_starts: tx_starts.clone(),
+                as_burst,
+                tx_starts: Rc::new(RefCell::new(Vec::new())),
                 result: result.clone(),
             }),
             1,
@@ -1106,13 +1017,39 @@ mod tests {
         let s = b.add_component("sink", Box::new(Sink), 1);
         b.connect(p, 0, s, 0, crate::link::LinkSpec::ten_gig());
         let mut sim = b.build();
-        sim.kernel_mut().set_tx_buffer(p, 0, Some(128)); // two 64B frames
+        sim.kernel_mut().set_tx_buffer(p, 0, Some(128));
         sim.run_until(SimTime::from_ms(1));
         let r = result.borrow().expect("batch ran");
+        (r, sim.kernel().counters(p, 0), sim.kernel().counters(s, 0))
+    }
+
+    #[test]
+    fn transmit_batch_respects_buffer_cap() {
+        let (r, tx, rx) = capped_batch(false);
         assert_eq!(r.accepted, 2);
+        assert_eq!(r.accepted_bytes, 2 * 64);
         assert_eq!(r.dropped, 3);
-        assert_eq!(sim.kernel().counters(p, 0).tx_drops, 3);
-        assert_eq!(sim.kernel().counters(s, 0).rx_frames, 2);
+        assert_eq!(tx.tx_drops, 3);
+        assert_eq!(rx.rx_frames, 2);
+    }
+
+    #[test]
+    fn transmit_burst_on_a_capped_port_accounts_like_per_frame_transmits() {
+        let per_frame = run_capped(vec![(SimTime::ZERO, 64); 5], Some(128));
+        let accepted = per_frame
+            .iter()
+            .filter(|(_, r, _, _)| r.is_transmitted())
+            .count() as u64;
+        let (r, tx, rx) = capped_batch(true);
+        assert_eq!(r.accepted, accepted);
+        assert_eq!(
+            r.accepted_bytes,
+            accepted * 64,
+            "bytes of the accepted members"
+        );
+        assert_eq!(r.dropped, per_frame.len() as u64 - accepted);
+        assert_eq!(tx.tx_drops, r.dropped);
+        assert_eq!(rx.rx_frames, accepted);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # osnt-netsim — a picosecond-resolution discrete-event network simulator
 //!
 //! This crate is the **hardware substitute** of OSNT-rs (see DESIGN.md §2):
@@ -68,11 +69,9 @@ pub mod event;
 pub mod fault;
 pub mod kernel;
 pub mod link;
-pub mod queue;
 pub mod shard;
 pub mod stats;
 pub mod sync;
-pub mod trace;
 pub mod wheel;
 
 pub use burst::{PacketBurst, BURST_INLINE};
@@ -81,9 +80,7 @@ pub use engine::{Sim, SimBuilder};
 pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};
 pub use kernel::{BatchTx, Kernel, TxResult};
 pub use link::LinkSpec;
-pub use queue::ByteFifo;
 pub use shard::{ShardPlan, ShardedSim};
 pub use stats::{PortCounters, ShardStats};
-pub use sync::{BarrierPoisoned, RingCounters, SpinBarrier, SpscRing};
-pub use trace::{TraceEvent, Tracer};
+pub use sync::{BarrierPoisoned, SpinBarrier};
 pub use wheel::TimerWheel;

@@ -36,9 +36,12 @@
 //! unsharded [`crate::Sim`] is the oracle every shard-parity test
 //! compares against; DESIGN.md §5k has the full safety argument.
 //!
-//! Cross-shard events travel over bounded SPSC rings and are folded
-//! into the destination wheel at the next window boundary. Per-shard
-//! [`ShardStats`] counters (windows, barrier waits, ring traffic) are
+//! Cross-shard events are posted into a mutex-guarded mailbox per
+//! ordered shard pair and folded into the destination wheel at the next
+//! window boundary. The lock is taken once per crossing and is never
+//! contended — the consumer only empties a mailbox while its producer
+//! is parked at the barrier — and never held across a handler call.
+//! Per-shard [`ShardStats`] counters (windows, barrier waits, crossings) are
 //! deterministic — functions of the topology and traffic only, never
 //! of host scheduling — and feed both the `e17_windows` bench gate and
 //! the chaos auditor's window-accounting ledger.
@@ -69,21 +72,22 @@
 //! rules for users are on [`crate::SimBuilder::build_sharded`].
 
 use crate::component::{Component, ComponentId};
-use crate::engine::dispatch_events;
+use crate::engine::{dispatch_events, run_kernel_until};
 use crate::event::EventKind;
 use crate::kernel::Kernel;
 use crate::stats::{PortCounters, ShardStats};
-use crate::sync::{SpinBarrier, SpscRing};
+use crate::sync::SpinBarrier;
 use osnt_error::OsntError;
 use osnt_packet::pool::PacketPool;
 use osnt_packet::SendPacket;
 use osnt_time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// Capacity of each cross-shard ring, in events. Overflow spills to a
-/// mutex-protected vector (correct, slower) — see [`SpscRing`].
-const RING_CAPACITY: usize = 1024;
+/// The cross-shard channel of one ordered (producer, consumer) shard
+/// pair: entries posted during a window, emptied by the consumer at the
+/// next barrier.
+type Mailbox = Arc<Mutex<Vec<CrossEntry>>>;
 
 /// Sentinel for "no pending events" in the published per-shard minima,
 /// and for "no channel" in the lookahead matrix.
@@ -99,7 +103,7 @@ pub(crate) enum CrossKind {
         port: usize,
         packet: SendPacket,
     },
-    /// A whole [`crate::PacketBurst`] crossing in one ring slot: member
+    /// A whole [`crate::PacketBurst`] crossing as one entry: member
     /// arrival times in ps, keys reconstructed as `entry.key + i`.
     DeliverBurst {
         dst: ComponentId,
@@ -197,9 +201,11 @@ impl CrossEntry {
 pub(crate) struct ShardRouter {
     shard_of: Arc<Vec<usize>>,
     my_shard: usize,
-    /// `outboxes[s]` is this shard's producer end of the ring to shard
-    /// `s`; `None` at `s == my_shard`.
-    outboxes: Vec<Option<Arc<SpscRing<CrossEntry>>>>,
+    /// `outboxes[s]` is this shard's mailbox to shard `s`; `None` at
+    /// `s == my_shard`.
+    outboxes: Vec<Option<Mailbox>>,
+    /// Entries posted so far ([`ShardStats::ring_pushes`]).
+    pushes: u64,
 }
 
 impl ShardRouter {
@@ -211,10 +217,14 @@ impl ShardRouter {
     pub(crate) fn send(&mut self, time: SimTime, key: u64, kind: EventKind) {
         let dst_shard = self.shard_of[kind.target().index()];
         debug_assert_ne!(dst_shard, self.my_shard, "send() called for a local event");
+        let entry = CrossEntry::from_event(time, key, kind);
         self.outboxes[dst_shard]
             .as_ref()
             .expect("outbox exists for every remote shard")
-            .push(CrossEntry::from_event(time, key, kind));
+            .lock()
+            .expect("mailbox lock poisoned: a peer panicked while posting")
+            .push(entry);
+        self.pushes += 1;
     }
 }
 
@@ -308,22 +318,23 @@ impl ShardPlan {
 
 /// One shard's worth of simulation state: a full [`Kernel`] replica
 /// (only the rows of components this shard owns are ever mutated) plus
-/// the owned components, the consumer ends of the inbound rings, a
-/// shard-local packet pool and the shard's deterministic counters.
+/// the owned components, the inbound mailboxes, a shard-local packet
+/// pool and the shard's deterministic counters.
 pub(crate) struct ShardSlot {
     pub(crate) kernel: Kernel,
     /// Indexed by global component id; `Some` only for owned ids.
     pub(crate) components: Vec<Option<Box<dyn Component>>>,
-    /// `inboxes[p]` is the consumer end of the ring from shard `p`.
-    inboxes: Vec<Option<Arc<SpscRing<CrossEntry>>>>,
+    /// `inboxes[p]` is the mailbox shard `p` posts into for this shard.
+    inboxes: Vec<Option<Mailbox>>,
     /// Drain scratch buffer, reused across windows.
     scratch: Vec<CrossEntry>,
     /// Shard-local recycling pool: every packet buffer that crosses
     /// into this shard is rehomed here, so frame retirement never
     /// touches another core's allocator state.
     pool: PacketPool,
-    /// Window/barrier counters (ring counters live on the rings and are
-    /// merged in by [`ShardedSim::shard_stats`]).
+    /// Window, barrier and drain counters (the push count lives on the
+    /// kernel's [`ShardRouter`] and is merged in by
+    /// [`ShardedSim::shard_stats`]).
     stats: ShardStats,
 }
 
@@ -340,22 +351,28 @@ pub(crate) struct ShardSlot {
 // 2. No `Rc` graph spans two slots: the partitioning contract (see
 //    `SimBuilder::build_sharded`) requires components sharing non-Send
 //    state to be co-sharded, cross-shard packets are flattened to
-//    owned buffers (`SendPacket`) before entering a ring, and the
+//    owned buffers (`SendPacket`) before entering a mailbox, and the
 //    shard-local pool is created inside the slot and never handed out,
 //    so its `Rc`/`Weak` graph (pool ↔ packets homed into it) is
 //    confined to this slot by construction.
 // 3. Harness-side `Rc` aliases (result vectors etc.) are only touched
 //    by the main thread between runs, never during one — the same
 //    discipline `thread::scope` users apply to captured `&mut`.
+#[allow(unsafe_code)]
 unsafe impl Send for ShardSlot {}
 
 impl ShardSlot {
-    /// Fold every event waiting in the inbound rings into the wheel.
+    /// Fold every event waiting in the inbound mailboxes into the wheel.
     /// Called at a window barrier, when all producers are parked.
     fn drain_inboxes(&mut self) {
-        for ring in self.inboxes.iter().flatten() {
-            ring.drain_into(&mut self.scratch);
+        for mailbox in self.inboxes.iter().flatten() {
+            self.scratch.append(
+                &mut mailbox
+                    .lock()
+                    .expect("mailbox lock poisoned: a peer panicked while posting"),
+            );
         }
+        self.stats.ring_drains += self.scratch.len() as u64;
         for entry in self.scratch.drain(..) {
             let (time, key, kind) = entry.into_event(&self.pool);
             self.kernel.inject(time, key, kind);
@@ -477,7 +494,7 @@ fn run_windows(
     let mut mins = vec![IDLE; windows.n_shards];
     loop {
         // Window boundary A: every worker has finished the previous
-        // window, so every ring's producer is quiescent.
+        // window, so every mailbox's producer is quiescent.
         slot.stats.barrier_waits += 1;
         if shared.barrier.wait(&mut sense).is_err() {
             std::panic::panic_any("shard worker aborted: a peer worker panicked");
@@ -488,12 +505,9 @@ fn run_windows(
         slot.drain_inboxes();
         shared.mins[my_shard].store(slot.kernel.peek_next_ps().unwrap_or(IDLE), Ordering::SeqCst);
         if my_shard == 0 {
-            let aborted = slot
-                .kernel
-                .progress
-                .as_ref()
-                .is_some_and(|p| p.abort_requested());
-            shared.abort.store(aborted, Ordering::SeqCst);
+            shared
+                .abort
+                .store(slot.kernel.abort_requested(), Ordering::SeqCst);
         }
         // Window boundary B: every minimum (and the abort decision) is
         // published. Between here and the next boundary A no worker
@@ -563,9 +577,6 @@ pub struct ShardedSim {
     /// p→s in ps ([`IDLE`] where no influence path exists); diagonal =
     /// minimum cycle. See the module docs.
     lookahead_matrix: Arc<Vec<u64>>,
-    /// All rings, `rings[producer][consumer]`, kept for the stats
-    /// roll-up (workers hold clones of the `Arc`s).
-    rings: Vec<Vec<Option<Arc<SpscRing<CrossEntry>>>>>,
     names: Vec<String>,
     started: bool,
     stress_seed: Option<u64>,
@@ -639,13 +650,9 @@ impl ShardedSim {
             }
         }
 
-        // One SPSC ring per ordered (producer, consumer) shard pair.
-        let rings: Vec<Vec<Option<Arc<SpscRing<CrossEntry>>>>> = (0..n)
-            .map(|p| {
-                (0..n)
-                    .map(|c| (p != c).then(|| Arc::new(SpscRing::new(RING_CAPACITY))))
-                    .collect()
-            })
+        // One mailbox per ordered (producer, consumer) shard pair.
+        let mailboxes: Vec<Vec<Option<Mailbox>>> = (0..n)
+            .map(|p| (0..n).map(|c| (p != c).then(Mailbox::default)).collect())
             .collect();
 
         let slots = (0..n)
@@ -654,7 +661,8 @@ impl ShardedSim {
                 k.router = Some(ShardRouter {
                     shard_of: shard_of.clone(),
                     my_shard: s,
-                    outboxes: rings[s].clone(),
+                    outboxes: mailboxes[s].clone(),
+                    pushes: 0,
                 });
                 let comps = components
                     .iter_mut()
@@ -664,7 +672,7 @@ impl ShardedSim {
                 ShardSlot {
                     kernel: k,
                     components: comps,
-                    inboxes: (0..n).map(|p| rings[p][s].clone()).collect(),
+                    inboxes: (0..n).map(|p| mailboxes[p][s].clone()).collect(),
                     scratch: Vec::new(),
                     pool: PacketPool::new(),
                     stats: ShardStats::default(),
@@ -676,7 +684,6 @@ impl ShardedSim {
             slots,
             shard_of,
             lookahead_matrix: Arc::new(matrix),
-            rings,
             names,
             started: false,
             stress_seed: None,
@@ -745,40 +752,31 @@ impl ShardedSim {
     }
 
     /// Per-shard executive counters, cumulative over every run so far
-    /// (window/barrier counts from the worker loops, ring traffic from
-    /// the rings). Deterministic — see [`ShardStats`] — and therefore
+    /// (window, barrier and drain counts from the worker loops, pushes
+    /// from each shard's router). Deterministic — see [`ShardStats`] — and therefore
     /// **not** part of any experiment report that is byte-compared
     /// across shard counts: a 4-shard ledger legitimately differs from
     /// a 1-shard one. Read it between runs (never mid-run).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let n = self.slots.len();
-        (0..n)
-            .map(|s| {
-                let mut st = self.slots[s].stats;
-                for ring in self.rings[s].iter().flatten() {
-                    // Outbound: this shard is the producer.
-                    let c = ring.counters();
-                    st.ring_pushes += c.pushes;
-                    st.spill_events += c.spills;
-                }
-                for p in 0..n {
-                    if let Some(ring) = &self.rings[p][s] {
-                        // Inbound: this shard is the consumer.
-                        st.ring_drains += ring.counters().ring_drains;
-                    }
-                }
-                st
+        self.slots
+            .iter()
+            .map(|slot| ShardStats {
+                ring_pushes: slot.kernel.router.as_ref().map_or(0, |r| r.pushes),
+                ..slot.stats
             })
             .collect()
     }
 
-    /// Events pending across all shards (rings are empty between runs).
+    /// Events pending across all shards (mailboxes are empty between
+    /// runs).
     pub fn pending_events(&self) -> usize {
         debug_assert!(
-            self.slots
+            self.slots.iter().all(|s| s
+                .inboxes
                 .iter()
-                .all(|s| s.inboxes.iter().flatten().all(|r| r.is_empty())),
-            "cross-shard rings must be drained between runs"
+                .flatten()
+                .all(|m| m.lock().is_ok_and(|m| m.is_empty()))),
+            "cross-shard mailboxes must be drained between runs"
         );
         self.slots.iter().map(|s| s.kernel.pending_events()).sum()
     }
@@ -790,8 +788,8 @@ impl ShardedSim {
         self.started = true;
         // Run `on_start` in global component-id order, each on its
         // owning shard's kernel, on this thread (workers not yet
-        // spawned). Cross-shard sends from on_start land in rings and
-        // are folded in at the first window boundary.
+        // spawned). Cross-shard sends from on_start land in mailboxes
+        // and are folded in at the first window boundary.
         for id in 0..self.shard_of.len() {
             let slot = &mut self.slots[self.shard_of[id]];
             let cid = ComponentId(id);
@@ -855,46 +853,24 @@ impl ShardedSim {
     fn run_internal(&mut self, limit_ps: u64, max_events: Option<u64>) -> Result<u64, OsntError> {
         self.start_if_needed();
         if self.slots.len() == 1 {
-            // Single shard: no threads, no barriers — the plain
-            // dispatch loop (identical to `Sim::run_until`), with the
-            // same containment contract as the threaded path.
+            // Single shard: no threads, no barriers — `Sim`'s own loop,
+            // with the same containment contract as the threaded path.
             let slot = &mut self.slots[0];
-            slot.drain_inboxes(); // no-op; keeps the code path honest
-            let mut dispatched = 0;
-            loop {
-                let n = dispatch_events(
-                    &mut slot.kernel,
-                    &mut slot.components,
-                    SimTime::from_ps(limit_ps),
-                );
-                if n > 0 {
-                    slot.stats.windows_executed += 1;
-                }
-                dispatched += n;
-                if let Some(cap) = max_events {
-                    if dispatched > cap {
-                        return Err(OsntError::Panicked {
-                            context: "shard worker",
-                            reason: format!("simulation did not quiesce within {cap} events"),
-                        });
-                    }
-                }
-                if slot
-                    .kernel
-                    .progress
-                    .as_ref()
-                    .is_some_and(|p| p.abort_requested())
-                {
-                    return Ok(dispatched);
-                }
-                if slot.kernel.pending_events() == 0
-                    || slot.kernel.peek_next_ps().unwrap_or(IDLE) > limit_ps
-                {
-                    break;
-                }
+            let dispatched = run_kernel_until(
+                &mut slot.kernel,
+                &mut slot.components,
+                SimTime::from_ps(limit_ps),
+            );
+            if dispatched > 0 {
+                slot.stats.windows_executed += 1;
             }
-            slot.kernel.advance_now(SimTime::from_ps(limit_ps));
-            return Ok(dispatched);
+            return match max_events {
+                Some(cap) if dispatched > cap => Err(OsntError::Panicked {
+                    context: "shard worker",
+                    reason: format!("simulation did not quiesce within {cap} events"),
+                }),
+                _ => Ok(dispatched),
+            };
         }
 
         let n = self.slots.len();

@@ -1,5 +1,5 @@
 //! Per-port counters, in the style of MAC statistics registers, plus
-//! the sharded executive's per-shard window/ring accounting.
+//! the sharded executive's per-shard window/mailbox accounting.
 
 /// Frame/byte/drop counters for one simplex direction of a port.
 ///
@@ -44,8 +44,9 @@ impl PortCounters {
 /// * `windows_executed + windows_skipped` is identical on every shard
 ///   of a run (each round, each worker either dispatches its slice of
 ///   the window or skips an empty one — never neither);
-/// * summed over all shards, ring `pushes == ring_drains + spills`
-///   once the run has quiesced (rings are empty between runs).
+/// * summed over all shards, `ring_pushes == ring_drains` once the run
+///   has quiesced (mailboxes are empty between runs) — a lost
+///   cross-shard entry breaks it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Window rounds in which this shard dispatched at least one event.
@@ -56,15 +57,11 @@ pub struct ShardStats {
     /// Barrier crossings performed by this shard's worker (two per
     /// round, plus the final round's pair).
     pub barrier_waits: u64,
-    /// Entries this shard pushed into its outbound cross-shard rings
-    /// (ring slots and spill overflow both count).
+    /// Entries this shard posted into its outbound cross-shard
+    /// mailboxes.
     pub ring_pushes: u64,
-    /// Entries this shard drained out of inbound ring slots (spill
-    /// deliveries excluded — see [`crate::sync::RingCounters`]).
+    /// Entries this shard drained out of its inbound mailboxes.
     pub ring_drains: u64,
-    /// Outbound pushes that overflowed a full ring into its spill
-    /// vector.
-    pub spill_events: u64,
 }
 
 impl ShardStats {
@@ -81,7 +78,6 @@ impl ShardStats {
             barrier_waits: self.barrier_waits + other.barrier_waits,
             ring_pushes: self.ring_pushes + other.ring_pushes,
             ring_drains: self.ring_drains + other.ring_drains,
-            spill_events: self.spill_events + other.spill_events,
         }
     }
 }
@@ -98,7 +94,6 @@ mod tests {
             barrier_waits: 12,
             ring_pushes: 7,
             ring_drains: 6,
-            spill_events: 1,
         };
         let b = ShardStats {
             windows_executed: 1,

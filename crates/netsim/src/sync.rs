@@ -1,226 +1,16 @@
-//! Lock-light primitives for the sharded kernel: a bounded SPSC ring
-//! with a mutex spill for overflow, and a sense-reversing spin barrier
-//! with a spin → yield → park backoff.
+//! The shard executive's one synchronisation primitive: a
+//! sense-reversing barrier with a spin → yield → park backoff.
 //!
-//! Both are tailored to the shard executive's *barrier-phased* access
-//! pattern (see `shard.rs`): within a time window exactly one producer
-//! thread pushes into a ring, and the consumer thread drains it only
-//! after the next barrier — so the ring is never contended in the
-//! mutual-exclusion sense, only in the memory-ordering sense. The
-//! Acquire/Release pairs below are what carry a pushed entry's payload
-//! across that boundary (the barrier's own synchronisation would too,
-//! but the ring does not rely on it: it is a correct SPSC queue even
-//! under fully concurrent push/drain).
-//!
-//! # Memory layout
-//!
-//! The ring's producer-side and consumer-side indices live on separate
-//! 64-byte cache lines ([`CachePadded`]). With `head` and `tail` as
-//! adjacent `AtomicUsize`s (the naive layout) every `push` invalidates
-//! the consumer's line and every drain invalidates the producer's —
-//! pure false sharing, since neither side ever needs the other's index
-//! on its fast path. The producer additionally keeps a *cached* copy
-//! of the consumer's `head`: as long as `tail - cached_head` leaves
-//! room, a push touches only producer-local state and skips the
-//! Acquire load of `head` entirely. The cache is refreshed (one
-//! Acquire load) only when the ring *looks* full, i.e. at most once
-//! per `capacity` pushes in steady state.
+//! Cross-shard events need nothing of their own here. The executive's
+//! access pattern is *barrier-phased* (see `shard.rs`): within a time
+//! window exactly one producer thread appends to a mailbox, and the
+//! consumer thread empties it only after the next barrier — so a plain
+//! `Mutex<Vec<_>>` is never contended, and crossings are well under one
+//! percent of events (`BENCH_e17.json`).
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Pads and aligns its contents to a 64-byte cache line so two
-/// instances never share one (the `crossbeam::CachePadded` idea,
-/// without the dependency). 64 bytes covers x86-64 and mainstream
-/// aarch64; on 128-byte-line parts the cost is a missed optimisation,
-/// not a correctness issue.
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// Cumulative traffic counters of one [`SpscRing`], for the executive's
-/// window-accounting ledger. All three are monotonic over the ring's
-/// lifetime; once the ring is empty, `pushes == ring_drains + spills`
-/// (every entry either travelled through a ring slot and was drained,
-/// or overflowed into the spill vector).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingCounters {
-    /// Entries offered to the ring (fast path + spill overflow).
-    pub pushes: u64,
-    /// Entries drained out of ring slots (spill deliveries excluded).
-    pub ring_drains: u64,
-    /// Entries that overflowed into the spill vector.
-    pub spills: u64,
-}
-
-/// Producer-owned hot state: everything a fast-path `push` touches.
-struct ProducerSide {
-    /// Next slot the producer writes. Monotonic; slot = tail % cap.
-    tail: AtomicUsize,
-    /// Producer's last observed value of the consumer's `head`. Always
-    /// a *lower bound* on the true head (the consumer only moves it
-    /// forward), so acting on a stale value is conservative: the ring
-    /// can only look fuller than it is, never emptier.
-    cached_head: Cell<usize>,
-    pushes: AtomicU64,
-    spills: AtomicU64,
-}
-
-/// Consumer-owned hot state.
-struct ConsumerSide {
-    /// Next slot the consumer reads. Monotonic; slot = head % cap.
-    head: AtomicUsize,
-    drained: AtomicU64,
-}
-
-/// A bounded single-producer single-consumer ring. `push` never blocks
-/// and never loses an entry: when the ring is full the entry overflows
-/// into a mutex-protected spill vector (slow path, but the window
-/// barrier guarantees it is uncontended in practice — the consumer only
-/// takes the spill lock while the producer is parked at a barrier).
-pub struct SpscRing<T> {
-    buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    prod: CachePadded<ProducerSide>,
-    cons: CachePadded<ConsumerSide>,
-    spill: Mutex<Vec<T>>,
-    /// Entries currently in the spill vector, maintained under the
-    /// spill lock. Lets `drain_into` and `is_empty` skip the mutex in
-    /// the (overwhelmingly common) no-overflow case.
-    spill_len: AtomicUsize,
-}
-
-// SAFETY: the ring hands each `T` from exactly one thread to exactly
-// one other, with a Release store on `tail` (push) happens-before the
-// Acquire load of `tail` (drain) that licenses reading the slot — the
-// standard SPSC argument. `T: Send` is required because ownership
-// crosses threads. `cached_head` is a `Cell` inside a `Sync` type;
-// that is sound because it is part of the *producer's* state and the
-// SPSC contract (exactly one pushing thread at a time, successive
-// producers ordered by external synchronisation — here the window
-// barrier or thread join) means it is never accessed concurrently.
-unsafe impl<T: Send> Send for SpscRing<T> {}
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-
-impl<T> SpscRing<T> {
-    /// A ring with `capacity` lock-free slots (overflow spills to the
-    /// mutex-protected vector). Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        SpscRing {
-            buf: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            prod: CachePadded(ProducerSide {
-                tail: AtomicUsize::new(0),
-                cached_head: Cell::new(0),
-                pushes: AtomicU64::new(0),
-                spills: AtomicU64::new(0),
-            }),
-            cons: CachePadded(ConsumerSide {
-                head: AtomicUsize::new(0),
-                drained: AtomicU64::new(0),
-            }),
-            spill: Mutex::new(Vec::new()),
-            spill_len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Producer side. Never blocks on the consumer; overflows to the
-    /// spill vector when the ring is full. Fast path: no shared-line
-    /// load at all while the cached head shows room.
-    pub fn push(&self, value: T) {
-        let p = &self.prod.0;
-        p.pushes.fetch_add(1, Ordering::Relaxed);
-        let tail = p.tail.load(Ordering::Relaxed);
-        let cap = self.buf.len();
-        let mut head = p.cached_head.get();
-        if tail.wrapping_sub(head) >= cap {
-            // Looks full through the cache: refresh from the consumer
-            // (the one Acquire the fast path avoids) and re-check.
-            head = self.cons.0.head.load(Ordering::Acquire);
-            p.cached_head.set(head);
-            if tail.wrapping_sub(head) >= cap {
-                p.spills.fetch_add(1, Ordering::Relaxed);
-                let mut spill = self.spill.lock().expect("spill lock poisoned");
-                spill.push(value);
-                self.spill_len.store(spill.len(), Ordering::Release);
-                return;
-            }
-        }
-        let slot = tail % cap;
-        // SAFETY: `head <= tail - cap` was just excluded against a
-        // lower bound on the true head, so the consumer has already
-        // drained this slot (or never filled it); only this producer
-        // writes slots at `tail`.
-        unsafe { (*self.buf[slot].get()).write(value) };
-        p.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Consumer side: move every available entry into `out`, batched
-    /// under a **single** Acquire load of `tail` (one synchronising
-    /// access per drain, however many entries transfer). Entries pushed
-    /// concurrently with the drain may or may not be included — the
-    /// shard executive only drains at a barrier, where the producer is
-    /// quiescent, so in practice this empties the channel.
-    pub fn drain_into(&self, out: &mut Vec<T>) {
-        let tail = self.prod.0.tail.load(Ordering::Acquire);
-        let mut head = self.cons.0.head.load(Ordering::Relaxed);
-        let n = tail.wrapping_sub(head);
-        if n > 0 {
-            out.reserve(n);
-            for _ in 0..n {
-                let slot = head % self.buf.len();
-                // SAFETY: `head < tail` means the producer's Release
-                // store made this slot's write visible; only this
-                // consumer reads slots at `head`.
-                out.push(unsafe { (*self.buf[slot].get()).assume_init_read() });
-                head = head.wrapping_add(1);
-            }
-            self.cons.0.head.store(head, Ordering::Release);
-            self.cons.0.drained.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        // Spill path: only touch the mutex when something overflowed.
-        if self.spill_len.load(Ordering::Acquire) > 0 {
-            let mut spill = self.spill.lock().expect("spill lock poisoned");
-            out.append(&mut spill);
-            self.spill_len.store(0, Ordering::Release);
-        }
-    }
-
-    /// True when no entry is buffered (ring or spill). Only meaningful
-    /// while the producer is quiescent.
-    pub fn is_empty(&self) -> bool {
-        self.cons.0.head.load(Ordering::Acquire) == self.prod.0.tail.load(Ordering::Acquire)
-            && self.spill_len.load(Ordering::Acquire) == 0
-    }
-
-    /// Lifetime counter snapshot. Deterministic for a deterministic
-    /// push/drain schedule (the executive's is — window boundaries are
-    /// functions of simulated time only), so these feed both
-    /// [`crate::ShardStats`] and the chaos window-accounting ledger.
-    pub fn counters(&self) -> RingCounters {
-        RingCounters {
-            pushes: self.prod.0.pushes.load(Ordering::Relaxed),
-            ring_drains: self.cons.0.drained.load(Ordering::Relaxed),
-            spills: self.prod.0.spills.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        // Drop any undrained entries (e.g. a run that panicked).
-        let tail = *self.prod.0.tail.get_mut();
-        let mut head = *self.cons.0.head.get_mut();
-        while head != tail {
-            let slot = head % self.buf.len();
-            unsafe { (*self.buf[slot].get()).assume_init_drop() };
-            head = head.wrapping_add(1);
-        }
-    }
-}
 
 /// The barrier reported poisoned: some other worker panicked mid-window
 /// and will never arrive. Callers unwind (panic) rather than deadlock.
@@ -350,103 +140,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn ring_roundtrips_in_order() {
-        let r = SpscRing::new(4);
-        for i in 0..3 {
-            r.push(i);
-        }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        assert_eq!(out, vec![0, 1, 2]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn ring_overflow_spills_without_loss() {
-        let r = SpscRing::new(2);
-        for i in 0..10 {
-            r.push(i);
-        }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        out.sort_unstable();
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ring_reuses_slots_across_drains() {
-        let r = SpscRing::new(2);
-        for round in 0..5 {
-            r.push(round * 2);
-            r.push(round * 2 + 1);
-            let mut out = Vec::new();
-            r.drain_into(&mut out);
-            assert_eq!(out, vec![round * 2, round * 2 + 1]);
-        }
-    }
-
-    #[test]
-    fn ring_cross_thread_delivery() {
-        let r = Arc::new(SpscRing::new(8));
-        let p = r.clone();
-        let t = std::thread::spawn(move || {
-            for i in 0..1000u64 {
-                p.push(i);
-            }
-        });
-        let mut got = Vec::new();
-        while got.len() < 1000 {
-            r.drain_into(&mut got);
-            std::thread::yield_now();
-        }
-        t.join().unwrap();
-        // SPSC preserves push order (spill entries excepted — none here
-        // if drains keep up, but sort to stay robust).
-        got.sort_unstable();
-        assert_eq!(got, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn counters_balance_once_drained() {
-        // The window-accounting ledger's ring identity: after a full
-        // drain, pushes == ring_drains + spills, spills counted exactly.
-        let r = SpscRing::new(4);
-        for i in 0..11 {
-            r.push(i); // 4 into slots, 7 spilled
-        }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        r.push(99);
-        r.drain_into(&mut out);
-        assert!(r.is_empty());
-        let c = r.counters();
-        assert_eq!(c.pushes, 12);
-        assert_eq!(c.spills, 7);
-        assert_eq!(c.ring_drains, 5);
-        assert_eq!(c.pushes, c.ring_drains + c.spills);
-        assert_eq!(out.len(), 12);
-    }
-
-    #[test]
-    fn cached_head_refreshes_after_consumer_progress() {
-        // Fill to capacity (cached head goes stale), drain, then push
-        // again: the producer must refresh its cache and reuse slots
-        // instead of spilling.
-        let r = SpscRing::new(3);
-        for i in 0..3 {
-            r.push(i);
-        }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        for i in 3..6 {
-            r.push(i);
-        }
-        r.drain_into(&mut out);
-        assert_eq!(out, (0..6).collect::<Vec<_>>());
-        assert_eq!(r.counters().spills, 0, "room existed; nothing may spill");
-    }
-
-    #[test]
     fn barrier_synchronizes_counter() {
         use std::sync::atomic::AtomicU64;
         let n = 4;
@@ -574,69 +267,5 @@ mod tests {
         });
         assert!(dead.join().is_err(), "worker must have panicked");
         assert!(peer.join().unwrap().is_err(), "peer not released");
-    }
-
-    #[test]
-    fn spill_keeps_fill_order_within_a_cycle() {
-        // Capacity 2: entries 0,1 land in the ring, 2..5 in the spill.
-        // One drain must yield all of them, oldest first — the ring
-        // part precedes the spill part and each part is FIFO.
-        let r = SpscRing::new(2);
-        for i in 0..5 {
-            r.push(i);
-        }
-        let mut out = Vec::new();
-        r.drain_into(&mut out);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn repeated_overflow_cycles_lose_nothing() {
-        // Overflow into the spill, drain, overflow again: slot reuse
-        // after a spill must not drop or duplicate entries.
-        let r = SpscRing::new(3);
-        let mut next = 0u64;
-        for _ in 0..50 {
-            for _ in 0..8 {
-                r.push(next);
-                next += 1;
-            }
-            let mut out = Vec::new();
-            r.drain_into(&mut out);
-            assert_eq!(out, ((next - 8)..next).collect::<Vec<_>>());
-            assert!(r.is_empty());
-        }
-        let c = r.counters();
-        assert_eq!(c.pushes, 400);
-        assert_eq!(c.pushes, c.ring_drains + c.spills);
-    }
-
-    #[test]
-    fn concurrent_producer_overflow_delivers_complete_set() {
-        // A tiny ring with a fast producer forces the spill path while
-        // the consumer drains concurrently (no barrier between them —
-        // harsher than the executive's phased pattern). Every pushed
-        // entry must arrive exactly once.
-        let r = Arc::new(SpscRing::new(4));
-        let p = r.clone();
-        let t = std::thread::spawn(move || {
-            for i in 0..20_000u64 {
-                p.push(i);
-            }
-        });
-        let mut got = Vec::new();
-        while got.len() < 20_000 {
-            r.drain_into(&mut got);
-            std::thread::yield_now();
-        }
-        t.join().unwrap();
-        assert!(r.is_empty());
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(got, (0..20_000).collect::<Vec<_>>());
-        let c = r.counters();
-        assert_eq!(c.pushes, 20_000);
-        assert_eq!(c.pushes, c.ring_drains + c.spills);
     }
 }

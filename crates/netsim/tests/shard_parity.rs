@@ -12,9 +12,10 @@
 //! chains, fan-in, a stochastic `FaultyLink` mid-chain) at shard
 //! counts 1, 2 and 4.
 
+use osnt_error::OsntError;
 use osnt_netsim::{
     Component, ComponentId, FaultConfig, FaultStats, FaultyLink, Kernel, LinkSpec, LossModel,
-    ShardPlan, SimBuilder,
+    PortCounters, ShardPlan, ShardStats, ShardedSim, SimBuilder,
 };
 use osnt_packet::{hash::crc32, Packet};
 use osnt_time::{SimDuration, SimTime};
@@ -414,6 +415,190 @@ fn yield_stress_keeps_parity() {
                 got, reference,
                 "stress round {round} diverged at {shards} shards"
             );
+        }
+    }
+}
+
+/// Sends `at_start` frames from `on_start` and `burst` more from one
+/// timer handler at 1 µs, all out of port 0, then panics if told to.
+struct Blast {
+    at_start: u64,
+    burst: u64,
+    panic_after: bool,
+}
+
+impl Blast {
+    fn send(k: &mut Kernel, me: ComponentId, n: u64, tag: u8) {
+        for i in 0..n {
+            let mut data = vec![tag; 60];
+            data[..8].copy_from_slice(&i.to_be_bytes());
+            let _ = k.transmit(me, 0, Packet::from_vec(data));
+        }
+    }
+}
+
+impl Component for Blast {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        Blast::send(k, me, self.at_start, 0xA5);
+        k.schedule_timer_at(me, SimTime::from_us(1), 0);
+    }
+    fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _tag: u64) {
+        Blast::send(k, me, self.burst, 0x5A);
+        if self.panic_after {
+            panic!("blast component failed after posting");
+        }
+    }
+}
+
+/// What a [`Blast`] → sink run looked like from outside.
+#[derive(Debug, PartialEq)]
+struct BlastObserved {
+    arrivals: Vec<(u64, usize, u32)>,
+    tx: PortCounters,
+    rx: PortCounters,
+    dispatched: u64,
+}
+
+fn blast_builder(blast: Blast) -> (SimBuilder, ComponentId, ComponentId, ArrivalLog) {
+    let mut b = SimBuilder::new();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let src = b.add_component("blast", Box::new(blast), 1);
+    let sink = b.add_component("sink", Box::new(RecSink { log: log.clone() }), 1);
+    b.connect(src, 0, sink, 0, LinkSpec::ten_gig());
+    (b, src, sink, log)
+}
+
+fn blast_single(blast: Blast) -> BlastObserved {
+    let (b, src, sink, log) = blast_builder(blast);
+    let mut sim = b.build();
+    let dispatched = sim.run_until(SimTime::from_ms(HORIZON_MS));
+    let arrivals = log.borrow().clone();
+    BlastObserved {
+        arrivals,
+        tx: sim.kernel().counters(src, 0),
+        rx: sim.kernel().counters(sink, 0),
+        dispatched,
+    }
+}
+
+/// The sender on shard 0, the sink on shard 1 (further shards idle), so
+/// every delivery crosses; workers jitter under `stress`.
+fn blast_sharded_sim(
+    blast: Blast,
+    shards: usize,
+    stress: u64,
+) -> (ShardedSim, ComponentId, ComponentId, ArrivalLog) {
+    let (b, src, sink, log) = blast_builder(blast);
+    let mut plan = ShardPlan::new(b.component_count(), shards);
+    plan.assign(sink, 1);
+    let mut sim = b.build_sharded(plan);
+    sim.set_yield_stress(Some(stress));
+    (sim, src, sink, log)
+}
+
+/// Run [`blast_sharded_sim`] to the horizon; returns the observation
+/// and shard 0's cross-shard push count.
+fn blast_sharded(blast: Blast, shards: usize, stress: u64) -> (BlastObserved, u64) {
+    let (mut sim, src, sink, log) = blast_sharded_sim(blast, shards, stress);
+    let dispatched = sim.run_until(SimTime::from_ms(HORIZON_MS));
+    let stats = sim.shard_stats();
+    let merged = stats
+        .iter()
+        .fold(ShardStats::default(), |a, s| a.merged(*s));
+    assert_eq!(
+        merged.ring_pushes, merged.ring_drains,
+        "a crossing was lost"
+    );
+    let arrivals = log.borrow().clone();
+    (
+        BlastObserved {
+            arrivals,
+            tx: sim.counters(src, 0),
+            rx: sim.counters(sink, 0),
+            dispatched,
+        },
+        stats[0].ring_pushes,
+    )
+}
+
+/// One handler call — so one window — posts more cross-shard entries
+/// than any committed artifact or other test sends in a whole run
+/// (1 024 was the old channel's slot count): nothing is lost, reordered
+/// or delayed.
+#[test]
+fn one_window_with_thousands_of_crossings_keeps_parity() {
+    let blast = || Blast {
+        at_start: 0,
+        burst: 3_000,
+        panic_after: false,
+    };
+    let reference = blast_single(blast());
+    assert_eq!(reference.arrivals.len(), 3_000);
+    let base = env_stress().unwrap_or(0);
+    for shards in [2, 4] {
+        for round in 1..=3 {
+            let (got, pushes) = blast_sharded(blast(), shards, base + round);
+            assert_eq!(pushes, 3_000, "every delivery crosses the cut");
+            assert_eq!(got, reference, "diverged at {shards} shards, round {round}");
+        }
+    }
+}
+
+/// Cross-shard sends from `on_start` are posted on the calling thread,
+/// before any worker exists, and folded in at the first window
+/// boundary.
+#[test]
+fn crossings_posted_from_on_start_keep_parity() {
+    let blast = || Blast {
+        at_start: 40,
+        burst: 2,
+        panic_after: false,
+    };
+    let reference = blast_single(blast());
+    assert_eq!(reference.arrivals.len(), 42);
+    let base = env_stress().unwrap_or(0);
+    for shards in [2, 4] {
+        for round in 1..=3 {
+            let (got, pushes) = blast_sharded(blast(), shards, base + round);
+            assert_eq!(pushes, 42);
+            assert_eq!(got, reference, "diverged at {shards} shards, round {round}");
+        }
+    }
+}
+
+/// A component that panics after its shard has already posted entries
+/// in the same window: the mailbox lock is never held across a handler,
+/// so it is not poisoned, the barrier is — every peer stops and
+/// `try_run_until` reports the component's own panic, the one the
+/// unsharded kernel raises.
+#[test]
+fn panic_after_posting_is_contained_and_peers_stop() {
+    let blast = || Blast {
+        at_start: 5,
+        burst: 50,
+        panic_after: true,
+    };
+    let oracle = {
+        let (b, ..) = blast_builder(blast());
+        let mut sim = b.build();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_until(SimTime::from_ms(HORIZON_MS))
+        }));
+        OsntError::from_panic("oracle", caught.expect_err("oracle panics").as_ref())
+    };
+    let OsntError::Panicked { reason: want, .. } = oracle else {
+        unreachable!("from_panic always yields Panicked");
+    };
+    assert!(want.contains("failed after posting"), "{want}");
+    let base = env_stress().unwrap_or(0);
+    for shards in [2, 4] {
+        for round in 1..=3 {
+            let (mut sim, ..) = blast_sharded_sim(blast(), shards, base + round);
+            match sim.try_run_until(SimTime::from_ms(HORIZON_MS)) {
+                Err(OsntError::Panicked { reason, .. }) => assert_eq!(reason, want),
+                other => panic!("{shards} shards, round {round}: expected Panicked, got {other:?}"),
+            }
         }
     }
 }

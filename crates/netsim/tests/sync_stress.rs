@@ -1,15 +1,13 @@
 //! Forced-contention stress coverage for the shard executive's
-//! lock-light primitives: the `SpscRing` mutex-spill path and
-//! `SpinBarrier` poison propagation. The unit tests in `sync.rs` pin
-//! the semantics under friendly schedules; these loops hammer the
-//! *unfriendly* ones — tiny rings with a producer that outruns the
-//! consumer (every push a coin-flip between the lock-free slot and the
-//! spill lock), and barriers whose workers die mid-window at every
-//! possible round.
+//! synchronisation: `SpinBarrier` poison propagation, and the
+//! barrier-phased mailbox hand-off the executive builds on it. The unit
+//! tests in `sync.rs` pin the semantics under friendly schedules; these
+//! loops hammer the *unfriendly* ones — more workers than cores, and
+//! barriers whose workers die mid-window at every possible round.
 
-use osnt_netsim::{SpinBarrier, SpscRing};
+use osnt_netsim::SpinBarrier;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// How hard to push. Override with OSNT_SYNC_STRESS for soak runs.
@@ -18,78 +16,6 @@ fn stress_iters(default: u64) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-#[test]
-fn ring_spill_under_sustained_overrun_loses_nothing() {
-    // Capacity 1 makes nearly every push race the consumer for the
-    // spill lock: the ring is almost always "full", so the producer is
-    // forced down the mutex path while the consumer concurrently
-    // drains both the slot and the spill vector. Every value must
-    // arrive exactly once, across many capacities and rounds.
-    let total = stress_iters(30_000);
-    for capacity in [1usize, 2, 3, 7] {
-        let ring = Arc::new(SpscRing::new(capacity));
-        let producer = {
-            let ring = Arc::clone(&ring);
-            thread::spawn(move || {
-                for i in 0..total {
-                    ring.push(i);
-                    if i % 64 == 0 {
-                        thread::yield_now(); // vary the interleaving
-                    }
-                }
-            })
-        };
-        let mut got = Vec::with_capacity(total as usize);
-        while got.len() < total as usize {
-            ring.drain_into(&mut got);
-            thread::yield_now();
-        }
-        producer.join().unwrap();
-        ring.drain_into(&mut got);
-        assert!(ring.is_empty(), "cap {capacity}: ring must drain clean");
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            got.len(),
-            "cap {capacity}: duplicated delivery"
-        );
-        assert_eq!(
-            sorted,
-            (0..total).collect::<Vec<_>>(),
-            "cap {capacity}: lost entries"
-        );
-    }
-}
-
-#[test]
-fn ring_spill_ping_pong_rounds_stay_fifo() {
-    // Barrier-phased like the real executive, but with the ring sized
-    // far below the burst so every round exercises slot reuse *after*
-    // a spill. Within a round the drain must be exactly FIFO (ring
-    // part first, spill part after, both in push order).
-    let rounds = stress_iters(2_000);
-    let ring = SpscRing::new(3);
-    let mut next = 0u64;
-    for round in 0..rounds {
-        let burst = 1 + (round % 13); // 1..=13, hits both paths
-        let start = next;
-        for _ in 0..burst {
-            ring.push(next);
-            next += 1;
-        }
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
-        assert_eq!(
-            out,
-            (start..next).collect::<Vec<_>>(),
-            "round {round}: drain must preserve push order"
-        );
-        assert!(ring.is_empty());
-    }
 }
 
 #[test]
@@ -188,23 +114,22 @@ fn barrier_poison_releases_workers_at_every_round() {
 #[test]
 fn ring_and_barrier_compose_like_the_executive() {
     // A miniature two-worker shard executive: each window, worker A
-    // pushes a burst into its ring, both meet at the barrier, worker B
-    // drains and checks, both meet again. The ring is deliberately
-    // smaller than the burst so every window crosses the spill path;
-    // the barrier is what publishes the spill contents. Any missing or
-    // duplicated entry is a memory-ordering bug in the pair.
+    // posts a burst into its mailbox (one lock per entry, as
+    // `ShardRouter::send` does), both meet at the barrier, worker B
+    // empties it and checks, both meet again. Any missing, duplicated
+    // or reordered entry means the lock/barrier pair failed to publish.
     let windows = stress_iters(1_000);
-    let ring = Arc::new(SpscRing::new(2));
+    let mailbox = Arc::new(Mutex::new(Vec::new()));
     let barrier = Arc::new(SpinBarrier::new(2));
     let producer = {
-        let ring = Arc::clone(&ring);
+        let mailbox = Arc::clone(&mailbox);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
             let mut sense = false;
             let mut next = 0u64;
             for _ in 0..windows {
                 for _ in 0..5 {
-                    ring.push(next);
+                    mailbox.lock().unwrap().push(next);
                     next += 1;
                 }
                 barrier.wait(&mut sense).unwrap(); // burst published
@@ -214,17 +139,18 @@ fn ring_and_barrier_compose_like_the_executive() {
     };
     let mut sense = false;
     let mut expect = 0u64;
+    let mut out = Vec::new();
     for window in 0..windows {
         barrier.wait(&mut sense).unwrap();
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
+        out.append(&mut mailbox.lock().unwrap());
         assert_eq!(
             out,
             (expect..expect + 5).collect::<Vec<_>>(),
             "window {window}: burst must arrive whole and in order"
         );
+        out.clear();
         expect += 5;
-        assert!(ring.is_empty());
+        assert!(mailbox.lock().unwrap().is_empty());
         barrier.wait(&mut sense).unwrap();
     }
     producer.join().unwrap();

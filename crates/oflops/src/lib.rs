@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # oflops-turbo — OpenFlow switch evaluation on the OSNT platform
 //!
 //! "OFLOPS-turbo is an holistic OpenFlow switch evaluation framework

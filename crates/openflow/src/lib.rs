@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-openflow — OpenFlow 1.0 wire protocol
 //!
 //! The subset of OpenFlow 1.0 (wire version `0x01`) that OFLOPS-turbo

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-packet — packets, protocols, filters and pcap I/O
 //!
 //! Everything OSNT-rs knows about bytes on the wire lives here:

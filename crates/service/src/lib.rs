@@ -36,6 +36,7 @@
 //!   dialect as the run journal.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod scheduler;
 pub mod server;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-supervisor — watchdogs, journaling, and resumable runs
 //!
 //! Long measurement campaigns (a 10-load latency sweep at 100 Gbps

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-switch — devices under test
 //!
 //! The demo evaluates OSNT against real switches; this crate provides

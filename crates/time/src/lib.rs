@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # osnt-time — hardware timekeeping for OSNT-rs
 //!
 //! OSNT associates every packet with a **64-bit timestamp taken at the MAC**

@@ -57,7 +57,7 @@ MEASURED = set(RATE_KEYS) | {
     # Fairness is a quality score the bench already asserts on (> 0.95);
     # tiny float drift must not split row identity.
     "jain_fairness",
-    # Sharded-executive window/ring ledger (BENCH_e17.json): the
+    # Sharded-executive window/mailbox ledger (BENCH_e17.json): the
     # counters are deterministic per build, so they are compared (see
     # PINNED_COUNTERS), not part of the row identity.
     "windows_executed",
@@ -65,7 +65,6 @@ MEASURED = set(RATE_KEYS) | {
     "barrier_waits",
     "ring_pushes",
     "ring_drains",
-    "spill_events",
 }
 # Deterministic counters that must never rise over the committed row.
 PINNED_COUNTERS = ("windows_executed", "barrier_waits")

@@ -1,6 +1,8 @@
 //! OSNT-rs umbrella crate: re-exports every subsystem of the workspace.
 //!
 //! See the `osnt_core` crate for the main platform API.
+#![forbid(unsafe_code)]
+
 pub use oflops_turbo as oflops;
 pub use osnt_chaos as chaos;
 pub use osnt_core as core;

@@ -186,42 +186,6 @@ proptest! {
     }
 }
 
-// ---------------- queue model check ----------------
-
-proptest! {
-    #[test]
-    fn byte_fifo_agrees_with_model(ops in proptest::collection::vec((any::<bool>(), 1usize..2000), 1..200)) {
-        use osnt::netsim::ByteFifo;
-        use std::collections::VecDeque;
-        let cap = 4096usize;
-        let mut fifo: ByteFifo<usize> = ByteFifo::with_byte_limit(cap);
-        let mut model: VecDeque<(usize, usize)> = VecDeque::new();
-        let mut model_bytes = 0usize;
-        for (i, (push, size)) in ops.into_iter().enumerate() {
-            if push {
-                let fits = model_bytes + size <= cap;
-                let r = fifo.push(i, size);
-                prop_assert_eq!(r == osnt::netsim::queue::EnqueueResult::Enqueued, fits);
-                if fits {
-                    model.push_back((i, size));
-                    model_bytes += size;
-                }
-            } else {
-                let got = fifo.pop();
-                let want = model.pop_front();
-                if let Some((v, s)) = want {
-                    model_bytes -= s;
-                    prop_assert_eq!(got, Some(v));
-                } else {
-                    prop_assert_eq!(got, None);
-                }
-            }
-            prop_assert_eq!(fifo.bytes(), model_bytes);
-            prop_assert_eq!(fifo.len(), model.len());
-        }
-    }
-}
-
 // ---------------- OpenFlow codec ----------------
 
 proptest! {
