@@ -10,10 +10,9 @@
 //! with hardware stamps.
 //!
 //! The identical workload runs once per generator burst size B in the
-//! sweep: bursts propagate as single queue entries, the switch
-//! classifies whole `FlowKeyBlock`s against its tuple-space index, the
-//! monitor runs its compiled filter over kernel batches. Burst size
-//! must be unobservable: every run of the sweep must produce the same
+//! sweep: a burst is one queue entry on the wire and across the link;
+//! switch and monitor take its members one `on_packet` each (tuple-space
+//! lookup, compiled filter). Burst size must be unobservable: every run of the sweep must produce the same
 //! `MonStats` and capture digest (rx stamps, arrival instants, stored
 //! bytes, lengths), with zero control-plane punts — and at the default
 //! frame count that digest must equal the committed artifact's

@@ -4,7 +4,7 @@
 //! packet is captured (forwarded toward the host) or dropped. An empty
 //! table captures everything — the hardware's reset behaviour.
 
-use osnt_packet::{CompiledRule, FlowKey, FlowKeyBlock, ParsedPacket, WildcardRule, BLOCK_LANES};
+use osnt_packet::{CompiledRule, FlowKey, ParsedPacket, WildcardRule};
 
 /// What a matching rule does with the packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,33 +130,6 @@ impl FilterTable {
             }
         }
     }
-
-    /// Block analogue of [`FilterTable::classify_compiled`]: classify
-    /// every occupied lane of `block` in one program walk, updating the
-    /// same hit counters. Lane `i` of the result equals what
-    /// `classify_compiled(program, &block.key(i))` would have returned
-    /// (unoccupied lanes hold the default action and touch no counter).
-    pub fn classify_block_compiled(
-        &mut self,
-        program: &FilterProgram,
-        block: &FlowKeyBlock,
-    ) -> [FilterAction; BLOCK_LANES] {
-        let matches = program.matches_block(block);
-        let mut out = [self.default_action; BLOCK_LANES];
-        for (lane, m) in matches.iter().enumerate().take(block.len()) {
-            match m {
-                Some((i, action)) => {
-                    debug_assert!(*i < self.entries.len(), "program from a different table");
-                    self.entries[*i].hits += 1;
-                    out[lane] = *action;
-                }
-                None => {
-                    self.default_hits += 1;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A [`FilterTable`]'s rule list lowered to masked-word compares over a
@@ -187,38 +160,6 @@ impl FilterProgram {
     /// True when the program holds no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// First-match lookup for every occupied lane of a block at once.
-    /// Each rule runs one SoA compare over all lanes
-    /// ([`CompiledRule::matches_block`]); lanes already resolved are
-    /// masked out, and the walk stops as soon as every lane has a
-    /// verdict — the common all-lanes-hit-rule-0 burst costs one block
-    /// compare instead of eight rule walks. Lane `i`'s entry is exactly
-    /// what [`FilterProgram::matches`] returns for that lane's key.
-    pub fn matches_block(
-        &self,
-        block: &FlowKeyBlock,
-    ) -> [Option<(usize, FilterAction)>; BLOCK_LANES] {
-        let mut out = [None; BLOCK_LANES];
-        if block.is_empty() {
-            return out;
-        }
-        let mut unresolved: u8 = ((1u16 << block.len()) - 1) as u8;
-        for (i, (rule, action)) in self.rules.iter().enumerate() {
-            let newly = rule.matches_block(block) & unresolved;
-            let mut m = newly;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                out[lane] = Some((i, *action));
-                m &= m - 1;
-            }
-            unresolved &= !newly;
-            if unresolved == 0 {
-                break;
-            }
-        }
-        out
     }
 }
 
@@ -300,43 +241,6 @@ mod tests {
         assert_eq!(compiled.entries()[0].hits, interp.entries()[0].hits);
         assert_eq!(compiled.entries()[1].hits, interp.entries()[1].hits);
         assert_eq!(compiled.default_hits, interp.default_hits);
-    }
-
-    #[test]
-    fn block_classification_matches_per_key_classification() {
-        let mut blockwise = FilterTable::drop_by_default();
-        blockwise.push(WildcardRule::any().with_dst_port(80), FilterAction::Drop);
-        blockwise.push(
-            WildcardRule::any()
-                .with_src_ip(IpPrefix::new(IpAddr::V4(Ipv4Addr::new(10, 0, 0, 0)), 24)),
-            FilterAction::Capture,
-        );
-        let mut lanewise = blockwise.clone();
-        let program = blockwise.compile();
-
-        let ports = [80u16, 81, 9001, 0, 80, 443, 81, 7];
-        let mut block = FlowKeyBlock::new();
-        let mut expect = Vec::new();
-        for port in ports {
-            let k = key(&udp(port));
-            block.push(&k);
-            expect.push(lanewise.classify_compiled(&program, &k));
-        }
-        let got = blockwise.classify_block_compiled(&program, &block);
-        assert_eq!(&got[..ports.len()], &expect[..]);
-        for (a, b) in blockwise.entries().iter().zip(lanewise.entries()) {
-            assert_eq!(a.hits, b.hits);
-        }
-        assert_eq!(blockwise.default_hits, lanewise.default_hits);
-
-        // Partial block: two lanes only.
-        let mut part = FlowKeyBlock::new();
-        part.push(&key(&udp(80)));
-        part.push(&key(&udp(9001)));
-        let got = blockwise.classify_block_compiled(&program, &part);
-        assert_eq!(got[0], FilterAction::Drop, "rule 0 (dst_port 80)");
-        assert_eq!(got[1], FilterAction::Capture, "rule 1 (src 10.0.0.0/24)");
-        assert_eq!(got[2], FilterAction::Drop, "unoccupied lane: default");
     }
 
     #[test]

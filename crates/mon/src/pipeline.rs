@@ -9,8 +9,8 @@ use crate::rxstamp::RxStamper;
 use crate::stats::MonStats;
 use crate::thin::{ThinConfig, Thinner};
 use osnt_netsim::{Component, ComponentId, Kernel};
-use osnt_packet::{FlowKey, FlowKeyBlock, Packet};
-use osnt_time::{HwClock, HwTimestamp, SimDuration, SimTime};
+use osnt_packet::{FlowKey, Packet};
+use osnt_time::{HwClock, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -79,9 +79,6 @@ pub struct MonitorPort {
     stats: Rc<RefCell<MonStats>>,
     rates: Option<Rc<RefCell<RateEstimator>>>,
     capture_limit: Option<usize>,
-    /// Staging for the block path of `on_packet_batch` (lane `i` of the
-    /// block is `staged[i]`); empty between calls, capacity kept.
-    staged: Vec<(SimTime, HwTimestamp, Packet)>,
 }
 
 impl MonitorPort {
@@ -105,7 +102,6 @@ impl MonitorPort {
                 stats: stats.clone(),
                 rates: None,
                 capture_limit: config.capture_limit,
-                staged: Vec::new(),
             },
             buffer,
             stats,
@@ -144,12 +140,11 @@ impl MonitorPort {
         self.rates = Some(est.clone());
         est
     }
+}
 
-    /// The scalar datapath for one frame whose last bit arrived on
-    /// `port` at `now`: `on_packet` (`now == kernel.now()`) and a
-    /// one-member batch (`now` = the member's own instant) both land
-    /// here.
-    fn frame_at(&mut self, now: SimTime, port: usize, packet: Packet) {
+impl Component for MonitorPort {
+    fn on_packet(&mut self, kernel: &mut Kernel, _me: ComponentId, port: usize, packet: Packet) {
+        let now = kernel.now();
         // 1. Timestamp at the MAC — before anything else can add noise.
         let rx_stamp = self.stamper.stamp(now);
         {
@@ -207,173 +202,6 @@ impl MonitorPort {
             port,
         });
     }
-}
-
-impl Component for MonitorPort {
-    fn on_packet(&mut self, kernel: &mut Kernel, _me: ComponentId, port: usize, packet: Packet) {
-        self.frame_at(kernel.now(), port, packet);
-    }
-
-    /// Frames arriving back-to-back in one event window come as a
-    /// batch (the kernel's arrival-coalescing fast path).
-    fn wants_packet_batches(&self) -> bool {
-        true
-    }
-
-    /// The burst path: one `RefCell` borrow of the clock, rate
-    /// estimator, and capture buffer per batch instead of per frame, and
-    /// one `MonStats` publication per batch (a local delta folded in at
-    /// the end via [`MonStats::accumulate`]). FCS-clean frames are staged
-    /// into [`FlowKeyBlock`]s of up to [`osnt_packet::BLOCK_LANES`] flow
-    /// keys and classified with one masked-word sweep per rule over all
-    /// lanes ([`FilterTable::classify_block_compiled`]).
-    ///
-    /// Per-frame processing still runs in arrival order with each
-    /// frame's own arrival instant — staging only reorders the *pure*
-    /// classification step relative to the stamps, and hit counters are
-    /// order-independent sums — so every observable (stamps, verdicts,
-    /// hit counters, DMA admission, capture contents) is byte-identical
-    /// to the scalar [`Component::on_packet`] path.
-    fn on_packet_batch(
-        &mut self,
-        _kernel: &mut Kernel,
-        _me: ComponentId,
-        port: usize,
-        batch: &mut Vec<(SimTime, Packet)>,
-    ) {
-        /// Thin + DMA-admit + capture one frame whose verdict was not
-        /// `Drop` (stages 4–5 of the scalar pipeline).
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        fn capture_tail(
-            thinner: &mut Thinner,
-            host: &mut HostPath,
-            delta: &mut MonStats,
-            buf: &mut CaptureBuffer,
-            limit: Option<usize>,
-            overhead: u64,
-            port: usize,
-            t: SimTime,
-            rx_stamp: HwTimestamp,
-            packet: Packet,
-        ) {
-            let before_len = packet.len();
-            let thinned = thinner.process(packet);
-            if thinned.packet.len() < before_len {
-                delta.thinned += 1;
-            }
-            // Same backpressure point as the scalar path: a full ring
-            // sheds before DMA admission, so both paths stay
-            // byte-identical under a capture bound.
-            if let Some(limit) = limit {
-                if buf.len() >= limit {
-                    delta.capture_shed += 1;
-                    return;
-                }
-            }
-            let captured_bytes = thinned.packet.len();
-            if !host.admit(t, captured_bytes) {
-                delta.host_drops += 1;
-                return;
-            }
-            delta.host_frames += 1;
-            delta.host_bytes += captured_bytes as u64 + overhead;
-            buf.packets.push(CapturedPacket {
-                rx_stamp,
-                rx_true: t,
-                packet: thinned.packet,
-                orig_len: thinned.orig_len,
-                hash: thinned.hash,
-                port,
-            });
-        }
-
-        /// Classify the staged block in one sweep and run the pipeline
-        /// tail for every surviving lane, in arrival order.
-        #[inline]
-        #[allow(clippy::too_many_arguments)]
-        fn flush_block(
-            filter: &mut FilterTable,
-            program: &FilterProgram,
-            block: &mut FlowKeyBlock,
-            staged: &mut Vec<(SimTime, HwTimestamp, Packet)>,
-            thinner: &mut Thinner,
-            host: &mut HostPath,
-            delta: &mut MonStats,
-            buf: &mut CaptureBuffer,
-            limit: Option<usize>,
-            overhead: u64,
-            port: usize,
-        ) {
-            let verdicts = filter.classify_block_compiled(program, block);
-            for (lane, (t, rx_stamp, packet)) in staged.drain(..).enumerate() {
-                if verdicts[lane] == FilterAction::Drop {
-                    delta.filtered_out += 1;
-                    continue;
-                }
-                capture_tail(
-                    thinner, host, delta, buf, limit, overhead, port, t, rx_stamp, packet,
-                );
-            }
-            block.clear();
-        }
-
-        if batch.len() == 1 {
-            let (t, packet) = batch.pop().expect("length checked");
-            return self.frame_at(t, port, packet);
-        }
-        let mut delta = MonStats::default();
-        let overhead = self.host.config().per_packet_overhead;
-        let limit = self.capture_limit;
-        let MonitorPort {
-            stamper,
-            filter,
-            program,
-            thinner,
-            host,
-            buffer,
-            rates,
-            staged,
-            ..
-        } = self;
-        let clock = stamper.clock();
-        let mut clock = clock.borrow_mut();
-        let mut rates = rates.as_ref().map(|r| r.borrow_mut());
-        let mut buf = buffer.borrow_mut();
-        let mut block = FlowKeyBlock::new();
-        for (t, packet) in batch.drain(..) {
-            // Same per-frame order as `on_packet`, against `t` — the
-            // instant this frame's last bit arrived.
-            let rx_stamp = clock.read(t);
-            delta.rx_frames += 1;
-            delta.rx_bytes += packet.frame_len() as u64;
-            if let Some(rates) = rates.as_deref_mut() {
-                rates.record(t, packet.frame_len());
-            }
-            if !packet.fcs_ok() {
-                delta.crc_fail += 1;
-                continue;
-            }
-            block.push(&FlowKey::extract(&packet.parse()));
-            staged.push((t, rx_stamp, packet));
-            if block.is_full() {
-                flush_block(
-                    filter, program, &mut block, staged, thinner, host, &mut delta, &mut buf,
-                    limit, overhead, port,
-                );
-            }
-        }
-        if !staged.is_empty() {
-            flush_block(
-                filter, program, &mut block, staged, thinner, host, &mut delta, &mut buf, limit,
-                overhead, port,
-            );
-        }
-        drop(buf);
-        drop(rates);
-        drop(clock);
-        self.stats.borrow_mut().accumulate(&delta);
-    }
 
     fn name(&self) -> &str {
         "osnt-monitor-port"
@@ -395,17 +223,6 @@ mod tests {
         frame_len: usize,
         run_ms: u64,
     ) -> (Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
-        gen_to_wrapped_mon(gen_cfg, mon_cfg, frame_len, run_ms, |mon| Box::new(mon))
-    }
-
-    /// [`gen_to_mon`] with the monitor behind whatever `wrap` returns.
-    fn gen_to_wrapped_mon(
-        gen_cfg: GenConfig,
-        mon_cfg: MonConfig,
-        frame_len: usize,
-        run_ms: u64,
-        wrap: impl FnOnce(MonitorPort) -> Box<dyn Component>,
-    ) -> (Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
         let clock_tx = Rc::new(RefCell::new(HwClock::ideal()));
         let clock_rx = Rc::new(RefCell::new(HwClock::ideal()));
         let (gen, _gstats) = GeneratorPort::new(
@@ -416,7 +233,7 @@ mod tests {
         let (mon, buffer, stats) = MonitorPort::new(mon_cfg, clock_rx);
         let mut b = SimBuilder::new();
         let g = b.add_component("gen", Box::new(gen), 1);
-        let m = b.add_component("mon", wrap(mon), 1);
+        let m = b.add_component("mon", Box::new(mon), 1);
         b.connect(g, 0, m, 0, LinkSpec::ten_gig());
         let mut sim = b.build();
         sim.run_until(SimTime::from_ms(run_ms));
@@ -658,138 +475,6 @@ mod tests {
         assert_eq!(s.host_frames, s.rx_frames);
     }
 
-    /// The scalar reference: forwards the scalar handlers and nothing
-    /// else, so the kernel hands it every frame through `on_packet`.
-    struct ScalarOnly(MonitorPort);
-
-    impl Component for ScalarOnly {
-        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
-            self.0.on_packet(k, me, port, p);
-        }
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-    }
-
-    /// The fast side: forwards every method the monitor overrides and
-    /// keeps the length of each batch the kernel delivered.
-    struct Recording {
-        inner: MonitorPort,
-        batches: Rc<RefCell<Vec<usize>>>,
-    }
-
-    impl Component for Recording {
-        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
-            self.inner.on_packet(k, me, port, p);
-        }
-        fn wants_packet_batches(&self) -> bool {
-            self.inner.wants_packet_batches()
-        }
-        fn on_packet_batch(
-            &mut self,
-            k: &mut Kernel,
-            me: ComponentId,
-            port: usize,
-            batch: &mut Vec<(SimTime, Packet)>,
-        ) {
-            self.batches.borrow_mut().push(batch.len());
-            self.inner.on_packet_batch(k, me, port, batch);
-        }
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-    }
-
-    /// The block path must be observationally identical to scalar
-    /// dispatch: same `MonStats`, same captured packets (stamps, bytes,
-    /// hashes, lengths), frame by frame — and the fast side must really
-    /// have taken it, full blocks and a tail flush both. Returns the fast
-    /// side's capture for further assertions.
-    fn assert_paths_agree(
-        gen_cfg: GenConfig,
-        mon_cfg: MonConfig,
-        frame_len: usize,
-        run_ms: u64,
-    ) -> Rc<RefCell<CaptureBuffer>> {
-        let gen_cfg = GenConfig {
-            batch: 32,
-            ..gen_cfg
-        };
-        let batches = Rc::new(RefCell::new(Vec::new()));
-        let (buf_s, stats_s) =
-            gen_to_wrapped_mon(gen_cfg.clone(), mon_cfg.clone(), frame_len, run_ms, |mon| {
-                Box::new(ScalarOnly(mon))
-            });
-        let (buf_f, stats_f) = gen_to_wrapped_mon(gen_cfg, mon_cfg, frame_len, run_ms, |mon| {
-            Box::new(Recording {
-                inner: mon,
-                batches: batches.clone(),
-            })
-        });
-        let batches = batches.borrow();
-        assert!(
-            batches.iter().any(|&n| n >= 8),
-            "no full block reached the monitor: {batches:?}"
-        );
-        assert!(
-            batches.iter().any(|&n| n > 1 && n % 8 != 0),
-            "no tail flush reached the monitor: {batches:?}"
-        );
-        assert_eq!(*stats_s.borrow(), *stats_f.borrow(), "MonStats diverged");
-        assert_eq!(
-            buf_s.borrow().packets,
-            buf_f.borrow().packets,
-            "captured packets diverged between scalar and block paths"
-        );
-        buf_f
-    }
-
-    #[test]
-    fn fast_path_is_byte_identical_on_back_to_back_bursts() {
-        // A filter table with decoys and thinning exercises every
-        // pipeline stage.
-        let mut filter = FilterTable::drop_by_default();
-        filter.push(WildcardRule::any().with_dst_port(7), FilterAction::Drop);
-        filter.push(WildcardRule::any().with_src_port(3), FilterAction::Drop);
-        filter.push(
-            WildcardRule::any().with_dst_port(9001),
-            FilterAction::Capture,
-        );
-        assert_paths_agree(
-            GenConfig {
-                count: Some(400),
-                schedule: Schedule::BackToBack,
-                ..GenConfig::default()
-            },
-            MonConfig {
-                filter,
-                thin: ThinConfig::cut_with_hash(60),
-                host: HostPathConfig::unlimited(),
-                ..MonConfig::default()
-            },
-            512,
-            10,
-        );
-    }
-
-    #[test]
-    fn fast_path_is_byte_identical_under_host_loss() {
-        // The loss-limited default host path makes DMA admission
-        // time-sensitive: any divergence in per-frame processing instants
-        // would change which frames drop. (A frame count, not `stop_at`:
-        // the generator only batches departures it can count ahead.)
-        assert_paths_agree(
-            GenConfig {
-                schedule: Schedule::BackToBack,
-                count: Some(16_250),
-                ..GenConfig::default()
-            },
-            MonConfig::default(),
-            1518,
-            25,
-        );
-    }
-
     #[test]
     fn capture_limit_bounds_memory_and_accounts_shed_load() {
         let gen_cfg = GenConfig {
@@ -813,48 +498,5 @@ mod tests {
             s.crc_fail + s.filtered_out + s.host_drops + s.capture_shed + s.host_frames,
             "shed load must slot into the conservation ledger"
         );
-    }
-
-    #[test]
-    fn fast_path_is_byte_identical_under_a_capture_bound() {
-        // Shedding is time- and order-sensitive (first `limit` survivors
-        // win); any divergence between the scalar and block pipelines
-        // would move the cutoff.
-        assert_paths_agree(
-            GenConfig {
-                count: Some(300),
-                schedule: Schedule::BackToBack,
-                ..GenConfig::default()
-            },
-            MonConfig {
-                host: HostPathConfig::unlimited(),
-                capture_limit: Some(97),
-                ..MonConfig::default()
-            },
-            512,
-            10,
-        );
-    }
-
-    #[test]
-    fn batched_delivery_reaches_the_burst_handler() {
-        let buffer = assert_paths_agree(
-            GenConfig {
-                count: Some(50),
-                schedule: Schedule::BackToBack,
-                ..GenConfig::default()
-            },
-            MonConfig {
-                host: HostPathConfig::unlimited(),
-                ..MonConfig::default()
-            },
-            64,
-            10,
-        );
-        assert_eq!(buffer.borrow().len(), 50);
-        // Per-frame arrival instants survive batching.
-        for w in buffer.borrow().packets.windows(2) {
-            assert_eq!((w[1].rx_true - w[0].rx_true).as_ps(), 67_200);
-        }
     }
 }

@@ -52,22 +52,6 @@ impl MonStats {
         }
         Some((self.host_frames as f64 / passed as f64).min(1.0))
     }
-
-    /// Fold another counter snapshot into this one (used by the batched
-    /// monitor pipeline to publish one per-burst delta instead of eight
-    /// `RefCell` round-trips per frame).
-    #[inline]
-    pub fn accumulate(&mut self, delta: &MonStats) {
-        self.rx_frames += delta.rx_frames;
-        self.rx_bytes += delta.rx_bytes;
-        self.crc_fail += delta.crc_fail;
-        self.filtered_out += delta.filtered_out;
-        self.thinned += delta.thinned;
-        self.host_frames += delta.host_frames;
-        self.host_bytes += delta.host_bytes;
-        self.host_drops += delta.host_drops;
-        self.capture_shed += delta.capture_shed;
-    }
 }
 
 #[cfg(test)]
@@ -120,35 +104,5 @@ mod tests {
             ..MonStats::default()
         };
         assert_eq!(s.host_delivery_ratio(), Some(1.0));
-    }
-
-    #[test]
-    fn accumulate_sums_every_counter() {
-        let mut a = MonStats {
-            rx_frames: 1,
-            rx_bytes: 2,
-            crc_fail: 3,
-            filtered_out: 4,
-            thinned: 5,
-            host_frames: 6,
-            host_bytes: 7,
-            host_drops: 8,
-            capture_shed: 9,
-        };
-        a.accumulate(&a.clone());
-        assert_eq!(
-            a,
-            MonStats {
-                rx_frames: 2,
-                rx_bytes: 4,
-                crc_fail: 6,
-                filtered_out: 8,
-                thinned: 10,
-                host_frames: 12,
-                host_bytes: 14,
-                host_drops: 16,
-                capture_shed: 18,
-            }
-        );
     }
 }

@@ -46,23 +46,27 @@ pub trait Component {
     /// consecutive same-port arrivals to [`Component::on_packet_batch`]
     /// in one call instead of one [`Component::on_packet`] each.
     ///
-    /// Intended for pure *sinks* (the monitor capture path): the kernel
-    /// pops the whole run of back-to-back `Deliver` events up front, so
-    /// during the batch handler `Kernel::now()` reads the *batch-end*
-    /// instant — per-frame arrival instants come with the batch.
-    /// Components that transmit or schedule timers from their packet
-    /// handler should not opt in (their scheduling would see batch-end
-    /// time rather than each frame's arrival time).
+    /// Intended for pure *sinks*: the kernel pops the whole run of
+    /// back-to-back `Deliver` events up front, so during the batch
+    /// handler `Kernel::now()` reads the *batch-end* instant — per-frame
+    /// arrival instants come with the batch. Components that transmit or
+    /// schedule timers from their packet handler should not opt in
+    /// without a [`Component::batch_window`] (their scheduling would see
+    /// batch-end time rather than each frame's arrival time).
+    ///
+    /// No component in the workspace opts in: switch and monitor take
+    /// every frame through [`Component::on_packet`]. The facility is
+    /// kept under test by `crates/netsim/tests/burst_parity.rs`
+    /// (a batch-capable forwarder and sink against scalar twins).
     fn wants_packet_batches(&self) -> bool {
         false
     }
 
     /// Per-port refinement of [`Component::wants_packet_batches`]:
-    /// individual ports can opt out of batching while the rest batch.
-    /// A switch uses this to keep its control channel on the exact
-    /// scalar path (its handler transmits immediate replies, which need
-    /// per-frame `now`) while data ports batch. Defaults to the
-    /// component-wide answer.
+    /// individual ports can opt out of batching while the rest batch —
+    /// e.g. a control channel whose handler transmits immediate replies,
+    /// which need per-frame `now`. Defaults to the component-wide
+    /// answer.
     fn wants_packet_batches_on(&self, port: usize) -> bool {
         let _ = port;
         self.wants_packet_batches()
@@ -86,7 +90,7 @@ pub trait Component {
     /// Return `Some(w)` with `w` no greater than the component's
     /// minimum side-effect delay. `None` (the default) means unbounded,
     /// which is only sound for components that schedule nothing from
-    /// their packet handler (pure sinks like the monitor).
+    /// their packet handler (pure sinks).
     fn batch_window(&self) -> Option<SimDuration> {
         None
     }
@@ -120,9 +124,9 @@ pub trait Component {
     /// [`Kernel::transmit_burst`]) one queue entry out — instead of
     /// being split back into per-member [`Component::on_packet`] calls.
     ///
-    /// Intended for stateless-per-frame *forwarders* (fault models,
-    /// switch fabrics). The contract differs from the
-    /// scalar path in one way: during [`Component::on_burst`],
+    /// Intended for stateless-per-frame *forwarders*
+    /// ([`crate::FaultyLink`] is the one in the workspace). The contract
+    /// differs from the scalar path in one way: during [`Component::on_burst`],
     /// [`Kernel::now`] reads the **first** member's arrival instant for
     /// the whole call. Handlers must therefore derive timing from each
     /// member's own arrival time — re-transmit with

@@ -220,7 +220,7 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Fold another tally into this one (mirrors `MonStats::accumulate`).
+    /// Fold another tally into this one.
     /// Campaign reports aggregate per-link counters across links, seeds
     /// and shards; every field is a sum, so accumulation is associative
     /// and order-independent.
@@ -341,18 +341,19 @@ impl FaultyLink {
         kernel.schedule_timer_at(me, release, TAG_FAULT_BASE + id);
     }
 
-    /// The full per-frame fault pipeline at an explicit arrival instant
-    /// `at` (`kernel.now()` on the scalar path; the member's own arrival
-    /// on the burst fallback path — see
-    /// [`crate::Component::wants_bursts`]).
-    fn process_frame(
+    /// Decide the fate of one frame entering `port` at `at` (`kernel.now()`
+    /// for a lone frame, the member's own arrival inside a burst): `None`
+    /// when the loss process takes it, otherwise the instant it leaves
+    /// the far port, the frame (bits flipped if corruption struck) and
+    /// whether a duplicate leaves right behind it. Every RNG draw and
+    /// every tally but `delivered` happens here, once per frame, in one
+    /// order.
+    fn fate(
         &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
         port: usize,
         at: SimTime,
         mut packet: Packet,
-    ) {
+    ) -> Option<(SimTime, Packet, bool)> {
         debug_assert!(port < 2, "faulty link is a 2-port device");
         let out = 1 - port;
         self.stats.borrow_mut().offered += 1;
@@ -360,7 +361,7 @@ impl FaultyLink {
         // 1. Loss.
         if self.loss_decision(port) {
             self.stats.borrow_mut().dropped += 1;
-            return;
+            return None;
         }
         // 2. Corruption (before duplication: both copies of a corrupted
         // frame arrive bad, like a corruptor upstream of the fan-out).
@@ -385,6 +386,9 @@ impl FaultyLink {
             && self
                 .rng
                 .gen_bool(self.config.duplicate_probability.clamp(0.0, 1.0));
+        if duplicate {
+            self.stats.borrow_mut().duplicated += 1;
+        }
         // 5. Reordering: held frames skip the FIFO clamp and release
         // late, letting frames behind them overtake (bounded by the
         // hold interval).
@@ -401,8 +405,23 @@ impl FaultyLink {
             release = release.max(self.last_release[out]);
             self.last_release[out] = release;
         }
+        Some((release, packet, duplicate))
+    }
+
+    /// One frame through the timer-based release machinery.
+    fn process_frame(
+        &mut self,
+        kernel: &mut Kernel,
+        me: ComponentId,
+        port: usize,
+        at: SimTime,
+        packet: Packet,
+    ) {
+        let Some((release, packet, duplicate)) = self.fate(port, at, packet) else {
+            return;
+        };
+        let out = 1 - port;
         if duplicate {
-            self.stats.borrow_mut().duplicated += 1;
             self.schedule_release(kernel, me, out, release, packet.clone());
         }
         self.schedule_release(kernel, me, out, release, packet);
@@ -420,12 +439,10 @@ impl Component for FaultyLink {
     }
 
     fn on_burst(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, burst: PacketBurst) {
-        debug_assert!(port < 2, "faulty link is a 2-port device");
         // Reordering — or frames already in flight whose release timers
         // could interleave with this burst — needs the timer-based
-        // release machinery: replay the scalar pipeline per member at
-        // its own arrival instant (same RNG draws, same release times,
-        // same stats; only event keys differ, which no handler
+        // release machinery, per member at its own arrival instant
+        // (only event keys differ from lone arrivals, which no handler
         // observes).
         if self.config.reorder_probability > 0.0 || !self.pending.is_empty() {
             for (at, packet) in burst {
@@ -433,51 +450,23 @@ impl Component for FaultyLink {
             }
             return;
         }
-        // Vector fast path: without reordering and with nothing in
-        // flight, releases are FIFO-clamped monotone, so the whole
-        // burst leaves as one [`Kernel::transmit_burst`] whose
-        // per-member earliest-start offers are exactly the scalar
-        // release instants.
-        let out = 1 - port;
+        // Vector arm: without reordering and with nothing in flight,
+        // releases are FIFO-clamped monotone, so the whole burst leaves
+        // as one [`Kernel::transmit_burst`] whose per-member
+        // earliest-start offers are the release instants.
         let mut members: Vec<(SimTime, Packet)> = Vec::with_capacity(burst.len());
-        for (at, mut packet) in burst {
-            self.stats.borrow_mut().offered += 1;
-            if self.loss_decision(port) {
-                self.stats.borrow_mut().dropped += 1;
+        for (at, packet) in burst {
+            let Some((release, packet, duplicate)) = self.fate(port, at, packet) else {
                 continue;
-            }
-            if self.config.corrupt_probability > 0.0
-                && self
-                    .rng
-                    .gen_bool(self.config.corrupt_probability.clamp(0.0, 1.0))
-            {
-                for _ in 0..self.config.corrupt_bits {
-                    let bit = self.rng.gen_range(0..packet.len().max(1) * 8);
-                    packet.flip_bit(bit);
-                }
-                self.stats.borrow_mut().corrupted += 1;
-            }
-            let mut release = at + self.config.extra_delay;
-            if self.config.jitter.as_ps() > 0 {
-                release += SimDuration::from_ps(self.rng.gen_range(0..self.config.jitter.as_ps()));
-            }
-            let duplicate = self.config.duplicate_probability > 0.0
-                && self
-                    .rng
-                    .gen_bool(self.config.duplicate_probability.clamp(0.0, 1.0));
-            // (No reorder draw: probability is 0, so the scalar path
-            // would not have drawn either.)
-            release = release.max(self.last_release[out]);
-            self.last_release[out] = release;
+            };
             if duplicate {
-                self.stats.borrow_mut().duplicated += 1;
                 members.push((release, packet.clone()));
             }
             members.push((release, packet));
         }
         if !members.is_empty() {
             let delivered = members.len() as u64;
-            let _ = kernel.transmit_burst(me, out, members);
+            let _ = kernel.transmit_burst(me, 1 - port, members);
             self.stats.borrow_mut().delivered += delivered;
         }
     }

@@ -151,115 +151,6 @@ impl FlowKey {
         }
         out
     }
-
-    /// The frame's source MAC, when an Ethernet header was parsed —
-    /// recovered from the packed words, so consumers holding only a key
-    /// (e.g. a switch learning addresses from staged burst lanes) need
-    /// no second parse.
-    pub fn src_mac(&self) -> Option<MacAddr> {
-        if self.words[W_FLAGS] & flag::HAS_ETH == 0 {
-            return None;
-        }
-        let bits = self.words[W_SRC] & MAC_MASK;
-        let b = bits.to_be_bytes();
-        Some(MacAddr([b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-}
-
-/// Number of key lanes in a [`FlowKeyBlock`]. Must stay ≤ 8 so a hit
-/// mask fits a `u8`.
-pub const BLOCK_LANES: usize = 8;
-
-/// A struct-of-arrays block of up to [`BLOCK_LANES`] flow keys.
-///
-/// The layout is the transpose of `[FlowKey; BLOCK_LANES]`:
-/// `words[w][lane]` holds word `w` of lane `lane`'s key, so one
-/// [`CompiledRule`]'s masked compare of word `w` touches eight
-/// consecutive `u64`s — a loop shape the compiler auto-vectorizes
-/// across packets instead of across words. Classifying a burst fills a
-/// block once and runs every rule against it
-/// ([`CompiledRule::matches_block`]), turning the per-frame
-/// rule-table walk into a per-block one.
-#[derive(Debug, Clone)]
-pub struct FlowKeyBlock {
-    words: [[u64; BLOCK_LANES]; KEY_WORDS],
-    len: usize,
-}
-
-impl Default for FlowKeyBlock {
-    fn default() -> Self {
-        FlowKeyBlock::new()
-    }
-}
-
-impl FlowKeyBlock {
-    /// An empty block.
-    pub fn new() -> Self {
-        FlowKeyBlock {
-            words: [[0; BLOCK_LANES]; KEY_WORDS],
-            len: 0,
-        }
-    }
-
-    /// Number of occupied lanes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no lane is occupied.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when all [`BLOCK_LANES`] lanes are occupied.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.len == BLOCK_LANES
-    }
-
-    /// Reset to empty (keeps the allocation-free storage).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Transpose `key` into the next free lane; returns its lane index.
-    /// Panics when the block is full.
-    #[inline]
-    pub fn push(&mut self, key: &FlowKey) -> usize {
-        assert!(self.len < BLOCK_LANES, "flow-key block is full");
-        let lane = self.len;
-        for w in 0..KEY_WORDS {
-            self.words[w][lane] = key.words[w];
-        }
-        self.len = lane + 1;
-        lane
-    }
-
-    /// Reconstruct the key in `lane` (must be occupied).
-    pub fn key(&self, lane: usize) -> FlowKey {
-        assert!(lane < self.len, "lane {lane} not occupied");
-        let mut words = [0u64; KEY_WORDS];
-        for (w, word) in words.iter_mut().enumerate() {
-            *word = self.words[w][lane];
-        }
-        FlowKey { words }
-    }
-
-    /// Lane `lane`'s key with `mask` applied, straight out of the
-    /// transposed storage — [`FlowKey::masked`] without materialising
-    /// the intermediate key. Lane must be occupied.
-    #[inline]
-    pub fn masked_lane(&self, lane: usize, mask: &[u64; KEY_WORDS]) -> [u64; KEY_WORDS] {
-        debug_assert!(lane < self.len, "lane {lane} not occupied");
-        let mut out = [0u64; KEY_WORDS];
-        for (w, (o, m)) in out.iter_mut().zip(mask).enumerate() {
-            *o = self.words[w][lane] & m;
-        }
-        out
-    }
 }
 
 /// A raw value/mask requirement over [`FlowKey`] words — the shared
@@ -422,29 +313,6 @@ impl KeyMatch {
         }
         diff == 0
     }
-
-    /// Match every occupied lane of `block` at once; bit `i` of the
-    /// returned mask is set when lane `i` matches. The lane loop is
-    /// innermost — eight independent `(word & mask) ^ value`
-    /// accumulations over consecutive memory — so the compiler
-    /// vectorizes the compare across packets. Exactly equivalent to
-    /// eight [`KeyMatch::matches`] calls.
-    #[inline]
-    pub fn matches_block(&self, block: &FlowKeyBlock) -> u8 {
-        const { assert!(BLOCK_LANES <= 8, "hit mask is a u8") };
-        let mut diff = [0u64; BLOCK_LANES];
-        for w in 0..KEY_WORDS {
-            let (value, mask) = (self.value[w], self.mask[w]);
-            for (d, &kw) in diff.iter_mut().zip(&block.words[w]) {
-                *d |= (kw & mask) ^ value;
-            }
-        }
-        let mut hits = 0u8;
-        for (lane, &d) in diff.iter().enumerate().take(block.len) {
-            hits |= u8::from(d == 0) << lane;
-        }
-        hits
-    }
 }
 
 /// A [`WildcardRule`] lowered to value/mask words over a [`FlowKey`].
@@ -492,14 +360,6 @@ impl CompiledRule {
     #[inline]
     pub fn matches(&self, key: &FlowKey) -> bool {
         self.km.matches(key)
-    }
-
-    /// Match every occupied lane of `block` at once (see
-    /// [`KeyMatch::matches_block`]). Exactly equivalent to eight
-    /// [`CompiledRule::matches`] calls.
-    #[inline]
-    pub fn matches_block(&self, block: &FlowKeyBlock) -> u8 {
-        self.km.matches_block(block)
     }
 }
 
@@ -628,54 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn block_matching_equals_per_lane_matching() {
-        // Every rule × every block fill level: matches_block bit i must
-        // equal matches() on lane i's key, with unoccupied lanes 0.
-        let frames = corpus();
-        for rule in rules() {
-            let compiled = CompiledRule::compile(&rule);
-            let mut block = FlowKeyBlock::new();
-            let mut expect = 0u8;
-            for (i, frame) in frames.iter().take(BLOCK_LANES).enumerate() {
-                let key = FlowKey::extract(&frame.parse());
-                let lane = block.push(&key);
-                assert_eq!(lane, i);
-                expect |= u8::from(compiled.matches(&key)) << lane;
-                // Partial fills must agree too (mask of occupied lanes).
-                assert_eq!(
-                    compiled.matches_block(&block),
-                    expect,
-                    "rule {rule:?} at fill {}",
-                    block.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn block_roundtrips_keys_and_clears() {
-        let frames = corpus();
-        let keys: Vec<FlowKey> = frames
-            .iter()
-            .map(|f| FlowKey::extract(&f.parse()))
-            .collect();
-        let mut block = FlowKeyBlock::new();
-        for k in keys.iter().take(BLOCK_LANES) {
-            block.push(k);
-        }
-        for (i, k) in keys.iter().take(BLOCK_LANES).enumerate() {
-            assert_eq!(block.key(i), *k);
-        }
-        block.clear();
-        assert!(block.is_empty());
-        assert_eq!(
-            CompiledRule::compile(&WildcardRule::any()).matches_block(&block),
-            0,
-            "empty block matches nothing"
-        );
-    }
-
-    #[test]
     fn masked_key_equality_is_exactly_matching() {
         // The tuple-space identity: for every rule and frame,
         // `km.matches(key)` ⇔ `key.masked(km.mask) == km.value`.
@@ -690,18 +502,6 @@ mod tests {
                     frame.data()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn masked_lane_equals_masked_key() {
-        let frames = corpus();
-        let mask: [u64; KEY_WORDS] = [MAC_MASK, !0, 0, !0, 0, 0xffff_ffff, 0xffff, 0b111111];
-        let mut block = FlowKeyBlock::new();
-        for (lane, frame) in frames.iter().take(BLOCK_LANES).enumerate() {
-            let key = FlowKey::extract(&frame.parse());
-            block.push(&key);
-            assert_eq!(block.masked_lane(lane, &mask), key.masked(&mask));
         }
     }
 

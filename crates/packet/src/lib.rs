@@ -47,7 +47,7 @@ pub mod wildcard;
 
 pub use builder::PacketBuilder;
 pub use flow::FiveTuple;
-pub use flowkey::{CompiledRule, FlowKey, FlowKeyBlock, KeyMatch, BLOCK_LANES, KEY_WORDS};
+pub use flowkey::{CompiledRule, FlowKey, KeyMatch, KEY_WORDS};
 pub use hash::{fx_hash_words, FxBuildHasher, FxHasher64};
 pub use mac::MacAddr;
 pub use parser::ParsedPacket;

@@ -7,7 +7,7 @@
 
 use osnt_netsim::{ComponentId, Kernel, TxResult};
 use osnt_packet::Packet;
-use osnt_time::{SimDuration, SimTime};
+use osnt_time::SimDuration;
 use std::collections::VecDeque;
 
 /// Timer tag used by the pipeline. Components using it must route this
@@ -39,25 +39,8 @@ impl ForwardingPipeline {
         out_port: usize,
         packet: Packet,
     ) {
-        let release_at = kernel.now() + latency;
-        self.submit_at(kernel, me, release_at, out_port, packet);
-    }
-
-    /// [`ForwardingPipeline::submit`] with an absolute release instant.
-    /// Batched callers use this to anchor the fabric latency at each
-    /// frame's own arrival time rather than at the (later) instant the
-    /// batch handler runs. `release_at` must not precede any already
-    /// pending frame's release — the pipeline pops FIFO.
-    pub fn submit_at(
-        &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
-        release_at: SimTime,
-        out_port: usize,
-        packet: Packet,
-    ) {
         self.pending.push_back((out_port, packet));
-        kernel.schedule_timer_at(me, release_at, TIMER_FORWARD);
+        kernel.schedule_timer(me, latency, TIMER_FORWARD);
     }
 
     /// Handle the pipeline timer: emit the oldest pending frame.

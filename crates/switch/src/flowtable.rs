@@ -13,7 +13,7 @@ use crate::compiled::CompiledOfMatch;
 use crate::tuple_space::{Rank, TupleSpace};
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
-use osnt_packet::{FlowKey, FlowKeyBlock, ParsedPacket, BLOCK_LANES};
+use osnt_packet::{FlowKey, ParsedPacket};
 use osnt_time::SimTime;
 
 /// Returned when an ADD would exceed the table capacity
@@ -159,8 +159,7 @@ impl FlowTable {
     }
 
     /// The units of simulated work a lookup costs: distinct tuples
-    /// probed. Pure function of table state, so scalar and block dispatch
-    /// of the same arrivals charge identically.
+    /// probed.
     pub fn lookup_cost_units(&self) -> usize {
         self.space.active_tuples()
     }
@@ -241,8 +240,8 @@ impl FlowTable {
         best.map(|(_, _, i)| i)
     }
 
-    /// The entry at an index returned by [`FlowTable::lookup_idx`],
-    /// [`FlowTable::lookup_key_idx`] or [`FlowTable::lookup_block_idx`].
+    /// The entry at an index returned by [`FlowTable::lookup_idx`] or
+    /// [`FlowTable::lookup_key_idx`].
     /// Indices are invalidated by any table mutation.
     pub fn entry_mut(&mut self, idx: usize) -> &mut FlowEntry {
         &mut self.entries[idx]
@@ -253,19 +252,6 @@ impl FlowTable {
     /// O(masks) probes instead of O(rules) interpretation.
     pub fn lookup_key_idx(&mut self, in_port: u16, key: &FlowKey) -> Option<usize> {
         self.space.lookup(in_port, key)
-    }
-
-    /// Look up every occupied lane of `block` (a burst that arrived on
-    /// `in_port`) in one sweep: each tuple is probed for all
-    /// still-undecided lanes before moving to the next tuple. Lane `i`
-    /// of the result is what [`FlowTable::lookup_key_idx`] would return
-    /// for key `i`.
-    pub fn lookup_block_idx(
-        &mut self,
-        in_port: u16,
-        block: &FlowKeyBlock,
-    ) -> [Option<usize>; BLOCK_LANES] {
-        self.space.lookup_block(in_port, block)
     }
 
     /// Record that `entry_bytes` matched (updates counters and idle
@@ -698,20 +684,11 @@ mod tests {
                 .build(),
         ];
         for in_port in [1u16, 2, 3] {
-            let mut block = FlowKeyBlock::new();
-            let mut expect = Vec::new();
             for frame in &frames {
                 let parsed = frame.parse();
                 let key = FlowKey::extract(&parsed);
                 let interp = t.lookup_idx(in_port, &parsed);
                 assert_eq!(t.lookup_key_idx(in_port, &key), interp);
-                block.push(&key);
-                expect.push(interp);
-            }
-            let lanes = t.lookup_block_idx(in_port, &block);
-            assert_eq!(&lanes[..expect.len()], &expect[..]);
-            for lane in lanes.iter().skip(expect.len()) {
-                assert_eq!(*lane, None);
             }
         }
     }

@@ -28,7 +28,7 @@ use osnt_openflow::messages::{
     PacketIn, PacketInReason, PacketOut, PhyPort, PortStats, StatsBody,
 };
 use osnt_openflow::{Action, OfMatch};
-use osnt_packet::{FlowKey, FlowKeyBlock, MacAddr, Packet};
+use osnt_packet::{FlowKey, MacAddr, Packet};
 use osnt_time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -151,9 +151,6 @@ pub struct OpenFlowSwitch {
     pub flow_mods_accepted: u64,
     /// FLOW_MODs rejected (table full).
     pub flow_mods_rejected: u64,
-    /// Staging for the block path of `on_packet_batch` (lane `i` of the
-    /// block is `staged[i]`); empty between calls, capacity kept.
-    staged: Vec<(SimTime, Packet, FlowKey)>,
 }
 
 impl OpenFlowSwitch {
@@ -173,7 +170,6 @@ impl OpenFlowSwitch {
             packet_ins: 0,
             flow_mods_accepted: 0,
             flow_mods_rejected: 0,
-            staged: Vec::new(),
             config,
         }
     }
@@ -204,19 +200,15 @@ impl OpenFlowSwitch {
         let _ = kernel.transmit(me, ctrl, frame);
     }
 
-    /// Queue a job on the serial management CPU as of instant `at` (the
-    /// triggering frame's arrival). Batched data-path callers pass each
-    /// member's own arrival time so CPU occupancy accrues exactly as in
-    /// scalar dispatch; scalar callers pass `kernel.now()`.
+    /// Queue a job on the serial management CPU.
     fn enqueue_cpu(
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
         job: CpuJob,
         proc: SimDuration,
     ) {
-        let start = at.max(self.cpu_busy_until);
+        let start = kernel.now().max(self.cpu_busy_until);
         let done = start + proc;
         self.cpu_busy_until = done;
         self.cpu_fifo.push_back(job);
@@ -233,20 +225,20 @@ impl OpenFlowSwitch {
             }
             Message::EchoRequest(data) => {
                 let proc = self.config.echo_proc;
-                self.enqueue_cpu(kernel, me, kernel.now(), CpuJob::Echo(data, xid), proc);
+                self.enqueue_cpu(kernel, me, CpuJob::Echo(data, xid), proc);
             }
             Message::FeaturesRequest => {
                 let proc = self.config.features_proc;
-                self.enqueue_cpu(kernel, me, kernel.now(), CpuJob::Features(xid), proc);
+                self.enqueue_cpu(kernel, me, CpuJob::Features(xid), proc);
             }
             Message::FlowMod(fm) => {
                 let proc = self.config.flowmod_proc;
-                self.enqueue_cpu(kernel, me, kernel.now(), CpuJob::FlowMod(fm, xid), proc);
+                self.enqueue_cpu(kernel, me, CpuJob::FlowMod(fm, xid), proc);
             }
             Message::BarrierRequest => {
                 // The barrier itself is cheap; ordering is the point.
                 let proc = SimDuration::from_us(1);
-                self.enqueue_cpu(kernel, me, kernel.now(), CpuJob::Barrier(xid), proc);
+                self.enqueue_cpu(kernel, me, CpuJob::Barrier(xid), proc);
             }
             Message::StatsRequest(StatsBody::FlowRequest { of_match, .. }) => {
                 let proc = self.config.stats_proc_base
@@ -254,27 +246,15 @@ impl OpenFlowSwitch {
                         .config
                         .stats_proc_per_entry
                         .saturating_mul(self.table.len() as u64);
-                self.enqueue_cpu(
-                    kernel,
-                    me,
-                    kernel.now(),
-                    CpuJob::StatsFlow(of_match, xid),
-                    proc,
-                );
+                self.enqueue_cpu(kernel, me, CpuJob::StatsFlow(of_match, xid), proc);
             }
             Message::StatsRequest(StatsBody::PortRequest { port_no }) => {
                 let proc = self.config.stats_proc_base;
-                self.enqueue_cpu(
-                    kernel,
-                    me,
-                    kernel.now(),
-                    CpuJob::StatsPort(port_no, xid),
-                    proc,
-                );
+                self.enqueue_cpu(kernel, me, CpuJob::StatsPort(port_no, xid), proc);
             }
             Message::PacketOut(po) => {
                 let proc = self.config.packet_out_proc;
-                self.enqueue_cpu(kernel, me, kernel.now(), CpuJob::PacketOut(po), proc);
+                self.enqueue_cpu(kernel, me, CpuJob::PacketOut(po), proc);
             }
             // Replies/asynchronous messages are never valid *to* a switch.
             _ => {}
@@ -400,10 +380,7 @@ impl OpenFlowSwitch {
             }
             CpuJob::PacketOut(po) => {
                 let pkt = Packet::from_vec(po.data);
-                let in_port = po.in_port;
-                for a in po.actions.clone() {
-                    self.execute_action(kernel, me, kernel.now(), &a, in_port, &pkt);
-                }
+                self.forward_with_actions(kernel, me, &po.actions, po.in_port, pkt);
             }
             CpuJob::Punt {
                 in_port,
@@ -525,9 +502,7 @@ impl OpenFlowSwitch {
 
     /// The full dataplane lookup delay for the current table state:
     /// fixed fabric latency plus the per-unit charge for the tuples a
-    /// lookup probes ([`FlowTable::lookup_cost_units`]). A pure function
-    /// of config and table contents, so scalar and batched dispatch of
-    /// the same arrivals charge identically.
+    /// lookup probes ([`FlowTable::lookup_cost_units`]).
     pub fn lookup_delay(&self) -> SimDuration {
         self.config.lookup_latency
             + self
@@ -536,68 +511,54 @@ impl OpenFlowSwitch {
                 .saturating_mul(self.table.lookup_cost_units() as u64)
     }
 
-    /// Execute one action for a frame that arrived at `at`. Fabric
-    /// submissions and punts are anchored at `at`, so batched members
-    /// behave exactly as if each had been dispatched at its own arrival
-    /// instant; scalar callers pass `kernel.now()`.
-    fn execute_action(
+    /// Send `packet` where one `OUTPUT` action points: the controller, a
+    /// flood, the learning path or one data port.
+    fn output(
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
-        action: &Action,
+        port: u16,
         in_port_wire: u16,
         packet: &Packet,
     ) {
-        let release_at = at + self.lookup_delay();
-        match action {
-            Action::Output { port, .. } => match *port {
-                port_no::CONTROLLER => {
-                    self.punt(kernel, me, at, in_port_wire, PacketInReason::Action, packet);
-                }
-                port_no::FLOOD | port_no::ALL => {
-                    let ingress = in_port_wire as usize;
-                    for p in 1..=self.config.n_ports {
-                        if p != ingress {
-                            self.pipeline
-                                .submit_at(kernel, me, release_at, p - 1, packet.clone());
-                        }
-                    }
-                }
-                port_no::NORMAL => {
-                    self.forward_normal(kernel, me, at, in_port_wire, packet);
-                }
-                wire_port => {
-                    let idx = wire_port as usize;
-                    if idx >= 1 && idx <= self.config.n_ports {
-                        self.pipeline
-                            .submit_at(kernel, me, release_at, idx - 1, packet.clone());
-                    }
-                }
-            },
-            Action::SetVlanVid(vid) => {
-                // VLAN mutation then continue: in this model mutations
-                // are applied inline by rebuilding the frame; the
-                // mutated frame replaces `packet` for *subsequent*
-                // actions, which the caller handles by pre-applying
-                // mutations (see forward_with_actions).
-                let _ = vid;
+        match port {
+            port_no::CONTROLLER => {
+                self.punt(kernel, me, in_port_wire, PacketInReason::Action, packet);
             }
-            Action::StripVlan => {}
+            port_no::FLOOD | port_no::ALL => self.flood(kernel, me, in_port_wire, packet),
+            port_no::NORMAL => self.forward_normal(kernel, me, in_port_wire, packet),
+            wire_port => {
+                let idx = wire_port as usize;
+                if idx >= 1 && idx <= self.config.n_ports {
+                    let latency = self.lookup_delay();
+                    self.pipeline
+                        .submit(kernel, me, latency, idx - 1, packet.clone());
+                }
+            }
         }
     }
 
+    /// Copy `packet` to every data port but the one it came in on.
+    fn flood(&mut self, kernel: &mut Kernel, me: ComponentId, in_port_wire: u16, packet: &Packet) {
+        let latency = self.lookup_delay();
+        for p in 1..=self.config.n_ports {
+            if p != in_port_wire as usize {
+                self.pipeline
+                    .submit(kernel, me, latency, p - 1, packet.clone());
+            }
+        }
+    }
+
+    /// Run an action list on a frame: header rewrites first (they precede
+    /// outputs in practice), then every output on the rewritten frame.
     fn forward_with_actions(
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
         actions: &[Action],
         in_port_wire: u16,
         packet: Packet,
     ) {
-        // Apply header rewrites first (they precede outputs in practice),
-        // then execute outputs on the rewritten frame.
         let mut frame = packet;
         for a in actions {
             match a {
@@ -607,30 +568,29 @@ impl OpenFlowSwitch {
             }
         }
         for a in actions {
-            if matches!(a, Action::Output { .. }) {
-                self.execute_action(kernel, me, at, a, in_port_wire, &frame);
+            if let Action::Output { port, .. } = a {
+                self.output(kernel, me, *port, in_port_wire, &frame);
             }
         }
     }
 
-    /// Account a frame that arrived at `at` to table entry `i` and run
-    /// the entry's actions on it.
+    /// Account a frame to table entry `i` and run the entry's actions on
+    /// it.
     fn forward_matched(
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
         i: usize,
         in_port_wire: u16,
         packet: Packet,
     ) {
         let entry = self.table.entry_mut(i);
-        FlowTable::account(entry, at, packet.frame_len());
+        FlowTable::account(entry, kernel.now(), packet.frame_len());
         // Forwarding needs `&mut self` beside the action list, so the
         // list leaves the entry for the call and goes back after: nothing
         // on the data path reads or moves table rows in between.
         let actions = std::mem::take(&mut entry.actions);
-        self.forward_with_actions(kernel, me, at, &actions, in_port_wire, packet);
+        self.forward_with_actions(kernel, me, &actions, in_port_wire, packet);
         self.table.entry_mut(i).actions = actions;
     }
 
@@ -638,28 +598,20 @@ impl OpenFlowSwitch {
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
         in_port_wire: u16,
         packet: &Packet,
     ) {
-        let release_at = at + self.lookup_delay();
         let parsed = packet.parse();
         let Some(dst) = parsed.dst_mac() else { return };
         match self.cam.lookup(dst) {
             Some(out) if dst.is_unicast() => {
                 if out + 1 != in_port_wire as usize {
+                    let latency = self.lookup_delay();
                     self.pipeline
-                        .submit_at(kernel, me, release_at, out, packet.clone());
+                        .submit(kernel, me, latency, out, packet.clone());
                 }
             }
-            _ => {
-                for p in 1..=self.config.n_ports {
-                    if p != in_port_wire as usize {
-                        self.pipeline
-                            .submit_at(kernel, me, release_at, p - 1, packet.clone());
-                    }
-                }
-            }
+            _ => self.flood(kernel, me, in_port_wire, packet),
         }
     }
 
@@ -667,7 +619,6 @@ impl OpenFlowSwitch {
         &mut self,
         kernel: &mut Kernel,
         me: ComponentId,
-        at: SimTime,
         in_port_wire: u16,
         reason: PacketInReason,
         packet: &Packet,
@@ -680,21 +631,12 @@ impl OpenFlowSwitch {
             total_len: packet.frame_len() as u16,
         };
         let proc = self.config.packet_in_proc;
-        self.enqueue_cpu(kernel, me, at, job, proc);
+        self.enqueue_cpu(kernel, me, job, proc);
     }
 
-    /// The dataplane path for one frame that arrived on data port
-    /// `port` at instant `at`: CAM learn, table lookup, forward or
-    /// punt. Used by scalar dispatch (`at == kernel.now()`) and for a
-    /// batch of one.
-    fn data_frame_at(
-        &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
-        at: SimTime,
-        port: usize,
-        packet: Packet,
-    ) {
+    /// The dataplane path for one frame arriving on data port `port`:
+    /// CAM learn, table lookup, forward or punt.
+    fn data_frame(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, packet: Packet) {
         let in_port_wire = (port + 1) as u16;
         let parsed = packet.parse();
         if let Some(src) = parsed.src_mac() {
@@ -706,59 +648,8 @@ impl OpenFlowSwitch {
             .table
             .lookup_key_idx(in_port_wire, &FlowKey::extract(&parsed));
         match idx {
-            Some(i) => {
-                self.forward_matched(kernel, me, at, i, in_port_wire, packet);
-            }
-            None => {
-                self.punt(
-                    kernel,
-                    me,
-                    at,
-                    in_port_wire,
-                    PacketInReason::NoMatch,
-                    &packet,
-                );
-            }
-        }
-    }
-
-    /// Forward one block's worth of staged arrivals: one classification
-    /// sweep for the whole block, then each member's forwarding at its
-    /// own arrival instant, in arrival order.
-    fn flush_block(
-        &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
-        in_port_wire: u16,
-        block: &FlowKeyBlock,
-        staged: &mut Vec<(SimTime, Packet, FlowKey)>,
-    ) {
-        let verdicts = self.table.lookup_block_idx(in_port_wire, block);
-        for (lane, (at, packet, key)) in staged.drain(..).enumerate() {
-            // CAM learning stays in member order — a later member's
-            // NORMAL forwarding may depend on this member's learn. The
-            // lookup itself is learn-independent, so classifying the
-            // block before learning is exact.
-            if let Some(src) = key.src_mac() {
-                if src.is_unicast() {
-                    self.cam.learn(src, (in_port_wire - 1) as usize);
-                }
-            }
-            match verdicts[lane] {
-                Some(i) => {
-                    self.forward_matched(kernel, me, at, i, in_port_wire, packet);
-                }
-                None => {
-                    self.punt(
-                        kernel,
-                        me,
-                        at,
-                        in_port_wire,
-                        PacketInReason::NoMatch,
-                        &packet,
-                    );
-                }
-            }
+            Some(i) => self.forward_matched(kernel, me, i, in_port_wire, packet),
+            None => self.punt(kernel, me, in_port_wire, PacketInReason::NoMatch, &packet),
         }
     }
 }
@@ -822,68 +713,7 @@ impl Component for OpenFlowSwitch {
             self.on_control_frame(kernel, me, &packet);
             return;
         }
-        self.data_frame_at(kernel, me, kernel.now(), port, packet);
-    }
-
-    /// Coalesced data-port arrivals are classified in
-    /// [`osnt_packet::FlowKeyBlock`] groups. Byte-identical to scalar
-    /// dispatch: the coalescing window is bounded by the switch's minimum
-    /// side-effect delay (see `Component::batch_window`), and each
-    /// member's forwarding is anchored at its own arrival instant.
-    fn wants_packet_batches(&self) -> bool {
-        true
-    }
-
-    fn wants_packet_batches_on(&self, port: usize) -> bool {
-        // The control channel stays scalar: its handler sends immediate
-        // Hello replies, which need per-frame `now`.
-        port != self.control_port()
-    }
-
-    fn batch_window(&self) -> Option<SimDuration> {
-        // Everything the data path schedules is at least this far after
-        // the triggering arrival: fabric submissions release at
-        // `lookup_delay()` (≥ `lookup_latency` — the per-unit charge
-        // only adds), punts occupy the CPU for `packet_in_proc`.
-        // Capping coalescing at this window keeps batch dispatch
-        // byte-identical to scalar (see `Component::batch_window`).
-        Some(self.config.lookup_latency.min(self.config.packet_in_proc))
-    }
-
-    fn on_packet_batch(
-        &mut self,
-        kernel: &mut Kernel,
-        me: ComponentId,
-        port: usize,
-        batch: &mut Vec<(SimTime, Packet)>,
-    ) {
-        debug_assert_ne!(port, self.control_port());
-        // A run of one is a packet: the scalar path, anchored at the
-        // member's own instant, with no block to fill or stage.
-        if batch.len() == 1 {
-            let (t, packet) = batch.pop().expect("len checked");
-            self.data_frame_at(kernel, me, t, port, packet);
-            return;
-        }
-        // Block path: stage up to a block's worth of arrivals, classify
-        // them against the whole table in one sweep per tuple, then
-        // forward each at its own arrival instant.
-        let in_port_wire = (port + 1) as u16;
-        let mut block = FlowKeyBlock::new();
-        let mut staged = std::mem::take(&mut self.staged);
-        for (t, packet) in batch.drain(..) {
-            let key = FlowKey::extract(&packet.parse());
-            block.push(&key);
-            staged.push((t, packet, key));
-            if block.is_full() {
-                self.flush_block(kernel, me, in_port_wire, &block, &mut staged);
-                block.clear();
-            }
-        }
-        if !staged.is_empty() {
-            self.flush_block(kernel, me, in_port_wire, &block, &mut staged);
-        }
-        self.staged = staged;
+        self.data_frame(kernel, me, port, packet);
     }
 
     fn on_timer(&mut self, kernel: &mut Kernel, me: ComponentId, tag: u64) {

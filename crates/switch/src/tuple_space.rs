@@ -46,7 +46,7 @@
 //! `BTreeMap` counter) keeps the pruning bound exact under churn.
 
 use crate::compiled::CompiledOfMatch;
-use osnt_packet::{FlowKey, FlowKeyBlock, FxBuildHasher, FxHasher64, BLOCK_LANES, KEY_WORDS};
+use osnt_packet::{FlowKey, FxBuildHasher, FxHasher64, KEY_WORDS};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -448,54 +448,6 @@ impl TupleSpace {
         }
         best.map(|b| b.id as usize)
     }
-
-    /// Block lookup: classify every occupied lane of `block` tuple by
-    /// tuple, with per-lane undecided masking — a lane leaves the probe
-    /// set as soon as its best hit strictly outranks the current tuple's
-    /// bound (tuples only get worse from there). Lane `i` of the result
-    /// equals [`TupleSpace::lookup`] on key `i`.
-    pub fn lookup_block(
-        &mut self,
-        in_port: u16,
-        block: &FlowKeyBlock,
-    ) -> [Option<usize>; BLOCK_LANES] {
-        let occupied: u8 = if block.len() >= BLOCK_LANES {
-            u8::MAX
-        } else {
-            (1u8 << block.len()) - 1
-        };
-        self.ensure_order();
-        let mut best: [Option<Best>; BLOCK_LANES] = [None; BLOCK_LANES];
-        let mut undecided = occupied;
-        for &ti in &self.order {
-            if undecided == 0 {
-                break;
-            }
-            let t = &self.tuples[ti as usize];
-            if t.len == 0 {
-                continue;
-            }
-            let bound = t.max_rank().expect("non-empty tuple has a max rank");
-            let mut lanes = undecided;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                if let Some(b) = &best[lane] {
-                    if b.rank > bound {
-                        undecided &= !(1u8 << lane);
-                        continue;
-                    }
-                }
-                let words = block.masked_lane(lane, &t.mask);
-                self.probe(t, words, in_port, &mut best[lane]);
-            }
-        }
-        let mut out = [None; BLOCK_LANES];
-        for (o, b) in out.iter_mut().zip(best) {
-            *o = b.map(|b| b.id as usize);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -659,34 +611,6 @@ mod tests {
                 assert_eq!(ts.len(), model.len());
             }
             assert_eq!(ts.active_tuples(), 0);
-        }
-    }
-
-    #[test]
-    fn block_lookup_equals_scalar() {
-        let mut ts = TupleSpace::new();
-        let any = OfMatch::any();
-        let porty = OfMatch::udp_dst_port(9001);
-        let exact = OfMatch::ipv4_dst(Ipv4Addr::new(10, 1, 0, 1));
-        for (seq, m, prio) in [(0u64, &any, 1u16), (1, &porty, 5), (2, &exact, 5)] {
-            index(&mut ts, seq, m, prio);
-        }
-        let keys = [
-            key_of(Ipv4Addr::new(10, 1, 0, 1), 9001),
-            key_of(Ipv4Addr::new(10, 1, 0, 1), 80),
-            key_of(Ipv4Addr::new(192, 168, 0, 1), 9001),
-            key_of(Ipv4Addr::new(192, 168, 0, 1), 80),
-        ];
-        let mut block = FlowKeyBlock::new();
-        for k in &keys {
-            block.push(k);
-        }
-        let lanes = ts.lookup_block(3, &block);
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(lanes[i], ts.lookup(3, k), "lane {i}");
-        }
-        for lane in &lanes[keys.len()..] {
-            assert_eq!(*lane, None);
         }
     }
 }

@@ -20,7 +20,7 @@
 
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
-use osnt_packet::{FlowKey, FlowKeyBlock, MacAddr, Packet, PacketBuilder};
+use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
 use osnt_switch::flowtable::{covers, FlowEntry, FlowTable};
 use osnt_time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -284,7 +284,7 @@ proptest! {
             .map(|&(ip, port)| udp_frame(IP_POOL[ip as usize], PORT_POOL[port as usize]))
             .collect();
         for in_port in [1u16, 2, 3] {
-            // Scalar verdicts: model, interpreter, index.
+            // Verdicts: model, interpreter, index.
             for frame in &frames {
                 let parsed = frame.parse();
                 let key = FlowKey::extract(&parsed);
@@ -297,17 +297,6 @@ proptest! {
                     FlowTable::account(&mut naive.rows[i].1, now, frame.frame_len());
                     FlowTable::account(table.entry_mut(i), now, frame.frame_len());
                 }
-            }
-            // Block verdicts, 8 lanes at a time.
-            for chunk in frames.chunks(8) {
-                let mut block = FlowKeyBlock::new();
-                let mut expect = Vec::new();
-                for frame in chunk {
-                    block.push(&FlowKey::extract(&frame.parse()));
-                    expect.push(naive.lookup(in_port, frame));
-                }
-                let lanes = table.lookup_block_idx(in_port, &block);
-                prop_assert_eq!(&lanes[..expect.len()], &expect[..]);
             }
         }
         prop_assert!(agree(&naive, &table));

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# The gate steps of .github/workflows/ci.yml, offline, for a checkout
+# with no Actions runner: build, tests and their two env legs, fmt,
+# clippy, the E0 correctness gate, the chaos campaign, the
+# digest-asserting experiment bins and the perf guard (advisory here).
+# Fresh BENCH_*.json land in a temporary directory; the committed ones
+# are the guard's baseline and are not touched.
+#
+# Also prints `e5_legacy_latency | md5sum` (run twice, must agree):
+# the event-order pin EXPERIMENTS.md compares with the parent commit's.
+#
+# Exits non-zero at the first failing step.
+set -euo pipefail
+
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+export CARGO_NET_OFFLINE=true
+for knob in $(compgen -e | grep '^OSNT_' || true); do unset "$knob"; done
+
+step() { printf '\n== %s\n' "$*"; }
+bin() { cargo run --release -q -p osnt-bench --bin "$@"; }
+
+step "build"
+cargo build --workspace --all-targets
+step "test"
+cargo test --workspace -q
+step "fault models under a second RNG seed"
+OSNT_FAULT_SEED=2 cargo test -q -p osnt-netsim -p oflops-turbo
+step "shard parity under yield stress"
+OSNT_SHARD_STRESS=7 cargo test -q -p osnt-netsim --test shard_parity
+step "rustfmt"
+cargo fmt --all --check
+step "clippy"
+cargo clippy --workspace --all-targets -- -D warnings
+
+step "E0 pipeline benchmark (correctness gate, not a timing gate)"
+for w in p1_legacy_load p2_consistency p2_churn burst_linerate; do
+    scripts/e0/run.sh --workload "$w" --seed 1 --seconds 2 --trace 1 >/dev/null
+    echo "e0 $w: digest, ops and events match scripts/e0/expected.json"
+done
+
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+step "E14 chaos campaign (zero violations)"
+bin e14_chaos -- --seeds 4 --shards 1,2,4 --json "$out/BENCH_chaos.json"
+
+step "E12 capture (committed digest)"
+bin e12_capture -- --frames 200000 --json "$out/BENCH_capture.json"
+step "E13 burst sweep (one committed digest at every burst size)"
+bin e13_burst -- --frames 100000 --json "$out/BENCH_burst.json"
+step "E15 flow table (verdict digests + flatness gate)"
+OSNT_REQUIRE_SPEEDUP=1 bin e15_flowtable -- --json "$out/BENCH_e15.json"
+
+# The yaml's guard runs on dedicated runners. Here its verdict is printed
+# and does not decide the exit code: the 15 % single-shot threshold is
+# narrower than a shared host's own drift (whole passes read 30-50 % under
+# the committed rows, fresh runs of an untouched parent commit among
+# them), so a failure here says "measure it by the EXPERIMENTS.md
+# protocol", not "broken".
+step "perf guard (advisory off the CI runners)"
+guard=passed
+python3 scripts/perf_guard.py . "$out"/BENCH_*.json || guard="FAILED (advisory, see above)"
+
+step "e5_legacy_latency | md5sum"
+first=$(bin e5_legacy_latency | md5sum)
+second=$(bin e5_legacy_latency | md5sum)
+echo "$first"
+[ "$first" = "$second" ] || { echo "e5 trace differs between two runs: $second" >&2; exit 1; }
+
+printf '\nci_local: all gate steps passed; perf guard %s\n' "$guard"

@@ -7,21 +7,29 @@
 //!   campaigns' standing `classifier-parity` audit, one seed of it (the
 //!   full property suite is
 //!   `crates/switch/tests/classifier_equivalence.rs`);
-//! * the monitor's block path against scalar dispatch, the scalar side
-//!   being a wrapper that forwards `on_packet` and nothing else (the
-//!   per-stage variants are in `crates/mon/src/pipeline.rs`).
+//! * burst size is unobservable: the E13 pipeline (gen → fault-free
+//!   `FaultyLink` → `OpenFlowSwitch`, 257 rules → `MonitorPort`) at
+//!   generator burst 1, 8 and 32, and the E12 wiring (gen straight into a
+//!   filtering, thinning monitor) at batch 1 and 32, each capture the
+//!   same packets with the same counters — the `DeliverBurst` →
+//!   scalar-replay route into switch and monitor, in small.
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
 use osnt::gen::workload::FixedTemplate;
-use osnt::gen::{GenConfig, GeneratorPort, Schedule};
+use osnt::gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
 use osnt::mon::{
-    CaptureBuffer, FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort,
+    CapturedPacket, FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort,
     ThinConfig,
 };
-use osnt::netsim::{Component, ComponentId, Kernel, LinkSpec, PacketBurst, SimBuilder};
-use osnt::packet::{Packet, WildcardRule};
+use osnt::netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, SimBuilder};
+use osnt::openflow::match_field::wildcards;
+use osnt::openflow::messages::{FlowMod, Message};
+use osnt::openflow::{Action, OfMatch};
+use osnt::packet::{MacAddr, Packet, WildcardRule};
+use osnt::switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt::time::{HwClock, SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 #[test]
@@ -36,81 +44,144 @@ fn flow_table_index_answers_like_the_interpreter_after_every_flow_mod() {
     );
 }
 
-/// The scalar reference: forwards `on_packet` (the monitor's only scalar
-/// handler) and nothing else, so the kernel never hands it a batch.
-struct ScalarOnly(MonitorPort);
-
-impl Component for ScalarOnly {
-    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
-        self.0.on_packet(k, me, port, p);
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
+fn clock() -> Rc<RefCell<HwClock>> {
+    Rc::new(RefCell::new(HwClock::ideal()))
 }
 
-/// The fast side: forwards the whole `Component` surface and keeps the
-/// length of each batch the kernel delivered.
-struct Recording {
-    inner: MonitorPort,
-    batches: Rc<RefCell<Vec<usize>>>,
-}
-
-impl Component for Recording {
-    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
-        self.inner.on_start(k, me);
-    }
-    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, p: Packet) {
-        self.inner.on_packet(k, me, port, p);
-    }
-    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
-        self.inner.on_timer(k, me, tag);
-    }
-    fn wants_packet_batches(&self) -> bool {
-        self.inner.wants_packet_batches()
-    }
-    fn wants_packet_batches_on(&self, port: usize) -> bool {
-        self.inner.wants_packet_batches_on(port)
-    }
-    fn batch_window(&self) -> Option<SimDuration> {
-        self.inner.batch_window()
-    }
-    fn on_packet_batch(
-        &mut self,
-        k: &mut Kernel,
-        me: ComponentId,
-        port: usize,
-        batch: &mut Vec<(SimTime, Packet)>,
-    ) {
-        self.batches.borrow_mut().push(batch.len());
-        self.inner.on_packet_batch(k, me, port, batch);
-    }
-    fn wants_bursts(&self) -> bool {
-        self.inner.wants_bursts()
-    }
-    fn on_burst(&mut self, k: &mut Kernel, me: ComponentId, port: usize, burst: PacketBurst) {
-        self.inner.on_burst(k, me, port, burst);
-    }
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// 1 000 back-to-back frames, departing 32 per generator event, into a
-/// monitor with decoy rules, thinning and a capture bound.
-fn capture_run(
-    wrap: impl FnOnce(MonitorPort) -> Box<dyn Component>,
-) -> (Rc<RefCell<CaptureBuffer>>, Rc<RefCell<MonStats>>) {
-    let (gen, _) = GeneratorPort::new(
-        Box::new(FixedTemplate::new(FixedTemplate::udp_frame(256))),
+/// A back-to-back generator of `frames` frames, `batch` per departure
+/// event.
+fn generator(frames: u64, batch: u64, frame_len: usize, start_at: SimTime) -> GeneratorPort {
+    GeneratorPort::new(
+        Box::new(FixedTemplate::new(FixedTemplate::udp_frame(frame_len))),
         GenConfig {
-            count: Some(1_000),
+            count: Some(frames),
             schedule: Schedule::BackToBack,
-            batch: 32,
+            stamp: Some(StampConfig::default_payload()),
+            batch,
+            start_at,
             ..GenConfig::default()
         },
-        Rc::new(RefCell::new(HwClock::ideal())),
+        clock(),
+    )
+    .0
+}
+
+/// Installs the rule list at t = 0 and counts punts (a table miss).
+struct RuleLoader {
+    mods: Vec<FlowMod>,
+    punts: Rc<Cell<u64>>,
+}
+
+impl Component for RuleLoader {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        for (i, fm) in self.mods.iter().enumerate() {
+            let _ = k.transmit(
+                me,
+                0,
+                encap_control(&Message::FlowMod(fm.clone()), i as u32 + 1),
+            );
+        }
+    }
+    fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {
+        self.punts.set(self.punts.get() + 1);
+    }
+}
+
+/// An exact match on the offered flow but for the UDP destination port.
+fn flow_match(tp_dst: u16) -> OfMatch {
+    let mut m = OfMatch::any();
+    m.dl_src = MacAddr::local(1);
+    m.dl_dst = MacAddr::local(2);
+    m.dl_type = 0x0800;
+    m.nw_proto = 17;
+    m.nw_src = Ipv4Addr::new(10, 0, 0, 1);
+    m.nw_dst = Ipv4Addr::new(10, 0, 0, 2);
+    m.tp_src = 5001;
+    m.tp_dst = tp_dst;
+    m.wildcards &= !(wildcards::DL_SRC
+        | wildcards::DL_DST
+        | wildcards::DL_TYPE
+        | wildcards::NW_PROTO
+        | wildcards::TP_SRC
+        | wildcards::TP_DST);
+    m.set_nw_src_prefix(32);
+    m.set_nw_dst_prefix(32);
+    m
+}
+
+fn output(port: u16) -> Vec<Action> {
+    vec![Action::Output { port, max_len: 0 }]
+}
+
+/// E13 in small: 2 000 stamped 128 B frames, `burst` per generator
+/// event, through a fault-free link and a switch holding 256 near-miss
+/// rules and the one that forwards to the capturing monitor. Returns the
+/// capture, the monitor's counters and the punts the controller saw.
+fn pipeline_run(burst: u64) -> (Vec<CapturedPacket>, MonStats, u64) {
+    const FRAMES: u64 = 2_000;
+    // 257 × 25 µs of switch CPU + 1 ms install < 10 ms.
+    let start = SimTime::from_ms(10);
+    let (link, _) = FaultyLink::new(FaultConfig::default()).expect("fault-free config is valid");
+    let switch = OpenFlowSwitch::new(OfSwitchConfig::default());
+    let (ctrl_port, kernel_ports) = (switch.control_port(), switch.kernel_ports());
+    let mut filter = FilterTable::drop_by_default();
+    filter.push(
+        WildcardRule::any().with_dst_port(9001),
+        FilterAction::Capture,
     );
+    let (mon, capture, stats) = MonitorPort::new(
+        MonConfig {
+            filter,
+            host: HostPathConfig::unlimited(),
+            ..MonConfig::default()
+        },
+        clock(),
+    );
+    let mut mods: Vec<FlowMod> = (0..256)
+        .map(|i| FlowMod::add(flow_match(10_000 + i), 10, output(3)))
+        .collect();
+    mods.push(FlowMod::add(flow_match(9001), 20, output(2)));
+    let punts = Rc::new(Cell::new(0));
+
+    let mut b = SimBuilder::new();
+    let g = b.add_component("gen", Box::new(generator(FRAMES, burst, 128, start)), 1);
+    let l = b.add_component("link", Box::new(link), 2);
+    let sw = b.add_component("switch", Box::new(switch), kernel_ports);
+    let m = b.add_component("mon", Box::new(mon), 1);
+    let loader = RuleLoader {
+        mods,
+        punts: Rc::clone(&punts),
+    };
+    let ctl = b.add_component("ctl", Box::new(loader), 1);
+    b.connect(ctl, 0, sw, ctrl_port, LinkSpec::one_gig());
+    b.connect(g, 0, l, 0, LinkSpec::ten_gig());
+    b.connect(l, 1, sw, 0, LinkSpec::ten_gig());
+    b.connect(sw, 1, m, 0, LinkSpec::ten_gig());
+    // 2 000 × 118.4 ns of wire ends well inside a millisecond.
+    b.build().run_until(start + SimDuration::from_ms(1));
+    let packets = capture.borrow().packets.clone();
+    let stats = *stats.borrow();
+    (packets, stats, punts.get())
+}
+
+#[test]
+fn generator_burst_size_is_unobservable_behind_link_and_switch() {
+    let (reference, stats, punts) = pipeline_run(1);
+    assert_eq!(punts, 0, "the live rule must forward every frame");
+    assert_eq!(reference.len(), 2_000);
+    assert_eq!(stats.host_frames, 2_000);
+    for burst in [8, 32] {
+        let (packets, burst_stats, punts) = pipeline_run(burst);
+        assert_eq!(punts, 0, "burst {burst}");
+        assert_eq!(burst_stats, stats, "burst {burst}");
+        assert!(packets == reference, "burst {burst}: capture diverged");
+    }
+}
+
+/// E12 in small: 1 000 back-to-back frames, `batch` per generator event,
+/// straight into a monitor with decoy rules, thinning and a capture
+/// bound.
+fn capture_run(batch: u64) -> (Vec<CapturedPacket>, MonStats) {
     let mut filter = FilterTable::drop_by_default();
     filter.push(WildcardRule::any().with_dst_port(7), FilterAction::Drop);
     filter.push(
@@ -124,32 +195,29 @@ fn capture_run(
             host: HostPathConfig::unlimited(),
             capture_limit: Some(701),
         },
-        Rc::new(RefCell::new(HwClock::ideal())),
+        clock(),
     );
     let mut b = SimBuilder::new();
-    let g = b.add_component("gen", Box::new(gen), 1);
-    let m = b.add_component("mon", wrap(mon), 1);
+    let g = b.add_component(
+        "gen",
+        Box::new(generator(1_000, batch, 256, SimTime::ZERO)),
+        1,
+    );
+    let m = b.add_component("mon", Box::new(mon), 1);
     b.connect(g, 0, m, 0, LinkSpec::ten_gig());
     b.build().run_until(SimTime::from_ms(2));
-    (buffer, stats)
+    let packets = buffer.borrow().packets.clone();
+    let stats = *stats.borrow();
+    (packets, stats)
 }
 
 #[test]
-fn monitor_block_path_captures_what_scalar_dispatch_captures() {
-    let (scalar_buf, scalar_stats) = capture_run(|mon| Box::new(ScalarOnly(mon)));
-    let batches = Rc::new(RefCell::new(Vec::new()));
-    let (block_buf, block_stats) = capture_run(|mon| {
-        Box::new(Recording {
-            inner: mon,
-            batches: batches.clone(),
-        })
-    });
-    // The two sides really took different paths: full blocks and a tail
-    // flush on one, no batch at all on the other.
-    let batches = batches.borrow();
-    assert!(batches.iter().any(|&n| n >= 8), "{batches:?}");
-    assert!(batches.iter().any(|&n| n > 1 && n % 8 != 0), "{batches:?}");
-    assert_eq!(*scalar_stats.borrow(), *block_stats.borrow());
-    assert_eq!(scalar_stats.borrow().capture_shed, 299);
-    assert_eq!(scalar_buf.borrow().packets, block_buf.borrow().packets);
+fn monitor_captures_a_burst_like_its_frames_one_by_one() {
+    let (scalar, scalar_stats) = capture_run(1);
+    let (burst, burst_stats) = capture_run(32);
+    assert_eq!(scalar_stats, burst_stats);
+    assert_eq!(scalar_stats.capture_shed, 299);
+    assert_eq!(scalar_stats.thinned, 1_000);
+    assert_eq!(scalar.len(), 701);
+    assert!(scalar == burst, "capture diverged between batch 1 and 32");
 }
