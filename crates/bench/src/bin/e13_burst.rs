@@ -1,4 +1,4 @@
-//! E13 — end-to-end burst datapath: SendPacket burst vectors through
+//! E13 — end-to-end burst datapath: packet burst vectors through
 //! gen → link → switch → mon, swept over offered burst size.
 //!
 //! One 10G generator streams stamped UDP frames back-to-back through a

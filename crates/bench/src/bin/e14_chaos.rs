@@ -5,14 +5,12 @@
 //! not an assertion. This harness runs the built-in chaos corpus —
 //! bursty loss, corruption storms, reorder+duplicate, GPS holdover,
 //! capture overload, control-channel flaps, supervisor crash sweeps and
-//! journal torture — across a seed axis and at 1/2/4 kernel shards, and
-//! audits **every** report with the invariant auditor:
+//! journal torture — across a seed axis, and audits **every** report
+//! with the invariant auditor:
 //!
 //! * packet conservation: every generated frame ends in exactly one
 //!   ledger (captured, CRC-failed, fault-dropped, host-dropped, shed);
 //! * latency sanity: order statistics ordered, samples causal;
-//! * shard parity: the same scenario at 1, 2 and 4 shards renders
-//!   byte-identical reports;
 //! * control ledger: offered == dropped + delivered, sink agrees;
 //! * crash-resume: every journal append is a crash point; resume is
 //!   byte-identical or honestly partial;
@@ -28,7 +26,6 @@ use osnt_chaos::{run_campaign, CampaignConfig, ChaosPlan};
 
 fn main() {
     let mut seeds: u64 = 4;
-    let mut shards: Vec<usize> = vec![1, 2, 4];
     let mut crash_points = true;
     let mut json: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -38,34 +35,25 @@ fn main() {
                 let v = args.next().expect("--seeds takes a count");
                 seeds = v.parse().expect("--seeds takes an integer");
             }
-            "--shards" => {
-                let v = args.next().expect("--shards takes a list like 1,2,4");
-                shards = v
-                    .split(',')
-                    .map(|p| p.trim().parse().expect("--shards takes integers"))
-                    .collect();
-            }
             "--crash-points" => {
                 let v = args.next().expect("--crash-points takes true/false");
                 crash_points = v.parse().expect("--crash-points takes true/false");
             }
             "--json" => json = Some(args.next().expect("--json takes a path")),
             other => panic!(
-                "unknown argument {other} (expected --seeds N / --shards 1,2,4 / --crash-points B / --json PATH)"
+                "unknown argument {other} (expected --seeds N / --crash-points B / --json PATH)"
             ),
         }
     }
 
     let plan = ChaosPlan::builtin();
     println!(
-        "E14: chaos campaign, {} scenarios x {seeds} seeds x shards {:?}, crash points: {crash_points}\n",
+        "E14: chaos campaign, {} scenarios x {seeds} seeds, crash points: {crash_points}\n",
         plan.scenarios.len(),
-        shards
     );
     let cfg = CampaignConfig {
         plan,
         seeds,
-        shard_counts: shards.clone(),
         crash_points,
         scratch_dir: std::env::temp_dir(),
     };
@@ -102,13 +90,8 @@ fn main() {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let shard_list = shards
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         let body = format!(
-            "{{\"bench\":\"e14_chaos\",\"plan\":\"{}\",\"seeds\":{seeds},\"shards\":[{shard_list}],\"crash_points\":{crash_points},\"runs\":{},\"audited\":{},\"violations\":{},\"wall_s\":{wall:.3},\"scenarios\":[{scenarios}]}}\n",
+            "{{\"bench\":\"e14_chaos\",\"plan\":\"{}\",\"seeds\":{seeds},\"crash_points\":{crash_points},\"runs\":{},\"audited\":{},\"violations\":{},\"wall_s\":{wall:.3},\"scenarios\":[{scenarios}]}}\n",
             report.plan,
             report.runs(),
             report.audited,

@@ -27,7 +27,7 @@
 use oflops_turbo::ControlFaultStats;
 use osnt_core::experiment::LatencyReport;
 use osnt_error::OsntError;
-use osnt_netsim::{FaultStats, ShardStats};
+use osnt_netsim::FaultStats;
 
 /// One observed invariant violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -339,63 +339,6 @@ impl InvariantAuditor {
         }
     }
 
-    /// Audit shard parity: the same scenario at a different shard count
-    /// must render a byte-identical report.
-    pub fn audit_shard_parity(&mut self, label: &str, shards: usize, reference: &str, got: &str) {
-        self.audited += 1;
-        self.check("shard-parity", reference == got, || {
-            let at = reference
-                .bytes()
-                .zip(got.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(reference.len().min(got.len()));
-            format!("{label}: report at {shards} shard(s) diverges from the 1-shard report at byte {at}")
-        });
-    }
-
-    /// Audit the sharded executive's window-accounting ledger for one
-    /// run. The counters are deterministic (see
-    /// [`osnt_netsim::ShardStats`]) and must balance:
-    ///
-    /// * window rounds are lockstep — `windows_executed +
-    ///   windows_skipped` is identical on every shard;
-    /// * cross-shard traffic is conserved — summed over shards,
-    ///   `ring_pushes == ring_drains` once the run has quiesced (every
-    ///   posted entry was drained, never lost or duplicated).
-    pub fn audit_window_ledger(&mut self, label: &str, shards: usize, stats: &[ShardStats]) {
-        self.audited += 1;
-        self.check("window-ledger", stats.len() == shards, || {
-            format!(
-                "{label}: {} shard stat record(s) for a {shards}-shard run",
-                stats.len()
-            )
-        });
-        if let Some(first) = stats.first() {
-            let rounds = first.rounds();
-            self.check(
-                "window-ledger",
-                stats.iter().all(|s| s.rounds() == rounds),
-                || {
-                    let got: Vec<u64> = stats.iter().map(|s| s.rounds()).collect();
-                    format!("{label}: shards disagree on round count: {got:?}")
-                },
-            );
-        }
-        let merged = stats
-            .iter()
-            .fold(ShardStats::default(), |acc, s| acc.merged(*s));
-        self.check(
-            "window-ledger",
-            merged.ring_pushes == merged.ring_drains,
-            || {
-                format!(
-                    "{label}: cross-shard pushes {} != drains {}",
-                    merged.ring_pushes, merged.ring_drains
-                )
-            },
-        );
-    }
-
     /// Audit classifier parity: after an identical flow_mod history the
     /// flow table must hold exactly the rules its naive model
     /// (`reference`) holds.
@@ -697,57 +640,6 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.invariant == "session-ledger"));
-    }
-
-    #[test]
-    fn window_ledger_balances_and_catches_each_break() {
-        let balanced = [
-            ShardStats {
-                windows_executed: 10,
-                windows_skipped: 2,
-                barrier_waits: 26,
-                ring_pushes: 100,
-                ring_drains: 94,
-            },
-            ShardStats {
-                windows_executed: 7,
-                windows_skipped: 5,
-                barrier_waits: 26,
-                ring_pushes: 30,
-                ring_drains: 36,
-            },
-        ];
-        let mut a = InvariantAuditor::new();
-        a.audit_window_ledger("ok", 2, &balanced);
-        assert!(a.violations().is_empty(), "{:?}", a.violations());
-
-        // Shards disagreeing on the round count.
-        let mut skewed = balanced;
-        skewed[1].windows_skipped += 1;
-        let mut a = InvariantAuditor::new();
-        a.audit_window_ledger("rounds", 2, &skewed);
-        assert!(a
-            .violations()
-            .iter()
-            .any(|v| v.invariant == "window-ledger"));
-
-        // A ring entry conjured from nothing.
-        let mut leaky = balanced;
-        leaky[0].ring_drains += 1;
-        let mut a = InvariantAuditor::new();
-        a.audit_window_ledger("leak", 2, &leaky);
-        assert!(a
-            .violations()
-            .iter()
-            .any(|v| v.invariant == "window-ledger"));
-
-        // Wrong record count for the shard plan.
-        let mut a = InvariantAuditor::new();
-        a.audit_window_ledger("short", 4, &balanced);
-        assert!(a
-            .violations()
-            .iter()
-            .any(|v| v.invariant == "window-ledger"));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Campaign execution: plan × seeds × shard counts, audited.
+//! Campaign execution: plan × seeds, audited.
 //!
 //! [`run_campaign`] is the engine behind `osnt chaos` and the E14
 //! bench. For every scenario of the plan and every seed on the axis it:
 //!
 //! 1. lowers the scenario ([`ChaosScenario::lower`]) onto the
 //!    platform's injection knobs;
-//! 2. runs the canonical latency experiment on the single kernel, then
-//!    at every requested shard count, and audits each report with the
-//!    [`InvariantAuditor`] — including byte-identical shard parity;
+//! 2. runs the canonical latency experiment and audits its report
+//!    with the [`InvariantAuditor`];
 //! 3. drives the control-channel fault harness when the scenario
 //!    scripts control episodes, and audits its ledger;
 //! 4. runs the supervisor crash-point sweep and/or journal torture
@@ -49,9 +48,6 @@ pub struct CampaignConfig {
     pub plan: ChaosPlan,
     /// Seeds per scenario; seed *s* runs at `plan.base_seed + s`.
     pub seeds: u64,
-    /// Shard counts to prove parity across. Must contain `1` (the
-    /// reference kernel); enforced by [`run_campaign`].
-    pub shard_counts: Vec<usize>,
     /// Run crash-point sweeps / journal torture for scenarios that
     /// script them (CI smoke runs may disable the exhaustive sweep).
     pub crash_points: bool,
@@ -64,7 +60,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             plan: ChaosPlan::builtin(),
             seeds: 4,
-            shard_counts: vec![1, 2, 4],
             crash_points: true,
             scratch_dir: std::env::temp_dir(),
         }
@@ -76,7 +71,7 @@ impl Default for CampaignConfig {
 pub struct ScenarioResult {
     /// Scenario name.
     pub scenario: String,
-    /// Data-plane runs executed (seeds × shard counts).
+    /// Data-plane runs executed (one per seed).
     pub runs: u64,
     /// Merged fault-injector tally across all runs.
     pub fault_totals: FaultStats,
@@ -98,8 +93,6 @@ pub struct CampaignReport {
     pub plan: String,
     /// Seeds exercised per scenario.
     pub seeds: u64,
-    /// Shard counts exercised.
-    pub shard_counts: Vec<usize>,
     /// Per-scenario outcomes, plan order.
     pub scenarios: Vec<ScenarioResult>,
     /// Reports audited.
@@ -149,18 +142,11 @@ impl CampaignReport {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# OSNT chaos campaign: plan {:?}", self.plan);
-        let shard_list = self
-            .shard_counts
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join("/");
         let _ = writeln!(
             out,
-            "{} scenario(s) x {} seed(s) x shards {} | {} run(s), {} report(s) audited",
+            "{} scenario(s) x {} seed(s) | {} run(s), {} report(s) audited",
             self.scenarios.len(),
             self.seeds,
-            shard_list,
             self.runs(),
             self.audited,
         );
@@ -245,17 +231,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, OsntError> {
     if cfg.seeds == 0 {
         return Err(OsntError::config("chaos campaign", "seeds must be >= 1"));
     }
-    if cfg.shard_counts.first() != Some(&1) {
-        return Err(OsntError::config(
-            "chaos campaign",
-            "shard_counts must start with 1 (the parity reference)",
-        ));
-    }
     let mut auditor = InvariantAuditor::new();
     let mut report = CampaignReport {
         plan: cfg.plan.name.clone(),
         seeds: cfg.seeds,
-        shard_counts: cfg.shard_counts.clone(),
         ..CampaignReport::default()
     };
 
@@ -275,76 +254,42 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, OsntError> {
             let label = format!("{}@seed{}", scenario.name, s);
             let lowered = scenario.lower(seed)?;
 
-            // Data plane at 1/2/4 shards, byte-identical.
-            let mut reference: Option<String> = None;
-            for &shards in &cfg.shard_counts {
-                // Side channel for the executive's window/ring ledger:
-                // deterministic counters, audited below, and kept out
-                // of the byte-compared report.
-                let window_stats = std::sync::Arc::new(std::sync::Mutex::new(Vec::<
-                    osnt_netsim::ShardStats,
-                >::new(
-                )));
-                let exp = LatencyExperiment {
-                    frame_len: 512,
-                    background_load: scenario.background_load,
-                    duration: scenario.duration,
-                    warmup: scenario.warmup,
-                    seed,
-                    probe_faults: lowered.faults.clone(),
-                    gps_signal: lowered.gps.clone(),
-                    capture_limit: scenario.capture_limit,
-                    record_raw: true,
-                    shards: Some(shards),
-                    shard_stats_sink: Some(std::sync::Arc::clone(&window_stats)),
-                    ..LatencyExperiment::default()
-                };
-                let r = match exp.run_legacy(LegacyConfig::default()) {
-                    Ok(r) => r,
-                    Err(e) => {
+            // Data plane.
+            let exp = LatencyExperiment {
+                frame_len: 512,
+                background_load: scenario.background_load,
+                duration: scenario.duration,
+                warmup: scenario.warmup,
+                seed,
+                probe_faults: lowered.faults.clone(),
+                gps_signal: lowered.gps.clone(),
+                capture_limit: scenario.capture_limit,
+                record_raw: true,
+                ..LatencyExperiment::default()
+            };
+            match exp.run_legacy(LegacyConfig::default()) {
+                Ok(r) => {
+                    result.runs += 1;
+                    let dut_may_drop = scenario.background_load + exp.probe_load > 0.95;
+                    auditor.audit_latency(&label, &r, dut_may_drop);
+                    if scenario.capture_limit.is_none() && r.capture_shed != 0 {
                         auditor.violate(
-                            "graceful-degradation",
+                            "shed-accounting",
                             format!(
-                                "{label}@{shards}shards: run aborted instead of degrading: {e}"
+                                "{label}: shed {} frames with no bound armed",
+                                r.capture_shed
                             ),
                         );
-                        continue;
                     }
-                };
-                result.runs += 1;
-                let rendered = format!("{r:?}");
-                match &reference {
-                    None => {
-                        // The 1-shard report is the parity reference and
-                        // the one whose books are audited in full.
-                        let dut_may_drop = scenario.background_load + exp.probe_load > 0.95;
-                        auditor.audit_latency(&label, &r, dut_may_drop);
-                        if scenario.capture_limit.is_none() && r.capture_shed != 0 {
-                            auditor.violate(
-                                "shed-accounting",
-                                format!(
-                                    "{label}: shed {} frames with no bound armed",
-                                    r.capture_shed
-                                ),
-                            );
-                        }
-                        reference = Some(rendered);
+                    if let Some(f) = &r.fault_stats {
+                        result.fault_totals.accumulate(f);
                     }
-                    Some(reference) => {
-                        auditor.audit_shard_parity(&label, shards, reference, &rendered);
-                    }
+                    result.capture_shed += r.capture_shed;
                 }
-                if shards >= 2 {
-                    // The latency topology has exactly two Rc-independent
-                    // islands, so any requested count >= 2 lowers to a
-                    // 2-shard plan — see `LatencyExperiment::run_boxed`.
-                    let stats = window_stats.lock().expect("window stats sink poisoned");
-                    auditor.audit_window_ledger(&format!("{label}@{shards}shards"), 2, &stats);
-                }
-                if let Some(f) = &r.fault_stats {
-                    result.fault_totals.accumulate(f);
-                }
-                result.capture_shed += r.capture_shed;
+                Err(e) => auditor.violate(
+                    "graceful-degradation",
+                    format!("{label}: run aborted instead of degrading: {e}"),
+                ),
             }
 
             // Control plane.
@@ -678,7 +623,6 @@ mod tests {
                 scenarios: vec![sc],
             },
             seeds: 1,
-            shard_counts: vec![1, 2],
             crash_points: false,
             scratch_dir: std::env::temp_dir(),
         }
@@ -695,8 +639,8 @@ mod tests {
         }))
         .unwrap();
         assert!(report.is_clean(), "violations: {:?}", report.violations);
-        assert_eq!(report.runs(), 2); // shards 1 and 2
-        assert!(report.audited >= 2);
+        assert_eq!(report.runs(), 1);
+        assert!(report.audited >= 1);
         let rendered = report.render();
         assert!(rendered.contains("invariant violations: 0"), "{rendered}");
         assert!(report.into_result().is_ok());
@@ -790,10 +734,7 @@ mod tests {
     #[test]
     fn campaign_rejects_a_broken_shape() {
         let mut cfg = one_scenario(ChaosScenario::default());
-        cfg.shard_counts = vec![2, 4];
-        assert!(matches!(run_campaign(&cfg), Err(OsntError::Config { .. })));
-        let mut cfg = one_scenario(ChaosScenario::default());
         cfg.seeds = 0;
-        assert!(run_campaign(&cfg).is_err());
+        assert!(matches!(run_campaign(&cfg), Err(OsntError::Config { .. })));
     }
 }

@@ -93,7 +93,7 @@ pub fn crash_point_sweep(
                 )))
             }
         }
-        match SupervisedSweep::resume(&path, supervisor, None) {
+        match SupervisedSweep::resume(&path, supervisor) {
             Ok((cfg, outcome)) => {
                 let resumed = render_report(&cfg, &outcome);
                 if resumed != reference {
@@ -195,7 +195,7 @@ pub fn journal_torture(
         }
         // ...and resume must re-derive the reference or fail honestly.
         std::fs::write(&path, &mangled).map_err(|e| OsntError::journal("write", e.to_string()))?;
-        match SupervisedSweep::resume(&path, supervisor, None) {
+        match SupervisedSweep::resume(&path, supervisor) {
             Ok((cfg, outcome)) => {
                 let resumed = render_report(&cfg, &outcome);
                 if resumed != reference {

@@ -13,13 +13,13 @@
 //!   match rules. Conflicting or out-of-range episodes are typed
 //!   configuration errors at lowering time, not surprises mid-run.
 //! * [`audit`] — the [`InvariantAuditor`]: packet-conservation
-//!   ledgers, timestamp monotonicity/causality, shard parity, control
-//!   ledgers, and journal integrity. Violations are structured
+//!   ledgers, timestamp monotonicity/causality, control ledgers, and
+//!   journal integrity. Violations are structured
 //!   [`OsntError`](osnt_error::OsntError) values, never panics.
 //! * [`crash`] — the exhaustive crash-point sweep (kill at every
 //!   journal append, resume, demand byte-identical-or-honestly-partial
 //!   reports) and journal torture (torn tails + bit flips).
-//! * [`campaign`] — the driver: plan × seeds × shard counts, every
+//! * [`campaign`] — the driver: plan × seeds, every
 //!   report audited, [`FaultStats`](osnt_netsim::FaultStats) rolled up
 //!   with `accumulate`.
 //!

@@ -12,22 +12,6 @@ pub struct Args {
     options: HashMap<String, String>,
     positional: Vec<String>,
     consumed: std::cell::RefCell<Vec<String>>,
-    /// Kernel shard count for the latency experiments, from
-    /// `OSNT_SHARDS` ([`env_shards`]).
-    pub shards: Option<usize>,
-}
-
-/// The shard count the environment asks for. `main` reads it once and
-/// hands it down as config; library code never looks at the
-/// environment.
-pub fn env_shards() -> Result<Option<usize>, UsageError> {
-    match std::env::var("OSNT_SHARDS") {
-        Err(_) => Ok(None),
-        Ok(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| UsageError(format!("invalid OSNT_SHARDS: {v:?}"))),
-    }
 }
 
 /// A CLI-usage error with a human-readable message.

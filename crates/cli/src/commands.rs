@@ -87,7 +87,6 @@ pub fn latency(args: &Args) -> Result<(), CliError> {
         background_load: load,
         duration: SimDuration::from_ms(ms),
         warmup: SimDuration::from_ms(ms / 4),
-        shards: args.shards,
         ..LatencyExperiment::default()
     };
     let r = exp.run_legacy(LegacyConfig::default())?;
@@ -397,7 +396,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 )
                 .into());
             }
-            SupervisedSweep::resume(Path::new(&path), supervisor, args.shards)?
+            SupervisedSweep::resume(Path::new(&path), supervisor)?
         }
         (None, Some(path)) => {
             let config = SweepConfig {
@@ -412,7 +411,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             sweep.supervisor = supervisor;
             sweep.kill_at_phase = kill_at;
             sweep.wedge_at_phase = wedge_at;
-            sweep.shards = args.shards;
             let outcome = sweep.run(Path::new(&path))?;
             (config, outcome)
         }
@@ -444,7 +442,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 pub fn chaos(args: &Args) -> Result<(), CliError> {
     let plan_path = args.get_str("plan").map(str::to_string);
     let seeds: u64 = args.get("seeds", 4)?;
-    let shards_str = args.get_str("shards").unwrap_or("1,2,4").to_string();
     let crash_points: bool = args.get("crash-points", true)?;
     let out = args.get_str("out").map(str::to_string);
     args.reject_unknown()?;
@@ -457,19 +454,9 @@ pub fn chaos(args: &Args) -> Result<(), CliError> {
         }
         None => ChaosPlan::builtin(),
     };
-    let mut shard_counts = Vec::new();
-    for part in shards_str.split(',') {
-        let n: usize = part
-            .trim()
-            .parse()
-            .map_err(|_| UsageError(format!("bad shard count {part:?}")))?;
-        shard_counts.push(n);
-    }
-
     let cfg = CampaignConfig {
         plan,
         seeds,
-        shard_counts,
         crash_points,
         scratch_dir: std::env::temp_dir(),
     };

@@ -42,7 +42,7 @@ COMMANDS:
                    --wedge-at-phase <n>      fault injection: livelock a phase
     chaos        deterministic chaos campaign with a global invariant audit
                    --plan <file.toml>        episode schedule (default: builtin corpus)
-                   --seeds <4> --shards <1,2,4> --out <report.txt>
+                   --seeds <4> --out <report.txt>
                    --crash-points <true>     false skips crash sweeps / journal torture
     serve        multi-tenant run service behind TCP (prints `listening on <addr>`)
                    --addr <127.0.0.1:0> --workers <2> --queue-cap <64>
@@ -56,10 +56,6 @@ COMMANDS:
                    --kill-after-appends <n>  fault injection: crash the worker
                    --wait <true> --out <report.txt> --shutdown <false>
     help         print this text
-
-ENVIRONMENT:
-    OSNT_SHARDS=<n>   run `latency` and `run` on n simulation kernels
-                      (n >= 2: sharded; the reports are byte-identical)
 
 EXIT CODES:
     0 success   1 other failure   2 usage error
@@ -80,8 +76,7 @@ fn main() {
 }
 
 fn dispatch(command: &str, rest: Vec<String>) -> Result<(), CliError> {
-    let mut args = Args::parse(rest)?;
-    args.shards = args::env_shards()?;
+    let args = Args::parse(rest)?;
     match command {
         "linerate" => commands::linerate(&args),
         "latency" => commands::latency(&args),

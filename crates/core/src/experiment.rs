@@ -23,7 +23,7 @@ use osnt_gen::workload::FixedTemplate;
 use osnt_gen::{GenConfig, Schedule};
 use osnt_mon::{FilterAction, FilterTable, HostPathConfig, MonConfig};
 use osnt_netsim::{
-    Component, ComponentId, FaultConfig, FaultStats, FaultyLink, LinkSpec, ShardPlan, SimBuilder,
+    Component, ComponentId, FaultConfig, FaultStats, FaultyLink, LinkSpec, SimBuilder,
 };
 use osnt_packet::{MacAddr, PacketBuilder, WildcardRule};
 use osnt_switch::{LegacyConfig, LegacySwitch};
@@ -78,10 +78,8 @@ pub struct LatencyExperiment {
     /// report — the supervisor journals them so a resumed run can
     /// splice byte-identical sample streams.
     pub record_raw: bool,
-    /// Shard count. `None` or `Some(1)` runs the single kernel,
-    /// `Some(n ≥ 2)` the sharded one; the report is byte-identical
-    /// either way. Chaos campaigns run the same plan at 1/2/4 shards in
-    /// one process; `osnt` fills it from `OSNT_SHARDS`.
+    /// Unused; held by `e0_pipeline/workloads/p1_legacy_load.rs:58` (`shards: Some(1)`).
+    #[doc(hidden)]
     pub shards: Option<usize>,
     /// GPS signal feeding the card's PPS discipline (`None` =
     /// always-locked). Chaos plans lower holdover episodes into outage
@@ -92,15 +90,8 @@ pub struct LatencyExperiment {
     /// (default) captures without bound. See
     /// [`osnt_mon::MonConfig::capture_limit`].
     pub capture_limit: Option<usize>,
-    /// Side channel for the sharded executive's deterministic
-    /// window/ring counters. When set, a sharded run *replaces* the
-    /// sink's contents with its per-shard [`osnt_netsim::ShardStats`]
-    /// (a single-kernel run clears it), so chaos campaigns can audit
-    /// the window-accounting ledger. Deliberately **not** part of
-    /// [`LatencyReport`]: reports are byte-compared across shard
-    /// counts and the executive's ledger legitimately differs per
-    /// shard count. An `Arc<Mutex<..>>` (not `Rc`) so the experiment
-    /// config stays `Send` for the run service's worker threads.
+    /// Unused; held by `e0_pipeline/probes.rs:294` (`shard_stats_sink: Some(..)`).
+    #[doc(hidden)]
     pub shard_stats_sink: Option<std::sync::Arc<std::sync::Mutex<Vec<osnt_netsim::ShardStats>>>>,
 }
 
@@ -355,40 +346,13 @@ impl LatencyExperiment {
             );
         }
 
-        // Run to the end of generation plus drain time. With
-        // `shards` ≥ 2 the run executes on the sharded kernel:
-        // the tester device (whose four ports share one card-clock
-        // `Rc`, and so must stay together) plus the probe-path fault
-        // injector on shard 0, the DUT alone on shard 1. Any larger
-        // requested count still yields two shards — this topology has
-        // exactly two `Rc`-independent islands — and the report is
-        // byte-identical either way (the sharded kernel's determinism
-        // contract, pinned in `tests/shard_experiment_parity.rs`).
+        // Run to the end of generation plus drain time.
         let horizon = stop_at + SimDuration::from_ms(10);
-        if self.shards.is_some_and(|n| n >= 2) {
-            let mut plan = ShardPlan::new(b.component_count(), 2);
-            plan.assign(dut.id, 1);
-            let mut sim = b.build_sharded(plan);
-            if let Some(probe) = &self.progress {
-                sim.attach_progress(std::sync::Arc::clone(probe));
-            }
-            // Worker panics are contained at the shard boundary and
-            // surface as a typed error instead of unwinding through
-            // the experiment.
-            sim.try_run_until(horizon)?;
-            if let Some(sink) = &self.shard_stats_sink {
-                *sink.lock().expect("shard-stats sink poisoned") = sim.shard_stats();
-            }
-        } else {
-            let mut sim = b.build();
-            if let Some(probe) = &self.progress {
-                sim.attach_progress(std::sync::Arc::clone(probe));
-            }
-            sim.run_until(horizon);
-            if let Some(sink) = &self.shard_stats_sink {
-                sink.lock().expect("shard-stats sink poisoned").clear();
-            }
+        let mut sim = b.build();
+        if let Some(probe) = &self.progress {
+            sim.attach_progress(std::sync::Arc::clone(probe));
         }
+        sim.run_until(horizon);
         if let Some(probe) = &self.progress {
             if probe.abort_requested() {
                 return Err(OsntError::RunAborted {

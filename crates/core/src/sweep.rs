@@ -287,11 +287,6 @@ pub struct SupervisedSweep {
     /// the legacy switch, livelocking it so the watchdog must abort.
     /// Not part of the config digest either.
     pub wedge_at_phase: Option<u16>,
-    /// Kernel shard count of every phase
-    /// ([`LatencyExperiment::shards`]). Not journaled: reports are
-    /// byte-identical across shard counts, so a resumed run need not
-    /// match the count it crashed under.
-    pub shards: Option<usize>,
 }
 
 impl SupervisedSweep {
@@ -302,7 +297,6 @@ impl SupervisedSweep {
             supervisor: SupervisorConfig::default(),
             kill_at_phase: None,
             wedge_at_phase: None,
-            shards: None,
         }
     }
 
@@ -324,7 +318,7 @@ impl SupervisedSweep {
             probe_faults: None,
             progress: Some(std::sync::Arc::clone(&ctx.probe)),
             record_raw: true,
-            shards: self.shards,
+            shards: None,
             gps_signal: None,
             capture_limit: None,
             shard_stats_sink: None,
@@ -353,11 +347,10 @@ impl SupervisedSweep {
     /// Resume a campaign from its journal: the configuration is
     /// reconstructed from the journal header (digest-verified),
     /// completed phases are replayed from their journaled results, and
-    /// the interrupted phase onward is re-run on `shards` kernels.
+    /// the interrupted phase onward is re-run.
     pub fn resume(
         journal_path: &Path,
         supervisor: SupervisorConfig,
-        shards: Option<usize>,
     ) -> Result<(SweepConfig, RunOutcome<LatencyReport>), OsntError> {
         let rec = journal::recover(journal_path)?;
         let header = rec.header.as_ref().ok_or_else(|| {
@@ -369,7 +362,6 @@ impl SupervisedSweep {
         let config = SweepConfig::decode(&header.config)?;
         let sweep = SupervisedSweep {
             supervisor,
-            shards,
             ..SupervisedSweep::new(config.clone())
         };
         let (_, outcome) = Supervisor::new(supervisor).resume(

@@ -68,10 +68,8 @@ fn resume_after_truncation_is_byte_identical() {
         let path_cut = tmp(&format!("truncate-{fraction}.journal"));
         std::fs::write(&path_cut, &bytes[..cut]).expect("write truncated copy");
 
-        // On two kernels, though the journal was written on one: the
-        // shard count is not journaled and must not show in the report.
         let (recovered_cfg, resumed) =
-            SupervisedSweep::resume(&path_cut, sup, Some(2)).expect("resume after truncation");
+            SupervisedSweep::resume(&path_cut, sup).expect("resume after truncation");
         assert_eq!(recovered_cfg, cfg, "config must come back from the journal");
         assert!(resumed.is_complete());
         let report = render_report(&recovered_cfg, &resumed);
@@ -136,7 +134,7 @@ fn wedged_phase_trips_watchdog_and_resume_completes() {
 
     // Resume without the wedge: finishes, and the report is
     // byte-identical to the uninterrupted campaign.
-    let (recovered_cfg, resumed) = SupervisedSweep::resume(&path, sup, None).expect("resume");
+    let (recovered_cfg, resumed) = SupervisedSweep::resume(&path, sup).expect("resume");
     assert!(resumed.is_complete());
     assert_eq!(resumed.resumed_phases, 1);
     assert_eq!(render_report(&recovered_cfg, &resumed), reference);

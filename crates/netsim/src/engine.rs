@@ -4,7 +4,7 @@ use crate::component::{Component, ComponentId};
 use crate::event::EventKind;
 use crate::kernel::Kernel;
 use crate::link::LinkSpec;
-use crate::shard::{ShardPlan, ShardedSim};
+use crate::shard::ShardedSim;
 use osnt_packet::Packet;
 use osnt_time::{SimDuration, SimTime};
 
@@ -70,11 +70,6 @@ impl SimBuilder {
         self.kernel.connect_simplex(b, pb, a, pa, spec_ba);
     }
 
-    /// Number of components added so far (shard plans need the count).
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// Finish construction.
     pub fn build(self) -> Sim {
         Sim {
@@ -85,40 +80,25 @@ impl SimBuilder {
         }
     }
 
-    /// Finish construction as a [`ShardedSim`] running the component
-    /// graph across `plan.n_shards()` worker threads.
+    /// Finish construction as a [`ShardedSim`]: wire-connected
+    /// component groups stay together and are packed onto at most
+    /// `n_shards` worker threads, largest group first. A topology whose
+    /// graph is one connected component is a single shard and runs on
+    /// the calling thread, exactly like [`SimBuilder::build`].
     ///
-    /// Requirements the plan author must uphold:
+    /// The caller must uphold one rule the builder cannot see:
+    /// components that share non-`Send` state (an `Rc<RefCell<..>>`
+    /// clock, a shared result log) must be **wire-connected**
+    /// (transitively), so that they land on the same shard — the wiring
+    /// is visible to this builder, Rust-level sharing is not. Harness
+    /// code may keep `Rc` aliases into components but touches them only
+    /// between runs.
     ///
-    /// * every link crossing a shard boundary has **nonzero
-    ///   propagation delay** (it becomes the lookahead window;
-    ///   violated → panic here),
-    /// * components that share non-`Send` state (an `Rc<RefCell<..>>`
-    ///   clock, a shared result log) are assigned to the **same
-    ///   shard** — the wiring is visible to this builder, Rust-level
-    ///   sharing is not, so this is a contract, not a check.
-    ///
-    /// For any plan the run is byte-identical to [`SimBuilder::build`]
-    /// plus [`Sim::run_until`]: same event order, counters, and
-    /// component state. See `crate::shard` for the determinism
-    /// argument.
-    pub fn build_sharded(self, plan: ShardPlan) -> ShardedSim {
-        ShardedSim::build(self.kernel, self.components, self.names, plan)
-    }
-
-    /// [`SimBuilder::build_sharded`] with an automatic plan: wire-
-    /// connected component groups stay together and are packed onto at
-    /// most `n_shards` shards, largest group first. Topologies whose
-    /// graph is one connected component collapse to a single shard —
-    /// use an explicit [`ShardPlan`] to cut through links instead.
+    /// The run is byte-identical to [`SimBuilder::build`] plus
+    /// [`Sim::run_until`]: same event order, counters, and component
+    /// state. See `crate::shard` for the determinism argument.
     pub fn build_auto_sharded(self, n_shards: usize) -> ShardedSim {
-        let edges: Vec<_> = self
-            .kernel
-            .wire_endpoints()
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        let plan = ShardPlan::auto(self.components.len(), n_shards, &edges);
-        self.build_sharded(plan)
+        ShardedSim::build(self.kernel, self.components, n_shards)
     }
 }
 
@@ -157,34 +137,50 @@ fn deliver_run(
 /// `limit`. Used verbatim by the single-threaded [`Sim`] and by each
 /// shard worker — one code path, one semantics.
 ///
+/// `max_events` is the run's event budget (`u64::MAX` for none): the
+/// loop panics once it has dispatched more, so a simulation that never
+/// quiesces — a component re-arming a timer forever — fails instead of
+/// hanging.
+///
 /// When a [`osnt_time::ProgressProbe`] is attached the loop publishes
-/// its simulated-time high-water mark after every event and honours the
-/// probe's cooperative abort flag: a raised flag stops dispatch at the
-/// next event boundary (mid-window for shard workers), which is what
-/// lets a watchdog unwedge a livelocked simulation — events that never
-/// advance virtual time still pass through this check.
+/// its simulated-time high-water mark and honours the probe's
+/// cooperative abort flag: a raised flag stops dispatch at the next
+/// heartbeat, which is what lets a watchdog unwedge a livelocked
+/// simulation — events that never advance virtual time still pass
+/// through this check.
 pub(crate) fn dispatch_events(
     kernel: &mut Kernel,
     components: &mut [Option<Box<dyn Component>>],
     limit: SimTime,
+    max_events: u64,
 ) -> u64 {
     // Heartbeat amortization: publishing through the shared probe costs
     // two lock-prefixed RMWs, which at multi-Mpps dispatch rates is a
     // measurable tax (the e11 bench gates it). Beating every 64th event
     // keeps the watchdog's wall-clock resolution microscopic while
     // making the common-case event free of shared-cacheline traffic.
+    // The event budget is checked on the same stride, so it costs the
+    // per-event path nothing.
     const HEARTBEAT_EVERY: u64 = 64;
+    let check_budget = |n: u64| {
+        assert!(
+            n <= max_events,
+            "simulation did not quiesce within {max_events} events"
+        )
+    };
     let mut dispatched = 0;
     // `dispatched` as of the last beat: the arms below only ever add to
     // `dispatched`, and the difference is what the next beat publishes.
     let mut beat_mark = 0;
     while let Some((time, kind)) = kernel.pop_event_until(limit) {
         dispatched += 1;
-        if let Some(probe) = kernel.progress.as_ref() {
-            if dispatched - beat_mark >= HEARTBEAT_EVERY {
+        if dispatched - beat_mark >= HEARTBEAT_EVERY {
+            check_budget(dispatched);
+            let since_beat = dispatched - beat_mark;
+            beat_mark = dispatched;
+            if let Some(probe) = kernel.progress.as_ref() {
                 probe.advance_time(time.as_ps());
-                probe.tick_by(dispatched - beat_mark);
-                beat_mark = dispatched;
+                probe.tick_by(since_beat);
                 if probe.abort_requested() {
                     break;
                 }
@@ -294,19 +290,22 @@ pub(crate) fn dispatch_events(
             probe.tick_by(dispatched - beat_mark);
         }
     }
+    check_budget(dispatched);
     dispatched
 }
 
-/// Run every event at or before `limit`, then advance the clock to
-/// `limit` unless the attached probe asked for an abort (the clock then
-/// stays at the last dispatched event). The whole of [`Sim::run_until`],
-/// and of a [`ShardedSim`] with one shard — no threads, no barriers.
+/// Run every event at or before `limit` (at most `max_events` of them,
+/// see [`dispatch_events`]), then advance the clock to `limit` unless
+/// the attached probe asked for an abort (the clock then stays at the
+/// last dispatched event). The whole of [`Sim::run_until`], and of each
+/// [`ShardedSim`] worker.
 pub(crate) fn run_kernel_until(
     kernel: &mut Kernel,
     components: &mut [Option<Box<dyn Component>>],
     limit: SimTime,
+    max_events: u64,
 ) -> u64 {
-    let dispatched = dispatch_events(kernel, components, limit);
+    let dispatched = dispatch_events(kernel, components, limit, max_events);
     if !kernel.abort_requested() {
         kernel.advance_now(limit);
     }
@@ -369,7 +368,7 @@ impl Sim {
     /// run early, leaving the clock at the last dispatched event.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
         self.start_if_needed();
-        run_kernel_until(&mut self.kernel, &mut self.components, limit)
+        run_kernel_until(&mut self.kernel, &mut self.components, limit, u64::MAX)
     }
 
     /// Run for `d` beyond the current time.
@@ -383,15 +382,12 @@ impl Sim {
     /// aborts with a panic if exceeded).
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
-        let mut dispatched = 0;
-        while self.kernel.pending_events() > 0 && !self.kernel.abort_requested() {
-            dispatched += self.run_until(SimTime::MAX);
-            assert!(
-                dispatched <= max_events,
-                "simulation did not quiesce within {max_events} events"
-            );
-        }
-        dispatched
+        run_kernel_until(
+            &mut self.kernel,
+            &mut self.components,
+            SimTime::MAX,
+            max_events,
+        )
     }
 }
 
@@ -617,6 +613,100 @@ mod tests {
         assert!(n >= 100); // 50 delivers + 50 txdones
         assert_eq!(arrivals.borrow().len(), 50);
         assert_eq!(sim.kernel().pending_events(), 0);
+    }
+
+    /// Re-arms a 10 ns timer forever: a simulation that never quiesces.
+    struct Metronome;
+    impl Component for Metronome {
+        fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+            k.schedule_timer(me, SimDuration::from_ns(10), 0);
+        }
+        fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
+        fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _: u64) {
+            k.schedule_timer(me, SimDuration::from_ns(10), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "did not quiesce within 1000 events")]
+    fn run_to_quiescence_enforces_its_event_cap() {
+        let mut b = SimBuilder::new();
+        b.add_component("metronome", Box::new(Metronome), 0);
+        b.build().run_to_quiescence(1_000);
+    }
+
+    /// The sharded twin, on the calling thread (1 shard) and on workers
+    /// (2): the overrun is a typed error, and the finite group beside
+    /// the runaway one still drains.
+    #[test]
+    fn sharded_run_to_quiescence_enforces_its_event_cap() {
+        for shards in [1, 2] {
+            let arrivals = Rc::new(RefCell::new(Vec::new()));
+            let mut b = SimBuilder::new();
+            b.add_component("metronome", Box::new(Metronome), 0);
+            let tx = b.add_component(
+                "blaster",
+                Box::new(Blaster {
+                    n: 5,
+                    frame_len: 64,
+                    results: Rc::new(RefCell::new(Vec::new())),
+                }),
+                1,
+            );
+            let rx = b.add_component(
+                "sink",
+                Box::new(Sink {
+                    arrivals: arrivals.clone(),
+                }),
+                1,
+            );
+            b.connect(tx, 0, rx, 0, LinkSpec::ten_gig());
+            let mut sim = b.build_auto_sharded(shards);
+            assert_eq!(sim.n_shards(), shards);
+            match sim.try_run_to_quiescence(1_000) {
+                Err(osnt_error::OsntError::Panicked { reason, .. }) => {
+                    assert!(reason.contains("did not quiesce within 1000 events"))
+                }
+                other => panic!("{shards} shard(s): expected Panicked, got {other:?}"),
+            }
+            if shards == 2 {
+                assert_eq!(arrivals.borrow().len(), 5);
+            }
+        }
+    }
+
+    /// Arrivals order by time, and at the same instant by source
+    /// component id — never by the order the sources were scheduled.
+    #[test]
+    fn same_instant_arrivals_order_by_source_id() {
+        struct OneShot(SimTime);
+        impl Component for OneShot {
+            fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+                k.schedule_timer_at(me, self.0, 0);
+            }
+            fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, _: Packet) {}
+            fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _: u64) {
+                let _ = k.transmit(me, 0, Packet::zeroed(64));
+            }
+        }
+        struct PortLog(Rc<RefCell<Vec<usize>>>);
+        impl Component for PortLog {
+            fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, port: usize, _: Packet) {
+                self.0.borrow_mut().push(port);
+            }
+        }
+        // Sources in id order depart at (500, 500, 100) ns into sink
+        // ports (2, 1, 0): the early one first, then the tie by id.
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut b = SimBuilder::new();
+        let srcs = [500, 500, 100]
+            .map(|ns| b.add_component("src", Box::new(OneShot(SimTime::from_ns(ns))), 1));
+        let sink = b.add_component("sink", Box::new(PortLog(log.clone())), 3);
+        for (src, port) in srcs.into_iter().zip([2, 1, 0]) {
+            b.connect(src, 0, sink, port, LinkSpec::ten_gig());
+        }
+        b.build().run_until(SimTime::from_us(10));
+        assert_eq!(*log.borrow(), [0, 2, 1]);
     }
 
     #[test]

@@ -40,15 +40,3 @@ pub(crate) enum EventKind {
     /// A component timer fires.
     Timer { target: ComponentId, tag: u64 },
 }
-
-impl EventKind {
-    /// The component whose shard must execute this event.
-    pub(crate) fn target(&self) -> ComponentId {
-        match self {
-            EventKind::Deliver { dst, .. } => *dst,
-            EventKind::DeliverBurst { dst, .. } => *dst,
-            EventKind::TxDone { src, .. } => *src,
-            EventKind::Timer { target, .. } => *target,
-        }
-    }
-}

@@ -189,15 +189,12 @@ pub struct Kernel {
     pub(crate) now: SimTime,
     /// Per-component event sequence counters (the low bits of
     /// [`event_key`]). Indexed by component id; counts every event the
-    /// component has scheduled, including cross-shard ones.
+    /// component has scheduled.
     pub(crate) comp_seq: Vec<u64>,
     pub(crate) queue: TimerWheel<EventKind>,
     /// ports[component][port]
     pub(crate) ports: Vec<Vec<OutPort>>,
     pub(crate) events_dispatched: u64,
-    /// Cross-shard routing state — `None` on single-threaded sims, so the
-    /// fast path pays one branch.
-    pub(crate) router: Option<crate::shard::ShardRouter>,
     /// Supervision heartbeat + cooperative abort flag — `None` on
     /// unsupervised runs, so the dispatch loop pays one branch.
     pub(crate) progress: Option<std::sync::Arc<osnt_time::ProgressProbe>>,
@@ -214,7 +211,6 @@ impl Kernel {
             queue: TimerWheel::new(),
             ports: Vec::new(),
             events_dispatched: 0,
-            router: None,
             progress: None,
             batch_buf: Vec::new(),
         }
@@ -271,50 +267,21 @@ impl Kernel {
     }
 
     /// Schedule `kind` at `time` on behalf of `src` (the component whose
-    /// handler — or wiring — created the event). Events whose target
-    /// lives on another shard are routed over that shard's inbound
-    /// channel instead of the local wheel; the `(src, ctr)` key travels
-    /// with them so the destination wheel slots them into the same total
-    /// order the single-threaded kernel would.
+    /// handler — or wiring — created the event).
     fn push_event(&mut self, time: SimTime, src: ComponentId, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let ctr = self.comp_seq[src.0];
         self.comp_seq[src.0] = ctr + 1;
-        let key = event_key(src, ctr);
-        if let Some(router) = &mut self.router {
-            if router.is_remote(kind.target()) {
-                router.send(time, key, kind);
-                return;
-            }
-        }
-        self.queue.push(time, key, kind);
+        self.queue.push(time, event_key(src, ctr), kind);
     }
 
-    /// Insert an event that arrived from another shard, carrying the key
-    /// its source computed. Crate-internal: the shard executive calls
-    /// this while draining inbound channels at a window boundary.
-    pub(crate) fn inject(&mut self, time: SimTime, key: u64, kind: EventKind) {
-        debug_assert!(time >= self.now, "cross-shard event arrived in the past");
-        self.queue.push(time, key, kind);
-    }
-
-    /// Earliest pending event time in picoseconds (`None` when idle).
-    /// (`&mut` because the wheel may migrate overflow entries to find
-    /// its minimum.)
-    pub(crate) fn peek_next_ps(&mut self) -> Option<u64> {
-        self.queue.peek().map(|(t, _)| t.as_ps())
-    }
-
-    /// Every installed simplex wire as `(src, peer, propagation)` —
-    /// the shard builder derives lookahead from this.
-    pub(crate) fn wire_endpoints(
-        &self,
-    ) -> impl Iterator<Item = (ComponentId, ComponentId, SimDuration)> + '_ {
+    /// Every installed simplex wire as `(src, peer)` — the shard
+    /// builder partitions by these.
+    pub(crate) fn wire_endpoints(&self) -> impl Iterator<Item = (ComponentId, ComponentId)> + '_ {
         self.ports.iter().enumerate().flat_map(|(src, ports)| {
-            ports.iter().filter_map(move |p| {
-                p.wire
-                    .map(|w| (ComponentId(src), w.peer, w.spec.propagation))
-            })
+            ports
+                .iter()
+                .filter_map(move |p| p.wire.map(|w| (ComponentId(src), w.peer)))
         })
     }
 
@@ -329,7 +296,6 @@ impl Kernel {
             queue: TimerWheel::new(),
             ports: self.ports.clone(),
             events_dispatched: 0,
-            router: None,
             // Shards share the one probe: `fetch_max` publishing keeps
             // the high-water mark coherent across workers.
             progress: self.progress.clone(),
@@ -555,7 +521,6 @@ impl Kernel {
             ports,
             comp_seq,
             queue,
-            router,
             ..
         } = self;
         let p = &mut ports[me.0][port];
@@ -563,9 +528,6 @@ impl Kernel {
             out.not_connected = true;
             return out;
         };
-        // Is the peer on another shard? Resolved once for the run — a
-        // wire's peer never moves.
-        let remote = router.as_ref().is_some_and(|r| r.is_remote(wire.peer));
         let mut memo = None;
         let mut last_tx_end = None;
         let mut burst: Option<Box<PacketBurst>> = None;
@@ -610,14 +572,7 @@ impl Kernel {
                     burst: b,
                 }
             };
-            if remote {
-                router
-                    .as_mut()
-                    .expect("remote implies router")
-                    .send(time, key, ev);
-            } else {
-                queue.push(time, key, ev);
-            }
+            queue.push(time, key, ev);
         }
         if let Some(tx_end) = last_tx_end {
             self.push_event(

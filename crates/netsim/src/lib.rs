@@ -26,9 +26,10 @@
 //! scheduling timers and transmitting frames through the [`Kernel`].
 //! Components are wired port-to-port with [`LinkSpec`]s at build time
 //! ([`SimBuilder`]), then the simulation is driven with
-//! [`Sim::run_until`] — or partitioned across worker threads with
-//! [`SimBuilder::build_sharded`] (see [`shard`]) for byte-identical
-//! results at a fraction of the wall clock.
+//! [`Sim::run_until`] — or, when the topology is several wire-disjoint
+//! groups, one worker thread per group with
+//! [`SimBuilder::build_auto_sharded`] (see [`shard`]) for byte-identical
+//! results.
 //!
 //! ```
 //! use osnt_netsim::{Component, Kernel, ComponentId, LinkSpec, SimBuilder};
@@ -71,7 +72,6 @@ pub mod kernel;
 pub mod link;
 pub mod shard;
 pub mod stats;
-pub mod sync;
 pub mod wheel;
 
 pub use burst::{PacketBurst, BURST_INLINE};
@@ -80,7 +80,6 @@ pub use engine::{Sim, SimBuilder};
 pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};
 pub use kernel::{BatchTx, Kernel, TxResult};
 pub use link::LinkSpec;
-pub use shard::{ShardPlan, ShardedSim};
+pub use shard::ShardedSim;
 pub use stats::{PortCounters, ShardStats};
-pub use sync::{BarrierPoisoned, SpinBarrier};
 pub use wheel::TimerWheel;

@@ -1,5 +1,4 @@
-//! Per-port counters, in the style of MAC statistics registers, plus
-//! the sharded executive's per-shard window/mailbox accounting.
+//! Per-port counters, in the style of MAC statistics registers.
 
 /// Frame/byte/drop counters for one simplex direction of a port.
 ///
@@ -32,81 +31,18 @@ impl PortCounters {
     }
 }
 
-/// Deterministic counters for one shard of a [`crate::ShardedSim`] run.
-///
-/// Every field is a pure function of the topology, the traffic and the
-/// window policy — **not** of the host's core count or scheduling — so
-/// two runs of the same simulation produce identical `ShardStats`, and
-/// benches can gate on them without flakiness. Window rounds are
-/// lockstep across workers, which yields the executive's ledger
-/// invariants (checked by the chaos auditor):
-///
-/// * `windows_executed + windows_skipped` is identical on every shard
-///   of a run (each round, each worker either dispatches its slice of
-///   the window or skips an empty one — never neither);
-/// * summed over all shards, `ring_pushes == ring_drains` once the run
-///   has quiesced (mailboxes are empty between runs) — a lost
-///   cross-shard entry breaks it.
+/// Unused; held by `e0_pipeline/probes.rs:308` (`fn(&osnt_netsim::ShardStats) -> u64` over these three fields).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Window rounds in which this shard dispatched at least one event.
     pub windows_executed: u64,
-    /// Window rounds this shard sat out (no local event inside its
-    /// window bound).
-    pub windows_skipped: u64,
-    /// Barrier crossings performed by this shard's worker (two per
-    /// round, plus the final round's pair).
     pub barrier_waits: u64,
-    /// Entries this shard posted into its outbound cross-shard
-    /// mailboxes.
     pub ring_pushes: u64,
-    /// Entries this shard drained out of its inbound mailboxes.
-    pub ring_drains: u64,
-}
-
-impl ShardStats {
-    /// Total window rounds this shard's worker participated in.
-    pub fn rounds(&self) -> u64 {
-        self.windows_executed + self.windows_skipped
-    }
-
-    /// Sum of two snapshots (useful to aggregate shards).
-    pub fn merged(self, other: ShardStats) -> ShardStats {
-        ShardStats {
-            windows_executed: self.windows_executed + other.windows_executed,
-            windows_skipped: self.windows_skipped + other.windows_skipped,
-            barrier_waits: self.barrier_waits + other.barrier_waits,
-            ring_pushes: self.ring_pushes + other.ring_pushes,
-            ring_drains: self.ring_drains + other.ring_drains,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_stats_merge_and_rounds() {
-        let a = ShardStats {
-            windows_executed: 3,
-            windows_skipped: 2,
-            barrier_waits: 12,
-            ring_pushes: 7,
-            ring_drains: 6,
-        };
-        let b = ShardStats {
-            windows_executed: 1,
-            windows_skipped: 4,
-            ..ShardStats::default()
-        };
-        assert_eq!(a.rounds(), 5);
-        let m = a.merged(b);
-        assert_eq!(m.windows_executed, 4);
-        assert_eq!(m.windows_skipped, 6);
-        assert_eq!(m.rounds(), 10);
-        assert_eq!(m.ring_pushes, 7);
-    }
 
     #[test]
     fn merge_sums_fields() {

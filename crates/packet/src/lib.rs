@@ -274,78 +274,7 @@ impl Packet {
     pub fn mark_fcs_bad(&mut self) {
         self.fcs_ok = false;
     }
-
-    /// Flatten into a thread-portable [`SendPacket`] for cross-shard
-    /// handoff. Steals the storage without copying when this packet is
-    /// the sole owner of its buffer (the common case for a frame in
-    /// flight); copies the visible bytes otherwise. The home pool, if
-    /// any, is left behind — the receiving shard re-homes the frame into
-    /// its own pool domain.
-    pub fn into_send(self) -> SendPacket {
-        let fcs_ok = self.fcs_ok;
-        SendPacket {
-            data: self.into_vec(),
-            fcs_ok,
-        }
-    }
 }
-
-/// A [`Packet`] flattened to plain owned bytes so it can cross a thread
-/// boundary (`Packet` itself is deliberately `!Send`: its storage is
-/// `Rc`-shared within one shard of the simulation).
-///
-/// Produced by [`Packet::into_send`] on the sending shard, consumed by
-/// [`SendPacket::into_packet`] on the receiving shard. The round trip
-/// preserves everything a receiver can observe: the visible bytes (so
-/// `frame_len`/`wire_len` are unchanged, including any truncation the
-/// sender applied) and the FCS verdict. No atomics are needed at all:
-/// ownership transfers wholesale, and intra-shard clones made after
-/// reconstruction go back to plain `Rc` counting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendPacket {
-    data: Vec<u8>,
-    fcs_ok: bool,
-}
-
-impl SendPacket {
-    /// Rebuild a [`Packet`] on the receiving shard. Zero-copy: the byte
-    /// buffer carried across the boundary becomes the packet's storage.
-    pub fn into_packet(self) -> Packet {
-        let mut p = Packet::from_vec(self.data);
-        if !self.fcs_ok {
-            p.mark_fcs_bad();
-        }
-        p
-    }
-
-    /// Rebuild a [`Packet`] on the receiving shard **homed into
-    /// `pool`**: zero-copy like [`SendPacket::into_packet`], but the
-    /// carried buffer is adopted by the pool, so when the packet's last
-    /// owner drops, the storage parks on *this* pool's free list
-    /// instead of going back to the global allocator. This is what
-    /// keeps cross-shard traffic from bouncing allocator state between
-    /// cores: each shard recycles every buffer it retires — including
-    /// ones another shard allocated — entirely shard-locally.
-    pub fn into_packet_pooled(self, pool: &pool::PacketPool) -> Packet {
-        let mut p = Packet::from_pool_parts(self.data, pool.handle());
-        if !self.fcs_ok {
-            p.mark_fcs_bad();
-        }
-        p
-    }
-
-    /// Conventional frame length (stored bytes + FCS), as
-    /// [`Packet::frame_len`] would report after reconstruction.
-    pub fn frame_len(&self) -> usize {
-        self.data.len() + FCS_LEN
-    }
-}
-
-// `SendPacket` exists to cross threads; hold the compiler to that.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<SendPacket>();
-};
 
 impl PartialEq for Packet {
     /// Content equality over the visible bytes (clones and deep copies
@@ -530,56 +459,6 @@ mod tests {
         p.mark_fcs_bad();
         assert!(!p.fcs_ok());
         assert_eq!(p.data(), &[5; 60][..]);
-    }
-
-    #[test]
-    fn send_roundtrip_preserves_observables() {
-        let mut p = PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
-            .ipv4([10, 0, 0, 1].into(), [10, 0, 0, 2].into())
-            .udp(5001, 9001)
-            .pad_to_frame(256)
-            .build();
-        p.truncate(100);
-        p.mark_fcs_bad();
-        let reference = (p.data().to_vec(), p.frame_len(), p.fcs_ok());
-        let back = p.into_send().into_packet();
-        assert_eq!(back.data(), &reference.0[..]);
-        assert_eq!(back.frame_len(), reference.1);
-        assert_eq!(back.fcs_ok(), reference.2);
-    }
-
-    #[test]
-    fn pooled_reconstruction_is_zero_copy_and_rehomes() {
-        let pool = pool::PacketPool::new();
-        let mut p = Packet::from_vec(vec![3; 60]);
-        p.mark_fcs_bad();
-        let ptr = p.data().as_ptr();
-        let back = p.into_send().into_packet_pooled(&pool);
-        // Zero-copy: the buffer that crossed the boundary is the
-        // storage of the reconstructed packet.
-        assert_eq!(back.data().as_ptr(), ptr);
-        assert!(!back.fcs_ok());
-        assert_eq!(back.data(), &[3; 60][..]);
-        // Rehomed: retiring the packet parks the buffer on the
-        // receiving pool's free list.
-        drop(back);
-        assert_eq!(pool.free_buffers(), 1);
-        assert_eq!(pool.stats().recycled, 1);
-    }
-
-    #[test]
-    fn into_send_steals_when_unique() {
-        // Unique owner: the buffer pointer survives the round trip.
-        let p = Packet::from_vec(vec![7; 60]);
-        let ptr = p.data().as_ptr();
-        let back = p.into_send().into_packet();
-        assert_eq!(back.data().as_ptr(), ptr);
-        // Shared: the flattening copies, siblings are untouched.
-        let a = Packet::from_vec(vec![9; 60]);
-        let b = a.clone();
-        let sent = b.into_send();
-        assert_eq!(sent.frame_len(), a.frame_len());
-        assert_eq!(a.data(), &[9; 60][..]);
     }
 
     #[test]

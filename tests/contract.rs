@@ -12,7 +12,10 @@
 //!   generator burst 1, 8 and 32, and the E12 wiring (gen straight into a
 //!   filtering, thinning monitor) at batch 1 and 32, each capture the
 //!   same packets with the same counters — the `DeliverBurst` →
-//!   scalar-replay route into switch and monitor, in small.
+//!   scalar-replay route into switch and monitor, in small;
+//! * shard count is unobservable: E10 in small, four independent
+//!   generator → digest-sink ports on one kernel and on the sharded one
+//!   at 1, 2 and 4 shards.
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
 use osnt::gen::workload::FixedTemplate;
@@ -25,6 +28,7 @@ use osnt::netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, Link
 use osnt::openflow::match_field::wildcards;
 use osnt::openflow::messages::{FlowMod, Message};
 use osnt::openflow::{Action, OfMatch};
+use osnt::packet::hash::{crc32, crc32_update};
 use osnt::packet::{MacAddr, Packet, WildcardRule};
 use osnt::switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt::time::{HwClock, SimDuration, SimTime};
@@ -220,4 +224,69 @@ fn monitor_captures_a_burst_like_its_frames_one_by_one() {
     assert_eq!(scalar_stats.thinned, 1_000);
     assert_eq!(scalar.len(), 701);
     assert!(scalar == burst, "capture diverged between batch 1 and 32");
+}
+
+/// `(frames, digest)` of one [`DigestSink`].
+type SinkState = Rc<Cell<(u64, u32)>>;
+
+/// Swallows traffic, folding every arrival (instant and payload CRC)
+/// into its [`SinkState`].
+struct DigestSink(SinkState);
+
+impl Component for DigestSink {
+    fn on_packet(&mut self, k: &mut Kernel, _: ComponentId, _: usize, pkt: Packet) {
+        let (frames, digest) = self.0.get();
+        let digest = crc32_update(digest, &k.now().as_ps().to_le_bytes());
+        let digest = crc32_update(digest, &crc32(pkt.data()).to_le_bytes());
+        self.0.set((frames + 1, digest));
+    }
+}
+
+/// `n` generator → digest-sink pairs sharing nothing (a clock each):
+/// `n` wire-connected groups. Port `i` sends `2_000 + i` frames.
+fn port_pairs(n: u64) -> (SimBuilder, Vec<SinkState>, Vec<ComponentId>) {
+    let mut b = SimBuilder::new();
+    let (mut sinks, mut ids) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        let gen = generator(2_000 + i, 32, 64, SimTime::ZERO);
+        let g = b.add_component(&format!("gen{i}"), Box::new(gen), 1);
+        let state = Rc::new(Cell::new((0, 0)));
+        let s = b.add_component(&format!("sink{i}"), Box::new(DigestSink(state.clone())), 1);
+        b.connect(g, 0, s, 0, LinkSpec::ten_gig());
+        sinks.push(state);
+        ids.extend([g, s]);
+    }
+    (b, sinks, ids)
+}
+
+#[test]
+fn shard_count_is_unobservable_on_four_independent_ports() {
+    let horizon = SimTime::from_ms(1);
+    let digests = |sinks: &[SinkState]| sinks.iter().map(|s| s.get()).collect::<Vec<_>>();
+    let reference = {
+        let (b, sinks, ids) = port_pairs(4);
+        let mut sim = b.build();
+        sim.run_until(horizon);
+        let k = sim.kernel();
+        let counters: Vec<_> = ids.iter().map(|&id| k.counters(id, 0)).collect();
+        (digests(&sinks), counters, k.events_dispatched(), k.now())
+    };
+    let frames: Vec<u64> = reference.0.iter().map(|&(frames, _)| frames).collect();
+    assert_eq!(frames, [2_000, 2_001, 2_002, 2_003]);
+    for shards in [1, 2, 4] {
+        let (b, sinks, ids) = port_pairs(4);
+        let mut sim = b.build_auto_sharded(shards);
+        assert_eq!(sim.n_shards(), shards);
+        sim.run_until(horizon);
+        let counters: Vec<_> = ids.iter().map(|&id| sim.counters(id, 0)).collect();
+        let got = (
+            digests(&sinks),
+            counters,
+            sim.events_dispatched(),
+            sim.now(),
+        );
+        assert_eq!(got, reference, "diverged at {shards} shards");
+    }
+    // A connected topology is one group: it never splits.
+    assert_eq!(port_pairs(1).0.build_auto_sharded(4).n_shards(), 1);
 }
