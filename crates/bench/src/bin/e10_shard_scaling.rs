@@ -14,11 +14,13 @@
 //!   payload CRC) into a running digest; the per-port digests must be
 //!   identical at every shard count, else the run panics;
 //! * **scaling** — wall-clock time per shard count is reported, and
-//!   with `OSNT_REQUIRE_SPEEDUP=1` the run fails unless 4 shards reach
-//!   ≥ 1.8× over 1 shard. The gate is opt-in because speedup is a
-//!   property of the host, which the run measures first
-//!   ([`parallel_capacity`]): on a box that cannot run four threads at
-//!   once the speedups are noise, not signal.
+//!   4 shards must reach ≥ 1.8× over 1 shard where that can be shown:
+//!   speedup is a property of the host, which the run measures first
+//!   ([`parallel_capacity`]). Below a capacity of 3.5 the host cannot
+//!   run four threads at once, the speedups are noise, and the check
+//!   is reported as not applicable. This is the one wall-clock
+//!   assertion among the experiment binaries: parallel speedup cannot
+//!   be shown any other way, and `e0_pipeline` has no sharded workload.
 //!
 //! `--json PATH` writes the results (including `host_cores` and
 //! `parallel_capacity`, so a reader can judge whether speedup was even
@@ -145,28 +147,20 @@ fn parallel_capacity(threads: usize) -> f64 {
     threads as f64 * alone / timed(threads)
 }
 
+/// Measured parallel capacity below which a 4-shard speedup cannot be
+/// shown on this host.
+const CAPACITY_FOR_FOUR_SHARDS: f64 = 3.5;
+
 fn main() {
-    let mut frames_per_port: u64 = 200_000;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--frames" => {
-                let v = args.next().expect("--frames takes a count");
-                frames_per_port = v.parse().expect("--frames takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => {
-                eprintln!("error: unknown argument {other}");
-                eprintln!("usage: e10_shard_scaling [--frames N] [--json PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (frames_per_port, artifact) =
+        osnt_bench::flags_or_exit("e10_shard_scaling [--frames N] [--json PATH]", |args| {
+            args.get("frames", 200_000u64)
+        });
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let capacity = parallel_capacity(host_cores);
+    let cores_limited = capacity < CAPACITY_FOR_FOUR_SHARDS;
     println!(
         "E10: shard scaling, {PORTS}x10G back-to-back, {FRAME_LEN}B frames, \
          {frames_per_port} frames/port, host has {host_cores} core(s) \
@@ -226,7 +220,7 @@ fn main() {
         if baseline.is_none() {
             baseline = Some(r);
         }
-        if shards == 4 && std::env::var("OSNT_REQUIRE_SPEEDUP").as_deref() == Ok("1") {
+        if shards == 4 && !cores_limited {
             assert!(
                 speedup >= 1.8,
                 "4-shard speedup {speedup:.2}x < 1.8x (host has {host_cores} cores, \
@@ -236,26 +230,26 @@ fn main() {
     }
     table.print();
     println!("\nPer-port trace digests identical at every shard count (checked above).");
-    if std::env::var("OSNT_REQUIRE_SPEEDUP").as_deref() == Ok("1") {
-        println!("Speedup gate (>= 1.8x at 4 shards): passed.");
-    } else {
-        println!("Speedup gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
-    }
-    if let Some(path) = json {
-        // `cores_limited` flags artifacts produced on hosts that cannot
-        // run the widest shard count in parallel: the speedups in such
-        // a file measure scheduling overhead, not parallelism, and a
-        // perf-trajectory consumer must not compare them against
-        // multi-core runs.
-        let cores_limited = capacity < 3.5;
-        let body = format!(
-            "{{\"bench\":\"e10_shard_scaling\",\"frames_per_port\":{frames_per_port},\
-             \"frame_len\":{FRAME_LEN},\"ports\":{PORTS},\"host_cores\":{host_cores},\
-             \"parallel_capacity\":{capacity:.2},\"cores_limited\":{cores_limited},\
-             \"results\":[{}]}}\n",
-            json_rows.join(",")
+    if cores_limited {
+        println!(
+            "Speedup check (>= 1.8x at 4 shards): not applicable, capacity {capacity:.2} \
+             (needs {CAPACITY_FOR_FOUR_SHARDS})."
         );
-        std::fs::write(&path, body).expect("write json artifact");
-        println!("wrote {path}");
+    } else {
+        println!("Speedup check (>= 1.8x at 4 shards): passed.");
     }
+    // `cores_limited` flags artifacts produced on hosts that cannot
+    // run the widest shard count in parallel: the speedups in such a
+    // file measure scheduling overhead, not parallelism.
+    artifact.write(
+        "e10_shard_scaling",
+        1,
+        &format!(
+            "\"frames_per_port\":{frames_per_port},\"frame_len\":{FRAME_LEN},\
+             \"ports\":{PORTS},\"host_cores\":{host_cores},\
+             \"parallel_capacity\":{capacity:.2},\"cores_limited\":{cores_limited},\
+             \"results\":[{}]",
+            json_rows.join(",")
+        ),
+    );
 }

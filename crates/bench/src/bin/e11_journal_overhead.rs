@@ -6,9 +6,11 @@
 //! The supervisor's pitch is "crash consistency for (almost) free": the
 //! journal batches fsyncs, samples are written once per phase, and the
 //! heartbeat is two relaxed atomic stores per dispatched event. This
-//! bench is the receipt. With `OSNT_REQUIRE_JOURNAL_GATE=1` the run
-//! fails if supervision costs more than 5% wall clock; the gate is
-//! opt-in because wall time on a loaded CI box is noise, not signal.
+//! bench is the receipt: it checks that both arms complete and prints
+//! the delta as a reading. Nothing is asserted on it — min-of-three
+//! wall times drift by more than the 5% budget between runs of one
+//! commit — and the journal's cost is measured, normalised, by
+//! `e0_pipeline`'s `supervisor.journal.{ns,bytes}_per_append` probes.
 //!
 //! `--json PATH` writes `{off_ms, on_ms, delta_pct, journal_bytes}`.
 
@@ -24,7 +26,7 @@ fn sweep_config() -> SweepConfig {
     // A paper-scale sweep (Fig. 2's load axis at the default 20 ms
     // phases), not a toy: per-run fixed costs (journal create, final
     // fsync, watchdog threads) must amortize the way they would in a
-    // real campaign for the 5% gate to mean anything.
+    // real campaign for the reading to mean anything.
     SweepConfig {
         frame_len: 512,
         probe_load: 0.02,
@@ -70,14 +72,8 @@ fn run_on(cfg: &SweepConfig, journal: &std::path::Path) -> (f64, u64) {
 }
 
 fn main() {
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument {other} (expected --json PATH)"),
-        }
-    }
+    let ((), artifact) =
+        osnt_bench::flags_or_exit("e11_journal_overhead [--json PATH]", |_| Ok(()));
     let cfg = sweep_config();
     let mut journal = std::env::temp_dir();
     journal.push(format!("osnt-e11-{}.journal", std::process::id()));
@@ -111,25 +107,14 @@ fn main() {
         journal_bytes.to_string(),
     ]);
     table.print();
-    println!("\nsupervision overhead: {delta_pct:+.2}%");
+    println!("\nsupervision overhead: {delta_pct:+.2}% (a reading, not a gate)");
 
-    if std::env::var("OSNT_REQUIRE_JOURNAL_GATE").as_deref() == Ok("1") {
-        assert!(
-            delta_pct < 5.0,
-            "journal overhead {delta_pct:.2}% exceeds the 5% budget"
-        );
-        println!("Overhead gate (< 5%): passed.");
-    } else {
-        println!("Overhead gate skipped (set OSNT_REQUIRE_JOURNAL_GATE=1 to enforce).");
-    }
-
-    if let Some(path) = json {
-        let body = format!(
-            "{{\"bench\":\"e11_journal_overhead\",\"reps\":{REPS},\
-             \"off_ms\":{off_ms:.3},\"on_ms\":{on_ms:.3},\
-             \"delta_pct\":{delta_pct:.3},\"journal_bytes\":{journal_bytes}}}\n"
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-        println!("wrote {path}");
-    }
+    artifact.write(
+        "e11_journal_overhead",
+        REPS,
+        &format!(
+            "\"reps\":{REPS},\"off_ms\":{off_ms:.3},\"on_ms\":{on_ms:.3},\
+             \"delta_pct\":{delta_pct:.3},\"journal_bytes\":{journal_bytes}"
+        ),
+    );
 }

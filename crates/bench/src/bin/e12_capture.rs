@@ -12,9 +12,8 @@
 //! The run must reproduce the committed artifact: at the default frame
 //! count the capture digest (rx stamps, arrival instants, stored bytes,
 //! original lengths, hashes) must equal [`COMMITTED_DIGEST`], else the
-//! bench panics. Wall-clock throughput is reported under the row
-//! identity `path = compiled` and gated across commits by
-//! `scripts/perf_guard.py`.
+//! bench panics. Wall-clock throughput is printed as a reading and
+//! compared with nothing.
 //!
 //! A second section checks the `StreamingSummary` bound: 1.5M latency
 //! samples summarised in one pass must not grow the heap beyond the
@@ -32,7 +31,6 @@ use osnt_mon::{
     FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort, ThinConfig,
 };
 use osnt_netsim::{LinkSpec, SimBuilder};
-use osnt_packet::hash::crc32_update;
 use osnt_packet::wildcard::IpPrefix;
 use osnt_packet::{MacAddr, WildcardRule};
 use osnt_time::{HwClock, SimDuration};
@@ -129,20 +127,12 @@ fn run(frames: u64) -> RunOut {
     let wall_s = t0.elapsed().as_secs_f64();
 
     let buf = buffer.borrow();
-    let mut digest = 0u32;
-    for cap in &buf.packets {
-        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
-        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
-        digest = crc32_update(digest, cap.packet.data());
-        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
-        digest = crc32_update(digest, &cap.hash.unwrap_or(0).to_le_bytes());
-    }
     let stats_copy = *stats.borrow();
     RunOut {
         wall_s,
         stats: stats_copy,
         captured: buf.len(),
-        digest,
+        digest: osnt_bench::capture_digest(&buf.packets),
     }
 }
 
@@ -188,19 +178,10 @@ fn streaming_section() -> (usize, f64, f64, usize, usize, StreamingSummary, Summ
 }
 
 fn main() {
-    let mut frames: u64 = 200_000;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--frames" => {
-                let v = args.next().expect("--frames takes a count");
-                frames = v.parse().expect("--frames takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument {other} (expected --frames N / --json PATH)"),
-        }
-    }
+    let (frames, artifact) =
+        osnt_bench::flags_or_exit("e12_capture [--frames N] [--json PATH]", |args| {
+            args.get("frames", COMMITTED_FRAMES)
+        });
     println!(
         "E12: capture datapath, 10G back-to-back, {FRAME_LEN}B stamped frames, \
          {frames} frames, {DECOY_RULES} decoy rules + 1 capture rule\n"
@@ -265,19 +246,19 @@ fn main() {
         collect_wall * 1e3
     );
 
-    if let Some(path) = json {
-        let body = format!(
-            "{{\"bench\":\"e12_capture\",\"frames\":{frames},\"frame_len\":{FRAME_LEN},\
+    artifact.write(
+        "e12_capture",
+        1,
+        &format!(
+            "\"frames\":{frames},\"frame_len\":{FRAME_LEN},\
              \"snap_len\":{SNAP_LEN},\"decoy_rules\":{DECOY_RULES},\
              \"results\":[{json_row}],\
              \"streaming\":{{\"samples\":{n},\"stream_wall_s\":{stream_wall:.6},\
              \"collect_wall_s\":{collect_wall:.6},\"heap_bytes\":{heap_after},\
-             \"p50_rel_err\":{:.8},\"p90_rel_err\":{:.8},\"p99_rel_err\":{:.8}}}}}\n",
+             \"p50_rel_err\":{:.8},\"p90_rel_err\":{:.8},\"p99_rel_err\":{:.8}}}",
             (s.p50_ns - exact.p50_ns).abs() / exact.p50_ns,
             (s.p90_ns - exact.p90_ns).abs() / exact.p90_ns,
             (s.p99_ns - exact.p99_ns).abs() / exact.p99_ns,
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-        println!("wrote {path}");
-    }
+        ),
+    );
 }

@@ -19,8 +19,8 @@
 //! ([`COMMITTED_DIGEST`]) — else the bench panics.
 //!
 //! `--frames N` sets frames per run; `--json PATH` writes the sweep as
-//! JSON (committed as `BENCH_burst.json`, consumed by the CI
-//! perf-regression guard).
+//! JSON (committed as `BENCH_burst.json`). The wall-clock column is a
+//! reading, compared with nothing.
 
 use osnt_bench::Table;
 use osnt_gen::workload::FixedTemplate;
@@ -30,7 +30,6 @@ use osnt_netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkS
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::messages::{FlowMod, Message};
 use osnt_openflow::{Action, OfMatch};
-use osnt_packet::hash::crc32_update;
 use osnt_packet::{MacAddr, Packet, WildcardRule};
 use osnt_switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt_time::{HwClock, SimDuration, SimTime};
@@ -196,36 +195,20 @@ fn run(frames: u64, burst: u32) -> RunOut {
 
     assert_eq!(*punts.borrow(), 0, "switch punted frames to the controller");
     let buf = buffer.borrow();
-    let mut digest = 0u32;
-    for cap in &buf.packets {
-        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
-        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
-        digest = crc32_update(digest, cap.packet.data());
-        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
-    }
     let stats_copy = *stats.borrow();
     RunOut {
         wall_s,
         stats: stats_copy,
         captured: buf.len(),
-        digest,
+        digest: osnt_bench::capture_digest(&buf.packets),
     }
 }
 
 fn main() {
-    let mut frames: u64 = 100_000;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--frames" => {
-                let v = args.next().expect("--frames takes a count");
-                frames = v.parse().expect("--frames takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument {other} (expected --frames N / --json PATH)"),
-        }
-    }
+    let (frames, artifact) =
+        osnt_bench::flags_or_exit("e13_burst [--frames N] [--json PATH]", |args| {
+            args.get("frames", COMMITTED_FRAMES)
+        });
     println!(
         "E13: end-to-end burst datapath, gen -> link -> switch -> mon, 10G\n\
          back-to-back, {FRAME_LEN}B stamped frames, {frames} frames per run,\n\
@@ -271,13 +254,13 @@ fn main() {
     }
     table.print();
 
-    if let Some(path) = json {
-        let body = format!(
-            "{{\"bench\":\"e13_burst\",\"frames\":{frames},\"frame_len\":{FRAME_LEN},\
-             \"decoy_rules\":{DECOY_RULES},\"results\":[{}]}}\n",
+    artifact.write(
+        "e13_burst",
+        1,
+        &format!(
+            "\"frames\":{frames},\"frame_len\":{FRAME_LEN},\
+             \"decoy_rules\":{DECOY_RULES},\"results\":[{}]",
             json_rows.join(",")
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-        println!("wrote {path}");
-    }
+        ),
+    );
 }

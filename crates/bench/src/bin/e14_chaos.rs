@@ -18,34 +18,16 @@
 //!   fabricate.
 //!
 //! The pass criterion is printed last: **zero violations**. The JSON
-//! artifact (`--json PATH`) carries the full tally for CI trending; it
-//! deliberately has no throughput rows — `scripts/perf_guard.py` knows
-//! this artifact is a correctness record, not a rate record.
+//! artifact (`--json PATH`) carries the full tally; it is a
+//! correctness record and has no throughput rows.
 
 use osnt_chaos::{run_campaign, CampaignConfig, ChaosPlan};
 
 fn main() {
-    let mut seeds: u64 = 4;
-    let mut crash_points = true;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                let v = args.next().expect("--seeds takes a count");
-                seeds = v.parse().expect("--seeds takes an integer");
-            }
-            "--crash-points" => {
-                let v = args.next().expect("--crash-points takes true/false");
-                crash_points = v.parse().expect("--crash-points takes true/false");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!(
-                "unknown argument {other} (expected --seeds N / --crash-points B / --json PATH)"
-            ),
-        }
-    }
-
+    let ((seeds, crash_points), artifact) = osnt_bench::flags_or_exit(
+        "e14_chaos [--seeds N] [--crash-points true|false] [--json PATH]",
+        |args| Ok((args.get("seeds", 4u64)?, args.get("crash-points", true)?)),
+    );
     let plan = ChaosPlan::builtin();
     println!(
         "E14: chaos campaign, {} scenarios x {seeds} seeds, crash points: {crash_points}\n",
@@ -63,42 +45,43 @@ fn main() {
     print!("{}", report.render());
     println!("wall time: {wall:.1}s");
 
-    if let Some(path) = json {
-        let scenarios = report
-            .scenarios
-            .iter()
-            .map(|s| {
-                let (cp, bi, hp) = s
-                    .crash
-                    .map(|c| (c.crash_points, c.byte_identical, c.honest_partial))
-                    .unwrap_or((0, 0, 0));
-                let (tt, tf, tr, th) = s
-                    .torture
-                    .map(|t| (t.truncations, t.bit_flips, t.resumed_identical, t.honest_errors))
-                    .unwrap_or((0, 0, 0, 0));
-                format!(
-                    "{{\"name\":\"{}\",\"runs\":{},\"offered\":{},\"dropped\":{},\"duplicated\":{},\"corrupted\":{},\"reordered\":{},\"capture_shed\":{},\"crash_points\":{cp},\"byte_identical\":{bi},\"honest_partial\":{hp},\"truncations\":{tt},\"bit_flips\":{tf},\"torture_resumed\":{tr},\"torture_honest\":{th}}}",
-                    s.scenario,
-                    s.runs,
-                    s.fault_totals.offered,
-                    s.fault_totals.dropped,
-                    s.fault_totals.duplicated,
-                    s.fault_totals.corrupted,
-                    s.fault_totals.reordered,
-                    s.capture_shed,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let body = format!(
-            "{{\"bench\":\"e14_chaos\",\"plan\":\"{}\",\"seeds\":{seeds},\"crash_points\":{crash_points},\"runs\":{},\"audited\":{},\"violations\":{},\"wall_s\":{wall:.3},\"scenarios\":[{scenarios}]}}\n",
+    let scenarios = report
+        .scenarios
+        .iter()
+        .map(|s| {
+            let (cp, bi, hp) = s
+                .crash
+                .map(|c| (c.crash_points, c.byte_identical, c.honest_partial))
+                .unwrap_or((0, 0, 0));
+            let (tt, tf, tr, th) = s
+                .torture
+                .map(|t| (t.truncations, t.bit_flips, t.resumed_identical, t.honest_errors))
+                .unwrap_or((0, 0, 0, 0));
+            format!(
+                "{{\"name\":\"{}\",\"runs\":{},\"offered\":{},\"dropped\":{},\"duplicated\":{},\"corrupted\":{},\"reordered\":{},\"capture_shed\":{},\"crash_points\":{cp},\"byte_identical\":{bi},\"honest_partial\":{hp},\"truncations\":{tt},\"bit_flips\":{tf},\"torture_resumed\":{tr},\"torture_honest\":{th}}}",
+                s.scenario,
+                s.runs,
+                s.fault_totals.offered,
+                s.fault_totals.dropped,
+                s.fault_totals.duplicated,
+                s.fault_totals.corrupted,
+                s.fault_totals.reordered,
+                s.capture_shed,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",");
+    artifact.write(
+        "e14_chaos",
+        1,
+        &format!(
+            "\"plan\":\"{}\",\"seeds\":{seeds},\"crash_points\":{crash_points},\"runs\":{},\"audited\":{},\"violations\":{},\"wall_s\":{wall:.3},\"scenarios\":[{scenarios}]",
             report.plan,
             report.runs(),
             report.audited,
             report.violations.len(),
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-    }
+        ),
+    );
 
     // The bench *is* the acceptance gate: a dirty audit fails the run.
     assert!(

@@ -18,16 +18,16 @@
 //!   delete the oldest, one lookup per iteration, as any real datapath
 //!   interleaving would).
 //!
-//! Rates (`ops_per_wall_s`) are gated across commits by
-//! `scripts/perf_guard.py`. With `OSNT_REQUIRE_SPEEDUP=1` the run also
-//! fails unless the flow_mod rate at 100 000 entries keeps at least a
-//! third of the 100-entry rate (flow_mods that are O(1) on paper must
-//! stay near-flat on the machine too). The gate is safe on a
-//! single-core runner: it compares the engine with itself.
+//! The rates (`ops_per_wall_s`) are readings, and so is the flatness
+//! ratio printed last — the flow_mod rate at 100 000 entries over the
+//! rate at 100 (flow_mods that are O(1) on paper should stay near-flat
+//! on the machine too). Nothing is asserted on them: the ratio moves
+//! between 0.39 and 0.58 across runs of one commit on one host. The
+//! curve is measured, normalised, by `e0_pipeline`'s
+//! `switch.flowtable.ns_per_flowmod_1e{3,5}` probes.
 //!
 //! `--max-size N` caps the sweep; `--json PATH` writes the sweep as
-//! JSON (committed as `BENCH_e15.json`, consumed by the CI
-//! perf-regression guard).
+//! JSON (committed as `BENCH_e15.json`).
 
 use osnt_bench::Table;
 use osnt_openflow::match_field::wildcards;
@@ -246,19 +246,10 @@ fn bench_updates(t: &mut FlowTable, n: usize, iters: u64, keys: &[LookupKey]) ->
 }
 
 fn main() {
-    let mut max_size: usize = 1_000_000;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--max-size" => {
-                let v = args.next().expect("--max-size takes a count");
-                max_size = v.parse().expect("--max-size takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument {other} (expected --max-size N / --json PATH)"),
-        }
-    }
+    let (max_size, artifact) =
+        osnt_bench::flags_or_exit("e15_flowtable [--max-size N] [--json PATH]", |args| {
+            args.get("max-size", 1_000_000usize)
+        });
     println!(
         "E15: tuple-space classification, table sweep to {max_size} entries,\n\
          5 wildcard shapes, {KEY_COUNT} probe keys, lookup + flow_mod churn legs\n"
@@ -310,34 +301,23 @@ fn main() {
     }
     table.print();
 
-    if std::env::var("OSNT_REQUIRE_SPEEDUP").as_deref() == Ok("1") {
-        let (small, large) = (
-            flat.0.expect("the sweep starts at 100 entries"),
-            flat.1
-                .expect("flatness gate needs the 100000-entry point (--max-size >= 100000)"),
-        );
-        assert!(
-            3.0 * large >= small,
-            "flow_mod rate falls {:.2}x from 100 to 100k entries \
-             ({small:.0}/s -> {large:.0}/s), more than 3x",
-            small / large
-        );
-        println!(
-            "\nFlatness gate (flow_mod rate at 100k entries >= 1/3 of the rate at 100): passed \
-             ({:.2}).",
-            large / small
-        );
-    } else {
-        println!("\nFlatness gate skipped (set OSNT_REQUIRE_SPEEDUP=1 to enforce).");
+    let flatness = flat.0.zip(flat.1).map(|(small, large)| large / small);
+    match flatness {
+        Some(ratio) => println!(
+            "\nFlatness (flow_mod rate at 100k entries over the rate at 100): {ratio:.2} \
+             (a reading, not a gate)."
+        ),
+        None => println!("\nFlatness: needs the 100000-entry point (--max-size >= 100000)."),
     }
 
-    if let Some(path) = json {
-        let body = format!(
-            "{{\"bench\":\"e15_flowtable\",\"max_size\":{max_size},\
-             \"key_count\":{KEY_COUNT},\"results\":[{}]}}\n",
+    artifact.write(
+        "e15_flowtable",
+        1,
+        &format!(
+            "\"max_size\":{max_size},\"key_count\":{KEY_COUNT},\
+             \"flowmod_flatness\":{},\"results\":[{}]",
+            flatness.map_or("null".to_string(), |r| format!("{r:.4}")),
             json_rows.join(",")
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-        println!("wrote {path}");
-    }
+        ),
+    );
 }

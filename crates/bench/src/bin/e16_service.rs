@@ -22,8 +22,8 @@
 //!    uninterrupted run, exactly once.
 //!
 //! The JSON artifact (`--json PATH`) carries one rate row
-//! (`sessions_per_wall_s`) for `scripts/perf_guard.py` plus the audit
-//! tallies; a dirty audit fails the bench itself.
+//! (`sessions_per_wall_s`, a reading) plus the audit tallies; a dirty
+//! audit fails the bench itself.
 
 use std::time::Instant;
 
@@ -278,26 +278,15 @@ fn crash_leg(after_appends: u64, auditor: &mut InvariantAuditor) -> CrashLeg {
 }
 
 fn main() {
-    let mut sessions: usize = 210;
-    let mut workers: usize = 4;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sessions" => {
-                let v = args.next().expect("--sessions takes a count");
-                sessions = v.parse().expect("--sessions takes an integer");
-            }
-            "--workers" => {
-                let v = args.next().expect("--workers takes a count");
-                workers = v.parse().expect("--workers takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!(
-                "unknown argument {other} (expected --sessions N / --workers N / --json PATH)"
-            ),
-        }
-    }
+    let ((sessions, workers), artifact) = osnt_bench::flags_or_exit(
+        "e16_service [--sessions N] [--workers N] [--json PATH]",
+        |args| {
+            Ok((
+                args.get("sessions", 210usize)?,
+                args.get("workers", 4usize)?,
+            ))
+        },
+    );
 
     let plan = ChaosPlan::service();
     let storm = plan
@@ -366,14 +355,16 @@ fn main() {
     let violations = auditor.violations().len();
     let audited = auditor.audited();
 
-    if let Some(path) = json {
-        let body = format!(
-            "{{\"bench\":\"e16_service\",\"plan\":\"{}\",\"audited\":{audited},\"violations\":{violations},\
+    artifact.write(
+        "e16_service",
+        1,
+        &format!(
+            "\"plan\":\"{}\",\"audited\":{audited},\"violations\":{violations},\
 \"results\":[{{\"phase\":\"throughput\",\"sessions\":{},\"tenants\":3,\"workers\":{},\
 \"wall_s\":{:.3},\"sessions_per_wall_s\":{:.1},\"jain_fairness\":{:.4}}}],\
 \"storm\":{{\"factor\":{},\"burst\":{},\"submitted\":{},\"admitted\":{},\"rejected\":{},\"shed\":{},\
 \"digest\":\"{:08x}\",\"deterministic\":{}}},\
-\"crash\":{{\"after_appends\":{kill_after},\"attempts\":{},\"retries\":{},\"byte_identical\":{}}}}}\n",
+\"crash\":{{\"after_appends\":{kill_after},\"attempts\":{},\"retries\":{},\"byte_identical\":{}}}",
             plan.name,
             tput.sessions,
             tput.workers,
@@ -391,9 +382,8 @@ fn main() {
             crash.attempts,
             crash.retries,
             crash.byte_identical,
-        );
-        std::fs::write(&path, body).expect("write json artifact");
-    }
+        ),
+    );
 
     assert_eq!(
         violations, 0,

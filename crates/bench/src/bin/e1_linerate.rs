@@ -9,13 +9,12 @@
 //! Two modes:
 //!
 //! * default — the fixed 5 ms window sweep (the paper's table);
-//! * `--frames N` — bounded-frame perf smoke: each port sends exactly
-//!   `N` frames on the batched fast path, wall-clock time is measured,
-//!   and the run panics if any size misses line rate. With
-//!   `--json PATH` the results (including simulated-frames-per-wall-
-//!   second, the perf-trajectory metric) are written as JSON.
+//! * `--frames N` — bounded-frame smoke: each port sends exactly `N`
+//!   frames on the batched fast path and the run panics if any size
+//!   misses line rate. The wall-clock column is a reading, compared
+//!   with nothing. With `--json PATH` the results are written as JSON.
 
-use osnt_bench::Table;
+use osnt_bench::{Args, Artifact, Table, UsageError};
 use osnt_gen::workload::FixedTemplate;
 use osnt_gen::{GenConfig, GenStats, GeneratorPort, Schedule};
 use osnt_netsim::{Component, ComponentId, Kernel, LinkSpec, SimBuilder};
@@ -89,9 +88,9 @@ fn run_counted(
     (stats, t0.elapsed().as_secs_f64())
 }
 
-/// The perf-smoke sweep behind `--frames N`: panics when any size
-/// misses line rate, optionally dumps machine-readable results.
-fn bounded_mode(frames_per_port: u64, json_path: Option<&str>) {
+/// The sweep behind `--frames N`: panics when any size misses line
+/// rate, optionally dumps machine-readable results.
+fn bounded_mode(frames_per_port: u64, artifact: &Artifact) {
     println!("E1 (bounded): {frames_per_port} frames/port, batched back-to-back\n");
     let mut table = Table::new([
         "frame(B)",
@@ -144,33 +143,25 @@ fn bounded_mode(frames_per_port: u64, json_path: Option<&str>) {
     }
     table.print();
     println!("\nAll sizes at exact line rate; panic above would have failed the run.");
-    if let Some(path) = json_path {
-        let body = format!(
-            "{{\"bench\":\"e1_linerate_bounded\",\"frames_per_port\":{frames_per_port},\
-             \"results\":[{}]}}\n",
+    artifact.write(
+        "e1_linerate_bounded",
+        1,
+        &format!(
+            "\"frames_per_port\":{frames_per_port},\"results\":[{}]",
             json_rows.join(",")
-        );
-        std::fs::write(path, body).expect("write json artifact");
-        println!("wrote {path}");
-    }
+        ),
+    );
+}
+
+fn flags(args: &Args) -> Result<Option<u64>, UsageError> {
+    args.get_opt("frames")
 }
 
 fn main() {
-    let mut frames: Option<u64> = None;
-    let mut json: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--frames" => {
-                let v = args.next().expect("--frames takes a count");
-                frames = Some(v.parse().expect("--frames takes an integer"));
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument {other} (expected --frames N / --json PATH)"),
-        }
-    }
+    let (frames, artifact) =
+        osnt_bench::flags_or_exit("e1_linerate [--frames N] [--json PATH]", flags);
     if let Some(n) = frames {
-        bounded_mode(n, json.as_deref());
+        bounded_mode(n, &artifact);
         return;
     }
     let window = SimDuration::from_ms(5);
@@ -209,4 +200,31 @@ fn main() {
         "\nShape check: per-port achieved == theory at every size (the\n\
          paper's headline property); 4 ports scale linearly to 4x."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flags;
+    use osnt_bench::parse_flags;
+
+    fn parse(argv: &[&str]) -> Result<Option<u64>, String> {
+        parse_flags(argv.iter().map(|s| s.to_string()), flags)
+            .map(|(frames, _)| frames)
+            .map_err(|e| e.to_string())
+    }
+
+    /// What `main` exits 2 on: the error `flags_or_exit` would print.
+    #[test]
+    fn a_bad_command_line_is_a_usage_error() {
+        assert_eq!(parse(&["--frames", "7", "--json=x"]), Ok(Some(7)));
+        assert_eq!(parse(&[]), Ok(None));
+        for (argv, message) in [
+            (&["--bogus", "1"][..], "unknown option --bogus"),
+            (&["--frames", "many"], "invalid value for --frames: many"),
+            (&["--frames"], "--frames needs a value"),
+            (&["--frames", "--json", "x"], "unexpected argument x"),
+        ] {
+            assert_eq!(parse(argv), Err(message.to_string()), "{argv:?}");
+        }
+    }
 }

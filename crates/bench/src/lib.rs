@@ -1,11 +1,98 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! # osnt-bench — experiment harnesses and benchmarks
+//! # osnt-bench — experiment harnesses
 //!
-//! One binary per experiment (E1–E8, see `EXPERIMENTS.md`) plus Criterion
-//! micro-benchmarks of the hot paths. Shared table-printing helpers live
-//! here.
+//! One binary per experiment (E1–E16, see `EXPERIMENTS.md`). They
+//! assert deterministic values — digests, counts, line rate, fairness,
+//! zero violations — and print wall-clock readings for information
+//! only: `e0_pipeline` is the one program in this repository that
+//! times anything to a protocol. What the binaries share lives here:
+//! the command line, the `--json` artifact with its host stamp, the
+//! capture digest and table printing.
 
 pub mod table;
 
+// e0's own stamp, compiled in from its frozen source so `stamp_json`
+// exists once; the `/proc` readers it does not need here ride along.
+#[allow(dead_code, missing_docs)]
+#[path = "bin/e0_pipeline/host.rs"]
+mod host;
+
+pub use osnt_cli::{Args, UsageError};
 pub use table::Table;
+
+use osnt_mon::CapturedPacket;
+use osnt_packet::hash::crc32_update;
+
+/// Where `--json PATH` sends a run's record, if anywhere.
+#[derive(Debug)]
+pub struct Artifact {
+    path: Option<String>,
+    load_start: Option<f64>,
+}
+
+impl Artifact {
+    /// Write `{"bench":NAME,"host":{stamp},FIELDS}` to the `--json`
+    /// path; nothing without one. `fields` is the inside of a JSON
+    /// object. `reps` is how many times the wall readings in it were
+    /// taken. The stamp's `seed` is 0: an experiment's seeds are
+    /// constants of its source, not an axis of the run.
+    ///
+    /// # Panics
+    /// When the file cannot be written.
+    pub fn write(&self, bench: &str, reps: usize, fields: &str) {
+        let Some(path) = &self.path else { return };
+        let stamp = host::stamp_json(0, reps, self.load_start, host::load_average());
+        let body = format!("{{\"bench\":\"{bench}\",\"host\":{stamp},{fields}}}\n");
+        std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("wrote {path}");
+    }
+}
+
+/// Parse an experiment's command line: `read` takes the flags it
+/// knows off `Args`, `--json` is taken here, and anything left over —
+/// an unknown flag, a positional word — is an error.
+pub fn parse_flags<T>(
+    raw: impl IntoIterator<Item = String>,
+    read: impl FnOnce(&Args) -> Result<T, UsageError>,
+) -> Result<(T, Artifact), UsageError> {
+    let args = Args::parse(raw)?;
+    if let Some(word) = args.positional().first() {
+        return Err(UsageError(format!("unexpected argument {word}")));
+    }
+    let flags = read(&args)?;
+    let artifact = Artifact {
+        path: args.get_str("json").map(str::to_string),
+        load_start: host::load_average(),
+    };
+    args.reject_unknown()?;
+    Ok((flags, artifact))
+}
+
+/// [`parse_flags`] on the process's own arguments; a usage error
+/// prints `error: …` and the usage line, and exits 2.
+pub fn flags_or_exit<T>(
+    usage: &str,
+    read: impl FnOnce(&Args) -> Result<T, UsageError>,
+) -> (T, Artifact) {
+    parse_flags(std::env::args().skip(1), read).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// CRC-32 over a capture buffer in order: each record's hardware
+/// stamp, true arrival instant, stored bytes, original length, and
+/// frame hash where the monitor took one.
+pub fn capture_digest(packets: &[CapturedPacket]) -> u32 {
+    packets.iter().fold(0, |mut digest, cap| {
+        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
+        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
+        digest = crc32_update(digest, cap.packet.data());
+        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
+        match cap.hash {
+            Some(hash) => crc32_update(digest, &hash.to_le_bytes()),
+            None => digest,
+        }
+    })
+}

@@ -38,16 +38,6 @@ pub struct Violation {
     pub detail: String,
 }
 
-impl Violation {
-    /// The structured error form.
-    pub fn to_error(&self) -> OsntError {
-        OsntError::InvariantViolated {
-            invariant: self.invariant,
-            detail: self.detail.clone(),
-        }
-    }
-}
-
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.invariant, self.detail)

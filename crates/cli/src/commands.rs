@@ -1,11 +1,12 @@
 //! The CLI subcommand implementations.
 
-use crate::args::{Args, CliError, UsageError};
+use crate::CliError;
 use oflops_turbo::modules::{
     AddLatencyModule, AddLatencyReport, ConsistencyModule, ConsistencyReport, RoundRobinDst,
 };
 use oflops_turbo::{Testbed, TestbedSpec};
 use osnt_chaos::{run_campaign, CampaignConfig, ChaosPlan};
+use osnt_cli::{Args, UsageError};
 use osnt_core::experiment::LatencyExperiment;
 use osnt_core::sweep::{render_report, SupervisedSweep, SweepConfig};
 use osnt_core::throughput::ThroughputSearch;

@@ -6,10 +6,82 @@
 //! simulated platform: each subcommand assembles a testbed, runs it in
 //! virtual time, and prints the measurement.
 
-mod args;
 mod commands;
 
-use args::{Args, CliError, UsageError};
+use osnt_cli::{Args, UsageError};
+
+/// Why `osnt` is exiting nonzero. The exit-code taxonomy lets CI and
+/// scripts distinguish "you called it wrong" from "the run died" from
+/// "the run finished but the result is partial":
+///
+/// | code | meaning                                                |
+/// |------|--------------------------------------------------------|
+/// | 0    | success                                                |
+/// | 1    | any other failure (I/O, decode, internal)              |
+/// | 2    | usage error — bad flags or arguments                   |
+/// | 3    | run aborted — watchdog stall or contained panic        |
+/// | 4    | partial result — run finished without a usable answer  |
+#[derive(Debug)]
+pub enum CliError {
+    /// Bad invocation (exit 2). The only variant that reprints usage.
+    Usage(UsageError),
+    /// The run was aborted mid-flight (exit 3): a watchdog declared a
+    /// stall, or a panic was contained at a supervision boundary.
+    Aborted(osnt_error::OsntError),
+    /// The command completed but could only produce a partial result
+    /// (exit 4), e.g. a supervised sweep that journaled an abort, or a
+    /// measurement with no samples.
+    Partial(String),
+    /// Everything else (exit 1).
+    Other(osnt_error::OsntError),
+}
+
+impl CliError {
+    /// The process exit code for this error.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Aborted(_) => 3,
+            CliError::Partial(_) => 4,
+            CliError::Other(_) => 1,
+        }
+    }
+
+    /// True for invocation errors — the caller reprints usage for these.
+    pub fn is_usage(&self) -> bool {
+        matches!(self, CliError::Usage(_))
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(e) => e.fmt(f),
+            CliError::Aborted(e) => write!(f, "run aborted: {e}"),
+            CliError::Partial(msg) => write!(f, "partial result: {msg}"),
+            CliError::Other(e) => e.fmt(f),
+        }
+    }
+}
+
+impl From<UsageError> for CliError {
+    fn from(e: UsageError) -> Self {
+        CliError::Usage(e)
+    }
+}
+
+impl From<osnt_error::OsntError> for CliError {
+    fn from(e: osnt_error::OsntError) -> Self {
+        use osnt_error::OsntError as E;
+        match e {
+            E::RunAborted { .. } | E::Panicked { .. } | E::CrashInjected { .. } => {
+                CliError::Aborted(e)
+            }
+            E::NoSamples { .. } => CliError::Partial(e.to_string()),
+            other => CliError::Other(other),
+        }
+    }
+}
 
 const USAGE: &str = "\
 osnt — open source network tester (simulated 10 GbE platform)
@@ -94,5 +166,48 @@ fn dispatch(command: &str, rest: Vec<String>) -> Result<(), CliError> {
             Ok(())
         }
         other => Err(UsageError(format!("unknown command: {other}")).into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exit_codes_are_distinct_per_failure_class() {
+        use osnt_error::OsntError;
+        let usage = CliError::from(UsageError("bad flag".into()));
+        let aborted = CliError::from(OsntError::RunAborted {
+            phase: "load-0.9".into(),
+            last_progress: 42,
+        });
+        let panicked = CliError::from(OsntError::Panicked {
+            context: "shard worker",
+            reason: "boom".into(),
+        });
+        let partial = CliError::from(OsntError::NoSamples {
+            context: "latency experiment",
+        });
+        let other = CliError::from(OsntError::decode("journal", "bad magic"));
+
+        assert_eq!(usage.exit_code(), 2);
+        assert_eq!(aborted.exit_code(), 3);
+        assert_eq!(panicked.exit_code(), 3);
+        assert_eq!(partial.exit_code(), 4);
+        assert_eq!(other.exit_code(), 1);
+        assert!(usage.is_usage());
+        assert!(!aborted.is_usage());
+        // Every class maps to a different code (panics share "aborted").
+        let codes = [
+            usage.exit_code(),
+            aborted.exit_code(),
+            partial.exit_code(),
+            other.exit_code(),
+        ];
+        for (i, a) in codes.iter().enumerate() {
+            for b in &codes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 }

@@ -118,3 +118,38 @@ fn bad_flag_value_is_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid value"));
 }
+
+/// A capture stamped with a real-world epoch (as tcpdump writes them)
+/// replays on its recorded schedule: the gap is the file's, not what
+/// is left of it after `secs × 10¹²` wraps a `u64`.
+#[test]
+fn replay_of_an_epoch_stamped_capture_reports_the_recorded_gap() {
+    let dir = std::env::temp_dir().join(format!("osnt-cli-epoch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let pcap = dir.join("epoch.pcap");
+
+    let mut img = osnt_packet::pcap::to_bytes(&[], osnt_packet::pcap::TsResolution::Micro);
+    // 2023-11-14T22:13:20.999500 and 1 ms later, across the second.
+    for (secs, micros) in [(1_700_000_000u32, 999_500u32), (1_700_000_001, 500)] {
+        for word in [secs, micros, 60, 60] {
+            img.extend_from_slice(&word.to_le_bytes());
+        }
+        img.extend_from_slice(&[0u8; 60]);
+    }
+    std::fs::write(&pcap, img).unwrap();
+
+    let out = osnt()
+        .args(["replay", pcap.to_str().unwrap()])
+        .output()
+        .expect("run osnt replay");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("replayed 2 frames"), "output: {text}");
+    assert!(text.contains("over 1ms\n"), "output: {text}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -63,12 +63,6 @@ impl SimpleHost {
         self.counters.clone()
     }
 
-    /// Override the stack latency.
-    pub fn with_stack_latency(mut self, d: SimDuration) -> Self {
-        self.stack_latency = d;
-        self
-    }
-
     /// The host's MAC address.
     pub fn mac(&self) -> MacAddr {
         self.mac

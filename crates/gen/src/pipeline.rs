@@ -88,12 +88,6 @@ impl GenStats {
         // `sent_frames - 1` gaps cover `last - first`.
         Some((self.sent_frames - 1) as f64 / (last - first).as_secs_f64())
     }
-
-    /// Achieved throughput in frame bits per second (the conventional
-    /// "bandwidth" metric) over the observed window.
-    pub fn achieved_bps(&self, mean_frame_len: f64) -> Option<f64> {
-        Some(self.achieved_pps()? * mean_frame_len * 8.0)
-    }
 }
 
 const TIMER_DEPART: u64 = 1;

@@ -64,11 +64,6 @@ impl RateEstimator {
         }
     }
 
-    /// 100 ms windows, light smoothing — a sensible display default.
-    pub fn display_default() -> Self {
-        RateEstimator::new(SimDuration::from_ms(100), 0.3)
-    }
-
     fn close_windows_until(&mut self, now: SimTime) {
         while now >= self.window_start + self.window {
             let sample = WindowSample {
@@ -116,11 +111,6 @@ impl RateEstimator {
     /// Smoothed bits-per-second estimate.
     pub fn bps(&self) -> Option<f64> {
         self.ewma_bps
-    }
-
-    /// The most recent closed window.
-    pub fn last_window(&self) -> Option<&WindowSample> {
-        self.history.last()
     }
 }
 

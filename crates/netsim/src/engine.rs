@@ -6,7 +6,7 @@ use crate::kernel::Kernel;
 use crate::link::LinkSpec;
 use crate::shard::ShardedSim;
 use osnt_packet::Packet;
-use osnt_time::{SimDuration, SimTime};
+use osnt_time::SimTime;
 
 /// Declarative construction of a simulation: add components, wire ports,
 /// then [`SimBuilder::build`].
@@ -371,12 +371,6 @@ impl Sim {
         run_kernel_until(&mut self.kernel, &mut self.components, limit, u64::MAX)
     }
 
-    /// Run for `d` beyond the current time.
-    pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let limit = self.kernel.now() + d;
-        self.run_until(limit)
-    }
-
     /// Drain every pending event (the simulation must quiesce — a
     /// periodic timer would run forever, so a safety cap of `max_events`
     /// aborts with a panic if exceeded).
@@ -396,6 +390,7 @@ mod tests {
     use super::*;
     use crate::kernel::TxResult;
     use osnt_packet::Packet;
+    use osnt_time::SimDuration;
     use std::cell::RefCell;
     use std::rc::Rc;
 

@@ -494,11 +494,3 @@ impl Component for OflopsController {
         "oflops-controller"
     }
 }
-
-/// Find the first logged entry matching a predicate.
-pub fn find_entry(
-    log: &[ControlLogEntry],
-    mut pred: impl FnMut(&ControlLogEntry) -> bool,
-) -> Option<&ControlLogEntry> {
-    log.iter().find(|e| pred(e))
-}

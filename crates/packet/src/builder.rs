@@ -137,17 +137,6 @@ impl PacketBuilder {
         self
     }
 
-    /// Add a TCP header with explicit flags.
-    pub fn tcp_with_flags(mut self, src_port: u16, dst_port: u16, seq: u32, flags: u8) -> Self {
-        self.l4 = Some(L4Plan::Tcp {
-            src_port,
-            dst_port,
-            seq,
-            flags,
-        });
-        self
-    }
-
     /// Add an ICMP echo-request header (IPv4 only).
     pub fn icmp_echo(mut self, identifier: u16, sequence: u16) -> Self {
         self.l4 = Some(L4Plan::IcmpEcho {

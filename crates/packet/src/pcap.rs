@@ -8,6 +8,10 @@
 //!
 //! Timestamps cross this API as **picoseconds** (`u64`), the native unit
 //! of OSNT-rs; they are truncated to the file's resolution on write.
+//! A `u64` of picoseconds holds 213 days, so a capture stamped with a
+//! real-world epoch is read relative to the whole second of its first
+//! record ([`PcapReader::base_secs`]); captures in simulator time, which
+//! is what this crate writes, read back as written.
 
 use std::io::{self, Read, Write};
 
@@ -47,7 +51,8 @@ impl TsResolution {
 /// One captured packet record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapRecord {
-    /// Capture timestamp, picoseconds since the file epoch.
+    /// Capture timestamp, picoseconds since the file epoch (on read:
+    /// since [`PcapReader::base_secs`]).
     pub ts_ps: u64,
     /// Original length of the packet on the wire (may exceed
     /// `data.len()` when the capture was snapped/thinned).
@@ -79,6 +84,15 @@ pub enum PcapError {
     OversizedRecord(u32),
     /// The stream ended in the middle of a record.
     TruncatedRecord,
+    /// A record's stamp cannot be held as picoseconds after the file's
+    /// base second: it lies before the base, or more than 213 days
+    /// after it.
+    TimestampOutOfRange {
+        /// The record's whole seconds, as stored.
+        secs: u32,
+        /// The second the file's stamps are relative to.
+        base_secs: u32,
+    },
 }
 
 impl From<io::Error> for PcapError {
@@ -94,6 +108,10 @@ impl std::fmt::Display for PcapError {
             PcapError::BadMagic(m) => write!(f, "not a pcap stream (magic {m:#010x})"),
             PcapError::OversizedRecord(n) => write!(f, "pcap record of {n} bytes exceeds limit"),
             PcapError::TruncatedRecord => write!(f, "pcap stream ends mid-record"),
+            PcapError::TimestampOutOfRange { secs, base_secs } => write!(
+                f,
+                "pcap record stamped {secs} s cannot be held relative to second {base_secs}"
+            ),
         }
     }
 }
@@ -102,6 +120,8 @@ impl std::error::Error for PcapError {}
 
 /// Sanity cap on `incl_len` when reading (jumbo + slack).
 const MAX_RECORD: u32 = 256 * 1024;
+
+const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// Streaming pcap writer.
 #[derive(Debug)]
@@ -131,8 +151,8 @@ impl<W: Write> PcapWriter<W> {
     /// Append one record.
     pub fn write_record(&mut self, rec: &PcapRecord) -> io::Result<()> {
         let unit = self.resolution.unit_ps();
-        let secs = (rec.ts_ps / 1_000_000_000_000) as u32;
-        let subsec = ((rec.ts_ps % 1_000_000_000_000) / unit) as u32;
+        let secs = (rec.ts_ps / PS_PER_SEC) as u32;
+        let subsec = ((rec.ts_ps % PS_PER_SEC) / unit) as u32;
         self.out.write_all(&secs.to_le_bytes())?;
         self.out.write_all(&subsec.to_le_bytes())?;
         self.out.write_all(&(rec.data.len() as u32).to_le_bytes())?;
@@ -160,6 +180,22 @@ pub struct PcapReader<R: Read> {
     input: R,
     resolution: TsResolution,
     swapped: bool,
+    /// Fixed by the first record.
+    base_secs: Option<u32>,
+}
+
+/// Fill `buf` from `input`; the count is short only at end of stream.
+fn read_up_to(input: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match input.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
 }
 
 impl<R: Read> PcapReader<R> {
@@ -179,7 +215,16 @@ impl<R: Read> PcapReader<R> {
             input,
             resolution,
             swapped,
+            base_secs: None,
         })
+    }
+
+    /// The second every [`PcapRecord::ts_ps`] read from this file is
+    /// relative to, once the first record has been read: 0 when that
+    /// record's own stamp fits in a `u64` of picoseconds (simulator
+    /// time), else that record's whole second (a real-world epoch).
+    pub fn base_secs(&self) -> Option<u32> {
+        self.base_secs
     }
 
     /// The file's timestamp resolution.
@@ -196,15 +241,16 @@ impl<R: Read> PcapReader<R> {
         }
     }
 
-    /// Read the next record, or `None` at a clean end of stream.
+    /// Read the next record, or `None` at a clean end of stream: the
+    /// stream ends exactly where a record header would start.
     pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PcapError> {
         let mut hdr = [0u8; 16];
-        match self.input.read_exact(&mut hdr) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+        match read_up_to(&mut self.input, &mut hdr)? {
+            0 => return Ok(None),
+            16 => {}
+            _ => return Err(PcapError::TruncatedRecord),
         }
-        let secs = self.u32_at(&hdr[0..4]) as u64;
+        let secs = self.u32_at(&hdr[0..4]);
         let subsec = self.u32_at(&hdr[4..8]) as u64;
         let incl = self.u32_at(&hdr[8..12]);
         let orig = self.u32_at(&hdr[12..16]);
@@ -218,7 +264,13 @@ impl<R: Read> PcapReader<R> {
                 io::ErrorKind::UnexpectedEof => PcapError::TruncatedRecord,
                 _ => PcapError::Io(e),
             })?;
-        let ts_ps = secs * 1_000_000_000_000 + subsec * self.resolution.unit_ps();
+        let fits = u64::from(secs) < u64::MAX / PS_PER_SEC;
+        let base_secs = *self.base_secs.get_or_insert(if fits { 0 } else { secs });
+        let ts_ps = secs
+            .checked_sub(base_secs)
+            .and_then(|rel| u64::from(rel).checked_mul(PS_PER_SEC))
+            .and_then(|ps| ps.checked_add(subsec * self.resolution.unit_ps()))
+            .ok_or(PcapError::TimestampOutOfRange { secs, base_secs })?;
         Ok(Some(PcapRecord {
             ts_ps,
             orig_len: orig,
@@ -329,9 +381,68 @@ mod tests {
 
     #[test]
     fn truncated_record_is_reported() {
-        let mut img = to_bytes(&sample_records(), TsResolution::Nano);
-        img.truncate(img.len() - 10);
-        assert!(matches!(from_bytes(&img), Err(PcapError::TruncatedRecord)));
+        let img = to_bytes(&sample_records(), TsResolution::Nano);
+        let last_record = img.len() - (16 + 64);
+        assert_eq!(from_bytes(&img[..last_record]).unwrap().len(), 2);
+        // A cut anywhere inside the last record, its 16-byte header
+        // included, is a torn file and not a shorter clean one.
+        for cut in [1, 7, 15, 16, 17, 16 + 54, 16 + 63] {
+            assert!(
+                matches!(
+                    from_bytes(&img[..last_record + cut]),
+                    Err(PcapError::TruncatedRecord)
+                ),
+                "cut {cut} bytes into the last record"
+            );
+        }
+    }
+
+    /// One little-endian record as a foreign tool would have written it.
+    fn raw_record(secs: u32, subsec: u32, data: &[u8]) -> Vec<u8> {
+        let len = data.len() as u32;
+        let mut out = Vec::new();
+        for word in [secs, subsec, len, len] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(data);
+        out
+    }
+
+    #[test]
+    fn epoch_stamped_capture_reads_relative_to_its_first_second() {
+        const EPOCH: u32 = 1_700_000_000; // 2023-11-14: overflows u64 picoseconds
+        let mut img = to_bytes(&[], TsResolution::Nano);
+        img.extend(raw_record(EPOCH, 999_999_000, &[1]));
+        img.extend(raw_record(EPOCH + 1, 250, &[2]));
+        let mut reader = PcapReader::new(&img[..]).unwrap();
+        assert_eq!(reader.base_secs(), None);
+        let records = reader.read_all().unwrap();
+        assert_eq!(reader.base_secs(), Some(EPOCH));
+        assert_eq!(records[0].ts_ps, 999_999_000_000);
+        assert_eq!(records[1].ts_ps - records[0].ts_ps, 1_250_000); // 1.25 µs
+
+        // Out of order across the base second, or 213 days past it:
+        // an error, not a wrapped stamp.
+        for secs in [EPOCH - 1, EPOCH + 18_446_745] {
+            let mut img = img.clone();
+            img.extend(raw_record(secs, 0, &[3]));
+            assert!(matches!(
+                from_bytes(&img),
+                Err(PcapError::TimestampOutOfRange { secs: s, base_secs: EPOCH }) if s == secs
+            ));
+        }
+    }
+
+    #[test]
+    fn simulator_time_capture_keeps_its_own_epoch() {
+        let records = [
+            PcapRecord::full(500 * PS_PER_SEC, vec![1]),
+            PcapRecord::full(3 * PS_PER_SEC, vec![2]), // out of order
+        ];
+        let img = to_bytes(&records, TsResolution::Nano);
+        let mut reader = PcapReader::new(&img[..]).unwrap();
+        assert_eq!(reader.read_all().unwrap(), records);
+        assert_eq!(reader.base_secs(), Some(0));
     }
 
     #[test]

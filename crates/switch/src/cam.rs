@@ -45,11 +45,6 @@ impl Cam {
         self.last_lookup = Some((station, port));
         port
     }
-
-    /// Number of learned stations.
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -77,6 +72,6 @@ mod tests {
         cam.learn(a, 3);
         cam.learn(a, 3);
         assert_eq!(cam.lookup(a), Some(3));
-        assert_eq!(cam.len(), 2);
+        assert_eq!(cam.map.len(), 2);
     }
 }

@@ -87,11 +87,6 @@ impl LegacySwitch {
         }
     }
 
-    /// Number of learned stations.
-    pub fn cam_size(&self) -> usize {
-        self.cam.len()
-    }
-
     /// Frames lost at full output queues so far.
     pub fn output_drops(&self) -> u64 {
         self.pipeline.output_drops

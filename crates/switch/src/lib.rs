@@ -17,8 +17,6 @@
 //!   switches OFLOPS measured) answers barriers from the CPU **before**
 //!   the hardware is updated. OFLOPS-turbo exists to expose exactly this
 //!   gap (experiments E6/E7).
-//!
-//! Both switches expose SNMP-style counters ([`snmp`]).
 
 mod cam;
 pub mod compiled;
@@ -27,7 +25,6 @@ pub mod fabric;
 pub mod flowtable;
 pub mod legacy;
 pub mod openflow_switch;
-pub mod snmp;
 pub mod tuple_space;
 
 pub use compiled::CompiledOfMatch;

@@ -184,11 +184,6 @@ impl OpenFlowSwitch {
         self.config.n_ports + 1
     }
 
-    /// Current hardware-table occupancy.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
     /// Frames lost at full output queues so far.
     pub fn output_drops(&self) -> u64 {
         self.pipeline.output_drops

@@ -158,11 +158,6 @@ impl HwClock {
         self.trim_ppm
     }
 
-    /// Effective rate error = oscillator error + servo trim, ppm.
-    pub fn effective_rate_ppm(&self) -> f64 {
-        self.freq_error_ppm + self.trim_ppm
-    }
-
     /// Set the servo frequency trim (called by the GPS discipline).
     pub fn set_trim_ppm(&mut self, trim: f64) {
         self.trim_ppm = trim;

@@ -85,11 +85,6 @@ impl HwTimestamp {
         secs + frac_ps as u64
     }
 
-    /// Decode to a [`SimTime`].
-    pub fn to_sim_time(self) -> SimTime {
-        SimTime::from_ps(self.to_ps())
-    }
-
     /// Difference between two stamps as a duration. Panics if
     /// `earlier > self` (stamps are expected to be causally ordered).
     pub fn duration_since(self, earlier: HwTimestamp) -> SimDuration {

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # The gate steps of .github/workflows/ci.yml, offline, for a checkout
 # with no Actions runner: build, tests and their env leg, fmt,
-# clippy, the E0 correctness gate, the chaos campaign, the
-# digest-asserting experiment bins and the perf guard (advisory here).
-# Fresh BENCH_*.json land in a temporary directory; the committed ones
-# are the guard's baseline and are not touched.
+# clippy, the E0 correctness gate, the chaos campaign and the
+# digest-asserting experiment bins. Fresh BENCH_*.json land in a
+# temporary directory; the committed ones are not touched.
 #
 # Also prints `e5_legacy_latency | md5sum` (run twice, must agree):
 # the event-order pin EXPERIMENTS.md compares with the parent commit's.
@@ -46,18 +45,8 @@ step "E12 capture (committed digest)"
 bin e12_capture -- --frames 200000 --json "$out/BENCH_capture.json"
 step "E13 burst sweep (one committed digest at every burst size)"
 bin e13_burst -- --frames 100000 --json "$out/BENCH_burst.json"
-step "E15 flow table (verdict digests + flatness gate)"
-OSNT_REQUIRE_SPEEDUP=1 bin e15_flowtable -- --json "$out/BENCH_e15.json"
-
-# The yaml's guard runs on dedicated runners. Here its verdict is printed
-# and does not decide the exit code: the 15 % single-shot threshold is
-# narrower than a shared host's own drift (whole passes read 30-50 % under
-# the committed rows, fresh runs of an untouched parent commit among
-# them), so a failure here says "measure it by the EXPERIMENTS.md
-# protocol", not "broken".
-step "perf guard (advisory off the CI runners)"
-guard=passed
-python3 scripts/perf_guard.py . "$out"/BENCH_*.json || guard="FAILED (advisory, see above)"
+step "E15 flow table (verdict digests)"
+bin e15_flowtable -- --json "$out/BENCH_e15.json"
 
 step "e5_legacy_latency | md5sum"
 first=$(bin e5_legacy_latency | md5sum)
@@ -65,4 +54,4 @@ second=$(bin e5_legacy_latency | md5sum)
 echo "$first"
 [ "$first" = "$second" ] || { echo "e5 trace differs between two runs: $second" >&2; exit 1; }
 
-printf '\nci_local: all gate steps passed; perf guard %s\n' "$guard"
+printf '\nci_local: all gate steps passed\n'
