@@ -30,9 +30,9 @@ pub struct GenConfig {
     /// Offer up to this many frames per timer event when the port runs
     /// pure back-to-back synthesis (the line-rate stress case). Wire
     /// timing is identical either way — batching only coalesces kernel
-    /// bookkeeping — but TxDone events are merged, so keep the default
-    /// of `1` where the legacy per-frame event stream must be preserved
-    /// byte for byte. Ignored (per-frame path) for paced schedules,
+    /// bookkeeping — but a batch leaves one MAC completion record, not
+    /// one per frame, so keep the default of `1` where the legacy
+    /// per-frame event stream must be preserved byte for byte. Ignored (per-frame path) for paced schedules,
     /// pcap replay and `stop_at` windows, which all need per-frame
     /// control of departure instants. TX stamping batches fine: the
     /// kernel hands the batch path each frame's reserved wire slot
@@ -219,8 +219,8 @@ impl GeneratorPort {
     /// then re-arm the timer for the instant the MAC frees up. Wire
     /// slots are identical to the per-frame path — the MAC reservation
     /// walk inside `transmit_batch` is the same arithmetic — but the
-    /// kernel does one timer event and one TxDone per batch instead of
-    /// per frame.
+    /// kernel does one timer event and one completion record per batch
+    /// instead of per frame.
     fn depart_batch(&mut self, kernel: &mut Kernel, me: ComponentId) {
         let k = match self.config.count {
             Some(count) => self.config.batch.min(count - self.seq),

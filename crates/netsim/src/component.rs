@@ -103,9 +103,9 @@ pub trait Component {
     ///
     /// **A batch of one is a packet.** Behind a fabric that releases
     /// each frame on its own timer every batch has one member. It must
-    /// behave as `on_packet` at that member's instant (`now` is later
-    /// when `TxDone`s coalesced behind it), so overrides route
-    /// `batch.len() == 1` to their scalar code, not their block path.
+    /// behave as `on_packet` at that member's instant, so overrides
+    /// route `batch.len() == 1` to their scalar code, not their block
+    /// path.
     fn on_packet_batch(
         &mut self,
         kernel: &mut Kernel,

@@ -115,7 +115,7 @@ fn batch_limit(c: &dyn Component, first: SimTime, limit: SimTime) -> SimTime {
 
 /// Hand `first` — already popped and accounted, `now` at its arrival —
 /// to a batch-capable receiver together with whatever coalesces behind
-/// it before `lim`. Returns the number of further events consumed.
+/// it before `lim`.
 fn deliver_run(
     kernel: &mut Kernel,
     c: &mut dyn Component,
@@ -123,19 +123,25 @@ fn deliver_run(
     port: usize,
     lim: SimTime,
     first: (SimTime, Packet),
-) -> u64 {
+) {
     let mut batch = std::mem::take(&mut kernel.batch_buf);
     batch.push(first);
-    let coalesced = kernel.coalesce_arrivals(dst, port, lim, &mut batch);
+    kernel.coalesce_arrivals(dst, port, lim, &mut batch);
     c.on_packet_batch(kernel, dst, port, &mut batch);
     batch.clear();
     kernel.batch_buf = batch;
-    coalesced
 }
 
-/// The shared dispatch loop: pop and run every event at or before
-/// `limit`. Used verbatim by the single-threaded [`Sim`] and by each
-/// shard worker — one code path, one semantics.
+/// The shared run loop: pop and run every event at or before `limit`,
+/// retire the MAC completions due by then, and set the clock. The whole
+/// of [`Sim::run_until`] and of each [`ShardedSim`] worker — one code
+/// path, one semantics.
+///
+/// The clock ends at `limit`, with two exceptions. `SimTime::MAX` is no
+/// limit at all ([`Sim::run_to_quiescence`]): the clock then stays at
+/// the last thing that happened, so the drained simulation can be given
+/// more work. And an abort requested through the probe leaves it at the
+/// last dispatched event.
 ///
 /// `max_events` is the run's event budget (`u64::MAX` for none): the
 /// loop panics once it has dispatched more, so a simulation that never
@@ -148,7 +154,7 @@ fn deliver_run(
 /// heartbeat, which is what lets a watchdog unwedge a livelocked
 /// simulation — events that never advance virtual time still pass
 /// through this check.
-pub(crate) fn dispatch_events(
+pub(crate) fn run_kernel_until(
     kernel: &mut Kernel,
     components: &mut [Option<Box<dyn Component>>],
     limit: SimTime,
@@ -168,12 +174,15 @@ pub(crate) fn dispatch_events(
             "simulation did not quiesce within {max_events} events"
         )
     };
-    let mut dispatched = 0;
-    // `dispatched` as of the last beat: the arms below only ever add to
-    // `dispatched`, and the difference is what the next beat publishes.
+    // This run's events are what the kernel's own tally grows by: queue
+    // pops, burst members, and the completions ports retire along the
+    // way — one count, kept where all three happen.
+    let start = kernel.events_dispatched;
+    // This run's events as of the last beat; the difference is what the
+    // next beat publishes.
     let mut beat_mark = 0;
     while let Some((time, kind)) = kernel.pop_event_until(limit) {
-        dispatched += 1;
+        let dispatched = kernel.events_dispatched - start;
         if dispatched - beat_mark >= HEARTBEAT_EVERY {
             check_budget(dispatched);
             let since_beat = dispatched - beat_mark;
@@ -201,7 +210,7 @@ pub(crate) fn dispatch_events(
                 // path — only the handler granularity changes.
                 if c.wants_packet_batches_on(port) {
                     let lim = batch_limit(&*c, time, limit);
-                    dispatched += deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
+                    deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
                 } else {
                     c.on_packet(kernel, dst, port, packet);
                 }
@@ -224,27 +233,24 @@ pub(crate) fn dispatch_events(
                     if let Some(tail) = burst.split_after(limit) {
                         kernel.requeue_burst(dst, port, Box::new(tail));
                     }
-                    let extra = burst.len() as u64 - 1;
                     for i in 0..burst.len() {
                         let frame_len = burst.members()[i].1.frame_len();
                         kernel.note_rx(dst, port, frame_len);
                     }
-                    kernel.events_dispatched += extra;
-                    dispatched += extra;
+                    kernel.events_dispatched += burst.len() as u64 - 1;
                     c.on_burst(kernel, dst, port, *burst);
                 } else if c.wants_packet_batches_on(port) {
                     // Batch sinks: member 0 seeds the arrival batch and
                     // the tail re-enters the queue, where
                     // `coalesce_arrivals` consumes it member-at-a-time in
-                    // exact total order (its DeliverBurst arm) along with
-                    // any interleaved TxDones.
+                    // exact total order (its DeliverBurst arm).
                     let lim = batch_limit(&*c, time, limit);
                     let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
                     kernel.note_rx(dst, port, pkt0.frame_len());
                     if !burst.is_empty() {
                         kernel.requeue_burst(dst, port, burst);
                     }
-                    dispatched += deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
+                    deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
                 } else {
                     // Exact scalar replay: each member dispatches at its
                     // own `(time, key)` slot, yielding to the queue head
@@ -256,7 +262,6 @@ pub(crate) fn dispatch_events(
                     c.on_packet(kernel, dst, port, pkt0);
                     while let Some((_, pkt)) = kernel.pop_burst_member(dst, port, &mut burst, limit)
                     {
-                        dispatched += 1;
                         c.on_packet(kernel, dst, port, pkt);
                     }
                     if !burst.is_empty() {
@@ -264,13 +269,6 @@ pub(crate) fn dispatch_events(
                     }
                 }
                 components[dst.index()] = Some(c);
-            }
-            EventKind::TxDone {
-                src,
-                port,
-                frame_len,
-            } => {
-                kernel.note_tx_done(src, port, frame_len);
             }
             EventKind::Timer { target, tag } => {
                 let mut c = components[target.index()]
@@ -281,9 +279,14 @@ pub(crate) fn dispatch_events(
             }
         }
     }
+    // Completions no reservation came by to retire are events of this
+    // run too: they count towards the result, the beat and the budget.
+    let aborted = kernel.abort_requested();
+    kernel.retire_through(if aborted { kernel.now() } else { limit });
+    let dispatched = kernel.events_dispatched - start;
     // Flush the residual beat so `last_progress` in abort reports (and
     // any final watchdog observation) reflects the true high-water mark
-    // (`now` is the last dispatched event's instant).
+    // (`now` is the instant of the last thing that happened).
     if let Some(probe) = kernel.progress.as_ref() {
         if dispatched > beat_mark {
             probe.advance_time(kernel.now().as_ps());
@@ -291,22 +294,7 @@ pub(crate) fn dispatch_events(
         }
     }
     check_budget(dispatched);
-    dispatched
-}
-
-/// Run every event at or before `limit` (at most `max_events` of them,
-/// see [`dispatch_events`]), then advance the clock to `limit` unless
-/// the attached probe asked for an abort (the clock then stays at the
-/// last dispatched event). The whole of [`Sim::run_until`], and of each
-/// [`ShardedSim`] worker.
-pub(crate) fn run_kernel_until(
-    kernel: &mut Kernel,
-    components: &mut [Option<Box<dyn Component>>],
-    limit: SimTime,
-    max_events: u64,
-) -> u64 {
-    let dispatched = dispatch_events(kernel, components, limit, max_events);
-    if !kernel.abort_requested() {
+    if !aborted && limit != SimTime::MAX {
         kernel.advance_now(limit);
     }
     dispatched
@@ -373,7 +361,9 @@ impl Sim {
 
     /// Drain every pending event (the simulation must quiesce — a
     /// periodic timer would run forever, so a safety cap of `max_events`
-    /// aborts with a panic if exceeded).
+    /// aborts with a panic if exceeded). The clock is left at the
+    /// instant of the last thing that happened, so harness code can arm
+    /// a timer or transmit and run again.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         self.start_if_needed();
         run_kernel_until(
@@ -605,8 +595,29 @@ mod tests {
     fn run_to_quiescence_drains_everything() {
         let (mut sim, _r, arrivals) = two_node_sim(50, 64);
         let n = sim.run_to_quiescence(10_000);
-        assert!(n >= 100); // 50 delivers + 50 txdones
+        assert_eq!(n, 100); // 50 deliveries + 50 completions
         assert_eq!(arrivals.borrow().len(), 50);
+        assert_eq!(sim.kernel().pending_events(), 0);
+    }
+
+    /// A drain leaves the clock where the run ended, not at the end of
+    /// time: `now()` says when, and the simulation can be given more
+    /// work.
+    #[test]
+    fn a_drained_simulation_keeps_its_clock_and_takes_more_work() {
+        let (mut sim, _r, arrivals) = two_node_sim(3, 64);
+        sim.run_to_quiescence(100);
+        let last_arrival = *arrivals.borrow().last().expect("three arrivals");
+        assert_eq!(sim.kernel().now(), last_arrival);
+
+        let blaster = ComponentId(0);
+        let k = sim.kernel_mut();
+        k.schedule_timer(blaster, SimDuration::from_ns(10), 0);
+        assert!(k.transmit(blaster, 0, Packet::zeroed(64)).is_transmitted());
+        // The timer, the frame's completion and its delivery.
+        assert_eq!(sim.run_to_quiescence(100), 3);
+        assert_eq!(arrivals.borrow().len(), 4);
+        assert_eq!(sim.kernel().now(), *arrivals.borrow().last().unwrap());
         assert_eq!(sim.kernel().pending_events(), 0);
     }
 

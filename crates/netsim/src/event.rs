@@ -5,6 +5,12 @@
 //! component id order, then in the order the source scheduled them: a
 //! total order computable from the event alone, identical whether the
 //! simulation runs on one thread or across shards.
+//!
+//! A frame leaving a MAC is *not* a queue entry: each output port keeps
+//! its own completions in a FIFO and retires them at the same
+//! `(time, key)` position an event would have had (see
+//! `kernel::OutPort`). They draw keys from the same per-source sequence
+//! and are counted as dispatched events.
 
 use crate::burst::PacketBurst;
 use crate::component::ComponentId;
@@ -29,13 +35,6 @@ pub(crate) enum EventKind {
         dst: ComponentId,
         port: usize,
         burst: Box<PacketBurst>,
-    },
-    /// A frame finishes leaving `src`'s output `port` (internal: releases
-    /// queued-byte accounting).
-    TxDone {
-        src: ComponentId,
-        port: usize,
-        frame_len: usize,
     },
     /// A component timer fires.
     Timer { target: ComponentId, tag: u64 },

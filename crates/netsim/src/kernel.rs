@@ -9,6 +9,7 @@ use crate::stats::PortCounters;
 use crate::wheel::TimerWheel;
 use osnt_packet::{Packet, IFG_LEN};
 use osnt_time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Outcome of [`Kernel::transmit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,14 +72,45 @@ struct Wire {
     peer_port: usize,
 }
 
+/// A position in the total event order: `(time, event key)`.
+type OrderPos = (SimTime, u64);
+
+/// One accepted frame (or one batch/burst run of them) still being
+/// clocked out: at `(tx_end, key)` in the total event order its `bytes`
+/// leave the output buffer. The key is drawn from the sender's event
+/// sequence like any event's, so a completion has one exact place among
+/// the queue's events without being one of them.
+#[derive(Debug, Clone, Copy)]
+struct Completion {
+    tx_end: SimTime,
+    key: u64,
+    bytes: usize,
+}
+
+impl Completion {
+    /// Ordered before `here`: a queue would have popped it by now.
+    #[inline]
+    fn before(&self, here: OrderPos) -> bool {
+        (self.tx_end, self.key) < here
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct OutPort {
     wire: Option<Wire>,
     /// Instant the MAC becomes free to start another frame (includes the
     /// inter-frame gap of the previous frame).
     busy_until: SimTime,
-    /// Frame bytes accepted but not yet fully serialised.
+    /// Frame bytes accepted and not yet retired: the bytes of
+    /// `completions`.
     queued_bytes: usize,
+    /// Completions not yet retired, oldest first. One MAC finishes its
+    /// frames in the order it took them, so `tx_end` is strictly
+    /// increasing and the FIFO is sorted in event order. Nothing reads a
+    /// completion until this port is next asked about its buffer, so it
+    /// is retired then (see [`OutPort::retire_while`]) instead of
+    /// travelling through the event queue.
+    completions: VecDeque<Completion>,
     /// Output buffer capacity in frame bytes (`None` = unbounded; tester
     /// ports pace themselves, switch ports set a real limit).
     buffer_bytes: Option<usize>,
@@ -90,7 +122,8 @@ pub(crate) struct OutPort {
 struct Slot {
     /// First bit goes on the wire.
     tx_start: SimTime,
-    /// Last visible bit has left the MAC (the frame's `TxDone` instant).
+    /// Last visible bit has left the MAC (the frame's completion
+    /// instant).
     tx_end: SimTime,
     /// Last bit arrives at the peer.
     delivery: SimTime,
@@ -107,9 +140,38 @@ impl OutPort {
             wire: None,
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
+            completions: VecDeque::new(),
             buffer_bytes: None,
             counters: PortCounters::default(),
         }
+    }
+
+    /// Retire completions off the front for as long as `due` says so:
+    /// their bytes leave the buffer. Returns how many — each is one
+    /// dispatched event to the caller's tally.
+    #[inline]
+    fn retire_while(&mut self, due: impl Fn(&Completion) -> bool) -> u64 {
+        let mut retired = 0;
+        while let Some(c) = self.completions.front() {
+            if !due(c) {
+                break;
+            }
+            debug_assert!(self.queued_bytes >= c.bytes);
+            self.queued_bytes -= c.bytes;
+            self.completions.pop_front();
+            retired += 1;
+        }
+        retired
+    }
+
+    /// Retire what is ordered before `here`, the event being
+    /// dispatched — exactly the completions a queue would have popped
+    /// by now. Every transmit entry point does this before it reserves,
+    /// on capped and uncapped ports alike: it is what bounds the FIFO by
+    /// the frames in flight.
+    #[inline]
+    fn retire_before(&mut self, here: OrderPos) -> u64 {
+        self.retire_while(|c| c.before(here))
     }
 
     /// The MAC, for one frame offered at `earliest`: tail-drop it
@@ -183,10 +245,29 @@ pub(crate) fn event_key(src: ComponentId, ctr: u64) -> u64 {
     ((src.0 as u64) << SRC_SEQ_BITS) | ctr
 }
 
+/// Draw `src`'s next event key.
+#[inline]
+fn next_key(comp_seq: &mut [u64], src: ComponentId) -> u64 {
+    let ctr = comp_seq[src.0];
+    comp_seq[src.0] = ctr + 1;
+    event_key(src, ctr)
+}
+
+fn port_mut(ports: &mut [Vec<OutPort>], comp: ComponentId, port: usize) -> &mut OutPort {
+    ports
+        .get_mut(comp.0)
+        .unwrap_or_else(|| panic!("unknown component id {}", comp.0))
+        .get_mut(port)
+        .unwrap_or_else(|| panic!("component {} has no port {port}", comp.0))
+}
+
 /// The simulation kernel. Components receive `&mut Kernel` in their event
 /// handlers; harness code reaches it through [`crate::Sim::kernel`].
 pub struct Kernel {
     pub(crate) now: SimTime,
+    /// Key of the event being dispatched: with `now`, where the run
+    /// stands in the total order (see [`Kernel::here`]).
+    cur_key: u64,
     /// Per-component event sequence counters (the low bits of
     /// [`event_key`]). Indexed by component id; counts every event the
     /// component has scheduled.
@@ -207,6 +288,7 @@ impl Kernel {
     pub(crate) fn new() -> Self {
         Kernel {
             now: SimTime::ZERO,
+            cur_key: 0,
             comp_seq: Vec::new(),
             queue: TimerWheel::new(),
             ports: Vec::new(),
@@ -248,11 +330,15 @@ impl Kernel {
     }
 
     fn out_port_mut(&mut self, comp: ComponentId, port: usize) -> &mut OutPort {
-        self.ports
-            .get_mut(comp.0)
-            .unwrap_or_else(|| panic!("unknown component id {}", comp.0))
-            .get_mut(port)
-            .unwrap_or_else(|| panic!("component {} has no port {port}", comp.0))
+        port_mut(&mut self.ports, comp, port)
+    }
+
+    /// Where the run stands in the total event order: the `(time, key)`
+    /// of the event being dispatched. Between runs every completion at
+    /// or before `now` is already retired, so the key no longer matters.
+    #[inline]
+    fn here(&self) -> OrderPos {
+        (self.now, self.cur_key)
     }
 
     /// Current simulated time.
@@ -262,6 +348,8 @@ impl Kernel {
     }
 
     /// Total events dispatched so far (debugging / progress metric).
+    /// Exact between runs; during one, MAC completions are counted when
+    /// their port retires them, which can be after their instant.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
     }
@@ -270,9 +358,8 @@ impl Kernel {
     /// handler — or wiring — created the event).
     fn push_event(&mut self, time: SimTime, src: ComponentId, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
-        let ctr = self.comp_seq[src.0];
-        self.comp_seq[src.0] = ctr + 1;
-        self.queue.push(time, event_key(src, ctr), kind);
+        let key = next_key(&mut self.comp_seq, src);
+        self.queue.push(time, key, kind);
     }
 
     /// Every installed simplex wire as `(src, peer)` — the shard
@@ -286,12 +373,17 @@ impl Kernel {
     }
 
     /// Clone this kernel's static state (wiring, counters, clock) for
-    /// one shard of a sharded build. The event queue must be empty:
-    /// events are created per-shard by `on_start`.
+    /// one shard of a sharded build. Nothing may be pending: events are
+    /// created per-shard by `on_start`.
     pub(crate) fn replicate_for_shard(&self) -> Kernel {
-        assert_eq!(self.queue.len(), 0, "replicate before scheduling events");
+        assert_eq!(
+            self.pending_events(),
+            0,
+            "replicate before scheduling events"
+        );
         Kernel {
             now: self.now,
+            cur_key: self.cur_key,
             comp_seq: self.comp_seq.clone(),
             queue: TimerWheel::new(),
             ports: self.ports.clone(),
@@ -331,7 +423,15 @@ impl Kernel {
 
     /// Bytes currently buffered in (`me`, `port`)'s output MAC.
     pub fn tx_queue_bytes(&self, me: ComponentId, port: usize) -> usize {
-        self.ports[me.0][port].queued_bytes
+        let p = &self.ports[me.0][port];
+        let here = self.here();
+        let finished: usize = p
+            .completions
+            .iter()
+            .take_while(|c| c.before(here))
+            .map(|c| c.bytes)
+            .sum();
+        p.queued_bytes - finished
     }
 
     /// Set (or clear) the output-buffer capacity of a port, in frame
@@ -371,32 +471,39 @@ impl Kernel {
         earliest: SimTime,
         packet: Packet,
     ) -> TxResult {
-        debug_assert!(
+        assert!(
             earliest >= self.now,
             "transmit_at: earliest start {earliest} is in the past (now {})",
             self.now
         );
         let frame_len = packet.frame_len();
         let wire_len = packet.wire_len();
-        let p = self.out_port_mut(me, port);
+        let here = self.here();
+        let Kernel {
+            ports,
+            comp_seq,
+            queue,
+            events_dispatched,
+            ..
+        } = self;
+        let p = port_mut(ports, me, port);
         let Some(wire) = p.wire else {
             return TxResult::NotConnected;
         };
+        *events_dispatched += p.retire_before(here);
         let Some(slot) = p.reserve(&wire, earliest, frame_len, wire_len, &mut None) else {
             return TxResult::Dropped;
         };
-        self.push_event(
-            slot.tx_end,
-            me,
-            EventKind::TxDone {
-                src: me,
-                port,
-                frame_len,
-            },
-        );
-        self.push_event(
+        // The completion's key first, then the delivery's: the order
+        // every other event's key rests on.
+        p.completions.push_back(Completion {
+            tx_end: slot.tx_end,
+            key: next_key(comp_seq, me),
+            bytes: frame_len,
+        });
+        queue.push(
             slot.delivery,
-            me,
+            next_key(comp_seq, me),
             EventKind::Deliver {
                 dst: wire.peer,
                 port: wire.peer_port,
@@ -411,8 +518,8 @@ impl Kernel {
 
     /// Transmit a burst of frames back-to-back out of (`me`, `port`),
     /// coalescing the bookkeeping: one MAC reservation walk, one queue
-    /// entry for the accepted frames and a single TxDone event for the
-    /// whole batch (the peer observes identical arrival times as
+    /// entry for the accepted frames and a single completion record for
+    /// the whole batch (the peer observes identical arrival times as
     /// `count` separate [`Kernel::transmit`] calls).
     ///
     /// `frames` is a factory, not an iterator: it is handed the wire
@@ -438,9 +545,11 @@ impl Kernel {
     /// lazily when a timer or foreign event interleaves).
     ///
     /// Note the event stream is *not* byte-for-byte identical to
-    /// per-frame transmits — TxDone events are merged, so sequence
-    /// numbers differ. Paths that must preserve the legacy event stream
-    /// (determinism pinning) keep calling `transmit` per frame.
+    /// per-frame transmits — the batch leaves one completion record, not
+    /// one per frame, so sequence numbers differ and the batch's bytes
+    /// leave the output buffer together when its last frame does. Paths
+    /// that must preserve the legacy event stream (determinism pinning)
+    /// keep calling `transmit` per frame.
     pub fn transmit_batch(
         &mut self,
         me: ComponentId,
@@ -464,13 +573,13 @@ impl Kernel {
     ///
     /// This is how burst-aware forwarders ([`crate::Component::on_burst`])
     /// keep a burst *one* queue entry across a hop: the accepted frames
-    /// leave as a single [`crate::PacketBurst`] plus one merged TxDone,
-    /// and every member's wire timing is exactly what per-frame
+    /// leave as a single [`crate::PacketBurst`] plus one completion
+    /// record, and every member's wire timing is exactly what per-frame
     /// [`Kernel::transmit_at`] calls with the same `earliest` instants
     /// would have produced.
     ///
     /// Falls back to per-frame transmits (scalar event stream) on
-    /// buffer-capped ports — a merged TxDone would delay the
+    /// buffer-capped ports — one completion for the run would delay the
     /// queued-byte drain and change tail-drop verdicts.
     pub fn transmit_burst(
         &mut self,
@@ -501,7 +610,8 @@ impl Kernel {
 
     /// The shared body of [`Kernel::transmit_batch`] and
     /// [`Kernel::transmit_burst`]: walk the MAC over a run of frames and
-    /// ship what it accepted as one queue entry plus one merged TxDone.
+    /// ship what it accepted as one queue entry plus one completion
+    /// record.
     ///
     /// `next` is handed the instant the MAC becomes free and returns the
     /// next frame with its earliest start (`None` ends the run).
@@ -514,6 +624,7 @@ impl Kernel {
     ) -> BatchTx {
         let mut out = BatchTx::default();
         let now = self.now;
+        let here = self.here();
         // The port, wire and event-queue borrows are hoisted/split so
         // the loop body touches disjoint fields instead of re-resolving
         // the port per frame.
@@ -521,6 +632,7 @@ impl Kernel {
             ports,
             comp_seq,
             queue,
+            events_dispatched,
             ..
         } = self;
         let p = &mut ports[me.0][port];
@@ -528,11 +640,13 @@ impl Kernel {
             out.not_connected = true;
             return out;
         };
+        // Once for the run: `here` does not move while it is built.
+        *events_dispatched += p.retire_before(here);
         let mut memo = None;
         let mut last_tx_end = None;
         let mut burst: Option<Box<PacketBurst>> = None;
         while let Some((earliest, packet)) = next(p.busy_until) {
-            debug_assert!(
+            assert!(
                 earliest >= now,
                 "transmit: earliest start {earliest} is in the past (now {now})"
             );
@@ -547,10 +661,9 @@ impl Kernel {
             if let Some(ts) = tx_starts.as_deref_mut() {
                 ts.push(slot.tx_start);
             }
-            let ctr = comp_seq[me.0];
-            comp_seq[me.0] = ctr + 1;
+            let key = next_key(comp_seq, me);
             burst
-                .get_or_insert_with(|| Box::new(PacketBurst::new(event_key(me, ctr))))
+                .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
                 .push(slot.delivery, packet);
         }
         if let Some(mut b) = burst {
@@ -575,15 +688,11 @@ impl Kernel {
             queue.push(time, key, ev);
         }
         if let Some(tx_end) = last_tx_end {
-            self.push_event(
+            p.completions.push_back(Completion {
                 tx_end,
-                me,
-                EventKind::TxDone {
-                    src: me,
-                    port,
-                    frame_len: out.accepted_bytes as usize,
-                },
-            );
+                key: next_key(comp_seq, me),
+                bytes: out.accepted_bytes as usize,
+            });
         }
         out
     }
@@ -604,8 +713,8 @@ impl Kernel {
     /// One step of lazy burst replay: dispatch `burst`'s next member at
     /// its own `(time, key)` slot — stamp `now`, count the event, note
     /// the arrival — unless it is due after `limit` or the queue head
-    /// (a timer a handler just armed, a TxDone, a competing delivery)
-    /// would scalar-dispatch first. `None` leaves the burst untouched;
+    /// (a timer a handler just armed, a competing delivery) would
+    /// scalar-dispatch first. `None` leaves the burst untouched;
     /// the caller re-queues whatever is left.
     pub(crate) fn pop_burst_member(
         &mut self,
@@ -623,6 +732,7 @@ impl Kernel {
                 return None;
             }
         }
+        self.cur_key = burst.first_key();
         let (t, pkt) = burst.pop_front()?;
         self.now = t;
         self.events_dispatched += 1;
@@ -636,19 +746,10 @@ impl Kernel {
         p.counters.rx_bytes += frame_len as u64;
     }
 
-    pub(crate) fn note_tx_done(&mut self, src: ComponentId, port: usize, frame_len: usize) {
-        let p = self.out_port_mut(src, port);
-        debug_assert!(p.queued_bytes >= frame_len);
-        p.queued_bytes -= frame_len;
-    }
-
     /// Extend a delivery batch: keep popping events at or before `limit`
-    /// for as long as the head of the queue is either another `Deliver`
-    /// to the same `(dst, port)` or a `TxDone` (which carries no handler
-    /// and only decrements per-port byte accounting, so running it
-    /// inline preserves observable state exactly). Stops — leaving the
-    /// queue untouched — at the first timer, foreign delivery, or event
-    /// past `limit`. Returns the number of events consumed.
+    /// for as long as the head of the queue is another delivery to the
+    /// same `(dst, port)`. Stops — leaving the queue untouched — at the
+    /// first timer, foreign delivery, or event past `limit`.
     ///
     /// Every event is popped at its exact position in the total order
     /// and stamps `now`/`events_dispatched` just like
@@ -661,9 +762,8 @@ impl Kernel {
         port: usize,
         limit: SimTime,
         batch: &mut Vec<(SimTime, Packet)>,
-    ) -> u64 {
+    ) {
         let lim = limit;
-        let mut consumed = 0;
         loop {
             let take = match self.queue.peek_item() {
                 Some((t, _seq, kind)) if t <= lim => match kind {
@@ -673,19 +773,18 @@ impl Kernel {
                     EventKind::DeliverBurst {
                         dst: d, port: p, ..
                     } => *d == dst && *p == port,
-                    EventKind::TxDone { .. } => true,
                     EventKind::Timer { .. } => false,
                 },
                 _ => false,
             };
             if !take {
-                return consumed;
+                return;
             }
-            let (time, _seq, kind) = self.queue.pop().expect("peeked above");
+            let (time, key, kind) = self.queue.pop().expect("peeked above");
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
+            self.cur_key = key;
             self.events_dispatched += 1;
-            consumed += 1;
             match kind {
                 EventKind::Deliver { dst, port, packet } => {
                     self.note_rx(dst, port, packet.frame_len());
@@ -706,18 +805,12 @@ impl Kernel {
                     self.note_rx(dst, port, pkt0.frame_len());
                     batch.push((t0, pkt0));
                     while let Some(member) = self.pop_burst_member(dst, port, &mut burst, lim) {
-                        consumed += 1;
                         batch.push(member);
                     }
                     if !burst.is_empty() {
                         self.requeue_burst(dst, port, burst);
                     }
                 }
-                EventKind::TxDone {
-                    src,
-                    port,
-                    frame_len,
-                } => self.note_tx_done(src, port, frame_len),
                 EventKind::Timer { .. } => unreachable!("filtered above"),
             }
         }
@@ -725,11 +818,24 @@ impl Kernel {
 
     /// Pop the next event if it fires at or before `limit`.
     pub(crate) fn pop_event_until(&mut self, limit: SimTime) -> Option<(SimTime, EventKind)> {
-        let (time, _seq, kind) = self.queue.pop_at_or_before(limit)?;
+        let (time, key, kind) = self.queue.pop_at_or_before(limit)?;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
+        self.cur_key = key;
         self.events_dispatched += 1;
         Some((time, kind))
+    }
+
+    /// The end-of-run sweep: retire, on every port, the completions due
+    /// at or before `horizon` that no reservation came by to retire.
+    /// The clock needs no say in it: a frame is delivered no earlier
+    /// than it completes, so a run that got as far as a completion's
+    /// instant either dispatched an event at or after it or is about to
+    /// set the clock to its limit.
+    pub(crate) fn retire_through(&mut self, horizon: SimTime) {
+        for p in self.ports.iter_mut().flatten() {
+            self.events_dispatched += p.retire_while(|c| c.tx_end <= horizon);
+        }
     }
 
     /// True once the attached supervision probe asked the run to stop.
@@ -743,9 +849,16 @@ impl Kernel {
         }
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending: queue entries plus MAC
+    /// completions not yet retired.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        let completions: usize = self
+            .ports
+            .iter()
+            .flatten()
+            .map(|p| p.completions.len())
+            .sum();
+        self.queue.len() + completions
     }
 }
 
@@ -952,7 +1065,11 @@ mod tests {
         let k = sim.kernel();
         assert_eq!(k.counters(p, 0).tx_frames, 3);
         assert_eq!(k.counters(s, 0).rx_frames, 3);
-        assert_eq!(k.tx_queue_bytes(p, 0), 0, "coalesced TxDone drained MAC");
+        assert_eq!(
+            k.tx_queue_bytes(p, 0),
+            0,
+            "the batch's one completion drained the MAC"
+        );
     }
 
     /// Five 64 B frames at t=0 through a port with room for two.
@@ -1005,6 +1122,38 @@ mod tests {
         assert_eq!(r.dropped, per_frame.len() as u64 - accepted);
         assert_eq!(tx.tx_drops, r.dropped);
         assert_eq!(rx.rx_frames, accepted);
+    }
+
+    /// Two wired sinks with the clock at 1 µs, and a frame whose
+    /// earliest start is 1 ns before that. A stale `earliest` would put
+    /// a delivery in the past and reorder arrivals, so the guard holds
+    /// in release builds too (where the benchmark and every experiment
+    /// binary run).
+    fn offer_a_stale_start(offer: impl FnOnce(&mut Kernel, ComponentId, SimTime, Packet)) {
+        let mut b = SimBuilder::new();
+        let a = b.add_component("a", Box::new(Sink), 1);
+        let c = b.add_component("c", Box::new(Sink), 1);
+        b.connect(a, 0, c, 0, crate::link::LinkSpec::ten_gig());
+        let mut sim = b.build();
+        sim.run_until(SimTime::from_us(1));
+        let stale = SimTime::from_ns(999);
+        offer(sim.kernel_mut(), a, stale, Packet::zeroed(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the past")]
+    fn transmit_at_refuses_a_start_before_now_in_every_build() {
+        offer_a_stale_start(|k, a, stale, pkt| {
+            let _ = k.transmit_at(a, 0, stale, pkt);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the past")]
+    fn transmit_burst_refuses_a_start_before_now_in_every_build() {
+        offer_a_stale_start(|k, a, stale, pkt| {
+            let _ = k.transmit_burst(a, 0, [(stale, pkt)]);
+        });
     }
 
     #[test]

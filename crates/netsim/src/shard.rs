@@ -2,12 +2,13 @@
 //!
 //! A *shard* is a union of wire-connected component groups: every link
 //! has both ends on one shard, so no event ever leaves the shard that
-//! scheduled it (timers target their own component, deliveries and
-//! `TxDone`s the two ends of one wire). Each shard therefore runs the
-//! ordinary single-threaded [`Kernel`] dispatch loop on its own worker
-//! thread straight to the limit, with nothing to wait for: no windows,
-//! no barrier, no channel between shards. This is the paper's four
-//! independent 10 GbE ports, one core each.
+//! scheduled it (timers target their own component, a delivery the far
+//! end of one of its wires; MAC completions never leave their port).
+//! Each shard therefore runs the ordinary single-threaded [`Kernel`]
+//! dispatch loop on its own worker thread straight to the limit, with
+//! nothing to wait for: no windows, no barrier, no channel between
+//! shards. This is the paper's four independent 10 GbE ports, one core
+//! each.
 //!
 //! A connected topology is one group and so one shard; cutting through
 //! links is not supported (the conservative-window executive that did
@@ -114,7 +115,7 @@ struct ShardSlot {
 //    make the alternating (main ↔ worker) access sequential.
 // 2. Nothing crosses between slots during a run. A kernel schedules an
 //    event only for the component that asked (timers) or across one of
-//    its wires (`Deliver`, `TxDone`), and `ShardedSim::build` asserts
+//    its wires (`Deliver`, `DeliverBurst`), and `ShardedSim::build` asserts
 //    that both ends of every wire are on one slot — the partition is
 //    computed here, never supplied — so every packet, burst and pool
 //    `Rc` created on a slot's thread is consumed and dropped on that
@@ -184,10 +185,15 @@ impl ShardedSim {
         self.slots.len()
     }
 
-    /// Current simulated time (all shards agree between runs, unless
-    /// the last one was aborted through the progress probe).
+    /// Current simulated time: the latest shard clock. All shards
+    /// agree after a run to a limit; after a drain or an abort each
+    /// stands at the last thing that happened on it.
     pub fn now(&self) -> SimTime {
-        self.slots[0].kernel.now()
+        self.slots
+            .iter()
+            .map(|s| s.kernel.now())
+            .max()
+            .expect("at least one shard")
     }
 
     /// Counter snapshot for (`comp`, `port`), read from the owning

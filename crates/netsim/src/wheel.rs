@@ -1,8 +1,9 @@
 //! Hierarchical timer wheel: the event queue of the simulation kernel.
 //!
 //! A line-rate DES run is brutally event-dense: a 10 Gb/s port emits a
-//! 64-byte frame every 67.2 ns, and every frame costs a timer, a TxDone
-//! and a Deliver event. A `BinaryHeap` pays `O(log n)` compares *and*
+//! 64-byte frame every 67.2 ns, and every frame costs a timer and a
+//! Deliver event per hop (its MAC completion stays with the port, see
+//! `kernel::OutPort`). A `BinaryHeap` pays `O(log n)` compares *and*
 //! sift traffic per operation; worse, near-term events (the common case
 //! — everything schedules within a few microseconds of `now`) share the
 //! heap with far-future ones. A hierarchical timer wheel exploits the

@@ -282,9 +282,10 @@ fn gilbert_elliott_walk_matches_across_paths() {
 // batch-capable sink must see exactly what scalar-only twins see — the
 // same `(instant, bytes)` sequence, the twin logging `Kernel::now()` in
 // `on_packet` — and the kernel must dispatch the same number of events,
-// whichever way a run of one arrives: as a `Deliver`, as the head of a
-// requeued `DeliverBurst` tail, or with `TxDone`s coalesced behind it
-// (so that `now` has moved past the member).
+// whichever way a run of one arrives: as a `Deliver` or as the head of
+// a requeued `DeliverBurst` tail. A batch of one is handled *at* its
+// member's instant: only deliveries coalesce, so nothing can move `now`
+// past a lone member.
 // ---------------------------------------------------------------------
 
 /// What one receiver saw, and in what shape.
@@ -294,7 +295,8 @@ struct Seen {
     log: Vec<(u64, usize, u32)>,
     /// One-member batches with `now` at the member's instant.
     singletons: u64,
-    /// One-member batches whose `now` had moved past the member.
+    /// One-member batches whose `now` had moved past the member: must
+    /// stay zero (checked for every case in `assert_dispatch_parity`).
     late_singletons: u64,
     /// Batches of two or more.
     multi_batches: u64,
@@ -420,6 +422,11 @@ fn assert_dispatch_parity(case: &DispatchCase) -> (Seen, Seen) {
     assert_eq!(fwd.log, fwd_ref.log, "forwarder diverged: {case:?}");
     assert_eq!(sink.log, sink_ref.log, "sink diverged: {case:?}");
     assert_eq!(events, events_ref, "event count diverged: {case:?}");
+    assert_eq!(
+        (fwd.late_singletons, sink.late_singletons),
+        (0, 0),
+        "a batch of one handled after its member's instant: {case:?}"
+    );
     (fwd, sink)
 }
 
@@ -438,12 +445,12 @@ proptest! {
 }
 
 /// Single frames 150 ns apart through a 100 ns fabric: every arrival at
-/// the forwarder is a lone `Deliver`. Each is followed, inside the
-/// window, by the `TxDone` of the frame relayed before it, so `now` has
-/// moved on when the one-member batch is handled — except for the
-/// first, which has nothing behind it.
+/// the forwarder is a lone `Deliver`, and inside its window the frame
+/// relayed before it finishes leaving the forwarder's MAC. That
+/// completion stays with the port, so each one-member batch is handled
+/// with `now` at its member's arrival.
 #[test]
-fn lone_delivers_with_and_without_a_txdone_behind_them() {
+fn a_batch_of_one_is_handled_at_its_members_instant() {
     let (fwd, sink) = assert_dispatch_parity(&DispatchCase {
         bursts: 200,
         burst_len: 1,
@@ -452,7 +459,7 @@ fn lone_delivers_with_and_without_a_txdone_behind_them() {
         relay_ns: 100,
         prop_ns: 10,
     });
-    assert_eq!((fwd.singletons, fwd.late_singletons), (1, 199));
+    assert_eq!(fwd.singletons, 200);
     assert_eq!(fwd.multi_batches, 0);
     assert_eq!(
         sink.singletons, 200,
@@ -473,8 +480,7 @@ fn burst_tails_are_drained_member_by_member() {
         relay_ns: 100,
         prop_ns: 10,
     });
-    assert_eq!(fwd.singletons + fwd.late_singletons, 256);
-    assert!(fwd.singletons >= 8, "{fwd:?}");
+    assert_eq!(fwd.singletons, 256);
     assert_eq!(fwd.multi_batches, 0);
     assert_eq!(sink.log.len(), 256);
 }
@@ -493,6 +499,6 @@ fn real_batches_still_form_inside_the_window() {
         prop_ns: 10,
     });
     assert!(fwd.multi_batches >= 8, "{fwd:?}");
-    assert!(fwd.singletons + fwd.late_singletons > 0, "{fwd:?}");
+    assert!(fwd.singletons > 0, "{fwd:?}");
     assert_eq!(sink.log.len(), 256);
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The gate steps of .github/workflows/ci.yml, offline, for a checkout
-# with no Actions runner: build, tests and their env leg, fmt,
-# clippy, the E0 correctness gate, the chaos campaign and the
-# digest-asserting experiment bins. Fresh BENCH_*.json land in a
-# temporary directory; the committed ones are not touched.
+# with no Actions runner: build, tests, their env leg and their
+# release leg, fmt, clippy, the E0 correctness gate, the chaos campaign
+# and the digest-asserting experiment bins. Fresh BENCH_*.json land in
+# a temporary directory; the committed ones are not touched.
 #
 # Also prints `e5_legacy_latency | md5sum` (run twice, must agree):
 # the event-order pin EXPERIMENTS.md compares with the parent commit's.
@@ -24,6 +24,8 @@ step "test"
 cargo test --workspace -q
 step "fault models under a second RNG seed"
 OSNT_FAULT_SEED=2 cargo test -q -p osnt-netsim -p oflops-turbo
+step "bottom crates in release (debug_assert! and overflow checks are off where the benchmark runs)"
+cargo test --release -q -p osnt-time -p osnt-netsim
 step "rustfmt"
 cargo fmt --all --check
 step "clippy"

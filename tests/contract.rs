@@ -16,6 +16,10 @@
 //! * shard count is unobservable: E10 in small, four independent
 //!   generator → digest-sink ports on one kernel and on the sharded one
 //!   at 1, 2 and 4 shards;
+//! * MAC completions are events though no queue holds them: generator →
+//!   tail-dropping `LegacySwitch` → capture-all monitor counts one per
+//!   transmitted frame, and reads the same run to a limit, in 1 000
+//!   slices or drained;
 //! * the paper's headline claim, E1 in small: a generator holds 10 GbE
 //!   line rate at 64, 512 and 1518 B, frame by frame and in bursts of
 //!   32, to the picosecond.
@@ -28,12 +32,13 @@ use osnt::mon::{
     ThinConfig,
 };
 use osnt::netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, SimBuilder};
+use osnt::netsim::{PortCounters, Sim};
 use osnt::openflow::match_field::wildcards;
 use osnt::openflow::messages::{FlowMod, Message};
 use osnt::openflow::{Action, OfMatch};
 use osnt::packet::hash::{crc32, crc32_update};
 use osnt::packet::{line_rate_pps, wire_bits, MacAddr, Packet, WildcardRule};
-use osnt::switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
+use osnt::switch::{encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch};
 use osnt::time::{HwClock, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -292,6 +297,124 @@ fn shard_count_is_unobservable_on_four_independent_ports() {
     }
     // A connected topology is one group: it never splits.
     assert_eq!(port_pairs(1).0.build_auto_sharded(4).n_shards(), 1);
+}
+
+/// Forwards every handler to `inner`, counting the timers that fire.
+struct TimerTally<C> {
+    inner: C,
+    timers: Rc<Cell<u64>>,
+}
+
+impl<C> TimerTally<C> {
+    fn boxed(inner: C, timers: &Rc<Cell<u64>>) -> Box<Self> {
+        let timers = timers.clone();
+        Box::new(TimerTally { inner, timers })
+    }
+}
+
+impl<C: Component> Component for TimerTally<C> {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        self.inner.on_start(k, me);
+    }
+    fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, pkt: Packet) {
+        self.inner.on_packet(k, me, port, pkt);
+    }
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+        self.timers.set(self.timers.get() + 1);
+        self.inner.on_timer(k, me, tag);
+    }
+}
+
+/// What a run of the tail-drop pipeline leaves behind.
+#[derive(Debug, PartialEq)]
+struct TailDropRun {
+    events: u64,
+    timers: u64,
+    /// gen port 0, switch ports 0 and 1, monitor port 0.
+    counters: [PortCounters; 4],
+    captured: u64,
+    capture_digest: u32,
+}
+
+/// 2 000 back-to-back 64 B frames into a `LegacySwitch` whose one wired
+/// output is a 1 GbE link behind a 1 KiB buffer — it tail-drops nine
+/// frames in ten — and on into a capture-all monitor. `drive` runs the
+/// simulation and returns the sum of the counts its runs returned.
+fn tail_drop_run(drive: impl FnOnce(&mut Sim) -> u64) -> TailDropRun {
+    let timers = Rc::new(Cell::new(0));
+    let switch = LegacySwitch::new(LegacyConfig {
+        output_buffer_bytes: 1024,
+        ..LegacyConfig::default()
+    });
+    let (mon, capture, _) = MonitorPort::new(
+        MonConfig {
+            host: HostPathConfig::unlimited(),
+            ..MonConfig::default()
+        },
+        clock(),
+    );
+    let mut b = SimBuilder::new();
+    let gen = generator(2_000, 1, 64, SimTime::ZERO);
+    let g = b.add_component("gen", TimerTally::boxed(gen, &timers), 1);
+    let sw = b.add_component("switch", TimerTally::boxed(switch, &timers), 4);
+    let m = b.add_component("mon", Box::new(mon), 1);
+    b.connect(g, 0, sw, 0, LinkSpec::ten_gig());
+    b.connect(sw, 1, m, 0, LinkSpec::one_gig());
+    let mut sim = b.build();
+    let returned = drive(&mut sim);
+
+    let k = sim.kernel();
+    assert_eq!(returned, k.events_dispatched(), "Σ of returned counts");
+    assert_eq!(k.pending_events(), 0, "nothing left to happen");
+    let capture = capture.borrow();
+    let capture_digest = capture.packets.iter().fold(0, |d, cap| {
+        let d = crc32_update(d, &cap.rx_true.as_ps().to_le_bytes());
+        let d = crc32_update(d, &cap.rx_stamp.to_ps().to_le_bytes());
+        crc32_update(d, &crc32(cap.packet.data()).to_le_bytes())
+    });
+    TailDropRun {
+        events: k.events_dispatched(),
+        timers: timers.get(),
+        counters: [
+            k.counters(g, 0),
+            k.counters(sw, 0),
+            k.counters(sw, 1),
+            k.counters(m, 0),
+        ],
+        captured: capture.len() as u64,
+        capture_digest,
+    }
+}
+
+#[test]
+fn mac_completions_are_counted_and_run_slicing_is_invisible() {
+    // The switch's buffer drains by ~150 µs.
+    let horizon = SimTime::from_us(200);
+    let whole = tail_drop_run(|sim| sim.run_until(horizon));
+
+    let [gen, sw_in, sw_out, mon] = whole.counters;
+    assert_eq!((gen.tx_frames, sw_in.rx_frames), (2_000, 2_000));
+    assert!(sw_out.tx_drops > 1_500, "{sw_out:?}");
+    assert_eq!(sw_out.tx_frames + sw_out.tx_drops, 2_000);
+    assert_eq!(
+        (mon.rx_frames, whole.captured),
+        (sw_out.tx_frames, sw_out.tx_frames)
+    );
+    // Every port here transmits frame by frame, so each transmitted
+    // frame is one completion: an event, though never a queue entry.
+    let delivered = sw_in.rx_frames + mon.rx_frames;
+    let completions = gen.tx_frames + sw_out.tx_frames;
+    assert_eq!(whole.events, whole.timers + delivered + completions);
+
+    let sliced = tail_drop_run(|sim| {
+        let step = horizon.as_ps() / 1_000;
+        (1..=1_000)
+            .map(|i| sim.run_until(SimTime::from_ps(i * step)))
+            .sum()
+    });
+    assert_eq!(sliced, whole, "1 000 slices");
+    let drained = tail_drop_run(|sim| sim.run_to_quiescence(100_000));
+    assert_eq!(drained, whole, "run_to_quiescence");
 }
 
 #[test]
