@@ -24,8 +24,10 @@ pub struct ThroughputSearch {
     /// Binary-search resolution on the load axis (fraction of line
     /// rate).
     pub resolution: f64,
-    /// Highest load to consider (a device can't beat 1.0 minus the
-    /// probe's own share).
+    /// Highest background load to consider, as a fraction of line rate.
+    /// Capped at 1.0 when the search runs: a generator port cannot offer
+    /// more than its MAC carries, so a higher figure would only be
+    /// reported, never offered.
     pub max_load: f64,
 }
 
@@ -36,7 +38,7 @@ impl Default for ThroughputSearch {
             trial: SimDuration::from_ms(15),
             warmup: SimDuration::from_ms(4),
             resolution: 0.01,
-            max_load: 1.1,
+            max_load: 1.0,
         }
     }
 }
@@ -46,7 +48,8 @@ impl Default for ThroughputSearch {
 pub struct ThroughputResult {
     /// Frame size tested.
     pub frame_len: usize,
-    /// Highest zero-loss background load found (fraction of line rate).
+    /// Highest zero-loss background load found (fraction of line rate,
+    /// never above 1.0).
     pub zero_loss_load: f64,
     /// Loss observed one resolution step above it (evidence the bound is
     /// tight; 0.0 when the device survived `max_load`).
@@ -73,7 +76,7 @@ impl ThroughputSearch {
     /// lossy trials are the measurement, not an error.
     pub fn run_legacy(&self, cfg: &LegacyConfig) -> Result<ThroughputResult, OsntError> {
         let mut lo = 0.0f64; // known lossless
-        let mut hi = self.max_load; // known (or assumed) lossy
+        let mut hi = self.max_load.min(1.0); // known (or assumed) lossy
         let mut trials = 0u32;
         let mut loss_at_hi = self.trial_loss(hi, cfg)?;
         trials += 1;
@@ -133,5 +136,23 @@ mod tests {
         );
         assert!(result.loss_above > 0.0, "upper bound must be lossy");
         assert!(result.trials >= 4);
+    }
+
+    #[test]
+    fn a_switch_that_never_drops_is_reported_at_line_rate_not_above() {
+        // The default 512 KiB output buffer absorbs the probe's 2 % of
+        // oversubscription for a whole trial, so the first trial is
+        // loss-free and the search reports the load it offered.
+        let above_line_rate = ThroughputSearch {
+            max_load: 1.1,
+            ..ThroughputSearch::default()
+        };
+        for search in [ThroughputSearch::default(), above_line_rate] {
+            let result = search
+                .run_legacy(&LegacyConfig::default())
+                .expect("valid search");
+            assert_eq!((result.zero_loss_load, result.trials), (1.0, 1));
+            assert_eq!(result.loss_above, 0.0);
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`crate::Kernel::transmit_batch`] and [`crate::Kernel::transmit_burst`]
 //! coalesce a back-to-back run of frames into one [`PacketBurst`] that
-//! travels the timer wheel as a *single*
-//! entry, instead of one `Deliver` event per frame. The burst carries
+//! travels the event queue as a *single* entry, instead of one
+//! `Deliver` event per frame. The burst carries
 //! each member's exact arrival instant, and the event key of member `i`
 //! is `first_key + i` — the same per-source sequence keys the scalar
 //! path would have allocated — so the partition-independent total event

@@ -1,10 +1,12 @@
-//! The event queue's payload types. Ordering lives in [`crate::wheel`]:
-//! events dispatch in ascending `(time, key)` where the key encodes
-//! `(source component, per-source sequence)` — see
+//! The event queue's payload types. Ordering lives in `crate::lanes`
+//! (FIFO lanes per source, merged with [`crate::wheel`] for what is out
+//! of order): events dispatch in ascending `(time, key)` where the key
+//! encodes `(source component, per-source sequence)` — see
 //! [`crate::kernel::event_key`]. Simultaneous events fire in source
 //! component id order, then in the order the source scheduled them: a
 //! total order computable from the event alone, identical whether the
-//! simulation runs on one thread or across shards.
+//! simulation runs on one thread or across shards, and whichever of a
+//! lane or the wheel an event waited in.
 //!
 //! A frame leaving a MAC is *not* a queue entry: each output port keeps
 //! its own completions in a FIFO and retires them at the same
@@ -30,7 +32,7 @@ pub(crate) enum EventKind {
     /// under the first member's event key; member `i` owns key
     /// `first_key + i`, so splitting the burst at any point restores
     /// the exact scalar total order. Boxed to keep the common event
-    /// variants small (wheel entries move by value).
+    /// variants small (queue entries move by value).
     DeliverBurst {
         dst: ComponentId,
         port: usize,

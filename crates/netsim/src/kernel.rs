@@ -4,9 +4,9 @@
 use crate::burst::PacketBurst;
 use crate::component::ComponentId;
 use crate::event::EventKind;
+use crate::lanes::LaneQueue;
 use crate::link::LinkSpec;
-use crate::stats::PortCounters;
-use crate::wheel::TimerWheel;
+use crate::stats::{PortCounters, QueueCounts};
 use osnt_packet::{Packet, IFG_LEN};
 use osnt_time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -272,7 +272,7 @@ pub struct Kernel {
     /// [`event_key`]). Indexed by component id; counts every event the
     /// component has scheduled.
     pub(crate) comp_seq: Vec<u64>,
-    pub(crate) queue: TimerWheel<EventKind>,
+    pub(crate) queue: LaneQueue<EventKind>,
     /// ports[component][port]
     pub(crate) ports: Vec<Vec<OutPort>>,
     pub(crate) events_dispatched: u64,
@@ -290,7 +290,7 @@ impl Kernel {
             now: SimTime::ZERO,
             cur_key: 0,
             comp_seq: Vec::new(),
-            queue: TimerWheel::new(),
+            queue: LaneQueue::new(),
             ports: Vec::new(),
             events_dispatched: 0,
             progress: None,
@@ -306,6 +306,7 @@ impl Kernel {
         self.ports
             .push((0..n_ports).map(|_| OutPort::new()).collect());
         self.comp_seq.push(0);
+        self.queue.add_source(n_ports);
     }
 
     pub(crate) fn connect_simplex(
@@ -354,12 +355,19 @@ impl Kernel {
         self.events_dispatched
     }
 
-    /// Schedule `kind` at `time` on behalf of `src` (the component whose
-    /// handler — or wiring — created the event).
-    fn push_event(&mut self, time: SimTime, src: ComponentId, kind: EventKind) {
+    /// Schedule a timer for `me` at `time`.
+    fn push_timer(&mut self, time: SimTime, me: ComponentId, tag: u64) {
         debug_assert!(time >= self.now, "event scheduled in the past");
-        let key = next_key(&mut self.comp_seq, src);
-        self.queue.push(time, key, kind);
+        let key = next_key(&mut self.comp_seq, me);
+        self.queue
+            .push_timer(me.0, time, key, EventKind::Timer { target: me, tag });
+    }
+
+    /// How many events were queued so far, by where each waited: in a
+    /// FIFO lane of its source or in the timer wheel. Nothing reads
+    /// these but reports and tests.
+    pub fn queue_counts(&self) -> QueueCounts {
+        self.queue.counts()
     }
 
     /// Every installed simplex wire as `(src, peer)` — the shard
@@ -385,7 +393,7 @@ impl Kernel {
             now: self.now,
             cur_key: self.cur_key,
             comp_seq: self.comp_seq.clone(),
-            queue: TimerWheel::new(),
+            queue: self.queue.empty_like(),
             ports: self.ports.clone(),
             events_dispatched: 0,
             // Shards share the one probe: `fetch_max` publishing keeps
@@ -399,7 +407,7 @@ impl Kernel {
     /// `tag`. A zero delay fires after the current handler returns, at
     /// the same simulated time.
     pub fn schedule_timer(&mut self, me: ComponentId, delay: SimDuration, tag: u64) {
-        self.push_event(self.now + delay, me, EventKind::Timer { target: me, tag });
+        self.push_timer(self.now + delay, me, tag);
     }
 
     /// Arm a timer at an absolute instant (must not be in the past).
@@ -409,7 +417,7 @@ impl Kernel {
             "schedule_timer_at: {at} is in the past (now {})",
             self.now
         );
-        self.push_event(at, me, EventKind::Timer { target: me, tag });
+        self.push_timer(at, me, tag);
     }
 
     /// The earliest instant a frame offered now on (`me`, `port`) would
@@ -501,7 +509,9 @@ impl Kernel {
             key: next_key(comp_seq, me),
             bytes: frame_len,
         });
-        queue.push(
+        queue.push_wire(
+            me.0,
+            port,
             slot.delivery,
             next_key(comp_seq, me),
             EventKind::Deliver {
@@ -538,7 +548,7 @@ impl Kernel {
     /// when provided (the generator's departure log).
     ///
     /// The accepted frames leave as a single [`crate::PacketBurst`]
-    /// event — one timer-wheel entry for the whole run, carrying
+    /// event — one queue entry for the whole run, carrying
     /// per-member arrival instants and the same per-member event keys
     /// the per-frame path would have allocated, so the dispatch-side
     /// total order is unchanged (the dispatch loop splits the burst
@@ -685,7 +695,7 @@ impl Kernel {
                     burst: b,
                 }
             };
-            queue.push(time, key, ev);
+            queue.push_wire(me.0, port, time, key, ev);
         }
         if let Some(tx_end) = last_tx_end {
             p.completions.push_back(Completion {
@@ -700,10 +710,11 @@ impl Kernel {
     /// Put a partially consumed burst back on the queue under its next
     /// member's own `(time, key)` — the lazy-split half of burst
     /// dispatch (the un-consumed tail re-enters the total order exactly
-    /// where its members always were).
+    /// where its members always were). It goes to the wheel: the lane it
+    /// came from may have moved on.
     pub(crate) fn requeue_burst(&mut self, dst: ComponentId, port: usize, burst: Box<PacketBurst>) {
         debug_assert!(!burst.is_empty(), "requeue of an empty burst");
-        self.queue.push(
+        self.queue.push_unordered(
             burst.first_time(),
             burst.first_key(),
             EventKind::DeliverBurst { dst, port, burst },
@@ -849,8 +860,8 @@ impl Kernel {
         }
     }
 
-    /// Number of events still pending: queue entries plus MAC
-    /// completions not yet retired.
+    /// Number of events still pending: queue entries (lanes and wheel
+    /// alike) plus MAC completions not yet retired.
     pub fn pending_events(&self) -> usize {
         let completions: usize = self
             .ports

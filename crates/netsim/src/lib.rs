@@ -69,6 +69,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod kernel;
+mod lanes;
 pub mod link;
 pub mod shard;
 pub mod stats;
@@ -81,5 +82,5 @@ pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};
 pub use kernel::{BatchTx, Kernel, TxResult};
 pub use link::LinkSpec;
 pub use shard::ShardedSim;
-pub use stats::{PortCounters, ShardStats};
+pub use stats::{PortCounters, QueueCounts, ShardStats};
 pub use wheel::TimerWheel;

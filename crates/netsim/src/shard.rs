@@ -20,7 +20,7 @@
 //! The kernel's total event order is ascending `(time, event_key)`
 //! where the key packs `(source component, per-source sequence)` — see
 //! [`crate::kernel::event_key`]. The key is computed from the *source's
-//! own* scheduling history only, so each shard's wheel dispatches its
+//! own* scheduling history only, so each shard's queue dispatches its
 //! restriction of the order the unsharded [`crate::Sim`] would, and
 //! since per-component state is only ever touched by the owning shard,
 //! every handler observes exactly the state it would have observed
@@ -37,7 +37,7 @@
 use crate::component::{Component, ComponentId};
 use crate::engine::run_kernel_until;
 use crate::kernel::Kernel;
-use crate::stats::PortCounters;
+use crate::stats::{PortCounters, QueueCounts};
 use osnt_error::OsntError;
 use osnt_time::SimTime;
 use std::sync::Arc;
@@ -105,7 +105,7 @@ struct ShardSlot {
 }
 
 // SAFETY: `ShardSlot` contains non-`Send` state (`Box<dyn Component>`
-// holding `Rc` handles, pool-backed packets queued in the wheel). It is
+// holding `Rc` handles, pool-backed packets queued in the kernel). It is
 // sound to move a `&mut ShardSlot` to a worker thread because the slot
 // is *confined*:
 //
@@ -215,6 +215,17 @@ impl ShardedSim {
     /// Events pending across all shards.
     pub fn pending_events(&self) -> usize {
         self.slots.iter().map(|s| s.kernel.pending_events()).sum()
+    }
+
+    /// [`Kernel::queue_counts`] summed across all shards.
+    pub fn queue_counts(&self) -> QueueCounts {
+        let mut sum = QueueCounts::default();
+        for slot in &self.slots {
+            let counts = slot.kernel.queue_counts();
+            sum.lane_pushes += counts.lane_pushes;
+            sum.wheel_pushes += counts.wheel_pushes;
+        }
+        sum
     }
 
     fn start_if_needed(&mut self) {

@@ -31,6 +31,23 @@ impl PortCounters {
     }
 }
 
+/// How many events the kernel queued, by where each one waited: a
+/// reading of the run, deterministic like every other counter. See
+/// [`crate::Kernel::queue_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueCounts {
+    /// Pushes appended to a FIFO lane: the event was in order behind
+    /// what its source (a wire, or one of a component's timer streams)
+    /// had already scheduled.
+    pub lane_pushes: u64,
+    /// Pushes that went to the timer wheel: out of order for every lane
+    /// of their source, or the tail of a burst split at dispatch. (How
+    /// often a burst is split depends on what else the kernel holds, so
+    /// with burst traffic this count differs between shard counts; the
+    /// events dispatched do not.)
+    pub wheel_pushes: u64,
+}
+
 /// Unused; held by `e0_pipeline/probes.rs:308` (`fn(&osnt_netsim::ShardStats) -> u64` over these three fields).
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,14 +1,19 @@
-//! Hierarchical timer wheel: the event queue of the simulation kernel.
+//! Hierarchical timer wheel: the kernel queue's fall-back for events
+//! that are out of order for every FIFO lane of their source.
 //!
-//! A line-rate DES run is brutally event-dense: a 10 Gb/s port emits a
-//! 64-byte frame every 67.2 ns, and every frame costs a timer and a
-//! Deliver event per hop (its MAC completion stays with the port, see
-//! `kernel::OutPort`). A `BinaryHeap` pays `O(log n)` compares *and*
-//! sift traffic per operation; worse, near-term events (the common case
-//! — everything schedules within a few microseconds of `now`) share the
-//! heap with far-future ones. A hierarchical timer wheel exploits the
-//! DES access pattern — time only moves forward, and almost all events
-//! land near the cursor — to make push and pop amortised `O(1)`.
+//! The kernel's queue (`crate::lanes`) keeps what a source schedules in
+//! order — nearly everything — in plain FIFO lanes, and merges them with
+//! this wheel, which takes the rest: a reordering link's held-back
+//! releases, the tail of a burst split at dispatch. A frame therefore
+//! normally costs the wheel nothing; what does land here is a general
+//! `(time, seq)` priority queue's job. A `BinaryHeap` pays `O(log n)`
+//! compares *and* sift traffic per operation over every pending event;
+//! a hierarchical timer wheel exploits the DES access pattern — time
+//! only moves forward, and events land near the cursor — to make push
+//! and pop amortised `O(1)` for dense traffic. Sparse traffic is its
+//! weak side (an event tens of µs ahead lands on level 1–2 and is
+//! cascaded down slot by slot before it can pop), which is what the
+//! lanes in front of it are for.
 //!
 //! # Shape
 //!
@@ -38,9 +43,8 @@
 //! # Determinism
 //!
 //! [`TimerWheel`] dispatches in exactly ascending `(time, seq)` order —
-//! byte-for-byte the order the previous `BinaryHeap<EventEntry>` kernel
-//! produced, including same-instant ties (callers supply a unique,
-//! monotonically increasing `seq` per push). `tests/wheel_order.rs`
+//! byte-for-byte the order a `BinaryHeap` produces, including
+//! same-instant ties (callers supply a unique `seq` per push). `tests/wheel_order.rs`
 //! holds a property test pinning the equivalence against a reference
 //! heap under randomized interleaved push/pop schedules.
 //!

@@ -2,7 +2,10 @@
 //! topology and every shard count, the parallel run must produce
 //! **byte-identical** observable state to the single-threaded kernel —
 //! arrival logs (time, port, payload digest), per-port counters,
-//! fault-injection tallies and the dispatched-event count.
+//! fault-injection tallies, the dispatched-event count and the queue's
+//! lane / wheel push counts (every source here transmits frame by
+//! frame; only the re-queued tails of split bursts depend on what else
+//! a kernel holds).
 //!
 //! This is the non-negotiable contract of `osnt_netsim::shard`: the
 //! `(time, source component, per-source sequence)` event key is
@@ -15,7 +18,7 @@
 use osnt_error::OsntError;
 use osnt_netsim::{
     Component, ComponentId, FaultConfig, FaultStats, FaultyLink, Kernel, LinkSpec, LossModel,
-    SimBuilder,
+    QueueCounts, SimBuilder,
 };
 use osnt_packet::{hash::crc32, Packet};
 use osnt_time::{SimDuration, SimTime};
@@ -73,6 +76,7 @@ struct Observed {
     counters: Vec<(u64, u64, u64, u64, u64)>,
     fault: Option<FaultStats>,
     dispatched: u64,
+    queued: QueueCounts,
 }
 
 /// Generator parameters for one random topology.
@@ -200,12 +204,14 @@ fn snapshot(
     fault: &Option<Rc<RefCell<FaultStats>>>,
     counters: Vec<(u64, u64, u64, u64, u64)>,
     dispatched: u64,
+    queued: QueueCounts,
 ) -> Observed {
     Observed {
         arrivals: logs.iter().map(|l| l.borrow().clone()).collect(),
         counters,
         fault: fault.as_ref().map(|f| *f.borrow()),
         dispatched,
+        queued,
     }
 }
 
@@ -223,7 +229,8 @@ fn run_single(t: &Topo) -> Observed {
             (c.tx_frames, c.tx_bytes, c.tx_drops, c.rx_frames, c.rx_bytes)
         })
         .collect();
-    snapshot(&built.logs, &built.fault, counters, dispatched)
+    let queued = sim.kernel().queue_counts();
+    snapshot(&built.logs, &built.fault, counters, dispatched, queued)
 }
 
 fn run_sharded(t: &Topo, n_shards: usize) -> Observed {
@@ -241,7 +248,8 @@ fn run_sharded(t: &Topo, n_shards: usize) -> Observed {
             (c.tx_frames, c.tx_bytes, c.tx_drops, c.rx_frames, c.rx_bytes)
         })
         .collect();
-    snapshot(&built.logs, &built.fault, counters, dispatched)
+    let queued = sim.queue_counts();
+    snapshot(&built.logs, &built.fault, counters, dispatched, queued)
 }
 
 fn assert_parity(t: &Topo) {

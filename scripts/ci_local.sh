@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The gate steps of .github/workflows/ci.yml, offline, for a checkout
 # with no Actions runner: build, tests, their env leg and their
-# release leg, fmt, clippy, the E0 correctness gate, the chaos campaign
+# release leg, fmt, clippy, the E0 correctness gate (the benchmark built
+# from scratch and run in both trace modes), the chaos campaign
 # and the digest-asserting experiment bins. Fresh BENCH_*.json land in
 # a temporary directory; the committed ones are not touched.
 #
@@ -31,14 +32,21 @@ cargo fmt --all --check
 step "clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "E0 pipeline benchmark (correctness gate, not a timing gate)"
-for w in p1_legacy_load p2_consistency p2_churn burst_linerate; do
-    scripts/e0/run.sh --workload "$w" --seed 1 --seconds 2 --trace 1 >/dev/null
-    echo "e0 $w: digest, ops and events match scripts/e0/expected.json"
-done
-
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+
+step "E0 pipeline benchmark, built fresh, both trace modes (correctness gate, not a timing gate)"
+# The way the benchmark pipeline runs it: its own manifest, an empty
+# target directory, --trace 0 (the headline run) and --trace 1.
+e0() {
+    CARGO_TARGET_DIR=$out/e0_build \
+        scripts/e0/run.sh --workload "$1" --seed 1 --seconds 2 --trace "$2" >/dev/null
+}
+for w in p1_legacy_load p2_consistency p2_churn burst_linerate; do
+    e0 "$w" 0
+    e0 "$w" 1
+    echo "e0 $w: digest, ops and events match scripts/e0/expected.json, traced and not"
+done
 
 step "E14 chaos campaign (zero violations)"
 bin e14_chaos -- --seeds 4 --json "$out/BENCH_chaos.json"

@@ -22,9 +22,17 @@
 //!   slices or drained;
 //! * the paper's headline claim, E1 in small: a generator holds 10 GbE
 //!   line rate at 64, 512 and 1518 B, frame by frame and in bursts of
-//!   32, to the picosecond.
+//!   32, to the picosecond;
+//! * the total event order of the two demo paths, as what each demo
+//!   prints: three E5 rows (probe latency percentiles through the
+//!   legacy switch under Poisson background load, every figure a
+//!   function of the `(time, key)` order across four ports), and a
+//!   miniature of the Part II churn (barrier-fenced flow_mod rounds on
+//!   the control-only testbed: per-round latencies, the control log and
+//!   the event count).
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
+use osnt::core::experiment::LatencyExperiment;
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
 use osnt::mon::{
@@ -33,6 +41,8 @@ use osnt::mon::{
 };
 use osnt::netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, SimBuilder};
 use osnt::netsim::{PortCounters, Sim};
+use osnt::oflops::modules::FlowChurnModule;
+use osnt::oflops::{Testbed, TestbedSpec};
 use osnt::openflow::match_field::wildcards;
 use osnt::openflow::messages::{FlowMod, Message};
 use osnt::openflow::{Action, OfMatch};
@@ -455,4 +465,79 @@ fn generator_holds_line_rate_at_every_frame_size() {
             );
         }
     }
+}
+
+#[test]
+fn legacy_latency_rows_are_pinned_to_the_digit() {
+    // E5's table, three of its loads over a 10 ms window: below the
+    // knee, on it, and past saturation where the output buffer fills.
+    let rows: Vec<String> = [0.4, 0.9, 1.02]
+        .iter()
+        .map(|&load| {
+            let exp = LatencyExperiment {
+                background_load: load,
+                duration: SimDuration::from_ms(10),
+                warmup: SimDuration::from_ms(2),
+                ..LatencyExperiment::default()
+            };
+            let r = exp
+                .run_legacy(LegacyConfig::default())
+                .expect("statically valid experiment");
+            let s = r.latency.expect("probes were captured");
+            format!(
+                "{:.0} {} {:.2} {:.0} {:.0} {:.0} {:.0} {:.0}",
+                load * 100.0,
+                r.probe_sent,
+                r.loss * 100.0,
+                s.min_ns,
+                s.p50_ns,
+                s.mean_ns,
+                s.p99_ns,
+                s.max_ns
+            )
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "40 476 0.00 1650 1659 1756 2220 2500",
+            "90 476 0.00 1650 2036 2292 4407 5200",
+            "102 476 0.00 42769 123470 122957 201851 203019",
+        ]
+    );
+}
+
+#[test]
+fn flow_mod_churn_is_pinned_round_by_round() {
+    // Three rounds of 50 ADDs against a 100-rule window: the third
+    // round also strict-DELETEs 50.
+    let (module, state) = FlowChurnModule::new(3, 50, 100, SimTime::from_ms(5));
+    let spec = TestbedSpec {
+        switch: OfSwitchConfig {
+            honest_barrier: true,
+            ..OfSwitchConfig::default()
+        },
+        ..TestbedSpec::control_only()
+    };
+    let mut tb = Testbed::build(spec, Box::new(module));
+    // 200 mods at 25 µs of switch CPU each and 1 ms of install a round:
+    // done well before the switch's first 100 ms expiry scan.
+    tb.run_until(SimTime::from_ms(50));
+
+    let st = state.borrow();
+    assert!(st.done, "every round fenced");
+    assert_eq!((st.mods_sent, st.errors), (200, 0));
+    let rounds: Vec<u64> = st.round_latencies.iter().map(|d| d.as_ps()).collect();
+    assert_eq!(rounds, [2_251_524_000, 2_251_524_000, 3_501_524_000]);
+    let log = format!("{:?}", tb.control_log.borrow());
+    assert_eq!((log.len(), crc32(log.as_bytes())), (104_325, 0xabe0_b256));
+    let k = tb.sim.kernel();
+    assert_eq!(k.events_dispatched(), 839);
+    // Parked past the horizon: the switch's 100 ms expiry scan and the
+    // timeout timer of each of the four tracked barriers. The scan
+    // re-arms itself on every firing, so this testbed never drains and
+    // there is no `pending_events() == 0` to pin.
+    assert_eq!(k.pending_events(), 5);
+    // Every control-plane event waited in a lane; none needed the wheel.
+    assert_eq!(k.queue_counts().wheel_pushes, 0);
 }
