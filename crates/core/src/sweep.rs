@@ -257,7 +257,7 @@ impl Component for WedgeDut {
     fn on_packet(&mut self, kernel: &mut Kernel, me: ComponentId, _port: usize, _packet: Packet) {
         // Hop one picosecond so the first self-timer orders strictly
         // after the delivering event; from there the zero-delay chain in
-        // `on_timer` keeps the wheel's key order (same source, rising
+        // `on_timer` keeps the queue's key order (same source, rising
         // counter) while virtual time stays frozen.
         kernel.schedule_timer(me, SimDuration::from_ps(1), 0);
     }

@@ -1,12 +1,12 @@
 //! The event queue's payload types. Ordering lives in `crate::lanes`
-//! (FIFO lanes per source, merged with [`crate::wheel`] for what is out
-//! of order): events dispatch in ascending `(time, key)` where the key
-//! encodes `(source component, per-source sequence)` — see
-//! [`crate::kernel::event_key`]. Simultaneous events fire in source
-//! component id order, then in the order the source scheduled them: a
-//! total order computable from the event alone, identical whether the
-//! simulation runs on one thread or across shards, and whichever of a
-//! lane or the wheel an event waited in.
+//! (FIFO lanes per source, merged with the binary heap in
+//! [`crate::wheel`] for what is out of order): events dispatch in
+//! ascending `(time, key)` where the key encodes `(source component,
+//! per-source sequence)` — see [`crate::kernel::event_key`].
+//! Simultaneous events fire in source component id order, then in the
+//! order the source scheduled them: a total order computable from the
+//! event alone, identical whether the simulation runs on one thread or
+//! across shards, and whichever of a lane or the heap an event waited in.
 //!
 //! A frame leaving a MAC is *not* a queue entry: each output port keeps
 //! its own completions in a FIFO and retires them at the same

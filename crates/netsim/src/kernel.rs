@@ -364,7 +364,7 @@ impl Kernel {
     }
 
     /// How many events were queued so far, by where each waited: in a
-    /// FIFO lane of its source or in the timer wheel. Nothing reads
+    /// FIFO lane of its source or in the fall-back heap. Nothing reads
     /// these but reports and tests.
     pub fn queue_counts(&self) -> QueueCounts {
         self.queue.counts()
@@ -710,8 +710,8 @@ impl Kernel {
     /// Put a partially consumed burst back on the queue under its next
     /// member's own `(time, key)` — the lazy-split half of burst
     /// dispatch (the un-consumed tail re-enters the total order exactly
-    /// where its members always were). It goes to the wheel: the lane it
-    /// came from may have moved on.
+    /// where its members always were). It goes to the fall-back heap:
+    /// the lane it came from may have moved on.
     pub(crate) fn requeue_burst(&mut self, dst: ComponentId, port: usize, burst: Box<PacketBurst>) {
         debug_assert!(!burst.is_empty(), "requeue of an empty burst");
         self.queue.push_unordered(
@@ -860,8 +860,8 @@ impl Kernel {
         }
     }
 
-    /// Number of events still pending: queue entries (lanes and wheel
-    /// alike) plus MAC completions not yet retired.
+    /// Number of events still pending: queue entries (lanes and
+    /// fall-back heap alike) plus MAC completions not yet retired.
     pub fn pending_events(&self) -> usize {
         let completions: usize = self
             .ports

@@ -1,5 +1,5 @@
 //! The kernel's event queue: FIFO lanes for what arrives in order,
-//! merged with the [`TimerWheel`] that takes everything else.
+//! merged with a fall-back heap that takes everything else.
 //!
 //! Almost nothing a simulation schedules needs a priority queue. A wire
 //! delivers in the order its MAC sent; a generator's departure timer, a
@@ -7,26 +7,27 @@
 //! in time. So every source gets a few plain `VecDeque`s — one lane per
 //! output port for its deliveries, [`TIMER_LANES`] for its timers — and
 //! an entry that is ordered after a lane's back is appended to it and
-//! never sorted, hashed into a slot or cascaded between wheel levels.
-//! The order *is* checked, on every push, against the lane's back; an
-//! entry that fits none of its source's lanes goes to the wheel, which
-//! stays fully general (a reordering link's held-back releases, the
-//! tail of a split burst).
+//! never sorted or sifted. The order *is* checked, on every push,
+//! against the lane's back; an entry that fits none of its source's
+//! lanes goes to the fall-back, a binary heap over all such entries
+//! (a reordering link's held-back releases, the tail of a split burst;
+//! see `crate::wheel` for the type and its name).
 //!
 //! Popping merges: each lane is sorted, so the earliest lane entry is
 //! among the lane fronts, and a small binary heap holds one
 //! `(time, key, lane)` per non-empty lane. The queue's head is the
-//! smaller of that heap's top and the wheel's head — exactly ascending
+//! smaller of that heap's top and the fall-back's — exactly ascending
 //! `(time, key)`, the order a single priority queue over all entries
 //! would produce. Where an entry waits is therefore unobservable; the
 //! proptest below holds the merge to a reference heap.
 //!
 //! Scheduling, which happens inside component handlers, never touches
-//! the heap: a push that wakes an empty lane notes the lane's new front
-//! on a list, and the dispatch loop enters the noted fronts when it next
-//! looks at the head. (Pushing onto the heap where the lane wakes is less
-//! code and about 4 % faster on a dense data path, but the benchmark's
-//! traced run then fails its span check; EXPERIMENTS.md "PR 23".)
+//! the heap of fronts: a push that wakes an empty lane notes the lane's
+//! new front on a list, and the dispatch loop enters the noted fronts
+//! when it next looks at the head. (Pushing onto the heap where the lane
+//! wakes is less code and about 4 % faster on a dense data path, but the
+//! benchmark's traced run then fails its span check; EXPERIMENTS.md
+//! "PR 23".)
 
 use crate::stats::QueueCounts;
 use crate::wheel::TimerWheel;
@@ -39,11 +40,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// are several in-order streams interleaved — the OpenFlow switch arms
 /// forward, CPU-done, hardware-commit and barrier-reply timers, and
 /// parks a 100 ms expiry scan at the back of whichever lane took it —
-/// and each stream needs a lane of its own to stay off the wheel.
-/// Measured on the benchmark's four workloads (EXPERIMENTS.md "PR 23"):
-/// with four lanes none of them pushes a timer to the wheel; with three
-/// `p2_consistency` falls back on 10 % of its pushes; with two
-/// `p2_churn` falls back on 29 % and keeps a third of its gain.
+/// and each stream needs a lane of its own to stay out of the fall-back
+/// heap. Measured on the benchmark's four workloads (EXPERIMENTS.md
+/// "PR 23"): with four lanes none of them pushes a timer to the
+/// fall-back; with three `p2_consistency` falls back on 10 % of its
+/// pushes; with two `p2_churn` falls back on 29 %.
 const TIMER_LANES: usize = 4;
 
 /// A position in the total event order, `(time in ps, key)`.
@@ -57,7 +58,8 @@ type Front = (u64, u64, usize);
 
 /// See the module documentation.
 pub(crate) struct LaneQueue<T> {
-    wheel: TimerWheel<T>,
+    /// Entries that were in order for no lane of their source.
+    fallback: TimerWheel<T>,
     lanes: Vec<Lane<T>>,
     /// Index of each source's first lane: its timer lanes, then one lane
     /// per output port.
@@ -76,7 +78,7 @@ pub(crate) struct LaneQueue<T> {
 impl<T> LaneQueue<T> {
     pub(crate) fn new() -> Self {
         LaneQueue {
-            wheel: TimerWheel::new(),
+            fallback: TimerWheel::new(),
             lanes: Vec::new(),
             first_lane: Vec::new(),
             heads: BinaryHeap::new(),
@@ -103,7 +105,7 @@ impl<T> LaneQueue<T> {
     }
 
     /// Schedule a timer of `src`: onto the first of its timer lanes the
-    /// entry is in order for, otherwise onto the wheel.
+    /// entry is in order for, otherwise onto the fall-back heap.
     #[inline]
     pub(crate) fn push_timer(&mut self, src: usize, time: SimTime, key: u64, item: T) {
         let first = self.first_lane[src];
@@ -111,18 +113,18 @@ impl<T> LaneQueue<T> {
     }
 
     /// Schedule a delivery over the wire out of (`src`, `port`): onto
-    /// that port's lane when in order, otherwise onto the wheel.
+    /// that port's lane when in order, otherwise onto the fall-back heap.
     #[inline]
     pub(crate) fn push_wire(&mut self, src: usize, port: usize, time: SimTime, key: u64, item: T) {
         let lane = self.first_lane[src] + TIMER_LANES + port;
         self.push_first_fit(lane..lane + 1, time, key, item);
     }
 
-    /// Schedule on the wheel, for an entry with no claim to be in order
-    /// behind anything (the tail of a split burst).
+    /// Schedule on the fall-back heap, for an entry with no claim to be
+    /// in order behind anything (the tail of a split burst).
     pub(crate) fn push_unordered(&mut self, time: SimTime, key: u64, item: T) {
         self.counts.wheel_pushes += 1;
-        self.wheel.push(time, key, item);
+        self.fallback.push(time, key, item);
     }
 
     #[inline]
@@ -155,23 +157,18 @@ impl<T> LaneQueue<T> {
             .map(|&Reverse((ps, key, lane))| ((ps, key), lane))
     }
 
-    /// The earliest wheel entry.
+    /// The earliest fall-back entry.
     #[inline]
-    fn wheel_head(&mut self) -> Option<Pos> {
-        // The common case, settled here: `peek` on an empty wheel is a
-        // call into its refill.
-        if self.wheel.is_empty() {
-            return None;
-        }
-        self.wheel.peek().map(|(t, key)| (t.as_ps(), key))
+    fn fallback_head(&self) -> Option<Pos> {
+        self.fallback.peek().map(|(t, key)| (t.as_ps(), key))
     }
 
     /// The lane holding the queue's head and that head's time, or `None`
-    /// when the wheel holds it (or the queue is empty).
+    /// when the fall-back holds it (or the queue is empty).
     #[inline]
     fn head_lane(&mut self) -> Option<(u64, usize)> {
         let (pos, lane) = self.lane_head()?;
-        match self.wheel_head() {
+        match self.fallback_head() {
             Some(w) if w < pos => None,
             _ => Some((pos.0, lane)),
         }
@@ -199,7 +196,7 @@ impl<T> LaneQueue<T> {
     /// Earliest pending `(time, key)`, without removing it.
     pub(crate) fn peek(&mut self) -> Option<(SimTime, u64)> {
         let lanes = self.lane_head().map(|(pos, _)| pos);
-        let head = match (lanes, self.wheel_head()) {
+        let head = match (lanes, self.fallback_head()) {
             (Some(l), Some(w)) => l.min(w),
             (l, w) => l.or(w)?,
         };
@@ -213,7 +210,7 @@ impl<T> LaneQueue<T> {
                 let (ps, key, item) = self.lanes[lane].front().expect("head of a non-empty lane");
                 Some((SimTime::from_ps(*ps), *key, item))
             }
-            None => self.wheel.peek_item(),
+            None => self.fallback.peek_item(),
         }
     }
 
@@ -227,13 +224,13 @@ impl<T> LaneQueue<T> {
     pub(crate) fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, T)> {
         match self.head_lane() {
             Some((ps, lane)) => (ps <= limit.as_ps()).then(|| self.pop_lane(lane)),
-            None => self.wheel.pop_at_or_before(limit),
+            None => self.fallback.pop_at_or_before(limit),
         }
     }
 
-    /// Number of pending items, lanes and wheel together.
+    /// Number of pending items, lanes and fall-back together.
     pub(crate) fn len(&self) -> usize {
-        self.in_lanes + self.wheel.len()
+        self.in_lanes + self.fallback.len()
     }
 
     /// Pushes so far, by where they went.
@@ -272,25 +269,30 @@ mod tests {
         /// Random interleaved pushes and pops over 1–6 sources of 2
         /// ports each, against a `BinaryHeap` on `(ps, key)`. Per-source
         /// times are mostly increasing (what lanes are for), with
-        /// regressions back towards `now`, ties on `now`, parks 100 ms
-        /// ahead of a µs-scale stream, and pushes that bypass the lanes
-        /// like a requeued burst tail.
+        /// regressions back towards `now`, ties on `now` (also under a
+        /// key below the one just popped, as a zero-delay release on a
+        /// two-way link is), parks 100 ms ahead of a µs-scale stream,
+        /// times anywhere in 28 simulated hours, and pushes that bypass
+        /// the lanes like a requeued burst tail. Then `bulk` more of
+        /// those on a few instants, so the fall-back alone holds
+        /// hundreds of same-instant ties, and everything is drained.
         #[test]
         fn merge_matches_a_reference_heap(
             sources in 1usize..=6,
             ops in proptest::collection::vec(
-                (any::<u8>(), 0usize..6, 0u8..6, 0u8..10, any::<u64>()),
+                (any::<u8>(), 0usize..6, 0u8..6, 0u8..11, any::<u64>()),
                 1..600,
             ),
+            bulk in proptest::collection::vec(0u64..50, 0..400),
         ) {
             let mut q = LaneQueue::new();
             for _ in 0..sources {
                 q.add_source(2);
             }
             let mut reference = Reference::new();
-            // Where the last pop stood: like the kernel, the schedule
-            // never pushes at or before it.
-            let mut popped = (0u64, 0u64);
+            // The time of the last pop: like the kernel, the schedule
+            // never pushes before it.
+            let mut now = 0u64;
             // Each source's latest scheduled time and next sequence
             // number (keys are unique and increase per source, as the
             // kernel's do).
@@ -301,15 +303,14 @@ mod tests {
                     if reference.is_empty() {
                         prop_assert!(q.pop().is_none());
                     } else {
-                        popped = check_pop(&mut q, &mut reference)?;
+                        now = check_pop(&mut q, &mut reference)?.0;
                     }
                 } else {
                     let source = source % sources;
-                    let now = popped.0;
                     let ahead = last[source].max(now);
                     let key = ((source as u64) << 40) | seq[source];
                     seq[source] += 1;
-                    let mut ps = match shape {
+                    let ps = match shape {
                         // In order: a µs-scale stream.
                         0..=5 => ahead + raw % 2_000_000,
                         // A regression: anywhere from `now` on.
@@ -319,12 +320,11 @@ mod tests {
                         // A tie on the source's last time.
                         8 => ahead,
                         // A far-future park the stream then runs behind.
-                        _ => ahead + 100_000_000_000,
+                        9 => ahead + 100_000_000_000,
+                        // Anywhere up to 10^17 ps.
+                        _ => ahead.max(raw % 100_000_000_000_000_000),
                     };
-                    if (ps, key) <= popped {
-                        ps = now + 1;
-                    }
-                    if shape != 9 {
+                    if shape < 9 {
                         last[source] = ps;
                     }
                     let time = SimTime::from_ps(ps);
@@ -340,6 +340,11 @@ mod tests {
                 let counts = q.counts();
                 let pushed: u64 = seq.iter().sum();
                 prop_assert_eq!(counts.lane_pushes + counts.wheel_pushes, pushed);
+            }
+            for (i, ns) in bulk.into_iter().enumerate() {
+                let (ps, key) = (now + ns * 1_000, (7 << 40) | i as u64);
+                q.push_unordered(SimTime::from_ps(ps), key, key);
+                reference.push(Reverse((ps, key)));
             }
             while !reference.is_empty() {
                 check_pop(&mut q, &mut reference)?;

@@ -40,11 +40,12 @@ pub struct QueueCounts {
     /// what its source (a wire, or one of a component's timer streams)
     /// had already scheduled.
     pub lane_pushes: u64,
-    /// Pushes that went to the timer wheel: out of order for every lane
-    /// of their source, or the tail of a burst split at dispatch. (How
-    /// often a burst is split depends on what else the kernel holds, so
-    /// with burst traffic this count differs between shard counts; the
-    /// events dispatched do not.)
+    /// Pushes that went to the fall-back heap (`TimerWheel`, named for
+    /// what it once was): out of order for every lane of their source,
+    /// or the tail of a burst split at dispatch. (How often a burst is
+    /// split depends on what else the kernel holds, so with burst
+    /// traffic this count differs between shard counts; the events
+    /// dispatched do not.)
     pub wheel_pushes: u64,
 }
 

@@ -1,14 +1,14 @@
 //! Where queued events travel: FIFO lanes for what a source schedules
-//! in order, the timer wheel for what it does not.
+//! in order, the fall-back heap for what it does not.
 //!
-//! Two runs read [`Kernel::queue_counts`]. A reordering, jittering,
-//! duplicating [`FaultyLink`] carrying traffic both ways arms release
-//! timers that go backwards in time in more interleaved streams than it
-//! has timer lanes, so some of them must fall back to the wheel — and
-//! the arrival log must be the one the wheel-only kernel produced (the
-//! digest, the event count and the mid-run pending count were recorded
-//! before the lanes existed). Across three fault-free hops every source
-//! schedules in order and nothing may reach the wheel.
+//! Two runs read [`Kernel::queue_counts`], both with traffic in both
+//! directions. A reordering, jittering, duplicating [`FaultyLink`] arms
+//! release timers that go backwards in time in more interleaved streams
+//! than it has timer lanes, so some of them must fall back — and the
+//! arrival log must be the one a kernel with a single priority queue
+//! produced (the digest, the event count and the mid-run pending count
+//! were recorded before the lanes existed). Across three fault-free
+//! hops every source schedules in order and nothing may fall back.
 
 use osnt_netsim::{
     Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, Sim, SimBuilder,
@@ -61,22 +61,22 @@ impl Component for Endpoint {
 }
 
 /// Endpoint `a` ↔ one `FaultyLink` per entry of `hops` ↔ endpoint `z`.
-/// `a` sends [`FRAMES`] frames, `z` sends `back`.
-fn chain(hops: Vec<FaultConfig>, back: u64) -> (Sim, ArrivalLog) {
+/// Each end sends [`FRAMES`] frames.
+fn chain(hops: Vec<FaultConfig>) -> (Sim, ArrivalLog) {
     let log = ArrivalLog::default();
-    let end = |left: u64| {
+    let end = || {
         let log = log.clone();
-        Box::new(Endpoint { left, log })
+        Box::new(Endpoint { left: FRAMES, log })
     };
     let mut b = SimBuilder::new();
-    let mut prev = (b.add_component("a", end(FRAMES), 1), 0);
+    let mut prev = (b.add_component("a", end(), 1), 0);
     for (i, config) in hops.into_iter().enumerate() {
         let (link, _) = FaultyLink::new(config).expect("valid config");
         let l = b.add_component(&format!("link{i}"), Box::new(link), 2);
         b.connect(prev.0, prev.1, l, 0, LinkSpec::ten_gig());
         prev = (l, 1);
     }
-    let z = b.add_component("z", end(back), 1);
+    let z = b.add_component("z", end(), 1);
     b.connect(prev.0, prev.1, z, 0, LinkSpec::ten_gig());
     (b.build(), log)
 }
@@ -91,10 +91,10 @@ fn reordered_releases_fall_back_to_the_wheel_at_the_wheel_only_digest() {
         seed: 23,
         ..FaultConfig::default()
     }];
-    let (mut sim, log) = chain(faulty, FRAMES);
+    let (mut sim, log) = chain(faulty);
 
     // Mid-run, frames are in flight on all four wires and held in the link:
-    // lane entries, wheel entries and unretired completions all count.
+    // lane entries, heap entries and unretired completions all count.
     sim.run_until(SimTime::from_us(100));
     assert_eq!(sim.kernel().pending_events(), 267);
     let mid = sim.kernel().queue_counts();
@@ -114,15 +114,17 @@ fn reordered_releases_fall_back_to_the_wheel_at_the_wheel_only_digest() {
 
 #[test]
 fn three_fault_free_hops_never_touch_the_wheel() {
-    let (mut sim, log) = chain(vec![FaultConfig::default(); 2], 0);
+    // Two-way: a fault-free link releases with zero delay, so a release
+    // can be keyed below the delivery that was just popped.
+    let (mut sim, log) = chain(vec![FaultConfig::default(); 2]);
     sim.run_until(SimTime::from_us(100));
     assert!(sim.kernel().pending_events() > 0, "frames in flight");
     sim.run_to_quiescence(100_000);
     assert_eq!(sim.kernel().pending_events(), 0, "drained");
-    assert_eq!(log.borrow().0, FRAMES);
+    assert_eq!(log.borrow().0, 2 * FRAMES);
 
     // Per frame: the departure timer, two release timers and three
     // deliveries. Completions are never queued.
     let counts = sim.kernel().queue_counts();
-    assert_eq!((counts.lane_pushes, counts.wheel_pushes), (6 * FRAMES, 0));
+    assert_eq!((counts.lane_pushes, counts.wheel_pushes), (12 * FRAMES, 0));
 }

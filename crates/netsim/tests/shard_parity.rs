@@ -3,7 +3,7 @@
 //! **byte-identical** observable state to the single-threaded kernel —
 //! arrival logs (time, port, payload digest), per-port counters,
 //! fault-injection tallies, the dispatched-event count and the queue's
-//! lane / wheel push counts (every source here transmits frame by
+//! lane / fall-back push counts (every source here transmits frame by
 //! frame; only the re-queued tails of split bursts depend on what else
 //! a kernel holds).
 //!

@@ -92,18 +92,17 @@ pub struct ControlError {
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Time to wait for a response before resending. Subsequent waits
-    /// grow from this base: decorrelated jitter when [`Self::jitter_seed`]
-    /// is set, plain doubling otherwise.
+    /// grow from this base by decorrelated jitter (see
+    /// [`Self::jitter_seed`]).
     pub timeout: SimDuration,
     /// Resends allowed after the first attempt before giving up.
     pub max_retries: u32,
-    /// Seed for decorrelated-jitter backoff. When set, each retry waits
+    /// Seed for decorrelated-jitter backoff: each retry waits
     /// `uniform(timeout, prev_wait * 3)` capped at `timeout << 16` —
     /// requests that time out together spread their resends apart
-    /// instead of hammering the channel in lockstep. `None` keeps the
-    /// legacy deterministic doubling. The stream is seeded, so a given
-    /// (policy, run seed) still replays bit-for-bit.
-    pub jitter_seed: Option<u64>,
+    /// instead of hammering the channel in lockstep. The stream is
+    /// seeded, so a given (policy, run seed) replays bit-for-bit.
+    pub jitter_seed: u64,
 }
 
 impl RetryPolicy {
@@ -120,7 +119,7 @@ impl Default for RetryPolicy {
         RetryPolicy {
             timeout: SimDuration::from_ms(50),
             max_retries: 3,
-            jitter_seed: Some(Self::DEFAULT_JITTER_SEED),
+            jitter_seed: Self::DEFAULT_JITTER_SEED,
         }
     }
 }
@@ -168,7 +167,7 @@ impl ModuleCtx<'_> {
 
     /// Send a request the controller should *track*: if no message
     /// bearing the same xid comes back within the retry policy's
-    /// timeout, the request is resent (same xid, doubled timeout) up to
+    /// timeout, the request is resent (same xid, a longer timeout) up to
     /// `max_retries` times, then abandoned with a recorded
     /// [`ControlErrorKind::GaveUp`]. Use for request/response messages
     /// (echo, barrier, features, stats); plain [`ModuleCtx::send`] for
@@ -197,14 +196,17 @@ impl ModuleCtx<'_> {
     }
 
     /// Arm a module timer. Tags at or above `1 << 40` are reserved for
-    /// the controller's own timeout timers.
+    /// the controller's own timeout timers; arming one panics (in the
+    /// module's callback, where the controller contains it).
     pub fn schedule(&mut self, delay: SimDuration, tag: u64) {
-        debug_assert!(tag < TAG_CTRL_TIMEOUT_BASE, "module timer tag too large");
+        assert_module_tag(tag);
         self.kernel.schedule_timer(self.me, delay, tag);
     }
 
-    /// Arm a module timer at an absolute instant.
+    /// Arm a module timer at an absolute instant. Same tag range as
+    /// [`ModuleCtx::schedule`].
     pub fn schedule_at(&mut self, at: SimTime, tag: u64) {
+        assert_module_tag(tag);
         self.kernel.schedule_timer_at(self.me, at, tag);
     }
 }
@@ -242,6 +244,15 @@ pub trait MeasurementModule {
 /// request-timeout machinery (`base + xid`); below it, to the module.
 const TAG_CTRL_TIMEOUT_BASE: u64 = 1 << 40;
 
+/// A module timer in the controller's range would fire as the retry
+/// timeout of xid `tag - base` and never reach the module.
+fn assert_module_tag(tag: u64) {
+    assert!(
+        tag < TAG_CTRL_TIMEOUT_BASE,
+        "module timer tag {tag:#x} is in the controller's reserved range (>= 1 << 40)"
+    );
+}
+
 /// The controller component: one kernel port wired to the switch's
 /// control port.
 pub struct OflopsController {
@@ -250,9 +261,8 @@ pub struct OflopsController {
     errors: Rc<RefCell<Vec<ControlError>>>,
     pending: HashMap<u32, PendingRequest>,
     policy: RetryPolicy,
-    /// Decorrelated-jitter stream for retry backoff; `None` under the
-    /// legacy deterministic-doubling policy.
-    backoff_rng: Option<rand::rngs::SmallRng>,
+    /// Decorrelated-jitter stream for retry backoff.
+    backoff_rng: rand::rngs::SmallRng,
     next_xid: u32,
     handshake_done: bool,
     /// Latched once a module callback panics: the unwind is contained
@@ -283,7 +293,7 @@ impl OflopsController {
                 log: log.clone(),
                 errors: Rc::new(RefCell::new(Vec::new())),
                 pending: HashMap::new(),
-                backoff_rng: policy.jitter_seed.map(rand::rngs::SmallRng::seed_from_u64),
+                backoff_rng: rand::rngs::SmallRng::seed_from_u64(policy.jitter_seed),
                 policy,
                 next_xid: 1,
                 handshake_done: false,
@@ -461,21 +471,15 @@ impl Component for OflopsController {
             return;
         }
         // Resend the same request under the same xid. The next wait
-        // backs off: decorrelated jitter (uniform between the base
-        // timeout and 3x the previous wait, capped) when the policy
-        // carries a jitter seed, legacy deterministic doubling otherwise.
-        // Jitter keeps a burst of simultaneous timeouts from resending —
-        // and timing out again — in lockstep forever.
+        // backs off by decorrelated jitter: uniform between the base
+        // timeout and 3x the previous wait, capped. Jitter keeps a burst
+        // of simultaneous timeouts from resending — and timing out
+        // again — in lockstep forever.
+        use rand::Rng;
         let base_ps = self.policy.timeout.as_ps();
-        let backoff_ps = match self.backoff_rng.as_mut() {
-            Some(rng) => {
-                use rand::Rng;
-                let cap_ps = base_ps.saturating_mul(1 << 16);
-                let hi_ps = req.backoff_ps.saturating_mul(3).clamp(base_ps, cap_ps);
-                rng.gen_range(base_ps..=hi_ps)
-            }
-            None => base_ps << attempt.min(16),
-        };
+        let cap_ps = base_ps.saturating_mul(1 << 16);
+        let hi_ps = req.backoff_ps.saturating_mul(3).clamp(base_ps, cap_ps);
+        let backoff_ps = self.backoff_rng.gen_range(base_ps..=hi_ps);
         req.backoff_ps = backoff_ps;
         let message = req.message.clone();
         let frame = encap_control(&message, xid);

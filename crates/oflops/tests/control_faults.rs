@@ -364,6 +364,40 @@ fn controller_machinery_outlives_a_poisoned_module() {
 }
 
 #[test]
+fn reserved_timer_tag_is_a_contained_module_failure() {
+    // Tags from `1 << 40` up are the controller's retry timeouts
+    // (`base + xid`): armed by a module, one would fire as a timeout and
+    // never reach the module's `on_timer`. Both entry points refuse it.
+    struct ArmsReservedTag {
+        at: Option<SimTime>,
+    }
+    impl MeasurementModule for ArmsReservedTag {
+        fn on_ready(&mut self, ctx: &mut ModuleCtx<'_>) {
+            match self.at {
+                Some(at) => ctx.schedule_at(at, 1 << 40),
+                None => ctx.schedule(SimDuration::from_ms(1), 1 << 40),
+            }
+        }
+    }
+    for at in [Some(SimTime::from_ms(1)), None] {
+        let module = ArmsReservedTag { at };
+        let mut tb = Testbed::build(TestbedSpec::control_only(), Box::new(module));
+        tb.run_until(SimTime::from_ms(10));
+        let errors = tb.control_errors.borrow();
+        assert!(
+            matches!(
+                errors.as_slice(),
+                [oflops_turbo::ControlError {
+                    kind: ControlErrorKind::ModulePanic { boundary: "measurement module on_ready", reason },
+                    ..
+                }] if reason.contains("reserved range")
+            ),
+            "at {at:?}: {errors:?}"
+        );
+    }
+}
+
+#[test]
 fn controller_heartbeats_the_attached_probe() {
     let probe = osnt_time::ProgressProbe::new();
     let (module, state) = TrackedEcho::new(10, SimDuration::from_ms(1));

@@ -538,6 +538,6 @@ fn flow_mod_churn_is_pinned_round_by_round() {
     // re-arms itself on every firing, so this testbed never drains and
     // there is no `pending_events() == 0` to pin.
     assert_eq!(k.pending_events(), 5);
-    // Every control-plane event waited in a lane; none needed the wheel.
+    // Every control-plane event waited in a lane; none fell back to the heap.
     assert_eq!(k.queue_counts().wheel_pushes, 0);
 }
