@@ -7,7 +7,8 @@
 # a temporary directory; the committed ones are not touched.
 #
 # The last step holds `e5_legacy_latency | md5sum`, the event-order
-# pin, to its committed value.
+# pin, and the md5s of e2's and e8's output, the stamp pins, to their
+# committed values.
 #
 # Exits non-zero at the first failing step.
 set -euo pipefail
@@ -60,9 +61,16 @@ bin e15_flowtable -- --json "$out/BENCH_e15.json"
 step "E10 shard scaling (per-port digests equal at 1, 2 and 4 shards; the deepest fall-back-heap traffic outside bursts)"
 bin e10_shard_scaling -- --frames 200000 --json "$out/BENCH_shard.json"
 
-step "e5_legacy_latency | md5sum (committed event-order pin)"
-e5=$(bin e5_legacy_latency | md5sum | cut -d' ' -f1)
-echo "$e5"
-[ "$e5" = e0c6830d40f3e38dcaf66b49d8c78c51 ] || { echo "e5 trace differs from the pin e0c6830d40f3e38dcaf66b49d8c78c51" >&2; exit 1; }
+# md5_pin BIN MD5: the md5 of BIN's whole output is MD5.
+md5_pin() {
+    local got
+    got=$(bin "$1" | md5sum | cut -d' ' -f1)
+    echo "$1: $got"
+    [ "$got" = "$2" ] || { echo "$1 output differs from the pin $2" >&2; exit 1; }
+}
+step "output md5 pins: e5 (event order), e2 and e8 (drifting, jittered clock stamps)"
+md5_pin e5_legacy_latency e0c6830d40f3e38dcaf66b49d8c78c51
+md5_pin e2_timestamp 11bd5fe50cbb9f9c8b1c50aa79090f41
+md5_pin e8_noise a15a2d381395b3f279aba5a39cd7ae6f
 
 printf '\nci_local: all gate steps passed\n'

@@ -23,6 +23,10 @@
 //! * the paper's headline claim, E1 in small: a generator holds 10 GbE
 //!   line rate at 64, 512 and 1518 B, frame by frame and in bursts of
 //!   32, to the picosecond;
+//! * stamps from a drifting, jittered clock: 20 000 frames from
+//!   generator through a link to a capture-all monitor on one
+//!   `commodity_xo` card, every embedded TX stamp and every RX stamp
+//!   folded into one CRC — the only tier-1 run whose clock is not ideal;
 //! * the total event order of the two demo paths, as what each demo
 //!   prints: three E5 rows (probe latency percentiles through the
 //!   legacy switch under Poisson background load, every figure a
@@ -33,6 +37,7 @@
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
 use osnt::core::experiment::LatencyExperiment;
+use osnt::gen::txstamp::extract_at;
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
 use osnt::mon::{
@@ -49,7 +54,7 @@ use osnt::openflow::{Action, OfMatch};
 use osnt::packet::hash::{crc32, crc32_update};
 use osnt::packet::{line_rate_pps, wire_bits, MacAddr, Packet, WildcardRule};
 use osnt::switch::{encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch};
-use osnt::time::{HwClock, SimDuration, SimTime};
+use osnt::time::{DriftModel, HwClock, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -465,6 +470,49 @@ fn generator_holds_line_rate_at_every_frame_size() {
             );
         }
     }
+}
+
+#[test]
+fn commodity_clock_stamps_are_pinned() {
+    const FRAMES: u64 = 20_000;
+    // One card: the generator's port and the monitor's share its clock.
+    let card = Rc::new(RefCell::new(HwClock::new(DriftModel::commodity_xo(), 7)));
+    let (gen, _) = GeneratorPort::new(
+        Box::new(FixedTemplate::new(FixedTemplate::udp_frame(64))),
+        GenConfig {
+            count: Some(FRAMES),
+            schedule: Schedule::BackToBack,
+            stamp: Some(StampConfig::default_payload()),
+            ..GenConfig::default()
+        },
+        Rc::clone(&card),
+    );
+    let (link, _) = FaultyLink::new(FaultConfig::default()).expect("fault-free config is valid");
+    let (mon, capture, _) = MonitorPort::new(
+        MonConfig {
+            host: HostPathConfig::unlimited(),
+            ..MonConfig::default()
+        },
+        card,
+    );
+    let mut b = SimBuilder::new();
+    let g = b.add_component("gen", Box::new(gen), 1);
+    let l = b.add_component("link", Box::new(link), 2);
+    let m = b.add_component("mon", Box::new(mon), 1);
+    b.connect(g, 0, l, 0, LinkSpec::ten_gig());
+    b.connect(l, 1, m, 0, LinkSpec::ten_gig());
+    // 20 000 × 67.2 ns of wire.
+    b.build().run_until(SimTime::from_ms(2));
+
+    let capture = capture.borrow();
+    assert_eq!(capture.len() as u64, FRAMES);
+    let digest = capture.packets.iter().fold(0, |d, cap| {
+        let tx = extract_at(&cap.packet, StampConfig::DEFAULT_OFFSET).expect("stamped");
+        let d = crc32_update(d, &tx.as_raw().to_le_bytes());
+        crc32_update(d, &cap.rx_stamp.as_raw().to_le_bytes())
+    });
+    // Recorded at the parent of PR 25, where every jittered reading drew.
+    assert_eq!(digest, 0x618d_7ca6);
 }
 
 #[test]
