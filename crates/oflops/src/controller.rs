@@ -42,6 +42,59 @@ pub struct ControlLogEntry {
     pub xid: u32,
 }
 
+/// The controller's record of every control-plane event, in logging
+/// order.
+///
+/// Append-only, stored as segments that each hold twice as many entries
+/// as the one before. A full segment is never grown: the next entry
+/// opens a new one. So no entry is copied after it is written, where a
+/// `Vec` would copy the whole log on every regrowth.
+#[derive(Default)]
+pub struct ControlLog {
+    /// Every segment holds at least one entry: the push that fills a
+    /// segment's first slot opens it.
+    segments: Vec<Vec<ControlLogEntry>>,
+}
+
+impl ControlLog {
+    /// Entries in the first segment.
+    const FIRST_SEGMENT: usize = 16;
+
+    /// Entries logged.
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(Vec::len).sum()
+    }
+
+    /// True before the first entry.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// The entries in logging order.
+    pub fn iter(&self) -> impl Iterator<Item = &ControlLogEntry> + '_ {
+        self.segments.iter().flatten()
+    }
+
+    pub(crate) fn push(&mut self, entry: ControlLogEntry) {
+        match self.segments.last_mut() {
+            Some(last) if last.len() < last.capacity() => last.push(entry),
+            last => {
+                let size = last.map_or(Self::FIRST_SEGMENT, |last| 2 * last.capacity());
+                let mut segment = Vec::with_capacity(size);
+                segment.push(entry);
+                self.segments.push(segment);
+            }
+        }
+    }
+}
+
+/// Prints exactly what a `Vec` of the same entries prints.
+impl std::fmt::Debug for ControlLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// What went wrong on the control channel. These are *recorded*, not
 /// thrown: measurement modules keep correlating their remaining channels
 /// and the final report carries the error list.
@@ -138,7 +191,7 @@ pub struct ModuleCtx<'a> {
     kernel: &'a mut Kernel,
     me: ComponentId,
     next_xid: &'a mut u32,
-    log: &'a Rc<RefCell<Vec<ControlLogEntry>>>,
+    log: &'a Rc<RefCell<ControlLog>>,
     pending: &'a mut HashMap<u32, PendingRequest>,
     policy: &'a RetryPolicy,
     errors: &'a Rc<RefCell<Vec<ControlError>>>,
@@ -257,7 +310,7 @@ fn assert_module_tag(tag: u64) {
 /// control port.
 pub struct OflopsController {
     module: Box<dyn MeasurementModule>,
-    log: Rc<RefCell<Vec<ControlLogEntry>>>,
+    log: Rc<RefCell<ControlLog>>,
     errors: Rc<RefCell<Vec<ControlError>>>,
     pending: HashMap<u32, PendingRequest>,
     policy: RetryPolicy,
@@ -276,7 +329,7 @@ pub struct OflopsController {
 
 impl OflopsController {
     /// Wrap a module; returns the component and the shared control log.
-    pub fn new(module: Box<dyn MeasurementModule>) -> (Self, Rc<RefCell<Vec<ControlLogEntry>>>) {
+    pub fn new(module: Box<dyn MeasurementModule>) -> (Self, Rc<RefCell<ControlLog>>) {
         Self::with_policy(module, RetryPolicy::default())
     }
 
@@ -284,9 +337,9 @@ impl OflopsController {
     pub fn with_policy(
         module: Box<dyn MeasurementModule>,
         policy: RetryPolicy,
-    ) -> (Self, Rc<RefCell<Vec<ControlLogEntry>>>) {
+    ) -> (Self, Rc<RefCell<ControlLog>>) {
         use rand::SeedableRng;
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::new(RefCell::new(ControlLog::default()));
         (
             OflopsController {
                 module,
@@ -496,5 +549,73 @@ impl Component for OflopsController {
 
     fn name(&self) -> &str {
         "oflops-controller"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use osnt_openflow::EchoData;
+
+    fn entry(i: u32) -> ControlLogEntry {
+        ControlLogEntry {
+            time: SimTime::from_ns(u64::from(i)),
+            dir: if i.is_multiple_of(2) {
+                ControlDir::Sent
+            } else {
+                ControlDir::Received
+            },
+            message: match i % 3 {
+                0 => Message::BarrierRequest,
+                1 => Message::EchoRequest(EchoData(vec![i as u8; 3])),
+                _ => Message::Hello,
+            },
+            xid: i,
+        }
+    }
+
+    #[test]
+    fn log_iterates_in_logging_order_across_segment_boundaries() {
+        let mut log = ControlLog::default();
+        assert!(log.is_empty());
+        assert_eq!(log.iter().count(), 0);
+        // Segments of 16, 32, 64, …: 1000 entries cross six boundaries.
+        for n in 1..=1000u32 {
+            log.push(entry(n - 1));
+            assert_eq!(log.len(), n as usize);
+            assert!(!log.is_empty());
+            assert!(log.iter().map(|e| e.xid).eq(0..n), "after {n} pushes");
+        }
+    }
+
+    #[test]
+    fn log_prints_what_a_vec_of_its_entries_prints() {
+        let mut log = ControlLog::default();
+        let mut reference = Vec::new();
+        for n in 0..=200u32 {
+            if [0, 1, 15, 16, 17, 48, 49, 200].contains(&n) {
+                assert_eq!(format!("{log:?}"), format!("{reference:?}"), "{n} entries");
+                assert_eq!(
+                    format!("{log:#?}"),
+                    format!("{reference:#?}"),
+                    "{n} entries"
+                );
+            }
+            log.push(entry(n));
+            reference.push(entry(n));
+        }
+    }
+
+    #[test]
+    fn log_never_moves_an_entry() {
+        let mut log = ControlLog::default();
+        log.push(entry(0));
+        let first: *const ControlLogEntry = log.iter().next().expect("one entry");
+        for i in 1..100_000 {
+            log.push(entry(i));
+        }
+        assert_eq!(log.len(), 100_000);
+        let still: *const ControlLogEntry = log.iter().next().expect("entries");
+        assert_eq!(still, first);
     }
 }

@@ -15,7 +15,7 @@
 //! channel. Modules correlate the three channels after the run.
 
 use crate::controller::{
-    ControlError, ControlLogEntry, MeasurementModule, OflopsController, RetryPolicy,
+    ControlError, ControlLog, MeasurementModule, OflopsController, RetryPolicy,
 };
 use crate::faults::{ControlFaultConfig, ControlFaultStats, FaultyControlChannel};
 use osnt_core::{DeviceConfig, OsntDevice, PortRole};
@@ -78,7 +78,7 @@ pub struct Testbed {
     /// The simulation.
     pub sim: Sim,
     /// Control-plane event log (timestamped at the controller).
-    pub control_log: Rc<RefCell<Vec<ControlLogEntry>>>,
+    pub control_log: Rc<RefCell<ControlLog>>,
     /// Monitor A's capture buffer (switch port 2).
     pub capture_a: Rc<RefCell<CaptureBuffer>>,
     /// Monitor B's capture buffer (switch port 3).

@@ -31,8 +31,8 @@ pub mod harness;
 pub mod modules;
 
 pub use controller::{
-    ControlDir, ControlError, ControlErrorKind, ControlLogEntry, MeasurementModule, ModuleCtx,
-    OflopsController, RetryPolicy,
+    ControlDir, ControlError, ControlErrorKind, ControlLog, ControlLogEntry, MeasurementModule,
+    ModuleCtx, OflopsController, RetryPolicy,
 };
 pub use faults::{ControlFaultConfig, ControlFaultStats, FaultyControlChannel};
 pub use harness::{Testbed, TestbedSpec};

@@ -82,6 +82,12 @@ impl FlowEntry {
     fn rank(&self) -> Rank {
         (self.priority, self.of_match.specificity())
     }
+
+    /// Whether a timeout can remove the entry: 1 when it has an idle or
+    /// a hard timeout, else 0.
+    fn timed(&self) -> usize {
+        usize::from(self.idle_timeout > 0 || self.hard_timeout > 0)
+    }
 }
 
 /// Why an entry was removed (OpenFlow 1.0 `ofp_flow_removed_reason`).
@@ -117,6 +123,11 @@ pub struct FlowTable {
     next_seq: u64,
     capacity: usize,
     space: TupleSpace,
+    /// Entries with an idle or hard timeout. [`FlowTable::expire`] has
+    /// nothing to find while it is 0. Every write that can change an
+    /// entry's timeouts goes through `add` or `remove_at`, which keep it;
+    /// so no public path hands out `&mut FlowEntry`.
+    timed: usize,
 }
 
 impl FlowTable {
@@ -186,13 +197,17 @@ impl FlowTable {
             entries[i].of_match == entry.of_match
         });
         match replaced {
-            Some(i) => self.entries[i] = entry,
+            Some(i) => {
+                self.timed = self.timed - self.entries[i].timed() + entry.timed();
+                self.entries[i] = entry;
+            }
             None => {
                 if self.entries.len() >= self.capacity {
                     return Err(TableFull);
                 }
                 self.space
                     .insert(slot, self.next_seq, entry.rank(), &compiled);
+                self.timed += entry.timed();
                 self.entries.push(entry);
                 self.seqs.push(self.next_seq);
                 self.next_seq += 1;
@@ -207,15 +222,15 @@ impl FlowTable {
         let gone = self.entries.swap_remove(idx);
         self.seqs.swap_remove(idx);
         self.space.remove(idx as u32);
+        self.timed -= gone.timed();
         gone
     }
 
     /// Best-match lookup for a frame arriving on `in_port`. Ties on
     /// priority break toward more exact-match bits, then earlier
     /// installation — deterministic, like a TCAM's fixed row order.
-    pub fn lookup(&mut self, in_port: u16, packet: &ParsedPacket<'_>) -> Option<&mut FlowEntry> {
-        self.lookup_idx(in_port, packet)
-            .map(move |i| &mut self.entries[i])
+    pub fn lookup(&self, in_port: u16, packet: &ParsedPacket<'_>) -> Option<&FlowEntry> {
+        self.lookup_idx(in_port, packet).map(|i| &self.entries[i])
     }
 
     /// Index form of [`FlowTable::lookup`], for callers that need to
@@ -242,8 +257,9 @@ impl FlowTable {
 
     /// The entry at an index returned by [`FlowTable::lookup_idx`] or
     /// [`FlowTable::lookup_key_idx`].
-    /// Indices are invalidated by any table mutation.
-    pub fn entry_mut(&mut self, idx: usize) -> &mut FlowEntry {
+    /// Indices are invalidated by any table mutation. The caller must
+    /// leave the entry's timeouts as they are.
+    pub(crate) fn entry_mut(&mut self, idx: usize) -> &mut FlowEntry {
         &mut self.entries[idx]
     }
 
@@ -254,9 +270,11 @@ impl FlowTable {
         self.space.lookup(in_port, key)
     }
 
-    /// Record that `entry_bytes` matched (updates counters and idle
-    /// state). Call with the entry returned by [`FlowTable::lookup`].
-    pub fn account(entry: &mut FlowEntry, now: SimTime, frame_bytes: usize) {
+    /// Record that a frame of `frame_bytes` matched the entry at `idx`
+    /// (updates counters and idle state). `idx` comes from
+    /// [`FlowTable::lookup_idx`] or [`FlowTable::lookup_key_idx`].
+    pub fn account(&mut self, idx: usize, now: SimTime, frame_bytes: usize) {
+        let entry = &mut self.entries[idx];
         entry.packets += 1;
         entry.bytes += frame_bytes as u64;
         entry.last_match = now;
@@ -324,7 +342,16 @@ impl FlowTable {
     }
 
     /// Remove entries whose idle or hard timeout has elapsed at `now`.
+    /// Scans the table only when some entry has a timeout.
     pub fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, RemovalReason)> {
+        debug_assert_eq!(
+            self.timed,
+            self.entries.iter().map(FlowEntry::timed).sum::<usize>(),
+            "the count of entries with a timeout drifted"
+        );
+        if self.timed == 0 {
+            return Vec::new();
+        }
         let mut hits: Vec<(usize, RemovalReason)> = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
             if e.hard_timeout > 0 {
@@ -630,10 +657,8 @@ mod tests {
         t.add(e).unwrap();
         // A match at t=1.5s pushes the idle deadline to 3.5s.
         let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
-        {
-            let entry = t.lookup(0, &pkt.parse()).unwrap();
-            FlowTable::account(entry, SimTime::from_ms(1500), 64);
-        }
+        let i = t.lookup_idx(0, &pkt.parse()).unwrap();
+        t.account(i, SimTime::from_ms(1500), 64);
         assert!(t.expire(SimTime::from_secs(3)).is_empty());
         let gone = t.expire(SimTime::from_ms(3600));
         assert_eq!(gone.len(), 1);
@@ -808,9 +833,9 @@ mod tests {
         t.add(FlowEntry::new(OfMatch::any(), 1, out(1), SimTime::ZERO))
             .unwrap();
         let pkt = udp_frame(Ipv4Addr::new(1, 1, 1, 1), 1);
-        for i in 0..5 {
-            let e = t.lookup(0, &pkt.parse()).unwrap();
-            FlowTable::account(e, SimTime::from_us(i), 64);
+        for us in 0..5 {
+            let i = t.lookup_idx(0, &pkt.parse()).unwrap();
+            t.account(i, SimTime::from_us(us), 64);
         }
         let e = t.iter().next().unwrap();
         assert_eq!(e.packets, 5);

@@ -579,12 +579,11 @@ impl OpenFlowSwitch {
         in_port_wire: u16,
         packet: Packet,
     ) {
-        let entry = self.table.entry_mut(i);
-        FlowTable::account(entry, kernel.now(), packet.frame_len());
+        self.table.account(i, kernel.now(), packet.frame_len());
         // Forwarding needs `&mut self` beside the action list, so the
         // list leaves the entry for the call and goes back after: nothing
         // on the data path reads or moves table rows in between.
-        let actions = std::mem::take(&mut entry.actions);
+        let actions = std::mem::take(&mut self.table.entry_mut(i).actions);
         self.forward_with_actions(kernel, me, &actions, in_port_wire, packet);
         self.table.entry_mut(i).actions = actions;
     }

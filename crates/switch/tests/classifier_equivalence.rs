@@ -9,7 +9,11 @@
 //! compared op by op, and the entry vectors must stay byte-identical, so
 //! lookup verdicts can be compared as raw indices — including the
 //! priority/specificity/insertion-order tie-break, which the model
-//! resolves from installation numbers it keeps itself.
+//! resolves from installation numbers it keeps itself. What `expire`
+//! would remove is compared after every op too, at instants where idle
+//! and hard timeouts of every length fall due: the table skips its scan
+//! when it counts no entry with a timeout, and that count must follow
+//! every install, in-place replacement and removal.
 //!
 //! Generated matches carry **junk under their wildcards** (host bits
 //! below a prefix, values in wildcarded fields): two such matches lower
@@ -21,7 +25,7 @@
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::{Action, OfMatch};
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
-use osnt_switch::flowtable::{covers, FlowEntry, FlowTable};
+use osnt_switch::flowtable::{covers, FlowEntry, FlowTable, RemovalReason};
 use osnt_time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -45,6 +49,7 @@ struct MatchSpec {
     tp_dst: Option<u8>,
     in_port: Option<u8>,
     priority: u16,
+    idle_timeout: u16,
     hard_timeout: u16,
     /// Written wherever the match does not look: 0 leaves it clean.
     junk: u8,
@@ -92,17 +97,26 @@ enum Op {
 }
 
 fn match_spec() -> impl Strategy<Value = MatchSpec> {
-    (0u8..2, 0u8..17, 0u8..5, 0u8..4, 0u8..4, 0u8..5, 0u8..3).prop_map(
-        |(ipv4, nw, tp, inp, prio, hto, junk)| MatchSpec {
+    (
+        0u8..2,
+        0u8..17,
+        0u8..5,
+        0u8..4,
+        0u8..4,
+        0u8..5,
+        0u8..5,
+        0u8..3,
+    )
+        .prop_map(|(ipv4, nw, tp, inp, prio, ito, hto, junk)| MatchSpec {
             ipv4: ipv4 == 1,
             nw_dst: (nw < 16).then_some((nw & 3, nw >> 2)),
             tp_dst: (tp < 4).then_some(tp),
             in_port: (inp < 3).then_some(inp),
             priority: [1u16, 5, 5, 9][prio as usize],
+            idle_timeout: [0u16, 0, 0, 1, 2][ito as usize],
             hard_timeout: [0u16, 0, 0, 1, 2][hto as usize],
             junk,
-        },
-    )
+        })
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -164,6 +178,33 @@ impl Naive {
         out
     }
 
+    /// The rows a timeout removes at `now`, ascending, each with its
+    /// reason: an elapsed hard timeout first, then an idle one.
+    fn expired(&self, now: SimTime) -> Vec<(usize, RemovalReason)> {
+        let due = |from: SimTime, secs: u16| {
+            secs > 0 && now >= from + SimDuration::from_secs(secs.into())
+        };
+        (0..self.rows.len())
+            .filter_map(|i| {
+                let e = &self.rows[i].1;
+                if due(e.installed_at, e.hard_timeout) {
+                    Some((i, RemovalReason::HardTimeout))
+                } else if due(e.last_match, e.idle_timeout) {
+                    Some((i, RemovalReason::IdleTimeout))
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    fn account(&mut self, i: usize, now: SimTime, frame_bytes: usize) {
+        let e = &mut self.rows[i].1;
+        e.packets += 1;
+        e.bytes += frame_bytes as u64;
+        e.last_match = now;
+    }
+
     /// Best match by scanning: highest `(priority, specificity)`, then
     /// earliest install.
     fn lookup(&self, in_port: u16, frame: &Packet) -> Option<usize> {
@@ -214,13 +255,7 @@ impl Naive {
                 None => (0, Vec::new()),
             },
             Op::Expire => {
-                let hits = (0..self.rows.len())
-                    .filter(|&i| {
-                        let e = &self.rows[i].1;
-                        e.hard_timeout > 0
-                            && now >= e.installed_at + SimDuration::from_secs(e.hard_timeout as u64)
-                    })
-                    .collect();
+                let hits = self.expired(now).into_iter().map(|(i, _)| i).collect();
                 (0, self.remove_all(hits))
             }
         }
@@ -229,6 +264,7 @@ impl Naive {
 
 fn new_entry(s: &MatchSpec, i: usize, now: SimTime) -> FlowEntry {
     let mut e = FlowEntry::new(s.build(), s.priority, out(i as u16), now);
+    e.idle_timeout = s.idle_timeout;
     e.hard_timeout = s.hard_timeout;
     e
 }
@@ -260,6 +296,21 @@ fn agree(naive: &Naive, table: &FlowTable) -> bool {
     naive.rows.iter().map(|(_, e)| e).eq(table.iter())
 }
 
+/// `expire` on a copy of the table reports what the model's scan finds,
+/// reasons included, at `now` and at instants past every 1 s and 2 s
+/// timeout armed or refreshed by `now`.
+fn expiry_agrees(naive: &Naive, table: &FlowTable, now: SimTime) -> bool {
+    [0, 1_500, 2_000].into_iter().all(|ms| {
+        let at = now + SimDuration::from_ms(ms);
+        let want: Vec<(FlowEntry, RemovalReason)> = naive
+            .expired(at)
+            .into_iter()
+            .map(|(i, reason)| (naive.rows[i].1.clone(), reason))
+            .collect();
+        table.clone().expire(at) == want
+    })
+}
+
 proptest! {
     /// Random flow_mod histories + random traffic: the index must return
     /// the model's and the interpreter's verdict on every lookup path
@@ -276,6 +327,7 @@ proptest! {
         let mut table = FlowTable::new(capacity);
         for (i, o) in ops.iter().enumerate() {
             prop_assert_eq!(naive.apply(i, o), apply(&mut table, i, o));
+            prop_assert!(expiry_agrees(&naive, &table, SimTime::from_ms(i as u64)), "op {}", i);
         }
         prop_assert!(agree(&naive, &table));
 
@@ -291,15 +343,21 @@ proptest! {
                 let truth = naive.lookup(in_port, frame);
                 prop_assert_eq!(table.lookup_idx(in_port, &parsed), truth);
                 prop_assert_eq!(table.lookup_key_idx(in_port, &key), truth);
-                // Account on both so counters must track together.
+                // Account on both so counters and idle deadlines must
+                // track together.
                 if let Some(i) = truth {
                     let now = SimTime::from_secs(999);
-                    FlowTable::account(&mut naive.rows[i].1, now, frame.frame_len());
-                    FlowTable::account(table.entry_mut(i), now, frame.frame_len());
+                    naive.account(i, now, frame.frame_len());
+                    table.account(i, now, frame.frame_len());
                 }
             }
         }
         prop_assert!(agree(&naive, &table));
+        // Hard and unrefreshed idle timeouts are long due; a refreshed
+        // idle one falls due 1 or 2 s after the matches.
+        for ms in [998_000, 999_000, 999_500] {
+            prop_assert!(expiry_agrees(&naive, &table, SimTime::from_ms(ms)));
+        }
     }
 }
 
@@ -318,6 +376,7 @@ fn lowered_twins_stay_distinct_entries() {
             tp_dst: None,
             in_port: None,
             priority: 5,
+            idle_timeout: 0,
             hard_timeout: 0,
             junk: 0,
         },
@@ -328,6 +387,7 @@ fn lowered_twins_stay_distinct_entries() {
             tp_dst: None,
             in_port: None,
             priority: 5,
+            idle_timeout: 0,
             hard_timeout: 0,
             junk: 0,
         },
@@ -391,6 +451,70 @@ fn lowered_twins_stay_distinct_entries() {
     }
 }
 
+/// In-place re-ADDs that switch one entry's timeouts off, on, and from
+/// one kind to the other, beside an entry whose timeout never changes:
+/// after every op the table holds what the model holds and `expire`
+/// reports what the model's scan finds.
+#[test]
+fn readding_in_place_switches_timeouts_off_and_on() {
+    let plain = MatchSpec {
+        ipv4: true,
+        nw_dst: Some((0, 3)),
+        tp_dst: None,
+        in_port: None,
+        priority: 5,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        junk: 0,
+    };
+    let hard = MatchSpec {
+        hard_timeout: 1,
+        ..plain
+    };
+    let idle = MatchSpec {
+        idle_timeout: 1,
+        ..plain
+    };
+    let both = MatchSpec {
+        idle_timeout: 2,
+        hard_timeout: 1,
+        ..plain
+    };
+    let neighbour = MatchSpec {
+        tp_dst: Some(1),
+        hard_timeout: 2,
+        ..plain
+    };
+    let history = [
+        Op::Add(plain),
+        Op::Add(hard),  // off → on
+        Op::Add(plain), // on → off
+        Op::Add(neighbour),
+        Op::Add(idle), // off → on
+        Op::Add(both),
+        Op::Add(plain), // on → off
+        Op::Add(hard),  // off → on
+        Op::DeleteStrict(plain),
+        Op::Add(plain),
+        Op::Add(idle),
+        Op::Expire,
+        Op::Add(plain),
+        Op::Delete(plain), // covers the neighbour too
+    ];
+    let lens = [1, 1, 1, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 0];
+    let mut naive = Naive::new(8);
+    let mut table = FlowTable::new(8);
+    for (i, (o, len)) in history.iter().zip(lens).enumerate() {
+        assert_eq!(naive.apply(i, o), apply(&mut table, i, o), "op {i}");
+        assert_eq!(table.len(), len, "op {i}");
+        assert!(agree(&naive, &table), "op {i}");
+        assert!(
+            expiry_agrees(&naive, &table, SimTime::from_ms(i as u64)),
+            "op {i}"
+        );
+    }
+}
+
 /// Deterministic splitmix64 — a seeded op stream without touching the
 /// tables' entropy or adding dependencies.
 struct SplitMix(u64);
@@ -427,6 +551,7 @@ fn hundred_k_flowmod_churn_stays_equivalent() {
             tp_dst: ((r >> 16) & 3 != 3).then_some(((r >> 18) & 3) as u8),
             in_port: ((r >> 24) & 7 == 0).then_some(((r >> 27) & 1) as u8),
             priority: [1u16, 5, 5, 9][((r >> 32) & 3) as usize],
+            idle_timeout: [0u16, 0, 0, 2][((r >> 36) & 3) as usize],
             hard_timeout: [0u16, 0, 0, 1][((r >> 40) & 3) as usize],
             junk: ((r >> 48) % 3) as u8,
         }

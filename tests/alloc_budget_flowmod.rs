@@ -6,10 +6,12 @@
 //! barrier) runs on the control-only testbed under a counting global
 //! allocator. What a flow_mod may allocate is what it must own: the
 //! module's action list, the frame and its `Rc`, and the decoded action
-//! list on the switch — four for an ADD, two for a strict DELETE, table
-//! and log growth amortised on top. A body buffer beside the frame, a
-//! per-rule bucket or a `Vec` built to return one removed entry each
-//! cost a whole allocation per flow_mod and break the budget.
+//! list on the switch — four for an ADD, two for a strict DELETE. The
+//! one regrowth amortised on top is the flow table's and its index's;
+//! the control log never regrows, it adds a segment each time it
+//! doubles. A body buffer beside the frame, a per-rule bucket or a `Vec`
+//! built to return one removed entry each cost a whole allocation per
+//! flow_mod and break the budget.
 //!
 //! Own test binary: see `common`.
 
