@@ -1,8 +1,10 @@
 //! Simulation assembly and the run loop.
 
+use crate::burst::PacketBurst;
 use crate::component::{Component, ComponentId};
 use crate::event::EventKind;
 use crate::kernel::Kernel;
+use crate::lanes::Due;
 use crate::link::LinkSpec;
 use crate::shard::ShardedSim;
 use osnt_packet::Packet;
@@ -113,7 +115,7 @@ fn batch_limit(c: &dyn Component, first: SimTime, limit: SimTime) -> SimTime {
     }
 }
 
-/// Hand `first` — already popped and accounted, `now` at its arrival —
+/// Hand `first` — already taken and accounted, `now` at its arrival —
 /// to a batch-capable receiver together with whatever coalesces behind
 /// it before `lim`.
 fn deliver_run(
@@ -132,7 +134,110 @@ fn deliver_run(
     kernel.batch_buf = batch;
 }
 
-/// The shared run loop: pop and run every event at or before `limit`,
+/// Take `id` out of `components` for one handler call; a dispatch to a
+/// component whose handler is running is a bug.
+fn take_component(
+    components: &mut [Option<Box<dyn Component>>],
+    id: ComponentId,
+) -> Box<dyn Component> {
+    components[id.index()]
+        .take()
+        .unwrap_or_else(|| panic!("re-entrant dispatch to {}", id.index()))
+}
+
+/// A timer of `target` fires.
+fn fire_timer(
+    kernel: &mut Kernel,
+    components: &mut [Option<Box<dyn Component>>],
+    target: ComponentId,
+    tag: u64,
+) {
+    let mut c = take_component(components, target);
+    c.on_timer(kernel, target, tag);
+    components[target.index()] = Some(c);
+}
+
+/// `packet` arrives at `(dst, port)` at `time`, the instant it was
+/// taken at.
+fn deliver_frame(
+    kernel: &mut Kernel,
+    components: &mut [Option<Box<dyn Component>>],
+    (dst, port): (ComponentId, usize),
+    time: SimTime,
+    packet: Packet,
+    limit: SimTime,
+) {
+    kernel.note_rx(dst, port, packet.frame_len());
+    let mut c = take_component(components, dst);
+    // Batch delivery: when the receiver opts in, drain the run of
+    // back-to-back arrivals to the same port in one handler call. Every
+    // coalesced event is taken at its exact total-order position (see
+    // `Kernel::coalesce_arrivals`), so event order, counters and
+    // `events_dispatched` are identical to the scalar path — only the
+    // handler granularity changes.
+    if c.wants_packet_batches_on(port) {
+        let lim = batch_limit(&*c, time, limit);
+        deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
+    } else {
+        c.on_packet(kernel, dst, port, packet);
+    }
+    components[dst.index()] = Some(c);
+}
+
+/// `burst` arrives at `(dst, port)`, member 0 at `time`, the instant it
+/// was taken at.
+fn deliver_burst(
+    kernel: &mut Kernel,
+    components: &mut [Option<Box<dyn Component>>],
+    (dst, port): (ComponentId, usize),
+    time: SimTime,
+    mut burst: Box<PacketBurst>,
+    limit: SimTime,
+) {
+    let mut c = take_component(components, dst);
+    if c.wants_bursts() {
+        // Members past the window limit re-enter the queue under their
+        // own keys; the rest go to the handler whole. `now` stays at
+        // member 0's arrival for the duration of the call (see
+        // `Component::wants_bursts` for the timing contract).
+        if let Some(tail) = burst.split_after(limit) {
+            kernel.requeue_burst(dst, port, Box::new(tail));
+        }
+        for (_, packet) in burst.members() {
+            kernel.note_rx(dst, port, packet.frame_len());
+        }
+        kernel.events_dispatched += burst.len() as u64 - 1;
+        c.on_burst(kernel, dst, port, *burst);
+    } else if c.wants_packet_batches_on(port) {
+        // Batch sinks: member 0 seeds the arrival batch and the tail
+        // re-enters the queue, where `coalesce_arrivals` consumes it
+        // member-at-a-time in exact total order.
+        let lim = batch_limit(&*c, time, limit);
+        let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        kernel.note_rx(dst, port, pkt0.frame_len());
+        if !burst.is_empty() {
+            kernel.requeue_burst(dst, port, burst);
+        }
+        deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
+    } else {
+        // Exact scalar replay: each member dispatches at its own
+        // `(time, key)` slot, yielding to the queue head whenever that
+        // would scalar-dispatch first (see `Kernel::pop_burst_member`).
+        // Byte-identical total order.
+        let (_t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        kernel.note_rx(dst, port, pkt0.frame_len());
+        c.on_packet(kernel, dst, port, pkt0);
+        while let Some((_, pkt)) = kernel.pop_burst_member(dst, port, &mut burst, limit) {
+            c.on_packet(kernel, dst, port, pkt);
+        }
+        if !burst.is_empty() {
+            kernel.requeue_burst(dst, port, burst);
+        }
+    }
+    components[dst.index()] = Some(c);
+}
+
+/// The shared run loop: take and run every event at or before `limit`,
 /// retire the MAC completions due by then, and set the clock. The whole
 /// of [`Sim::run_until`] and of each [`ShardedSim`] worker — one code
 /// path, one semantics.
@@ -181,7 +286,7 @@ pub(crate) fn run_kernel_until(
     // This run's events as of the last beat; the difference is what the
     // next beat publishes.
     let mut beat_mark = 0;
-    while let Some((time, kind)) = kernel.pop_event_until(limit) {
+    while let Some(time) = kernel.next_event(limit) {
         let dispatched = kernel.events_dispatched - start;
         if dispatched - beat_mark >= HEARTBEAT_EVERY {
             check_budget(dispatched);
@@ -195,88 +300,31 @@ pub(crate) fn run_kernel_until(
                 }
             }
         }
-        match kind {
-            EventKind::Deliver { dst, port, packet } => {
-                kernel.note_rx(dst, port, packet.frame_len());
-                let mut c = components[dst.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
-                // Batch delivery: when the receiver opts in, drain the
-                // run of back-to-back arrivals to the same port in one
-                // handler call. Every coalesced event is popped at its
-                // exact total-order position (see
-                // `Kernel::coalesce_arrivals`), so event order, counters
-                // and `events_dispatched` are identical to the scalar
-                // path — only the handler granularity changes.
-                if c.wants_packet_batches_on(port) {
-                    let lim = batch_limit(&*c, time, limit);
-                    deliver_run(kernel, &mut *c, dst, port, lim, (time, packet));
-                } else {
-                    c.on_packet(kernel, dst, port, packet);
+        let queue = &mut kernel.queue;
+        match queue.due() {
+            Due::Timer => {
+                let (target, tag) = queue.take_timer();
+                fire_timer(kernel, components, target, tag);
+            }
+            Due::Frame => {
+                let to = queue.to();
+                let packet = queue.take_frame();
+                deliver_frame(kernel, components, to, time, packet, limit);
+            }
+            Due::Burst => {
+                let to = queue.to();
+                let burst = queue.take_burst();
+                deliver_burst(kernel, components, to, time, burst, limit);
+            }
+            Due::Fallback => match queue.take_fallback() {
+                EventKind::Timer { target, tag } => fire_timer(kernel, components, target, tag),
+                EventKind::Deliver { dst, port, packet } => {
+                    deliver_frame(kernel, components, (dst, port), time, packet, limit)
                 }
-                components[dst.index()] = Some(c);
-            }
-            EventKind::DeliverBurst {
-                dst,
-                port,
-                mut burst,
-            } => {
-                let mut c = components[dst.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {}", dst.index()));
-                if c.wants_bursts() {
-                    // Members past the window limit re-enter the queue
-                    // under their own keys; the rest go to the handler
-                    // whole. `now` stays at member 0's arrival for the
-                    // duration of the call (see `Component::wants_bursts`
-                    // for the timing contract).
-                    if let Some(tail) = burst.split_after(limit) {
-                        kernel.requeue_burst(dst, port, Box::new(tail));
-                    }
-                    for i in 0..burst.len() {
-                        let frame_len = burst.members()[i].1.frame_len();
-                        kernel.note_rx(dst, port, frame_len);
-                    }
-                    kernel.events_dispatched += burst.len() as u64 - 1;
-                    c.on_burst(kernel, dst, port, *burst);
-                } else if c.wants_packet_batches_on(port) {
-                    // Batch sinks: member 0 seeds the arrival batch and
-                    // the tail re-enters the queue, where
-                    // `coalesce_arrivals` consumes it member-at-a-time in
-                    // exact total order (its DeliverBurst arm).
-                    let lim = batch_limit(&*c, time, limit);
-                    let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    kernel.note_rx(dst, port, pkt0.frame_len());
-                    if !burst.is_empty() {
-                        kernel.requeue_burst(dst, port, burst);
-                    }
-                    deliver_run(kernel, &mut *c, dst, port, lim, (t0, pkt0));
-                } else {
-                    // Exact scalar replay: each member dispatches at its
-                    // own `(time, key)` slot, yielding to the queue head
-                    // whenever that would scalar-dispatch first (see
-                    // `Kernel::pop_burst_member`). Byte-identical total
-                    // order.
-                    let (_t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    kernel.note_rx(dst, port, pkt0.frame_len());
-                    c.on_packet(kernel, dst, port, pkt0);
-                    while let Some((_, pkt)) = kernel.pop_burst_member(dst, port, &mut burst, limit)
-                    {
-                        c.on_packet(kernel, dst, port, pkt);
-                    }
-                    if !burst.is_empty() {
-                        kernel.requeue_burst(dst, port, burst);
-                    }
+                EventKind::DeliverBurst { dst, port, burst } => {
+                    deliver_burst(kernel, components, (dst, port), time, burst, limit)
                 }
-                components[dst.index()] = Some(c);
-            }
-            EventKind::Timer { target, tag } => {
-                let mut c = components[target.index()]
-                    .take()
-                    .unwrap_or_else(|| panic!("re-entrant dispatch to {}", target.index()));
-                c.on_timer(kernel, target, tag);
-                components[target.index()] = Some(c);
-            }
+            },
         }
     }
     // Completions no reservation came by to retire are events of this

@@ -1,12 +1,18 @@
-//! The event queue's payload types. Ordering lives in `crate::lanes`
-//! (FIFO lanes per source, merged with the binary heap in
-//! [`crate::wheel`] for what is out of order): events dispatch in
-//! ascending `(time, key)` where the key encodes `(source component,
-//! per-source sequence)` — see [`crate::kernel::event_key`].
-//! Simultaneous events fire in source component id order, then in the
-//! order the source scheduled them: a total order computable from the
-//! event alone, identical whether the simulation runs on one thread or
-//! across shards, and whichever of a lane or the heap an event waited in.
+//! What the kernel queue's fall-back heap holds. Ordering lives in
+//! `crate::lanes`: events dispatch in ascending `(time, key)` where the
+//! key encodes `(source component, per-source sequence)` — see
+//! [`crate::kernel::event_key`]. Simultaneous events fire in source
+//! component id order, then in the order the source scheduled them: a
+//! total order computable from the event alone, identical whether the
+//! simulation runs on one thread or across shards, and whichever lane or
+//! heap an event waited in.
+//!
+//! Nearly every event waits in a lane typed by its payload — a timer
+//! lane's `(ps, key, tag)`, a frame lane's `(ps, key)` beside its
+//! `Packet`, a burst lane's boxed burst — and the lane says whom it goes
+//! to. An [`EventKind`] exists only for what is out of order for its
+//! lanes, and for a split burst's tail, in the fall-back heap, so it
+//! carries its destination itself.
 //!
 //! A frame leaving a MAC is *not* a queue entry: each output port keeps
 //! its own completions in a FIFO and retires them at the same
@@ -18,7 +24,7 @@ use crate::burst::PacketBurst;
 use crate::component::ComponentId;
 use osnt_packet::Packet;
 
-/// What happens when an event fires.
+/// A fall-back entry: what happens when it fires.
 #[derive(Debug)]
 pub(crate) enum EventKind {
     /// A frame finishes arriving at `dst`'s input `port`.
@@ -31,8 +37,7 @@ pub(crate) enum EventKind {
     /// one queue entry. Scheduled at the first member's arrival instant
     /// under the first member's event key; member `i` owns key
     /// `first_key + i`, so splitting the burst at any point restores
-    /// the exact scalar total order. Boxed to keep the common event
-    /// variants small (queue entries move by value).
+    /// the exact scalar total order.
     DeliverBurst {
         dst: ComponentId,
         port: usize,

@@ -4,7 +4,7 @@
 use crate::burst::PacketBurst;
 use crate::component::ComponentId;
 use crate::event::EventKind;
-use crate::lanes::LaneQueue;
+use crate::lanes::{Due, LaneQueue};
 use crate::link::LinkSpec;
 use crate::stats::{PortCounters, QueueCounts};
 use osnt_packet::{Packet, IFG_LEN};
@@ -65,11 +65,12 @@ impl BatchTx {
     }
 }
 
+/// An output port's link. Its far end's input port is the lane queue's
+/// to know ([`LaneQueue::connect`]).
 #[derive(Debug, Clone, Copy)]
 struct Wire {
     spec: LinkSpec,
     peer: ComponentId,
-    peer_port: usize,
 }
 
 /// A position in the total event order: `(time, event key)`.
@@ -272,7 +273,7 @@ pub struct Kernel {
     /// [`event_key`]). Indexed by component id; counts every event the
     /// component has scheduled.
     pub(crate) comp_seq: Vec<u64>,
-    pub(crate) queue: LaneQueue<EventKind>,
+    pub(crate) queue: LaneQueue,
     /// ports[component][port]
     pub(crate) ports: Vec<Vec<OutPort>>,
     pub(crate) events_dispatched: u64,
@@ -323,11 +324,8 @@ impl Kernel {
             "port {src_port} of component {} already connected",
             src.0
         );
-        port.wire = Some(Wire {
-            spec,
-            peer: dst,
-            peer_port: dst_port,
-        });
+        port.wire = Some(Wire { spec, peer: dst });
+        self.queue.connect(src.0, src_port, (dst, dst_port));
     }
 
     fn out_port_mut(&mut self, comp: ComponentId, port: usize) -> &mut OutPort {
@@ -359,8 +357,7 @@ impl Kernel {
     fn push_timer(&mut self, time: SimTime, me: ComponentId, tag: u64) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let key = next_key(&mut self.comp_seq, me);
-        self.queue
-            .push_timer(me.0, time, key, EventKind::Timer { target: me, tag });
+        self.queue.push_timer(me.0, time, key, tag);
     }
 
     /// How many events were queued so far, by where each waited: in a
@@ -509,17 +506,8 @@ impl Kernel {
             key: next_key(comp_seq, me),
             bytes: frame_len,
         });
-        queue.push_wire(
-            me.0,
-            port,
-            slot.delivery,
-            next_key(comp_seq, me),
-            EventKind::Deliver {
-                dst: wire.peer,
-                port: wire.peer_port,
-                packet,
-            },
-        );
+        let key = next_key(comp_seq, me);
+        queue.push_frame(me.0, port, slot.delivery, key, packet);
         TxResult::Transmitted {
             tx_start: slot.tx_start,
             delivery: slot.delivery,
@@ -677,25 +665,15 @@ impl Kernel {
                 .push(slot.delivery, packet);
         }
         if let Some(mut b) = burst {
-            let time = b.first_time();
-            let key = b.first_key();
-            // A one-frame "burst" ships as a plain Deliver: same key,
-            // same arrival, smaller event.
-            let ev = if b.len() == 1 {
-                let (_, packet) = b.pop_front().expect("len checked");
-                EventKind::Deliver {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    packet,
-                }
+            // A one-frame "burst" ships as a plain frame: same key, same
+            // arrival, no box on the far side.
+            if b.len() == 1 {
+                let key = b.first_key();
+                let (time, packet) = b.pop_front().expect("len checked");
+                queue.push_frame(me.0, port, time, key, packet);
             } else {
-                EventKind::DeliverBurst {
-                    dst: wire.peer,
-                    port: wire.peer_port,
-                    burst: b,
-                }
-            };
-            queue.push_wire(me.0, port, time, key, ev);
+                queue.push_burst(me.0, port, b);
+            }
         }
         if let Some(tx_end) = last_tx_end {
             p.completions.push_back(Completion {
@@ -738,8 +716,8 @@ impl Kernel {
         if t_next > limit {
             return None;
         }
-        if let Some(head) = self.queue.peek() {
-            if head < (t_next, burst.first_key()) {
+        if let Some(t) = self.queue.next_due(t_next) {
+            if (t, self.queue.due_key()) < (t_next, burst.first_key()) {
                 return None;
             }
         }
@@ -757,16 +735,16 @@ impl Kernel {
         p.counters.rx_bytes += frame_len as u64;
     }
 
-    /// Extend a delivery batch: keep popping events at or before `limit`
+    /// Extend a delivery batch: keep taking events at or before `limit`
     /// for as long as the head of the queue is another delivery to the
     /// same `(dst, port)`. Stops — leaving the queue untouched — at the
     /// first timer, foreign delivery, or event past `limit`.
     ///
-    /// Every event is popped at its exact position in the total order
+    /// Every event is taken at its exact position in the total order
     /// and stamps `now`/`events_dispatched` just like
-    /// [`Kernel::pop_event_until`], so a run with coalescing dispatches
-    /// the same events in the same order as one without — only the
-    /// handler granularity changes.
+    /// [`Kernel::next_event`], so a run with coalescing dispatches the
+    /// same events in the same order as one without — only the handler
+    /// granularity changes.
     pub(crate) fn coalesce_arrivals(
         &mut self,
         dst: ComponentId,
@@ -774,67 +752,72 @@ impl Kernel {
         limit: SimTime,
         batch: &mut Vec<(SimTime, Packet)>,
     ) {
-        let lim = limit;
-        loop {
-            let take = match self.queue.peek_item() {
-                Some((t, _seq, kind)) if t <= lim => match kind {
-                    EventKind::Deliver {
-                        dst: d, port: p, ..
-                    } => *d == dst && *p == port,
-                    EventKind::DeliverBurst {
-                        dst: d, port: p, ..
-                    } => *d == dst && *p == port,
-                    EventKind::Timer { .. } => false,
-                },
-                _ => false,
-            };
-            if !take {
+        while let Some(time) = self.queue.next_due(limit) {
+            if self.queue.due_to() != Some((dst, port)) {
                 return;
             }
-            let (time, key, kind) = self.queue.pop().expect("peeked above");
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
-            self.cur_key = key;
+            self.cur_key = self.queue.due_key();
             self.events_dispatched += 1;
-            match kind {
-                EventKind::Deliver { dst, port, packet } => {
-                    self.note_rx(dst, port, packet.frame_len());
-                    batch.push((time, packet));
+            let packet = match self.queue.due() {
+                Due::Frame => self.queue.take_frame(),
+                Due::Burst => {
+                    let burst = self.queue.take_burst();
+                    self.coalesce_burst(dst, port, limit, burst, batch);
+                    continue;
                 }
-                EventKind::DeliverBurst {
-                    dst,
-                    port,
-                    mut burst,
-                } => {
-                    // The pop above accounted for member 0 only; the
-                    // remaining members replay lazily (see
-                    // `pop_burst_member`), so the batch a coalescing run
-                    // hands to the sink is byte-identical to the scalar
-                    // event stream's.
-                    let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
-                    debug_assert_eq!(t0, time, "burst scheduled at member 0's arrival");
-                    self.note_rx(dst, port, pkt0.frame_len());
-                    batch.push((t0, pkt0));
-                    while let Some(member) = self.pop_burst_member(dst, port, &mut burst, lim) {
-                        batch.push(member);
+                Due::Fallback => match self.queue.take_fallback() {
+                    EventKind::Deliver { packet, .. } => packet,
+                    EventKind::DeliverBurst { burst, .. } => {
+                        self.coalesce_burst(dst, port, limit, burst, batch);
+                        continue;
                     }
-                    if !burst.is_empty() {
-                        self.requeue_burst(dst, port, burst);
-                    }
-                }
-                EventKind::Timer { .. } => unreachable!("filtered above"),
-            }
+                    EventKind::Timer { .. } => unreachable!("a timer is no delivery"),
+                },
+                Due::Timer => unreachable!("a timer is no delivery"),
+            };
+            self.note_rx(dst, port, packet.frame_len());
+            batch.push((time, packet));
         }
     }
 
-    /// Pop the next event if it fires at or before `limit`.
-    pub(crate) fn pop_event_until(&mut self, limit: SimTime) -> Option<(SimTime, EventKind)> {
-        let (time, key, kind) = self.queue.pop_at_or_before(limit)?;
+    /// The burst arm of [`Kernel::coalesce_arrivals`]: `burst` was just
+    /// taken at member 0's position, which accounted for member 0 only.
+    /// The remaining members replay lazily (see `pop_burst_member`), so
+    /// the batch a coalescing run hands to the sink is byte-identical to
+    /// the scalar event stream's.
+    fn coalesce_burst(
+        &mut self,
+        dst: ComponentId,
+        port: usize,
+        limit: SimTime,
+        mut burst: Box<PacketBurst>,
+        batch: &mut Vec<(SimTime, Packet)>,
+    ) {
+        let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        debug_assert_eq!(t0, self.now, "burst scheduled at member 0's arrival");
+        self.note_rx(dst, port, pkt0.frame_len());
+        batch.push((t0, pkt0));
+        while let Some(member) = self.pop_burst_member(dst, port, &mut burst, limit) {
+            batch.push(member);
+        }
+        if !burst.is_empty() {
+            self.requeue_burst(dst, port, burst);
+        }
+    }
+
+    /// Find the next event if it fires at or before `limit`, and stand
+    /// the clock on it: the caller takes it from `self.queue` by its
+    /// [`Due`].
+    #[inline]
+    pub(crate) fn next_event(&mut self, limit: SimTime) -> Option<SimTime> {
+        let time = self.queue.next_due(limit)?;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
-        self.cur_key = key;
+        self.cur_key = self.queue.due_key();
         self.events_dispatched += 1;
-        Some((time, kind))
+        Some(time)
     }
 
     /// The end-of-run sweep: retire, on every port, the completions due

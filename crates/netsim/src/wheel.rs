@@ -98,15 +98,6 @@ impl<T> TimerWheel<T> {
             .pop()
             .map(|e| (SimTime::from_ps(e.ps), e.seq, e.item))
     }
-
-    /// Remove and return the earliest pending item only if it fires at
-    /// or before `limit`.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, u64, T)> {
-        if self.heap.peek()?.ps > limit.as_ps() {
-            return None;
-        }
-        self.pop()
-    }
 }
 
 impl<T> Default for TimerWheel<T> {

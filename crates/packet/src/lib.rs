@@ -104,28 +104,30 @@ pub const MAX_FRAME: usize = 1518;
 /// representation. [`Packet::truncate`] only moves the visible-length
 /// mark, so thinning a captured copy is O(1) and leaves the original
 /// untouched.
+///
+/// # Two words
+///
+/// A packet is a pointer and a length word, and the FCS verdict is the
+/// length word's top bit, so a packet moves in two registers through
+/// `transmit`, the kernel's queue and every handler.
 #[derive(Clone)]
 pub struct Packet {
     buf: Rc<pool::PoolBuf>,
-    /// Visible prefix of `buf.data`: invariant `len <= buf.data.len()`.
+    /// The visible prefix of `buf.data` (`len() <= buf.data.len()`), with
+    /// [`FCS_BAD`] set once the frame check sequence no longer verifies.
     len: usize,
-    /// Whether the (implicit) frame check sequence still verifies — false
-    /// after in-flight corruption.
-    fcs_ok: bool,
 }
+
+/// The bit of [`Packet`]'s length word that marks a bad FCS. No buffer
+/// is that long.
+const FCS_BAD: usize = 1 << (usize::BITS - 1);
+
+const _: () = assert!(core::mem::size_of::<Packet>() == 2 * core::mem::size_of::<usize>());
 
 impl Packet {
     /// Wrap raw frame bytes (L2 header .. payload, no FCS).
     pub fn from_vec(data: Vec<u8>) -> Self {
-        let len = data.len();
-        Packet {
-            buf: Rc::new(pool::PoolBuf {
-                data,
-                home: Weak::new(),
-            }),
-            len,
-            fcs_ok: true,
-        }
+        Packet::from_pool_parts(data, Weak::new())
     }
 
     /// Build a frame of conventional size `frame_len` (incl. FCS) filled
@@ -139,17 +141,17 @@ impl Packet {
     /// Assemble from a pool-owned buffer (used by [`pool::PacketPool`]).
     pub(crate) fn from_pool_parts(data: Vec<u8>, home: Weak<pool::PoolInner>) -> Self {
         let len = data.len();
+        assert!(len & FCS_BAD == 0, "a frame of {len} bytes");
         Packet {
             buf: Rc::new(pool::PoolBuf { data, home }),
             len,
-            fcs_ok: true,
         }
     }
 
     /// Frame bytes (no FCS).
     #[inline]
     pub fn data(&self) -> &[u8] {
-        &self.buf.data[..self.len]
+        &self.buf.data[..self.len()]
     }
 
     /// Mutable frame bytes. If the storage is shared with clones, the
@@ -161,19 +163,21 @@ impl Packet {
         if Rc::strong_count(&self.buf) != 1 {
             self.unshare();
         }
+        let len = self.len();
         let buf = Rc::get_mut(&mut self.buf).expect("unshared above");
-        &mut buf.data[..self.len]
+        &mut buf.data[..len]
     }
 
     /// Copy the visible bytes into private storage (the slow path of
     /// [`Packet::data_mut`], kept out of line).
     #[cold]
     fn unshare(&mut self) {
+        let len = self.len();
         let mut data = match self.buf.home.upgrade() {
-            Some(pool) => pool.take_buf(self.len),
-            None => Vec::with_capacity(self.len),
+            Some(pool) => pool.take_buf(len),
+            None => Vec::with_capacity(len),
         };
-        data.extend_from_slice(&self.buf.data[..self.len]);
+        data.extend_from_slice(&self.buf.data[..len]);
         self.buf = Rc::new(pool::PoolBuf {
             data,
             home: self.buf.home.clone(),
@@ -190,7 +194,7 @@ impl Packet {
     /// Consume into an owned buffer of the visible bytes. Steals the
     /// storage without copying when this packet is the sole owner.
     pub fn into_vec(self) -> Vec<u8> {
-        let len = self.len;
+        let len = self.len();
         match Rc::try_unwrap(self.buf) {
             Ok(mut pb) => {
                 // Sole owner: steal. `PoolBuf::drop` then sees an empty
@@ -206,20 +210,20 @@ impl Packet {
     /// Stored length (no FCS).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len & !FCS_BAD
     }
 
     /// True if the frame holds no bytes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Conventional frame length: stored bytes + FCS. This is the "packet
     /// size" of every table in the paper (64…1518).
     #[inline]
     pub fn frame_len(&self) -> usize {
-        self.len + FCS_LEN
+        self.len() + FCS_LEN
     }
 
     /// Bytes this frame occupies on the wire including preamble, SFD and
@@ -236,9 +240,9 @@ impl Packet {
     /// *thinning* / snapping). The conventional `frame_len` shrinks
     /// accordingly; callers that need the original length must record it
     /// before cutting. O(1): only the visible-length mark moves, shared
-    /// storage is untouched.
+    /// storage is untouched. The FCS verdict is kept.
     pub fn truncate(&mut self, keep: usize) {
-        self.len = self.len.min(keep);
+        self.len = (self.len & FCS_BAD) | self.len().min(keep);
     }
 
     /// Parse the frame's headers (convenience for
@@ -252,7 +256,7 @@ impl Packet {
     /// corruption ([`Packet::flip_bit`] / [`Packet::mark_fcs_bad`]).
     #[inline]
     pub fn fcs_ok(&self) -> bool {
-        self.fcs_ok
+        self.len & FCS_BAD == 0
     }
 
     /// Corrupt the frame in flight: flip bit `bit` (indexed over the
@@ -261,18 +265,18 @@ impl Packet {
     /// so corrupting a captured/forwarded clone never touches siblings.
     /// No-op on empty frames.
     pub fn flip_bit(&mut self, bit: usize) {
-        if self.len == 0 {
+        if self.is_empty() {
             return;
         }
-        let bit = bit % (self.len * 8);
+        let bit = bit % (self.len() * 8);
         self.data_mut()[bit / 8] ^= 0x80 >> (bit % 8);
-        self.fcs_ok = false;
+        self.mark_fcs_bad();
     }
 
     /// Invalidate the FCS without touching the bytes (models corruption
     /// confined to the FCS trailer itself, which OSNT-rs does not store).
     pub fn mark_fcs_bad(&mut self) {
-        self.fcs_ok = false;
+        self.len |= FCS_BAD;
     }
 }
 
@@ -459,6 +463,35 @@ mod tests {
         p.mark_fcs_bad();
         assert!(!p.fcs_ok());
         assert_eq!(p.data(), &[5; 60][..]);
+    }
+
+    /// The verdict shares a word with the length: neither may leak into
+    /// the other through a cut, a copy or a corruption.
+    #[test]
+    fn the_fcs_verdict_rides_beside_the_length() {
+        let mut p = Packet::zeroed(1518);
+        p.mark_fcs_bad();
+        assert_eq!((p.len(), p.frame_len(), p.data().len()), (1514, 1518, 1514));
+        let copy = p.clone();
+        assert!(!copy.fcs_ok(), "a clone shares the verdict");
+        p.truncate(64);
+        assert!(!p.fcs_ok(), "truncate keeps a bad FCS");
+        assert_eq!((p.len(), p.data().len()), (64, 64));
+        p.truncate(2_000);
+        assert_eq!(p.len(), 64, "truncate never lengthens");
+        assert_eq!(p.clone().into_vec().len(), 64);
+
+        let mut q = Packet::zeroed(64);
+        q.truncate(10);
+        assert!(q.fcs_ok(), "truncate keeps a good FCS");
+        q.flip_bit(3);
+        assert!(!q.fcs_ok() && q.len() == 10);
+        q.mark_fcs_bad();
+        assert!(
+            !q.fcs_ok() && q.len() == 10,
+            "marking twice changes nothing"
+        );
+        assert_eq!(q.data()[0], 0x10);
     }
 
     #[test]

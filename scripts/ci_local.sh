@@ -27,7 +27,7 @@ cargo test --workspace -q
 step "fault models under a second RNG seed"
 OSNT_FAULT_SEED=2 cargo test -q -p osnt-netsim -p oflops-turbo
 step "bottom crates, switch and controller in release (debug_assert! and overflow checks are off where the benchmark runs)"
-cargo test --release -q -p osnt-time -p osnt-netsim -p osnt-switch -p oflops-turbo
+cargo test --release -q -p osnt-time -p osnt-packet -p osnt-netsim -p osnt-switch -p oflops-turbo
 step "rustfmt"
 cargo fmt --all --check
 step "clippy"

@@ -2,7 +2,7 @@
 # A flat sampling profile of an unmodified binary, with nothing but the
 # host's cc and nm (this host has no perf, gdb or valgrind):
 #
-#   scripts/flatprof.sh [-n ROWS] BINARY [ARGS...]
+#   scripts/flatprof.sh [-n ROWS] [-a REGEX] BINARY [ARGS...]
 #   scripts/flatprof.sh .bench_build/release/e0_pipeline --workload p1_legacy_load \
 #       --seed 1 --seconds 40 --trace 0 --expected scripts/e0/expected.json
 #
@@ -12,11 +12,19 @@
 # binary's output goes to stderr, the table to stdout. CPU time only,
 # one sample per kernel tick at most (250 a second here); build with
 # symbols (cargo's release profile keeps them).
+#
+# -a REGEX then disassembles (objdump -d) every symbol whose demangled
+# name matches the awk regex and prints each sampled instruction with
+# its count and share of all samples, in address order. A stall shows
+# as one hot instruction: the sample lands on the instruction that
+# waits, usually a load right after narrower stores to the same bytes.
 set -euo pipefail
-rows=25
-while getopts n: o; do case $o in n) rows=$OPTARG ;; *) exit 2 ;; esac; done
+rows=25 annotate=
+while getopts n:a: o; do
+    case $o in n) rows=$OPTARG ;; a) annotate=$OPTARG ;; *) exit 2 ;; esac
+done
 shift $((OPTIND - 1))
-[ $# -ge 1 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
 bin=$(command -v "$1") || { echo "flatprof: no such binary: $1" >&2; exit 2; }
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -90,3 +98,39 @@ FLATPROF_OUT=$tmp/samples LD_PRELOAD=$tmp/flatprof.so "$bin" "${@:2}" >&2
         fflush()
         for (s in hits) printf "%6.1f %%  %7d  %s\n", 100 * hits[s] / total, hits[s], s | top
     }'
+
+[ -n "$annotate" ] || exit 0
+
+# The sampled symbols that match, each with its extent: up to the next
+# symbol at a higher address.
+cut -d' ' -f1 "$tmp/samples" | LC_ALL=C sort | uniq -c >"$tmp/per_pc"
+{
+    nm -C --defined-only "$bin" | awk '$2 ~ /^[tTwW]$/ { a = $1; $1 = $2 = ""; sub(/^ +/, ""); print a, "a", $0 }'
+    awk '{ print $2, "b" }' "$tmp/per_pc"
+} | LC_ALL=C sort -k1,1 -k2,2 | awk -v re="$annotate" '
+    $2 == "b" { hit = hit || match_; next }
+    $1 != at { if (hit) print at, $1, sym; at = $1; hit = 0 }
+    { $1 = $2 = ""; sub(/^ +/, ""); sym = $0; match_ = sym ~ re }' >"$tmp/ranges"
+[ -s "$tmp/ranges" ] || { echo "flatprof: no sampled symbol matches $annotate" >&2; exit 1; }
+total=$(wc -l <"$tmp/samples")
+while read -r start stop name; do
+    objdump -d --no-show-raw-insn -C --start-address="0x$start" --stop-address="0x$stop" "$bin" |
+        awk -v total="$total" -v name="$name" '
+            NR == FNR { hits[$2] = $1; next }
+            match($0, /^ *[0-9a-f]+:/) {
+                a = substr($0, RSTART, RLENGTH - 1)
+                gsub(/ /, "", a)
+                a = sprintf("%16s", a)
+                gsub(/ /, "0", a)
+                if (!(a in hits)) next
+                insn = substr($0, RLENGTH + 1)
+                sub(/^[ \t]+/, "", insn)
+                n++; sum += hits[a]
+                line[n] = sprintf("%6.2f %%  %7d  %s  %s", 100 * hits[a] / total, hits[a], a, insn)
+            }
+            END {
+                if (!n) exit
+                printf "\n%s: %d samples, %.1f %%\n", name, sum, 100 * sum / total
+                for (i = 1; i <= n; i++) print line[i]
+            }' "$tmp/per_pc" -
+done <"$tmp/ranges"
