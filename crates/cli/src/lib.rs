@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! A tiny, dependency-free flag parser, shared by the `osnt` binary
 //! and the `osnt-bench` experiment binaries.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `osnt` — the OSNT-rs command-line interface.
 //!
 //! The paper: "OSNT consists of a software driver supporting
@@ -182,7 +183,7 @@ mod tests {
             last_progress: 42,
         });
         let panicked = CliError::from(OsntError::Panicked {
-            context: "shard worker",
+            context: "measurement module",
             reason: "boom".into(),
         });
         let partial = CliError::from(OsntError::NoSamples {

@@ -24,12 +24,12 @@
 //!   array is allocated once up front (58 KiB); recording a sample never
 //!   allocates.
 //!
-//! Summaries [`merge`](StreamingSummary::merge) across shards:
+//! Summaries [`merge`](StreamingSummary::merge) across runs:
 //! count/min/max and the histogram (hence percentiles) combine exactly
 //! and order-independently; mean/stddev combine by Chan's parallel
 //! update (order-independent up to floating-point association); jitter
 //! concatenates the two sequences, which is inherently
-//! sequence-dependent — merge in shard order when jitter matters.
+//! sequence-dependent — merge in run order when jitter matters.
 
 use crate::latency::Summary;
 use osnt_time::SimDuration;
@@ -212,7 +212,7 @@ impl StreamingSummary {
     }
 
     /// Fold `other` into `self` as if `other`'s samples were recorded
-    /// after `self`'s (shard merge). count/min/max and the histogram
+    /// after `self`'s (run merge). count/min/max and the histogram
     /// combine exactly regardless of merge order; mean/stddev combine
     /// by Chan's update (order-independent up to f64 association);
     /// jitter gains the single boundary term `|other.first − self.last|`

@@ -86,9 +86,9 @@ pub enum OsntError {
         /// The underlying I/O detail.
         reason: String,
     },
-    /// A contained panic: a shard worker or a measurement module
-    /// unwound, was caught at the containment boundary, and converted
-    /// into this error instead of poisoning the process.
+    /// A contained panic: a measurement module unwound, was caught at
+    /// the containment boundary, and converted into this error instead
+    /// of poisoning the process.
     Panicked {
         /// The containment boundary that caught it.
         context: &'static str,

@@ -6,7 +6,6 @@ use crate::event::EventKind;
 use crate::kernel::Kernel;
 use crate::lanes::Due;
 use crate::link::LinkSpec;
-use crate::shard::ShardedSim;
 use osnt_packet::Packet;
 use osnt_time::SimTime;
 
@@ -80,27 +79,6 @@ impl SimBuilder {
             names: self.names,
             started: false,
         }
-    }
-
-    /// Finish construction as a [`ShardedSim`]: wire-connected
-    /// component groups stay together and are packed onto at most
-    /// `n_shards` worker threads, largest group first. A topology whose
-    /// graph is one connected component is a single shard and runs on
-    /// the calling thread, exactly like [`SimBuilder::build`].
-    ///
-    /// The caller must uphold one rule the builder cannot see:
-    /// components that share non-`Send` state (an `Rc<RefCell<..>>`
-    /// clock, a shared result log) must be **wire-connected**
-    /// (transitively), so that they land on the same shard — the wiring
-    /// is visible to this builder, Rust-level sharing is not. Harness
-    /// code may keep `Rc` aliases into components but touches them only
-    /// between runs.
-    ///
-    /// The run is byte-identical to [`SimBuilder::build`] plus
-    /// [`Sim::run_until`]: same event order, counters, and component
-    /// state. See `crate::shard` for the determinism argument.
-    pub fn build_auto_sharded(self, n_shards: usize) -> ShardedSim {
-        ShardedSim::build(self.kernel, self.components, n_shards)
     }
 }
 
@@ -239,8 +217,7 @@ fn deliver_burst(
 
 /// The shared run loop: take and run every event at or before `limit`,
 /// retire the MAC completions due by then, and set the clock. The whole
-/// of [`Sim::run_until`] and of each [`ShardedSim`] worker — one code
-/// path, one semantics.
+/// of [`Sim::run_until`] and [`Sim::run_to_quiescence`].
 ///
 /// The clock ends at `limit`, with two exceptions. `SimTime::MAX` is no
 /// limit at all ([`Sim::run_to_quiescence`]): the clock then stays at
@@ -259,7 +236,7 @@ fn deliver_burst(
 /// heartbeat, which is what lets a watchdog unwedge a livelocked
 /// simulation — events that never advance virtual time still pass
 /// through this check.
-pub(crate) fn run_kernel_until(
+fn run_kernel_until(
     kernel: &mut Kernel,
     components: &mut [Option<Box<dyn Component>>],
     limit: SimTime,
@@ -687,46 +664,6 @@ mod tests {
         let mut b = SimBuilder::new();
         b.add_component("metronome", Box::new(Metronome), 0);
         b.build().run_to_quiescence(1_000);
-    }
-
-    /// The sharded twin, on the calling thread (1 shard) and on workers
-    /// (2): the overrun is a typed error, and the finite group beside
-    /// the runaway one still drains.
-    #[test]
-    fn sharded_run_to_quiescence_enforces_its_event_cap() {
-        for shards in [1, 2] {
-            let arrivals = Rc::new(RefCell::new(Vec::new()));
-            let mut b = SimBuilder::new();
-            b.add_component("metronome", Box::new(Metronome), 0);
-            let tx = b.add_component(
-                "blaster",
-                Box::new(Blaster {
-                    n: 5,
-                    frame_len: 64,
-                    results: Rc::new(RefCell::new(Vec::new())),
-                }),
-                1,
-            );
-            let rx = b.add_component(
-                "sink",
-                Box::new(Sink {
-                    arrivals: arrivals.clone(),
-                }),
-                1,
-            );
-            b.connect(tx, 0, rx, 0, LinkSpec::ten_gig());
-            let mut sim = b.build_auto_sharded(shards);
-            assert_eq!(sim.n_shards(), shards);
-            match sim.try_run_to_quiescence(1_000) {
-                Err(osnt_error::OsntError::Panicked { reason, .. }) => {
-                    assert!(reason.contains("did not quiesce within 1000 events"))
-                }
-                other => panic!("{shards} shard(s): expected Panicked, got {other:?}"),
-            }
-            if shards == 2 {
-                assert_eq!(arrivals.borrow().len(), 5);
-            }
-        }
     }
 
     /// Arrivals order by time, and at the same instant by source

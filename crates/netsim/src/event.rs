@@ -3,9 +3,8 @@
 //! key encodes `(source component, per-source sequence)` — see
 //! [`crate::kernel::event_key`]. Simultaneous events fire in source
 //! component id order, then in the order the source scheduled them: a
-//! total order computable from the event alone, identical whether the
-//! simulation runs on one thread or across shards, and whichever lane or
-//! heap an event waited in.
+//! total order computable from the event alone, identical whichever lane
+//! or heap an event waited in.
 //!
 //! Nearly every event waits in a lane typed by its payload — a timer
 //! lane's `(ps, key, tag)`, a frame lane's `(ps, key)` beside its

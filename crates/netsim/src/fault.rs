@@ -221,9 +221,9 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Fold another tally into this one.
-    /// Campaign reports aggregate per-link counters across links, seeds
-    /// and shards; every field is a sum, so accumulation is associative
-    /// and order-independent.
+    /// Campaign reports aggregate per-link counters across links and
+    /// seeds; every field is a sum, so accumulation is associative and
+    /// order-independent.
     pub fn accumulate(&mut self, other: &FaultStats) {
         self.offered += other.offered;
         self.dropped += other.dropped;

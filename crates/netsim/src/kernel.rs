@@ -65,14 +65,6 @@ impl BatchTx {
     }
 }
 
-/// An output port's link. Its far end's input port is the lane queue's
-/// to know ([`LaneQueue::connect`]).
-#[derive(Debug, Clone, Copy)]
-struct Wire {
-    spec: LinkSpec,
-    peer: ComponentId,
-}
-
 /// A position in the total event order: `(time, event key)`.
 type OrderPos = (SimTime, u64);
 
@@ -96,9 +88,20 @@ impl Completion {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One output port: its MAC and its counters.
+///
+/// Aligned to a cache line, so that each port covers exactly two lines
+/// wherever the allocator puts it (a heap block is only 16-byte
+/// aligned). At the same 128 bytes unaligned, the benchmark's
+/// `p2_churn` read 5–7 % below this layout in every measured run on two
+/// hosts (EXPERIMENTS.md, "OutPort layout", which also lists what the
+/// alignment costs the other workloads).
+#[derive(Debug)]
+#[repr(align(64))]
 pub(crate) struct OutPort {
-    wire: Option<Wire>,
+    /// The link out of this port. Its far end is the lane queue's to
+    /// know ([`LaneQueue::connect`]).
+    wire: Option<LinkSpec>,
     /// Instant the MAC becomes free to start another frame (includes the
     /// inter-frame gap of the previous frame).
     busy_until: SimTime,
@@ -117,6 +120,8 @@ pub(crate) struct OutPort {
     buffer_bytes: Option<usize>,
     counters: PortCounters,
 }
+
+const _: () = assert!(std::mem::size_of::<OutPort>() == 128, "two cache lines");
 
 /// The wire slot the MAC reserved for one frame.
 #[derive(Debug, Clone, Copy)]
@@ -184,7 +189,7 @@ impl OutPort {
     #[inline]
     fn reserve(
         &mut self,
-        wire: &Wire,
+        wire: &LinkSpec,
         earliest: SimTime,
         frame_len: usize,
         wire_len: usize,
@@ -199,8 +204,8 @@ impl OutPort {
         let (ser_visible, ser_total) = match *memo {
             Some((len, vis, tot)) if len == wire_len => (vis, tot),
             _ => {
-                let vis = wire.spec.serialization(wire_len - IFG_LEN);
-                let tot = wire.spec.serialization(wire_len);
+                let vis = wire.serialization(wire_len - IFG_LEN);
+                let tot = wire.serialization(wire_len);
                 *memo = Some((wire_len, vis, tot));
                 (vis, tot)
             }
@@ -214,7 +219,7 @@ impl OutPort {
         Some(Slot {
             tx_start,
             tx_end,
-            delivery: tx_end + wire.spec.propagation,
+            delivery: tx_end + wire.propagation,
         })
     }
 }
@@ -232,9 +237,8 @@ pub(crate) const MAX_COMPONENTS: usize = 1 << (64 - SRC_SEQ_BITS);
 /// one instant break by source component id, then by the order the
 /// source scheduled them. Crucially the key depends only on *which*
 /// component scheduled the event and on that component's own scheduling
-/// history — never on the global interleaving — so a sharded run
-/// computes byte-identical keys to the single-threaded kernel and
-/// dispatches in byte-identical order.
+/// history — never on the global interleaving — so the order is
+/// independent of which lane or heap holds the event.
 #[inline]
 pub(crate) fn event_key(src: ComponentId, ctr: u64) -> u64 {
     // 2^40 events per component outlasts any realistic run (a port at
@@ -324,7 +328,7 @@ impl Kernel {
             "port {src_port} of component {} already connected",
             src.0
         );
-        port.wire = Some(Wire { spec, peer: dst });
+        port.wire = Some(spec);
         self.queue.connect(src.0, src_port, (dst, dst_port));
     }
 
@@ -365,39 +369,6 @@ impl Kernel {
     /// these but reports and tests.
     pub fn queue_counts(&self) -> QueueCounts {
         self.queue.counts()
-    }
-
-    /// Every installed simplex wire as `(src, peer)` — the shard
-    /// builder partitions by these.
-    pub(crate) fn wire_endpoints(&self) -> impl Iterator<Item = (ComponentId, ComponentId)> + '_ {
-        self.ports.iter().enumerate().flat_map(|(src, ports)| {
-            ports
-                .iter()
-                .filter_map(move |p| p.wire.map(|w| (ComponentId(src), w.peer)))
-        })
-    }
-
-    /// Clone this kernel's static state (wiring, counters, clock) for
-    /// one shard of a sharded build. Nothing may be pending: events are
-    /// created per-shard by `on_start`.
-    pub(crate) fn replicate_for_shard(&self) -> Kernel {
-        assert_eq!(
-            self.pending_events(),
-            0,
-            "replicate before scheduling events"
-        );
-        Kernel {
-            now: self.now,
-            cur_key: self.cur_key,
-            comp_seq: self.comp_seq.clone(),
-            queue: self.queue.empty_like(),
-            ports: self.ports.clone(),
-            events_dispatched: 0,
-            // Shards share the one probe: `fetch_max` publishing keeps
-            // the high-water mark coherent across workers.
-            progress: self.progress.clone(),
-            batch_buf: Vec::new(),
-        }
     }
 
     /// Arm a timer for `me` firing after `delay` with discriminator

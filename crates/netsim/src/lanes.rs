@@ -200,15 +200,6 @@ impl LaneQueue {
         self.ports[self.first_port[src] + port].peer = peer;
     }
 
-    /// An empty queue with this one's lanes and wiring.
-    pub(crate) fn empty_like(&self) -> Self {
-        let mut q = LaneQueue::new();
-        q.timers.resize_with(self.timers.len(), VecDeque::new);
-        q.ports = self.ports.iter().map(|p| PortLanes::new(p.peer)).collect();
-        q.first_port = self.first_port.clone();
-        q
-    }
-
     /// One more entry went into a lane.
     #[inline]
     fn entered(&mut self) {
@@ -683,12 +674,6 @@ mod tests {
         let counts = q.counts();
         assert_eq!((counts.lane_pushes, counts.wheel_pushes), (9, 1));
         assert_eq!(q.len(), 10);
-
-        let shape = q.empty_like();
-        assert_eq!(shape.len(), 0);
-        assert_eq!(shape.timers.len(), q.timers.len());
-        assert_eq!(shape.ports[0].peer, (ComponentId(1), 2));
-        assert_eq!(shape.counts(), QueueCounts::default());
 
         let order: Vec<u64> = std::iter::from_fn(|| {
             q.next_due(SimTime::MAX)?;

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 //! # osnt-netsim — a picosecond-resolution discrete-event network simulator
 //!
 //! This crate is the **hardware substitute** of OSNT-rs (see DESIGN.md §2):
@@ -21,15 +21,11 @@
 //!
 //! The design is event-driven in the reactor style: a totally ordered
 //! event queue — ascending `(time, source component, per-source
-//! sequence)`, fully deterministic and independent of how the run is
-//! partitioned — dispatches to [`Component`]s, which react by
-//! scheduling timers and transmitting frames through the [`Kernel`].
-//! Components are wired port-to-port with [`LinkSpec`]s at build time
-//! ([`SimBuilder`]), then the simulation is driven with
-//! [`Sim::run_until`] — or, when the topology is several wire-disjoint
-//! groups, one worker thread per group with
-//! [`SimBuilder::build_auto_sharded`] (see [`shard`]) for byte-identical
-//! results.
+//! sequence)`, fully deterministic — dispatches to [`Component`]s,
+//! which react by scheduling timers and transmitting frames through the
+//! [`Kernel`]. Components are wired port-to-port with [`LinkSpec`]s at
+//! build time ([`SimBuilder`]), then the simulation is driven on one
+//! thread with [`Sim::run_until`].
 //!
 //! ```
 //! use osnt_netsim::{Component, Kernel, ComponentId, LinkSpec, SimBuilder};
@@ -71,7 +67,6 @@ pub mod fault;
 pub mod kernel;
 mod lanes;
 pub mod link;
-pub mod shard;
 pub mod stats;
 pub mod wheel;
 
@@ -81,6 +76,5 @@ pub use engine::{Sim, SimBuilder};
 pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};
 pub use kernel::{BatchTx, Kernel, TxResult};
 pub use link::LinkSpec;
-pub use shard::ShardedSim;
 pub use stats::{PortCounters, QueueCounts, ShardStats};
 pub use wheel::TimerWheel;

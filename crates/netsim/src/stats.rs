@@ -43,8 +43,7 @@ pub struct QueueCounts {
     /// Pushes that went to the fall-back heap (`TimerWheel`, named for
     /// what it once was): out of order for every lane of their source,
     /// or the tail of a burst split at dispatch. (How often a burst is
-    /// split depends on what else the kernel holds, so with burst
-    /// traffic this count differs between shard counts; the events
+    /// split depends on what else the kernel holds; the events
     /// dispatched do not.)
     pub wheel_pushes: u64,
 }

@@ -650,7 +650,7 @@ mod tests {
             let mut w = JournalWriter::create(&path, 4).unwrap();
             w.header(&demo_header()).unwrap();
             w.phase_start(0).unwrap();
-            w.aborted(0, 123_456_789, "watchdog: shard 2 stalled for 5s")
+            w.aborted(0, 123_456_789, "watchdog: sim stalled for 5s")
                 .unwrap();
         }
         let rec = recover(&path).unwrap();
@@ -659,7 +659,7 @@ mod tests {
             Some(AbortRecord {
                 phase: 0,
                 last_progress: 123_456_789,
-                reason: "watchdog: shard 2 stalled for 5s".into(),
+                reason: "watchdog: sim stalled for 5s".into(),
             })
         );
         assert!(!rec.clean_close);

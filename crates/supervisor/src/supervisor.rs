@@ -71,9 +71,8 @@ impl Default for SupervisorConfig {
 /// must wire into its simulation, and journal access for bulk data.
 pub struct PhaseCtx<'a> {
     /// Heartbeat + cooperative-abort channel. The phase **must** attach
-    /// this to its simulation (`Sim::attach_progress` /
-    /// `ShardedSim::attach_progress`), or the watchdog will see a flat
-    /// heartbeat and abort a perfectly healthy run.
+    /// this to its simulation (`Sim::attach_progress`), or the watchdog
+    /// will see a flat heartbeat and abort a perfectly healthy run.
     pub probe: Arc<ProgressProbe>,
     journal: &'a mut JournalWriter,
     phase: u16,

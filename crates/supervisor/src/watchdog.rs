@@ -1,9 +1,9 @@
 //! # Deadline watchdog
 //!
-//! A wedged shard, a livelocked component scheduling zero-delay timers,
-//! or a stalled control channel all share one observable symptom: the
-//! run's *simulated-time* high-water mark stops advancing while wall
-//! clock keeps ticking. (Event counts are the wrong heartbeat — a
+//! A livelocked component scheduling zero-delay timers and a stalled
+//! control channel share one observable symptom: the run's
+//! *simulated-time* high-water mark stops advancing while wall clock
+//! keeps ticking. (Event counts are the wrong heartbeat — a
 //! livelock happily dispatches events forever at a frozen virtual
 //! time.)
 //!
@@ -20,9 +20,9 @@
 //! A stall aborts only the owning group's probes — a runaway session on
 //! a shared service must never take a sibling worker down with it. The
 //! single-run entry points ([`Watchdog::spawn`],
-//! [`Watchdog::spawn_in_phase`]) register all their probes as one group,
-//! which preserves the original multi-shard semantics: one shard
-//! stalling aborts the whole run, because the whole run is one owner.
+//! [`Watchdog::spawn_in_phase`]) register all their probes as one group:
+//! one probe stalling (a testbed's simulation, or its controller) aborts
+//! the whole run, because the whole run is one owner.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,8 +124,8 @@ pub struct Watchdog {
 impl Watchdog {
     /// Start monitoring `probes` (each with a name for the abort
     /// report) as a single anonymous group. The monitor thread aborts
-    /// **all** of them as soon as any one stalls — a multi-shard run
-    /// cannot half-abort.
+    /// **all** of them as soon as any one stalls — a run whose
+    /// simulation and controller each publish a probe cannot half-abort.
     pub fn spawn(cfg: WatchdogConfig, probes: Vec<(String, Arc<ProgressProbe>)>) -> Self {
         Watchdog::spawn_inner(cfg, None, vec![(None, probes)])
     }
@@ -325,19 +325,19 @@ mod tests {
         let dog = Watchdog::spawn(
             fast_cfg(),
             vec![
-                ("shard-0".into(), Arc::clone(&healthy)),
-                ("shard-1".into(), Arc::clone(&stuck)),
+                ("sim".into(), Arc::clone(&healthy)),
+                ("ctrl".into(), Arc::clone(&stuck)),
             ],
         );
         let start = Instant::now();
         let mut ps = 0u64;
         while !dog.fired() && start.elapsed() < Duration::from_secs(5) {
             ps += 1_000;
-            healthy.advance_time(ps); // shard-0 keeps making progress
+            healthy.advance_time(ps); // the simulation keeps making progress
             thread::sleep(Duration::from_millis(5));
         }
         let report = dog.stop().expect("watchdog must fire on the flat probe");
-        assert_eq!(report.probe, "shard-1");
+        assert_eq!(report.probe, "ctrl");
         assert_eq!(report.owner, None);
         assert_eq!(report.last_progress, 777);
         assert!(report.stalled_for >= Duration::from_millis(60));
@@ -346,7 +346,7 @@ mod tests {
             healthy.abort_requested(),
             "same-group peer aborted too (one owner, one fate)"
         );
-        assert!(report.reason().contains("shard-1"));
+        assert!(report.reason().contains("ctrl"));
     }
 
     #[test]

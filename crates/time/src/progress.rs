@@ -3,26 +3,24 @@
 //! A long experiment is *loss-limited on the host side*: the hardware
 //! model never wedges, but the harness around it can (a livelocked
 //! component scheduling zero-delay events forever, a control channel
-//! that swallows every barrier, a stuck shard worker). The supervisor's
-//! watchdog detects those by watching **simulated-time-advance
-//! counters**: every event dispatcher publishes the simulated time it
-//! has reached into a [`ProgressProbe`], and a monitor thread declares
-//! the run wedged when that high-water mark stops moving in wall-clock
-//! time — dispatching events without advancing virtual time is a
-//! livelock, not progress.
+//! that swallows every barrier). The supervisor's watchdog detects those
+//! by watching **simulated-time-advance counters**: every event
+//! dispatcher publishes the simulated time it has reached into a
+//! [`ProgressProbe`], and a monitor thread declares the run wedged when
+//! that high-water mark stops moving in wall-clock time — dispatching
+//! events without advancing virtual time is a livelock, not progress.
 //!
 //! The probe also carries the cooperative **abort flag**: the watchdog
 //! (or any other supervisor policy) raises it, and the dispatch loops
-//! check it between events / at window boundaries and return early, so
-//! a wedged run becomes a journaled `RunAborted` partial report instead
-//! of a hung CI job.
+//! check it between events and return early, so a wedged run becomes a
+//! journaled `RunAborted` partial report instead of a hung CI job.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A set of shared counters exported by an event dispatcher (the
-/// single-threaded kernel, every shard worker of a sharded run, or the
-/// OFLOPS controller's control channel) and observed by a watchdog
+/// simulation kernel's run loop, or the OFLOPS controller's control
+/// channel) and observed by a watchdog
 /// thread. All operations are lock-free; writers use relaxed-ordering
 /// atomics because the watchdog only needs *eventual* visibility.
 #[derive(Default)]
@@ -45,8 +43,9 @@ impl ProgressProbe {
     }
 
     /// Publish that the dispatcher has reached simulated time `ps`.
-    /// Monotone (`fetch_max`), so concurrent shard workers publishing
-    /// different window positions never move the mark backwards.
+    /// Monotone (`fetch_max`): the mark stays a high-water mark
+    /// whichever of the dispatchers sharing the probe (a testbed's run
+    /// loop and its controller) publishes last.
     #[inline]
     pub fn advance_time(&self, ps: u64) {
         self.now_ps.fetch_max(ps, Ordering::Relaxed);

@@ -58,8 +58,6 @@ step "E13 burst sweep (one committed digest at every burst size)"
 bin e13_burst -- --frames 100000 --json "$out/BENCH_burst.json"
 step "E15 flow table (verdict digests)"
 bin e15_flowtable -- --json "$out/BENCH_e15.json"
-step "E10 shard scaling (per-port digests equal at 1, 2 and 4 shards; the deepest fall-back-heap traffic outside bursts)"
-bin e10_shard_scaling -- --frames 200000 --json "$out/BENCH_shard.json"
 
 # md5_pin BIN MD5: the md5 of BIN's whole output is MD5.
 md5_pin() {

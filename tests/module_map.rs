@@ -1,5 +1,6 @@
 //! DESIGN.md §7 is the module map; this keeps it one: every path it
-//! names is on disk, and every `crates/*/src/*.rs` is named.
+//! names is on disk, and every `crates/*/src/*.rs` is named. The same
+//! walk checks that every library crate root forbids `unsafe`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -68,4 +69,33 @@ fn design_module_map_matches_the_tree() {
         }
     }
     assert!(unlisted.is_empty(), "on disk but not mapped: {unlisted:?}");
+}
+
+/// Every `crates/*/src/lib.rs`, the `osnt` binary's `main.rs` and the
+/// root `src/lib.rs` carry `#![forbid(unsafe_code)]`, so no crate can
+/// opt back in with an `allow`. The bench crate's binaries are crate
+/// roots of their own and are not checked: the benchmark's counting
+/// allocator implements `GlobalAlloc`, which takes `unsafe`.
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut roots = vec![root.join("src/lib.rs"), root.join("crates/cli/src/main.rs")];
+    for krate in std::fs::read_dir(root.join("crates")).expect("list crates/") {
+        let lib = krate.expect("crate dir entry").path().join("src/lib.rs");
+        if lib.is_file() {
+            roots.push(lib);
+        }
+    }
+    assert!(roots.len() > 15, "found only {} crate roots", roots.len());
+    let lax: Vec<_> = roots
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path).expect("read a crate root");
+            !text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]")
+        })
+        .collect();
+    assert!(
+        lax.is_empty(),
+        "crate roots without forbid(unsafe_code): {lax:?}"
+    );
 }

@@ -411,7 +411,7 @@ proptest! {
         }
     }
 
-    /// Sharded merge: splitting a stream into chunks, summarising each
+    /// Chunked merge: splitting a stream into chunks, summarising each
     /// independently and merging must reproduce the single-stream
     /// result — and the merge must be order-independent for everything
     /// except jitter (whose boundary terms depend on concatenation
@@ -442,7 +442,7 @@ proptest! {
         for &p in &samples { whole.record_ps(p); }
         let whole = whole.finish().unwrap();
 
-        // Merge in shard order: everything agrees (jitter included —
+        // Merge in chunk order: everything agrees (jitter included —
         // concatenation of adjacent chunks is the original sequence).
         let mut fwd = StreamingSummary::new();
         for c in &chunks { fwd.merge(&summarise(c)); }
