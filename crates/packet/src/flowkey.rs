@@ -7,9 +7,11 @@
 //! line rate. This module lowers both sides of the comparison to flat
 //! machine words:
 //!
-//! * [`FlowKey::extract`] packs every filterable header field of one
-//!   parsed frame into eight `u64` words (one parse, one extraction per
-//!   packet, shared by every rule), and
+//! * [`FlowKey::of_bytes`] packs every filterable header field of one
+//!   frame into eight `u64` words in a single pass over its bytes (one
+//!   extraction per packet, shared by every rule); [`FlowKey::extract`]
+//!   builds the same key from a [`ParsedPacket`] a caller already holds;
+//!   and
 //! * [`CompiledRule::compile`] lowers a `WildcardRule` into a
 //!   value/mask pair over the same words, so a match is eight
 //!   `(key & mask) == value` compares with no branches on header shape.
@@ -22,9 +24,12 @@
 //! `compiled.matches(&FlowKey::extract(&p)) == rule.matches(&p)` for
 //! every frame, pinned by the corpus test below and the proptest suite.
 
+use crate::ethernet::{self, ethertype};
+use crate::ipv4::{self, protocol};
 use crate::mac::MacAddr;
 use crate::parser::{ParsedPacket, L3};
 use crate::wildcard::WildcardRule;
+use crate::{checksum, ipv6, vlan};
 use core::net::IpAddr;
 
 /// Number of `u64` words in a [`FlowKey`].
@@ -78,6 +83,14 @@ fn mac_bits(m: MacAddr) -> u64 {
     m.octets().iter().fold(0u64, |a, &b| (a << 8) | b as u64)
 }
 
+/// The big-endian word at `b[at..at + 8]`.
+#[inline]
+fn be64(b: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&b[at..at + 8]);
+    u64::from_be_bytes(word)
+}
+
 /// Every filterable header field of one frame, pre-extracted into
 /// fixed-width words. Extract once per packet, match against any number
 /// of [`CompiledRule`]s.
@@ -88,8 +101,9 @@ pub struct FlowKey {
 }
 
 impl FlowKey {
-    /// Pack `p`'s header fields. Absent layers leave their words zero
-    /// and their presence flags clear.
+    /// Pack `p`'s header fields, for callers that already hold a parse.
+    /// Absent layers leave their words zero and their presence flags
+    /// clear.
     pub fn extract(p: &ParsedPacket<'_>) -> FlowKey {
         let mut w = [0u64; KEY_WORDS];
         let mut flags = 0u64;
@@ -132,10 +146,73 @@ impl FlowKey {
         FlowKey { words: w }
     }
 
-    /// Parse + extract in one call (the per-rule cost this module
-    /// exists to avoid; use only where no parse is at hand).
+    /// The key of the frame `bytes`, written in one pass over the header
+    /// bytes with no [`ParsedPacket`] in between: the extractor the
+    /// OpenFlow switch runs on every frame.
+    ///
+    /// It accepts exactly what [`ParsedPacket::parse`] accepts — Ethernet,
+    /// at most one 802.1Q tag, IPv4 only with version 4, IHL 5 and a
+    /// verifying header checksum, IPv6 with version 6, ports when UDP or
+    /// TCP leaves four bytes — so the key equals
+    /// `FlowKey::extract(&ParsedPacket::parse(bytes))` word for word. A
+    /// frame cut inside its tag keys as Ethernet with EtherType 0x8100.
     pub fn of_bytes(bytes: &[u8]) -> FlowKey {
-        FlowKey::extract(&ParsedPacket::parse(bytes))
+        let mut w = [0u64; KEY_WORDS];
+        let Some((eth, mut rest)) = bytes.split_first_chunk::<{ ethernet::HEADER_LEN }>() else {
+            return FlowKey { words: w };
+        };
+        let mut flags = flag::HAS_ETH;
+        // Bytes 0..8 hold the destination MAC and the first two source
+        // bytes; bytes 6..14 the source MAC and the EtherType.
+        w[W_DST] = be64(eth, 0) >> 16;
+        let src_type = be64(eth, 6);
+        let mut ethertype = src_type as u16;
+        if ethertype == ethertype::VLAN {
+            if let Some((tag, inner)) = rest.split_first_chunk::<{ vlan::TAG_LEN }>() {
+                flags |= flag::HAS_VLAN;
+                let vid = u16::from_be_bytes([tag[0], tag[1]]) & 0x0fff;
+                w[W_DST] |= (vid as u64) << VID_SHIFT;
+                ethertype = u16::from_be_bytes([tag[2], tag[3]]);
+                rest = inner;
+            }
+        }
+        w[W_SRC] = src_type >> 16 | (ethertype as u64) << ETHERTYPE_SHIFT;
+        // The transport protocol and the bytes behind the IP header.
+        let l4 = match ethertype {
+            ethertype::IPV4 => match rest.split_first_chunk::<{ ipv4::HEADER_LEN }>() {
+                Some((ip, l4)) if ip[0] == 0x45 && checksum::verify(ip) => {
+                    flags |= flag::HAS_IP | flag::IS_V4;
+                    // Bytes 12..20: source address, then destination.
+                    let addrs = be64(ip, 12);
+                    w[W_SIP_LO] = addrs >> 32;
+                    w[W_DIP_LO] = addrs & 0xffff_ffff;
+                    Some((ip[9], l4))
+                }
+                _ => None,
+            },
+            ethertype::IPV6 => match rest.split_first_chunk::<{ ipv6::HEADER_LEN }>() {
+                Some((ip, l4)) if ip[0] >> 4 == 6 => {
+                    flags |= flag::HAS_IP | flag::IS_V6;
+                    w[W_SIP_HI] = be64(ip, 8);
+                    w[W_SIP_LO] = be64(ip, 16);
+                    w[W_DIP_HI] = be64(ip, 24);
+                    w[W_DIP_LO] = be64(ip, 32);
+                    Some((ip[6], l4))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some((proto, l4)) = l4 {
+            flags |= flag::HAS_L4;
+            w[W_L4] = (proto as u64) << PROTO_SHIFT;
+            if let (protocol::UDP | protocol::TCP, Some(ports)) = (proto, l4.first_chunk::<4>()) {
+                w[W_L4] |= u16::from_be_bytes([ports[0], ports[1]]) as u64
+                    | (u16::from_be_bytes([ports[2], ports[3]]) as u64) << DPORT_SHIFT;
+            }
+        }
+        w[W_FLAGS] = flags;
+        FlowKey { words: w }
     }
 
     /// The key with `mask` applied word-wise: the canonical form a
@@ -458,6 +535,7 @@ mod tests {
             for frame in corpus() {
                 let parsed = frame.parse();
                 let key = FlowKey::extract(&parsed);
+                assert_eq!(FlowKey::of_bytes(frame.data()), key);
                 assert_eq!(
                     compiled.matches(&key),
                     rule.matches(&parsed),

@@ -6,8 +6,8 @@
 //! latency is a real, measurable quantity.
 
 use osnt_openflow::{Message, WireError};
-use osnt_packet::ethernet::EthernetHeader;
-use osnt_packet::{MacAddr, Packet};
+use osnt_packet::ethernet::{self, EthernetHeader};
+use osnt_packet::{vlan, MacAddr, Packet};
 
 /// EtherType used for encapsulated OpenFlow control messages
 /// (IEEE local experimental 2).
@@ -37,13 +37,23 @@ pub fn encap_control(msg: &Message, xid: u32) -> Packet {
 /// Unwrap a control frame. Returns `None` for frames that are not
 /// control-channel frames; `Some(Err(..))` for malformed OpenFlow inside
 /// a control frame.
+///
+/// A frame is a control frame by its effective EtherType: the one behind
+/// an 802.1Q tag when it carries one. The message is decoded from behind
+/// that header, tag included.
 pub fn decap_control(packet: &Packet) -> Option<Result<(Message, u32), WireError>> {
-    let parsed = packet.parse();
-    if parsed.effective_ethertype() != Some(CONTROL_ETHERTYPE) {
-        return None;
+    let data = packet.data();
+    let ethertype_at = |at: usize| {
+        data.get(at..at + 2)
+            .map(|t| u16::from_be_bytes([t[0], t[1]]))
+    };
+    let mut body = ethernet::HEADER_LEN;
+    let mut ethertype = ethertype_at(body - 2)?;
+    if ethertype == ethernet::ethertype::VLAN {
+        body += vlan::TAG_LEN;
+        ethertype = ethertype_at(body - 2)?;
     }
-    let body = &packet.data()[osnt_packet::ethernet::HEADER_LEN..];
-    Some(Message::decode(body))
+    (ethertype == CONTROL_ETHERTYPE).then(|| Message::decode(&data[body..]))
 }
 
 #[cfg(test)]
@@ -89,6 +99,21 @@ mod tests {
     fn non_control_frames_are_ignored() {
         let data = Packet::zeroed(64);
         assert!(decap_control(&data).is_none());
+    }
+
+    #[test]
+    fn tagged_control_frame_decodes_behind_its_tag() {
+        let mut bytes = encap_control(&Message::BarrierRequest, 77).into_vec();
+        bytes.splice(12..12, [0x81, 0x00, 0x00, 42]);
+        assert_eq!(
+            decap_control(&Packet::from_vec(bytes.clone())),
+            Some(Ok((Message::BarrierRequest, 77)))
+        );
+        // Too short for its tag (or its EtherType): not a control frame.
+        for len in [17, 16, 14, 13, 12] {
+            bytes.truncate(len);
+            assert_eq!(decap_control(&Packet::from_vec(bytes.clone())), None);
+        }
     }
 
     #[test]

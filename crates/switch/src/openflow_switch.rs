@@ -28,6 +28,7 @@ use osnt_openflow::messages::{
     PacketIn, PacketInReason, PacketOut, PhyPort, PortStats, StatsBody,
 };
 use osnt_openflow::{Action, OfMatch};
+use osnt_packet::ethernet::EthernetHeader;
 use osnt_packet::{FlowKey, MacAddr, Packet};
 use osnt_time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -595,8 +596,9 @@ impl OpenFlowSwitch {
         in_port_wire: u16,
         packet: &Packet,
     ) {
-        let parsed = packet.parse();
-        let Some(dst) = parsed.dst_mac() else { return };
+        let Ok(EthernetHeader { dst, .. }) = EthernetHeader::parse(packet.data()) else {
+            return;
+        };
         match self.cam.lookup(dst) {
             Some(out) if dst.is_unicast() => {
                 if out + 1 != in_port_wire as usize {
@@ -629,18 +631,19 @@ impl OpenFlowSwitch {
     }
 
     /// The dataplane path for one frame arriving on data port `port`:
-    /// CAM learn, table lookup, forward or punt.
+    /// CAM learn, table lookup, forward or punt. The learn reads only the
+    /// Ethernet header and the lookup key comes straight from the bytes;
+    /// nothing parses the whole frame.
     fn data_frame(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, packet: Packet) {
         let in_port_wire = (port + 1) as u16;
-        let parsed = packet.parse();
-        if let Some(src) = parsed.src_mac() {
+        if let Ok(EthernetHeader { src, .. }) = EthernetHeader::parse(packet.data()) {
             if src.is_unicast() {
                 self.cam.learn(src, port);
             }
         }
         let idx = self
             .table
-            .lookup_key_idx(in_port_wire, &FlowKey::extract(&parsed));
+            .lookup_key_idx(in_port_wire, &FlowKey::of_bytes(packet.data()));
         match idx {
             Some(i) => self.forward_matched(kernel, me, i, in_port_wire, packet),
             None => self.punt(kernel, me, in_port_wire, PacketInReason::NoMatch, &packet),

@@ -38,10 +38,20 @@ trap 'rm -rf "$out"' EXIT
 
 step "E0 pipeline benchmark, built fresh, both trace modes (correctness gate, not a timing gate)"
 # The way the benchmark pipeline runs it: its own manifest, an empty
-# target directory, --trace 0 (the headline run) and --trace 1.
+# target directory, --trace 0 (the headline run) and --trace 1. A traced
+# run prints its kernel self time, the margin of the check that handler
+# spans do not exceed the run; a failing run prints why it failed.
 e0() {
+    local rc=0
     CARGO_TARGET_DIR=$out/e0_build \
-        scripts/e0/run.sh --workload "$1" --seed 1 --seconds 2 --trace "$2" >/dev/null
+        scripts/e0/run.sh --workload "$1" --seed 1 --seconds 2 --trace "$2" >"$out/e0.log" || rc=$?
+    if [ "$2" = 1 ]; then
+        grep -m1 'netsim.kernel.self_ns_per_op' "$out/e0.log" | sed "s/^ */e0 $1 --trace 1: /" || true
+    fi
+    if [ $rc -ne 0 ]; then
+        grep 'FAILED' "$out/e0.log" >&2 || true
+        exit $rc
+    fi
 }
 for w in p1_legacy_load p2_consistency p2_churn burst_linerate; do
     e0 "$w" 0

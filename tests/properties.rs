@@ -510,3 +510,102 @@ proptest! {
         );
     }
 }
+
+// ---------------- flow keys from bytes ----------------
+
+/// The flow key as a plain walk over a parse's `Option` fields, in the
+/// word layout `osnt_packet::flowkey` documents: the reference both
+/// extractors are held to.
+fn key_by_parse_walk(p: &osnt::packet::ParsedPacket<'_>) -> [u64; 8] {
+    use osnt::packet::flowkey::flag;
+    use osnt::packet::parser::L3;
+    let mac = |m: MacAddr| m.octets().iter().fold(0u64, |a, &b| (a << 8) | b as u64);
+    let mut w = [0u64; 8];
+    if let Some(eth) = p.ethernet {
+        w[7] |= flag::HAS_ETH;
+        w[0] = mac(eth.src) | (p.effective_ethertype().unwrap() as u64) << 48;
+        w[1] = mac(eth.dst);
+    }
+    if let Some(tag) = p.vlan {
+        w[7] |= flag::HAS_VLAN;
+        w[1] |= (tag.vid as u64) << 48;
+    }
+    match p.l3 {
+        Some(L3::Ipv4(h)) => {
+            w[7] |= flag::HAS_IP | flag::IS_V4;
+            w[3] = u32::from(h.src) as u64;
+            w[5] = u32::from(h.dst) as u64;
+        }
+        Some(L3::Ipv6(h)) => {
+            w[7] |= flag::HAS_IP | flag::IS_V6;
+            let (s, d) = (u128::from(h.src), u128::from(h.dst));
+            (w[2], w[3], w[4], w[5]) = ((s >> 64) as u64, s as u64, (d >> 64) as u64, d as u64);
+        }
+        _ => {}
+    }
+    if let Some(l4) = p.l4 {
+        w[7] |= flag::HAS_L4;
+        w[6] = l4.src_port as u64 | (l4.dst_port as u64) << 16 | (l4.protocol as u64) << 32;
+    }
+    w
+}
+
+proptest! {
+    /// `FlowKey::of_bytes` reads a frame in one pass and `FlowKey::extract`
+    /// packs a parse; both must equal the walk over the parse on any
+    /// bytes: raw strings, and built UDP / TCP / ICMP / IPv6 frames, tagged
+    /// or not, with bytes flipped, the EtherType forced and the frame cut
+    /// anywhere.
+    #[test]
+    fn flow_key_from_bytes_matches_the_parse_walk(
+        shape in (0u8..6, any::<bool>(), 0u16..4096, 0u8..4),
+        raw in proptest::collection::vec(any::<u8>(), 0..97),
+        addrs in (any::<[u8; 16]>(), any::<[u8; 16]>(), any::<u32>()),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        cut in any::<usize>(),
+    ) {
+        use osnt::packet::{FlowKey, ParsedPacket};
+        use std::net::Ipv6Addr;
+        let (kind, tagged, vid, forced) = shape;
+        let (s6, d6, ports) = addrs;
+        let (s4, d4) = (Ipv4Addr::from(ports), Ipv4Addr::from(ports.rotate_left(7)));
+        let (sport, dport) = ((ports >> 16) as u16, ports as u16);
+        let mut bytes = if kind == 0 {
+            raw
+        } else {
+            let mut b = PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2));
+            if tagged {
+                b = b.vlan(vid);
+            }
+            b = match kind {
+                1..=3 => b.ipv4(s4, d4),
+                _ => b.ipv6(Ipv6Addr::from(s6), Ipv6Addr::from(d6)),
+            };
+            b = match kind {
+                1 | 4 => b.udp(sport, dport),
+                2 | 5 => b.tcp(sport, dport, ports),
+                _ => b.icmp_echo(sport, dport),
+            };
+            let mut bytes = b.payload(&raw).build().into_vec();
+            for &(at, mask) in &flips {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            bytes
+        };
+        // Force the EtherType a parse reads next (the inner one when
+        // tagged) onto a tag or an IP version the bytes may not hold.
+        let at = if tagged { 16 } else { 12 };
+        if let Some(t) = [0x8100u16, 0x0800, 0x86DD].get(forced as usize) {
+            if let Some(field) = bytes.get_mut(at..at + 2) {
+                field.copy_from_slice(&t.to_be_bytes());
+            }
+        }
+        bytes.truncate(cut % (bytes.len() + 1));
+        let parsed = ParsedPacket::parse(&bytes);
+        let want = key_by_parse_walk(&parsed);
+        let got = FlowKey::of_bytes(&bytes).words;
+        prop_assert!(got == want, "frame {bytes:02x?}\n of_bytes {got:x?}\n walk {want:x?}");
+        prop_assert_eq!(FlowKey::extract(&parsed).words, want);
+    }
+}
