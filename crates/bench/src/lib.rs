@@ -2,7 +2,8 @@
 #![forbid(unsafe_code)]
 //! # osnt-bench — experiment harnesses
 //!
-//! One binary per experiment (E1–E16, see `EXPERIMENTS.md`). They
+//! One binary per experiment that writes a `BENCH_*.json` artifact (E1,
+//! E11–E16, see `EXPERIMENTS.md`; E2–E9 are tier-1 tests). They
 //! assert deterministic values — digests, counts, line rate, fairness,
 //! zero violations — and print wall-clock readings for information
 //! only: `e0_pipeline` is the one program in this repository that

@@ -113,6 +113,9 @@ pub fn capture(args: &Args) -> Result<(), CliError> {
     let dst_port: Option<u16> = args.get_opt("dst-port")?;
     let out = args.get_str("out").map(str::to_string);
     args.reject_unknown()?;
+    if !(load > 0.0 && load <= 1.0) {
+        return Err(UsageError(format!("--load {load} outside (0, 1]")).into());
+    }
 
     let mut filter = FilterTable::capture_all();
     if let Some(p) = dst_port {
@@ -133,7 +136,7 @@ pub fn capture(args: &Args) -> Result<(), CliError> {
         Box::new(FlowPool::new(64, frame, 7)),
         GenConfig {
             schedule: Schedule::Utilization {
-                fraction: load.clamp(0.001, 1.0),
+                fraction: load,
                 line_rate_bps: 10_000_000_000,
             },
             stop_at: Some(SimTime::from_ms(ms)),
@@ -228,10 +231,12 @@ fn parse_mode(s: &str) -> Result<IdtMode, UsageError> {
         return Ok(IdtMode::Fixed(SimDuration::from_us(us)));
     }
     if let Some(f) = s.strip_prefix("scale:") {
-        let f: f64 = f
-            .parse()
-            .map_err(|_| UsageError(format!("bad scale value: {s}")))?;
-        return Ok(IdtMode::Scaled(f));
+        return match f.parse::<f64>() {
+            Ok(f) if f >= 0.0 && f.is_finite() => Ok(IdtMode::Scaled(f)),
+            _ => Err(UsageError(format!(
+                "bad scale value: {s} (a finite factor ≥ 0)"
+            ))),
+        };
     }
     Err(UsageError(format!("unknown replay mode: {s}")))
 }
@@ -257,9 +262,17 @@ pub fn throughput(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--rules`, at least one.
+fn rules_flag(args: &Args) -> Result<usize, UsageError> {
+    match args.get("rules", 50)? {
+        0 => Err(UsageError("--rules must be at least 1".into())),
+        rules => Ok(rules),
+    }
+}
+
 /// `osnt oflops-add` — flow-insertion latency.
 pub fn oflops_add(args: &Args) -> Result<(), CliError> {
-    let rules: usize = args.get("rules", 50)?;
+    let rules = rules_flag(args)?;
     let honest: bool = args.get("honest-barrier", false)?;
     args.reject_unknown()?;
 
@@ -305,7 +318,7 @@ pub fn oflops_add(args: &Args) -> Result<(), CliError> {
 
 /// `osnt oflops-mod` — update consistency.
 pub fn oflops_mod(args: &Args) -> Result<(), CliError> {
-    let rules: usize = args.get("rules", 50)?;
+    let rules = rules_flag(args)?;
     args.reject_unknown()?;
 
     let (module, state) = ConsistencyModule::new(rules, SimTime::from_ms(20));

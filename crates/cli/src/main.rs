@@ -96,16 +96,16 @@ COMMANDS:
     latency      legacy-switch latency under load (demo Part I)
                    --frame <B=512> --load <0.0..1.1 = 0.5> --duration-ms <20>
     capture      capture a line-rate aggregate through filters/thinning
-                   --frame <B=512> --load <1.0> --snap <bytes> --dst-port <n>
+                   --frame <B=512> --load <(0, 1] = 1.0> --snap <bytes> --dst-port <n>
                    --out <file.pcap> --duration-ms <10>
     replay       replay a pcap file and report the achieved schedule
-                   <file.pcap> --mode <asrec|b2b|fixed-us:N|scale:F>
+                   <file.pcap> --mode <asrec|b2b|fixed-us:N|scale:F≥0>
     throughput   RFC 2544-style zero-loss throughput search
                    --frame <B=512> --resolution <0.01>
     oflops-add   OpenFlow flow-insertion latency (demo Part II)
-                   --rules <50> --honest-barrier <false>
+                   --rules <≥1 = 50> --honest-barrier <false>
     oflops-mod   OpenFlow update consistency (demo Part II)
-                   --rules <50>
+                   --rules <≥1 = 50>
     run          supervised latency sweep: journaled, watchdogged, resumable
                    --journal <path> --loads <0.0,0.5,0.9> --frame <B=512>
                    --probe-load <0.02> --duration-ms <20> --warmup-ms <5>

@@ -119,6 +119,40 @@ fn bad_flag_value_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid value"));
 }
 
+/// Values a flag parses but a run cannot honour are usage errors (exit 2,
+/// with the reason), never a panic inside the run nor a silent clamp.
+#[test]
+fn out_of_range_values_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("osnt-cli-range-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let pcap = dir.join("two.pcap");
+    let mut img = osnt_packet::pcap::to_bytes(&[], osnt_packet::pcap::TsResolution::Micro);
+    for micros in [0u32, 10] {
+        for word in [0, micros, 60, 60] {
+            img.extend_from_slice(&word.to_le_bytes());
+        }
+        img.extend_from_slice(&[0u8; 60]);
+    }
+    std::fs::write(&pcap, img).unwrap();
+    let pcap = pcap.to_str().unwrap();
+
+    let cases: [(&[&str], &str); 6] = [
+        (&["replay", pcap, "--mode", "scale:-1"], "bad scale value"),
+        (&["replay", pcap, "--mode", "scale:nan"], "bad scale value"),
+        (&["capture", "--load", "nan"], "--load NaN outside (0, 1]"),
+        (&["capture", "--load", "2"], "--load 2 outside (0, 1]"),
+        (&["oflops-add", "--rules", "0"], "--rules must be"),
+        (&["oflops-mod", "--rules", "0"], "--rules must be"),
+    ];
+    for (args, reason) in cases {
+        let out = osnt().args(args).output().expect("run osnt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(reason), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A capture stamped with a real-world epoch (as tcpdump writes them)
 /// replays on its recorded schedule: the gap is the file's, not what
 /// is left of it after `secs × 10¹²` wraps a `u64`.

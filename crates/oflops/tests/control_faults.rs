@@ -223,40 +223,41 @@ fn stall_window_delays_but_loses_nothing() {
 
 #[test]
 fn truncated_reads_become_decode_errors_not_crashes() {
-    let (module, state) = TrackedEcho::new(40, SimDuration::from_ms(1));
-    let spec = TestbedSpec {
-        control_faults: Some(ControlFaultConfig {
-            truncate_probability: 0.3,
-            seed: std::env::var("OSNT_FAULT_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
-            ..ControlFaultConfig::clean()
-        }),
-        // A deeper retry budget than fast_retry(): each echo round trip
-        // survives one attempt with p = 0.7^2 = 0.49 (request and reply
-        // each cross the lossy channel), so 9 attempts leave a residual
-        // of 0.51^9 ≈ 0.2% per echo — seed-robust for the bound below.
-        retry: RetryPolicy {
-            timeout: SimDuration::from_ms(2),
-            max_retries: 8,
-            ..RetryPolicy::default()
-        },
-        ..TestbedSpec::control_only()
-    };
-    let mut tb = Testbed::build(spec, Box::new(module));
-    tb.run_until(SimTime::from_secs(1));
-    let st = state.borrow();
-    assert!(st.answered >= 38, "answered {}", st.answered);
-    let errors = tb.control_errors.borrow();
-    assert!(
-        errors
-            .iter()
-            .any(|e| matches!(e.kind, ControlErrorKind::Decode { .. })),
-        "truncation must surface as decode errors"
-    );
-    let stats = tb.control_fault_stats.as_ref().unwrap().borrow();
-    assert!(stats.truncated > 0);
+    // Two seeds, so a seed-dependent channel bug does not hide behind one
+    // lucky constant.
+    for seed in [1, 2] {
+        let (module, state) = TrackedEcho::new(40, SimDuration::from_ms(1));
+        let spec = TestbedSpec {
+            control_faults: Some(ControlFaultConfig {
+                truncate_probability: 0.3,
+                seed,
+                ..ControlFaultConfig::clean()
+            }),
+            // A deeper retry budget than fast_retry(): each echo round trip
+            // survives one attempt with p = 0.7^2 = 0.49 (request and reply
+            // each cross the lossy channel), so 9 attempts leave a residual
+            // of 0.51^9 ≈ 0.2% per echo — seed-robust for the bound below.
+            retry: RetryPolicy {
+                timeout: SimDuration::from_ms(2),
+                max_retries: 8,
+                ..RetryPolicy::default()
+            },
+            ..TestbedSpec::control_only()
+        };
+        let mut tb = Testbed::build(spec, Box::new(module));
+        tb.run_until(SimTime::from_secs(1));
+        let st = state.borrow();
+        assert!(st.answered >= 38, "seed {seed}: answered {}", st.answered);
+        let errors = tb.control_errors.borrow();
+        assert!(
+            errors
+                .iter()
+                .any(|e| matches!(e.kind, ControlErrorKind::Decode { .. })),
+            "seed {seed}: truncation must surface as decode errors"
+        );
+        let stats = tb.control_fault_stats.as_ref().unwrap().borrow();
+        assert!(stats.truncated > 0, "seed {seed}");
+    }
 }
 
 /// Echoes like [`TrackedEcho`], but panics inside `on_timer` once the

@@ -30,7 +30,8 @@
 //! * the total event order of the two demo paths, as what each demo
 //!   prints: three E5 rows (probe latency percentiles through the
 //!   legacy switch under Poisson background load, every figure a
-//!   function of the `(time, key)` order across four ports), and a
+//!   function of the `(time, key)` order across four ports) and E5's
+//!   store-and-forward vs cut-through ablation at 64 and 1518 B, and a
 //!   miniature of the Part II churn (barrier-fenced flow_mod rounds on
 //!   the control-only testbed: per-round latencies, the control log and
 //!   the event count).
@@ -541,6 +542,30 @@ fn legacy_latency_rows_are_pinned_to_the_digit() {
             "102 476 0.00 42769 123470 122957 201851 203019",
         ]
     );
+
+    // E5's fabric ablation at idle, at both ends of the frame range:
+    // store-and-forward pays serialisation twice, cut-through credits
+    // the ingress one back, so its median grows less with frame size.
+    let p50 = |frame_len, fabric| {
+        let exp = LatencyExperiment {
+            frame_len,
+            duration: SimDuration::from_ms(10),
+            warmup: SimDuration::from_ms(2),
+            ..LatencyExperiment::default()
+        };
+        let r = exp.run_legacy(fabric).expect("statically valid experiment");
+        r.latency.expect("probes were captured").p50_ns
+    };
+    let [sf64, ct64, sf1518, ct1518] = [
+        (64, LegacyConfig::default()),
+        (64, LegacyConfig::cut_through()),
+        (1518, LegacyConfig::default()),
+        (1518, LegacyConfig::cut_through()),
+    ]
+    .map(|(frame_len, fabric)| p50(frame_len, fabric));
+    assert!(ct1518 - ct64 < sf1518 - sf64);
+    let ablation = format!("{sf64:.0} {ct64:.0} {sf1518:.0} {ct1518:.0}");
+    assert_eq!(ablation, "936 936 3263 2563");
 }
 
 #[test]

@@ -68,18 +68,23 @@ fn part_one_with_realistic_clocks_still_measures_accurately() {
     assert!(err < 1_000.0, "clock-induced error {err} ns");
 }
 
-#[test]
-fn part_two_openflow_insertion_measured_on_both_planes() {
-    let n = 30usize;
+/// A burst of `n` FLOW_MOD ADDs at 10 ms and a barrier under a 2 Mpps
+/// probe that visits every rule until 15 ms, by when 30 rules have had
+/// 25 µs of switch CPU each and the 1 ms install; `honest` makes the
+/// switch reply to the barrier only once hardware has committed.
+fn insertion_run(n: usize, honest: bool) -> AddLatencyReport {
     let (module, state) = AddLatencyModule::new(n, SimTime::from_ms(10));
     let spec = TestbedSpec {
-        switch: OfSwitchConfig::default(),
+        switch: OfSwitchConfig {
+            honest_barrier: honest,
+            ..OfSwitchConfig::default()
+        },
         probe: Some((
             Box::new(RoundRobinDst::new(n, 128)),
             GenConfig {
                 schedule: Schedule::ConstantPps(2_000_000.0),
                 start_at: SimTime::from_ms(5),
-                stop_at: Some(SimTime::from_ms(40)),
+                stop_at: Some(SimTime::from_ms(15)),
                 stamp: Some(StampConfig::default_payload()),
                 ..GenConfig::default()
             },
@@ -87,8 +92,14 @@ fn part_two_openflow_insertion_measured_on_both_planes() {
         ..TestbedSpec::control_only()
     };
     let mut tb = Testbed::build(spec, Box::new(module));
-    tb.run_until(SimTime::from_ms(50));
+    tb.run_until(SimTime::from_ms(20));
     let report = AddLatencyReport::analyze(&tb, &state.borrow(), n);
+    report
+}
+
+#[test]
+fn part_two_openflow_insertion_measured_on_both_planes() {
+    let report = insertion_run(30, false);
     let barrier = report.barrier_latency.expect("barrier");
     let max_act = report.max_activation().expect("activations");
     assert_eq!(report.never_activated(), 0);
@@ -97,28 +108,26 @@ fn part_two_openflow_insertion_measured_on_both_planes() {
         "data plane must lag the dishonest barrier"
     );
     // Growth with batch size: run n=5 for comparison.
-    let (module5, state5) = AddLatencyModule::new(5, SimTime::from_ms(10));
-    let spec5 = TestbedSpec {
-        switch: OfSwitchConfig::default(),
-        probe: Some((
-            Box::new(RoundRobinDst::new(5, 128)),
-            GenConfig {
-                schedule: Schedule::ConstantPps(2_000_000.0),
-                start_at: SimTime::from_ms(5),
-                stop_at: Some(SimTime::from_ms(40)),
-                stamp: Some(StampConfig::default_payload()),
-                ..GenConfig::default()
-            },
-        )),
-        ..TestbedSpec::control_only()
-    };
-    let mut tb5 = Testbed::build(spec5, Box::new(module5));
-    tb5.run_until(SimTime::from_ms(50));
-    let report5 = AddLatencyReport::analyze(&tb5, &state5.borrow(), 5);
+    let report5 = insertion_run(5, false);
     assert!(
         report.barrier_latency.unwrap() > report5.barrier_latency.unwrap(),
         "larger batches take longer on the control plane"
     );
+    // A small batch is wholly in flight when the default switch acks the
+    // barrier: every rule activates after it.
+    assert_eq!(
+        (
+            report5.activated_after_barrier,
+            report.activated_after_barrier
+        ),
+        (5, 30)
+    );
+    // An honest barrier trails the hardware: at most the last rule, whose
+    // first probe lands just after the reply, activates after it.
+    let honest = insertion_run(30, true);
+    assert_eq!(honest.never_activated(), 0);
+    assert_eq!(honest.activation, report.activation, "same hardware");
+    assert!(honest.activated_after_barrier <= 1, "{honest:?}");
 }
 
 #[test]
