@@ -29,7 +29,7 @@ use osnt_mon::{FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, M
 use osnt_netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, SimBuilder};
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::messages::{FlowMod, Message};
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_packet::{MacAddr, Packet, WildcardRule};
 use osnt_switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt_time::{HwClock, SimDuration, SimTime};
@@ -104,10 +104,10 @@ fn table_mods() -> Vec<FlowMod> {
             FlowMod::add(
                 flow_match(10_000 + i as u16),
                 10,
-                vec![Action::Output {
+                ActionList::one(Action::Output {
                     port: 3,
                     max_len: 0,
-                }],
+                }),
             )
         })
         .collect();
@@ -117,10 +117,10 @@ fn table_mods() -> Vec<FlowMod> {
     mods.push(FlowMod::add(
         flow_match(9001),
         20,
-        vec![Action::Output {
+        ActionList::one(Action::Output {
             port: 2,
             max_len: 0,
-        }],
+        }),
     ));
     mods
 }

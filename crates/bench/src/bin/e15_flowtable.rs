@@ -31,7 +31,7 @@
 
 use osnt_bench::Table;
 use osnt_openflow::match_field::wildcards;
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_packet::hash::crc32_update;
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
 use osnt_switch::{FlowEntry, FlowTable};
@@ -52,8 +52,8 @@ const COMMITTED: [(usize, u32); 5] = [
     (1_000_000, 0x7a3e_ef1f),
 ];
 
-fn out(port: u16) -> Vec<Action> {
-    vec![Action::Output { port, max_len: 0 }]
+fn out(port: u16) -> ActionList {
+    ActionList::one(Action::Output { port, max_len: 0 })
 }
 
 /// Rule `i` of the corpus: the shape cycles with `i % 8`, the fields

@@ -31,7 +31,7 @@ use osnt_core::sweep::SweepConfig;
 use osnt_error::OsntError;
 use osnt_netsim::{Component, ComponentId, FaultStats, Kernel, LinkSpec, SimBuilder};
 use osnt_openflow::match_field::wildcards;
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
 use osnt_supervisor::SupervisorConfig;
 use osnt_switch::flowtable::covers;
@@ -430,10 +430,10 @@ pub fn classifier_parity_audit(seed: u64, auditor: &mut InvariantAuditor, label:
                 let mut e = FlowEntry::new(
                     m,
                     priority,
-                    vec![Action::Output {
+                    ActionList::one(Action::Output {
                         port: 2,
                         max_len: 0,
-                    }],
+                    }),
                     now,
                 );
                 e.hard_timeout = ((r >> 40) & 1) as u16;

@@ -18,7 +18,7 @@ use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::harness::{ports, Testbed};
 use crate::modules::probe::rule_ip;
 use osnt_openflow::messages::{FlowMod, Message};
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -75,7 +75,11 @@ impl AddLatencyModule {
 impl MeasurementModule for AddLatencyModule {
     fn on_ready(&mut self, ctx: &mut ModuleCtx<'_>) {
         // Quiesce the punt path: a drop-all rule at priority 0.
-        ctx.send(Message::FlowMod(FlowMod::add(OfMatch::any(), 0, vec![])));
+        ctx.send(Message::FlowMod(FlowMod::add(
+            OfMatch::any(),
+            0,
+            ActionList::new(),
+        )));
         // Tracked: the baseline barrier gates the whole measurement — a
         // control channel that eats it must trigger a retry, not a
         // module stuck in Baseline forever.
@@ -110,10 +114,10 @@ impl MeasurementModule for AddLatencyModule {
             ctx.send(Message::FlowMod(FlowMod::add(
                 OfMatch::ipv4_dst(rule_ip(i)),
                 100,
-                vec![Action::Output {
+                ActionList::one(Action::Output {
                     port: ports::OUT_A,
                     max_len: 0,
-                }],
+                }),
             )));
         }
         let xid = ctx.send_tracked(Message::BarrierRequest);

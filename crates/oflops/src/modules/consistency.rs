@@ -18,7 +18,7 @@ use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::harness::{ports, Testbed};
 use crate::modules::probe::rule_ip;
 use osnt_openflow::messages::{FlowMod, FlowModCommand, Message};
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -73,15 +73,19 @@ impl ConsistencyModule {
 
 impl MeasurementModule for ConsistencyModule {
     fn on_ready(&mut self, ctx: &mut ModuleCtx<'_>) {
-        ctx.send(Message::FlowMod(FlowMod::add(OfMatch::any(), 0, vec![])));
+        ctx.send(Message::FlowMod(FlowMod::add(
+            OfMatch::any(),
+            0,
+            ActionList::new(),
+        )));
         for i in 0..self.n_rules {
             ctx.send(Message::FlowMod(FlowMod::add(
                 OfMatch::ipv4_dst(rule_ip(i)),
                 100,
-                vec![Action::Output {
+                ActionList::one(Action::Output {
                     port: ports::OUT_A,
                     max_len: 0,
-                }],
+                }),
             )));
         }
         // Tracked: these barriers advance the phase machine; a lost
@@ -118,10 +122,10 @@ impl MeasurementModule for ConsistencyModule {
             let mut fm = FlowMod::add(
                 OfMatch::ipv4_dst(rule_ip(i)),
                 100,
-                vec![Action::Output {
+                ActionList::one(Action::Output {
                     port: ports::OUT_B,
                     max_len: 0,
-                }],
+                }),
             );
             fm.command = FlowModCommand::ModifyStrict;
             ctx.send(Message::FlowMod(fm));

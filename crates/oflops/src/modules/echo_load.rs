@@ -10,7 +10,7 @@
 use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::modules::probe::rule_ip;
 use osnt_openflow::messages::{EchoData, FlowMod, Message};
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -102,10 +102,10 @@ impl MeasurementModule for EchoLoadModule {
                     ctx.send(Message::FlowMod(FlowMod::add(
                         OfMatch::ipv4_dst(rule_ip(i)),
                         50,
-                        vec![Action::Output {
+                        ActionList::one(Action::Output {
                             port: crate::harness::ports::OUT_A,
                             max_len: 0,
-                        }],
+                        }),
                     )));
                 }
             }

@@ -13,7 +13,7 @@ use crate::controller::{MeasurementModule, ModuleCtx};
 use crate::harness::ports;
 use crate::modules::probe::{rule_ip, RULE_IP_PERIOD};
 use osnt_openflow::messages::{FlowMod, Message};
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -118,10 +118,10 @@ impl FlowChurnModule {
             ctx.send(Message::FlowMod(FlowMod::add(
                 OfMatch::ipv4_dst(rule_ip(self.next_add)),
                 100,
-                vec![Action::Output {
+                ActionList::one(Action::Output {
                     port: ports::OUT_A,
                     max_len: 0,
-                }],
+                }),
             )));
             self.next_add += 1;
             st.mods_sent += 1;
@@ -143,7 +143,11 @@ impl FlowChurnModule {
 impl MeasurementModule for FlowChurnModule {
     fn on_ready(&mut self, ctx: &mut ModuleCtx<'_>) {
         // Quiesce the punt path, then fence before churning.
-        ctx.send(Message::FlowMod(FlowMod::add(OfMatch::any(), 0, vec![])));
+        ctx.send(Message::FlowMod(FlowMod::add(
+            OfMatch::any(),
+            0,
+            ActionList::new(),
+        )));
         self.baseline_xid = Some(ctx.send_tracked(Message::BarrierRequest));
     }
 

@@ -1,6 +1,8 @@
 //! OpenFlow 1.0 actions (the subset the switch model executes).
 
 use crate::codec::WireError;
+use core::fmt;
+use core::ops::Deref;
 
 /// Special output-port numbers from the spec.
 pub mod port_no {
@@ -38,25 +40,20 @@ impl Action {
 
     /// Serialise.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        match self {
+        // type, len = 8, then four bytes of body.
+        let (atype, body): (u16, [u8; 4]) = match *self {
             Action::Output { port, max_len } => {
-                out.extend_from_slice(&0u16.to_be_bytes()); // OFPAT_OUTPUT
-                out.extend_from_slice(&8u16.to_be_bytes());
-                out.extend_from_slice(&port.to_be_bytes());
-                out.extend_from_slice(&max_len.to_be_bytes());
+                let (p, m) = (port.to_be_bytes(), max_len.to_be_bytes());
+                (0, [p[0], p[1], m[0], m[1]]) // OFPAT_OUTPUT
             }
             Action::SetVlanVid(vid) => {
-                out.extend_from_slice(&1u16.to_be_bytes()); // OFPAT_SET_VLAN_VID
-                out.extend_from_slice(&8u16.to_be_bytes());
-                out.extend_from_slice(&vid.to_be_bytes());
-                out.extend_from_slice(&[0, 0]);
+                let v = vid.to_be_bytes();
+                (1, [v[0], v[1], 0, 0]) // OFPAT_SET_VLAN_VID
             }
-            Action::StripVlan => {
-                out.extend_from_slice(&3u16.to_be_bytes()); // OFPAT_STRIP_VLAN
-                out.extend_from_slice(&8u16.to_be_bytes());
-                out.extend_from_slice(&[0, 0, 0, 0]);
-            }
-        }
+            Action::StripVlan => (3, [0; 4]), // OFPAT_STRIP_VLAN
+        };
+        let t = atype.to_be_bytes();
+        out.extend_from_slice(&[t[0], t[1], 0, 8, body[0], body[1], body[2], body[3]]);
     }
 
     /// Parse one action; returns the action and bytes consumed.
@@ -82,8 +79,8 @@ impl Action {
     }
 
     /// Parse a list of actions from `bytes`.
-    pub fn parse_list(mut bytes: &[u8]) -> Result<Vec<Action>, WireError> {
-        let mut out = Vec::new();
+    pub fn parse_list(mut bytes: &[u8]) -> Result<ActionList, WireError> {
+        let mut out = ActionList::new();
         while !bytes.is_empty() {
             let (a, used) = Action::parse(bytes)?;
             out.push(a);
@@ -94,9 +91,135 @@ impl Action {
 
     /// Serialise a list of actions.
     pub fn write_list(actions: &[Action], out: &mut Vec<u8>) {
+        out.reserve(actions.len() * 8);
         for a in actions {
             a.write_to(out);
         }
+    }
+}
+
+/// Actions a list holds in place before it moves to the heap.
+const INLINE: usize = 2;
+
+/// An action list that holds up to two actions in place and only longer
+/// lists on the heap. Nearly every rule the tester installs has one
+/// action, so a flow_mod, the entry it becomes and the messages that
+/// carry them own no allocation of their own. It is as wide as the
+/// `Vec` it replaces: the `Vec`'s capacity leaves room for the tag.
+///
+/// Reads as a slice. Equality compares the actions, and `Debug` prints
+/// what a `Vec` of them prints, whichever way they are held.
+#[derive(Clone)]
+pub struct ActionList(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots hold the list; the rest are filler.
+    Inline(u8, [Action; INLINE]),
+    /// More than [`INLINE`] actions.
+    Heap(Vec<Action>),
+}
+
+const _: () = assert!(core::mem::size_of::<ActionList>() == core::mem::size_of::<Vec<Action>>());
+
+/// What an unused inline slot holds. Its bytes are all zero, so an
+/// empty list is two wide stores: a filler with undefined bytes is built
+/// field by field, and the first wide read of it stalls.
+const FILLER: Action = Action::Output {
+    port: 0,
+    max_len: 0,
+};
+
+impl ActionList {
+    /// The empty list.
+    pub const fn new() -> Self {
+        ActionList(Repr::Inline(0, [FILLER; INLINE]))
+    }
+
+    /// A list of one action.
+    pub const fn one(action: Action) -> Self {
+        ActionList(Repr::Inline(1, [action, FILLER]))
+    }
+
+    /// Append an action; the list moves to the heap when it outgrows
+    /// its inline slots.
+    pub fn push(&mut self, action: Action) {
+        match &mut self.0 {
+            Repr::Inline(len, slots) if (*len as usize) < INLINE => {
+                slots[*len as usize] = action;
+                *len += 1;
+            }
+            Repr::Inline(_, slots) => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(slots);
+                v.push(action);
+                self.0 = Repr::Heap(v);
+            }
+            Repr::Heap(v) => v.push(action),
+        }
+    }
+
+    /// The actions.
+    pub fn as_slice(&self) -> &[Action] {
+        match &self.0 {
+            Repr::Inline(len, slots) => &slots[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl Default for ActionList {
+    fn default() -> Self {
+        ActionList::new()
+    }
+}
+
+impl Deref for ActionList {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for ActionList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ActionList {}
+
+impl fmt::Debug for ActionList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+impl From<&[Action]> for ActionList {
+    fn from(actions: &[Action]) -> Self {
+        actions.iter().copied().collect()
+    }
+}
+
+impl From<Vec<Action>> for ActionList {
+    /// A list short enough to sit inline leaves its `Vec` behind.
+    fn from(actions: Vec<Action>) -> Self {
+        if actions.len() <= INLINE {
+            actions.as_slice().into()
+        } else {
+            ActionList(Repr::Heap(actions))
+        }
+    }
+}
+
+impl FromIterator<Action> for ActionList {
+    fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> Self {
+        let mut list = ActionList::new();
+        for a in iter {
+            list.push(a);
+        }
+        list
     }
 }
 
@@ -134,7 +257,27 @@ mod tests {
         ];
         let mut buf = Vec::new();
         Action::write_list(&actions, &mut buf);
-        assert_eq!(Action::parse_list(&buf).unwrap(), actions);
+        assert_eq!(Action::parse_list(&buf).unwrap()[..], actions[..]);
+    }
+
+    #[test]
+    fn list_reads_like_a_vec_on_both_sides_of_the_inline_boundary() {
+        let all: Vec<Action> = (0..5).map(Action::SetVlanVid).collect();
+        for n in 0..=all.len() {
+            let v = all[..n].to_vec();
+            let pushed: ActionList = v.iter().copied().collect();
+            assert_eq!(pushed[..], v[..]);
+            assert_eq!(pushed, ActionList::from(v.clone()));
+            assert_eq!(format!("{pushed:?}"), format!("{v:?}"));
+            assert_eq!(format!("{pushed:#?}"), format!("{v:#?}"));
+            assert_eq!(matches!(pushed.0, Repr::Inline(..)), n <= INLINE);
+        }
+        // Filler in unused slots is not part of the list.
+        let mut a = ActionList::one(Action::StripVlan);
+        a.push(Action::SetVlanVid(1));
+        assert_ne!(a, ActionList::one(Action::StripVlan));
+        assert_eq!(ActionList::new(), ActionList::default());
+        assert!(ActionList::new().is_empty());
     }
 
     #[test]

@@ -8,6 +8,9 @@ pub const OFP_VERSION: u8 = 0x01;
 /// Length of the fixed header.
 pub const OFP_HEADER_LEN: usize = 8;
 
+/// The longest message the header's 16-bit length field can state.
+pub const OFP_MAX_MESSAGE_LEN: usize = u16::MAX as usize;
+
 /// OpenFlow 1.0 message types (the subset we model, with the official
 /// numbering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,10 +107,9 @@ impl Header {
 
     /// Serialise.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.push(self.version);
-        out.push(self.msg_type as u8);
-        out.extend_from_slice(&self.length.to_be_bytes());
-        out.extend_from_slice(&self.xid.to_be_bytes());
+        let [l0, l1] = self.length.to_be_bytes();
+        let [x0, x1, x2, x3] = self.xid.to_be_bytes();
+        out.extend_from_slice(&[self.version, self.msg_type as u8, l0, l1, x0, x1, x2, x3]);
     }
 }
 

@@ -20,9 +20,9 @@ pub mod header;
 pub mod match_field;
 pub mod messages;
 
-pub use actions::Action;
+pub use actions::{Action, ActionList};
 pub use codec::{MessageCodec, WireError};
-pub use header::{Header, MessageType, OFP_HEADER_LEN, OFP_VERSION};
+pub use header::{Header, MessageType, OFP_HEADER_LEN, OFP_MAX_MESSAGE_LEN, OFP_VERSION};
 pub use match_field::OfMatch;
 pub use messages::{
     EchoData, FeaturesReply, FlowMod, FlowModCommand, FlowRemoved, FlowStatsEntry, Message,

@@ -203,23 +203,29 @@ impl OfMatch {
         true
     }
 
+    /// The 40-byte wire form.
+    pub(crate) fn to_bytes(self) -> [u8; OFP_MATCH_LEN] {
+        // Padding at 21 and 26..28 stays zero.
+        let mut b = [0u8; OFP_MATCH_LEN];
+        b[0..4].copy_from_slice(&self.wildcards.to_be_bytes());
+        b[4..6].copy_from_slice(&self.in_port.to_be_bytes());
+        b[6..12].copy_from_slice(&self.dl_src.octets());
+        b[12..18].copy_from_slice(&self.dl_dst.octets());
+        b[18..20].copy_from_slice(&self.dl_vlan.to_be_bytes());
+        b[20] = self.dl_vlan_pcp;
+        b[22..24].copy_from_slice(&self.dl_type.to_be_bytes());
+        b[24] = self.nw_tos;
+        b[25] = self.nw_proto;
+        b[28..32].copy_from_slice(&self.nw_src.octets());
+        b[32..36].copy_from_slice(&self.nw_dst.octets());
+        b[36..38].copy_from_slice(&self.tp_src.to_be_bytes());
+        b[38..40].copy_from_slice(&self.tp_dst.to_be_bytes());
+        b
+    }
+
     /// Serialise the 40-byte wire form.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.wildcards.to_be_bytes());
-        out.extend_from_slice(&self.in_port.to_be_bytes());
-        out.extend_from_slice(&self.dl_src.octets());
-        out.extend_from_slice(&self.dl_dst.octets());
-        out.extend_from_slice(&self.dl_vlan.to_be_bytes());
-        out.push(self.dl_vlan_pcp);
-        out.push(0); // pad
-        out.extend_from_slice(&self.dl_type.to_be_bytes());
-        out.push(self.nw_tos);
-        out.push(self.nw_proto);
-        out.extend_from_slice(&[0, 0]); // pad
-        out.extend_from_slice(&self.nw_src.octets());
-        out.extend_from_slice(&self.nw_dst.octets());
-        out.extend_from_slice(&self.tp_src.to_be_bytes());
-        out.extend_from_slice(&self.tp_dst.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Parse the 40-byte wire form.

@@ -1,8 +1,8 @@
 //! OpenFlow 1.0 message bodies and their wire forms.
 
-use crate::actions::Action;
+use crate::actions::{Action, ActionList};
 use crate::codec::WireError;
-use crate::header::{Header, MessageType, OFP_HEADER_LEN, OFP_VERSION};
+use crate::header::{Header, MessageType, OFP_HEADER_LEN, OFP_MAX_MESSAGE_LEN, OFP_VERSION};
 use crate::match_field::{OfMatch, OFP_MATCH_LEN};
 use osnt_packet::MacAddr;
 
@@ -102,7 +102,7 @@ pub struct PacketOut {
     /// Port the frame "arrived" on (0xfff8 = OFPP_NONE/controller).
     pub in_port: u16,
     /// Actions to apply.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// The frame, when not buffered.
     pub data: Vec<u8>,
 }
@@ -158,12 +158,12 @@ pub struct FlowMod {
     /// Flag bits (OFPFF_SEND_FLOW_REM = 1).
     pub flags: u16,
     /// Actions of the entry.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 impl FlowMod {
     /// An ADD with sensible defaults.
-    pub fn add(of_match: OfMatch, priority: u16, actions: Vec<Action>) -> Self {
+    pub fn add(of_match: OfMatch, priority: u16, actions: impl Into<ActionList>) -> Self {
         FlowMod {
             of_match,
             cookie: 0,
@@ -174,7 +174,7 @@ impl FlowMod {
             buffer_id: 0xffff_ffff,
             out_port: 0xffff,
             flags: 0,
-            actions,
+            actions: actions.into(),
         }
     }
 
@@ -182,7 +182,7 @@ impl FlowMod {
     pub fn delete_strict(of_match: OfMatch, priority: u16) -> Self {
         FlowMod {
             command: FlowModCommand::DeleteStrict,
-            ..FlowMod::add(of_match, priority, Vec::new())
+            ..FlowMod::add(of_match, priority, ActionList::new())
         }
     }
 }
@@ -229,7 +229,14 @@ pub struct FlowStatsEntry {
     /// Bytes matched.
     pub byte_count: u64,
     /// Actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
+}
+
+impl FlowStatsEntry {
+    /// Bytes the entry takes in a reply.
+    fn wire_len(&self) -> usize {
+        FLOW_STATS_FIXED_LEN + actions_len(&self.actions)
+    }
 }
 
 /// Per-port statistics entry in a STATS_REPLY (`ofp_port_stats`).
@@ -261,8 +268,13 @@ pub enum StatsBody {
         /// Table (0xff = all).
         table_id: u8,
     },
-    /// OFPST_FLOW reply.
-    FlowReply(Vec<FlowStatsEntry>),
+    /// OFPST_FLOW reply, or one part of it.
+    FlowReply {
+        /// The entries of this part.
+        entries: Vec<FlowStatsEntry>,
+        /// `OFPSF_REPLY_MORE`: more parts of the reply follow.
+        more: bool,
+    },
     /// OFPST_PORT request (0xffff = all ports).
     PortRequest {
         /// Port filter.
@@ -345,27 +357,38 @@ impl Message {
         out
     }
 
-    /// Append the wire form (header, then body) to `out`. The body is
-    /// written in place behind a header whose length field is patched
-    /// once the body's end is known, so a caller that frames the message
-    /// (`encap_control`) pays for one buffer and no copy.
+    /// Append the wire form (header, then body) to `out`, so a caller
+    /// that frames the message (`encap_control`) pays for one buffer and
+    /// no copy. Every length field is known before its bytes are written,
+    /// and each fixed-size part goes into `out` in one copy.
+    ///
+    /// # Panics
+    ///
+    /// On a message longer than [`OFP_MAX_MESSAGE_LEN`], which its 16-bit
+    /// length field cannot state; nothing is written then. A long
+    /// flow-stats reply is sent in parts
+    /// ([`StatsBody::flow_reply_parts`]).
     pub fn encode_into(&self, xid: u32, out: &mut Vec<u8>) {
+        let len = self.wire_len();
+        assert!(
+            len <= OFP_MAX_MESSAGE_LEN,
+            "{:?} of {len} bytes exceeds the OpenFlow length field's {OFP_MAX_MESSAGE_LEN}",
+            self.msg_type()
+        );
         let start = out.len();
         Header {
             version: OFP_VERSION,
             msg_type: self.msg_type(),
-            length: 0,
+            length: len as u16,
             xid,
         }
         .write_to(out);
         self.write_body(out);
-        debug_assert_eq!(out.len() - start, self.wire_len());
-        patch_len(out, start + 2, start);
+        debug_assert_eq!(out.len() - start, len);
     }
 
     /// Bytes [`Message::encode_into`] appends: what a caller reserves.
     pub fn wire_len(&self) -> usize {
-        let actions = |a: &[Action]| a.iter().map(Action::wire_len).sum::<usize>();
         OFP_HEADER_LEN
             + match self {
                 Message::Hello
@@ -377,18 +400,18 @@ impl Message {
                 Message::FeaturesReply(f) => 24 + f.ports.len() * PhyPort::WIRE_LEN,
                 Message::PacketIn(p) => 10 + p.data.len(),
                 Message::FlowRemoved(_) => OFP_MATCH_LEN + 40,
-                Message::PacketOut(p) => 8 + actions(&p.actions) + p.data.len(),
-                Message::FlowMod(f) => OFP_MATCH_LEN + 24 + actions(&f.actions),
+                Message::PacketOut(p) => 8 + actions_len(&p.actions) + p.data.len(),
+                Message::FlowMod(f) => FLOW_MOD_FIXED_LEN + actions_len(&f.actions),
                 Message::StatsRequest(b) | Message::StatsReply(b) => {
-                    4 + match b {
-                        StatsBody::FlowRequest { .. } => OFP_MATCH_LEN + 4,
-                        StatsBody::FlowReply(entries) => entries
-                            .iter()
-                            .map(|e| FLOW_STATS_FIXED_LEN + actions(&e.actions))
-                            .sum(),
-                        StatsBody::PortRequest { .. } => 8,
-                        StatsBody::PortReply(entries) => entries.len() * PORT_STATS_LEN,
-                    }
+                    STATS_HEADER_LEN
+                        + match b {
+                            StatsBody::FlowRequest { .. } => OFP_MATCH_LEN + 4,
+                            StatsBody::FlowReply { entries, .. } => {
+                                entries.iter().map(FlowStatsEntry::wire_len).sum()
+                            }
+                            StatsBody::PortRequest { .. } => 8,
+                            StatsBody::PortReply(entries) => entries.len() * PORT_STATS_LEN,
+                        }
                 }
             }
     }
@@ -449,22 +472,23 @@ impl Message {
             Message::PacketOut(p) => {
                 out.extend_from_slice(&p.buffer_id.to_be_bytes());
                 out.extend_from_slice(&p.in_port.to_be_bytes());
-                let len_at = out.len();
-                out.extend_from_slice(&[0, 0]); // actions_len, patched below
+                out.extend_from_slice(&(actions_len(&p.actions) as u16).to_be_bytes());
                 Action::write_list(&p.actions, out);
-                patch_len(out, len_at, len_at + 2);
                 out.extend_from_slice(&p.data);
             }
             Message::FlowMod(f) => {
-                f.of_match.write_to(out);
-                out.extend_from_slice(&f.cookie.to_be_bytes());
-                out.extend_from_slice(&(f.command as u16).to_be_bytes());
-                out.extend_from_slice(&f.idle_timeout.to_be_bytes());
-                out.extend_from_slice(&f.hard_timeout.to_be_bytes());
-                out.extend_from_slice(&f.priority.to_be_bytes());
-                out.extend_from_slice(&f.buffer_id.to_be_bytes());
-                out.extend_from_slice(&f.out_port.to_be_bytes());
-                out.extend_from_slice(&f.flags.to_be_bytes());
+                let mut b = [0u8; FLOW_MOD_FIXED_LEN];
+                b[..OFP_MATCH_LEN].copy_from_slice(&f.of_match.to_bytes());
+                let t = &mut b[OFP_MATCH_LEN..];
+                t[0..8].copy_from_slice(&f.cookie.to_be_bytes());
+                t[8..10].copy_from_slice(&(f.command as u16).to_be_bytes());
+                t[10..12].copy_from_slice(&f.idle_timeout.to_be_bytes());
+                t[12..14].copy_from_slice(&f.hard_timeout.to_be_bytes());
+                t[14..16].copy_from_slice(&f.priority.to_be_bytes());
+                t[16..20].copy_from_slice(&f.buffer_id.to_be_bytes());
+                t[20..22].copy_from_slice(&f.out_port.to_be_bytes());
+                t[22..24].copy_from_slice(&f.flags.to_be_bytes());
+                out.extend_from_slice(&b);
                 Action::write_list(&f.actions, out);
             }
             Message::StatsRequest(body) => write_stats(body, out, true),
@@ -563,7 +587,7 @@ impl Message {
                 })
             }
             MessageType::FlowMod => {
-                if body.len() < OFP_MATCH_LEN + 24 {
+                if body.len() < FLOW_MOD_FIXED_LEN {
                     return Err(WireError::Truncated);
                 }
                 let m = OfMatch::parse(body)?;
@@ -590,21 +614,60 @@ impl Message {
     }
 }
 
+impl StatsBody {
+    /// A flow-stats reply in the parts it is sent as: each part holds as
+    /// many entries, in order, as fit one message, and every part but
+    /// the last has `more` set. No entries make one empty part.
+    pub fn flow_reply_parts(mut entries: Vec<FlowStatsEntry>) -> Vec<StatsBody> {
+        let room = OFP_MAX_MESSAGE_LEN - OFP_HEADER_LEN - STATS_HEADER_LEN;
+        let mut parts = Vec::new();
+        loop {
+            let mut used = 0;
+            let fit = entries
+                .iter()
+                .take_while(|e| {
+                    used += e.wire_len();
+                    used <= room
+                })
+                .count();
+            if fit == entries.len() {
+                parts.push(StatsBody::FlowReply {
+                    entries,
+                    more: false,
+                });
+                return parts;
+            }
+            // An entry too long for any message goes alone, and
+            // encoding refuses it.
+            let rest = entries.split_off(fit.max(1));
+            parts.push(StatsBody::FlowReply {
+                entries,
+                more: true,
+            });
+            entries = rest;
+        }
+    }
+}
+
 /// What [`Message::encode`] reserves.
 const TYPICAL_WIRE_LEN: usize = 128;
 
+/// `ofp_flow_mod` up to its action list, behind the header.
+const FLOW_MOD_FIXED_LEN: usize = OFP_MATCH_LEN + 24;
+/// `ofp_stats_request` / `ofp_stats_reply` up to the body: type, flags.
+const STATS_HEADER_LEN: usize = 4;
 const OFPST_FLOW: u16 = 1;
 const OFPST_PORT: u16 = 4;
+/// The reply flag saying more parts of it follow.
+const OFPSF_REPLY_MORE: u16 = 0x0001;
 /// `ofp_flow_stats` up to its action list.
 const FLOW_STATS_FIXED_LEN: usize = 88;
 /// `ofp_port_stats`.
 const PORT_STATS_LEN: usize = 104;
 
-/// Overwrite the big-endian `u16` at `at` with the number of bytes `out`
-/// holds from `from` on: a length field written before what it counts.
-fn patch_len(out: &mut [u8], at: usize, from: usize) {
-    let len = (out.len() - from) as u16;
-    out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+/// Wire bytes of an action list.
+fn actions_len(actions: &[Action]) -> usize {
+    actions.iter().map(Action::wire_len).sum()
 }
 
 fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
@@ -618,27 +681,25 @@ fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
             out.push(0);
             out.extend_from_slice(&0xffffu16.to_be_bytes()); // out_port = none
         }
-        StatsBody::FlowReply(entries) => {
+        StatsBody::FlowReply { entries, more } => {
             assert!(!is_request);
+            let flags = if *more { OFPSF_REPLY_MORE } else { 0 };
             out.extend_from_slice(&OFPST_FLOW.to_be_bytes());
-            out.extend_from_slice(&0u16.to_be_bytes());
+            out.extend_from_slice(&flags.to_be_bytes());
             for e in entries {
-                let entry_at = out.len();
-                out.extend_from_slice(&[0, 0]); // entry length, patched below
-                out.push(e.table_id);
-                out.push(0);
-                e.of_match.write_to(out);
-                out.extend_from_slice(&e.duration_sec.to_be_bytes());
-                out.extend_from_slice(&e.duration_nsec.to_be_bytes());
-                out.extend_from_slice(&e.priority.to_be_bytes());
-                out.extend_from_slice(&0u16.to_be_bytes()); // idle
-                out.extend_from_slice(&0u16.to_be_bytes()); // hard
-                out.extend_from_slice(&[0u8; 6]);
-                out.extend_from_slice(&e.cookie.to_be_bytes());
-                out.extend_from_slice(&e.packet_count.to_be_bytes());
-                out.extend_from_slice(&e.byte_count.to_be_bytes());
+                // Idle and hard timeouts (54..58) and padding stay zero.
+                let mut b = [0u8; FLOW_STATS_FIXED_LEN];
+                b[0..2].copy_from_slice(&(e.wire_len() as u16).to_be_bytes());
+                b[2] = e.table_id;
+                b[4..44].copy_from_slice(&e.of_match.to_bytes());
+                b[44..48].copy_from_slice(&e.duration_sec.to_be_bytes());
+                b[48..52].copy_from_slice(&e.duration_nsec.to_be_bytes());
+                b[52..54].copy_from_slice(&e.priority.to_be_bytes());
+                b[64..72].copy_from_slice(&e.cookie.to_be_bytes());
+                b[72..80].copy_from_slice(&e.packet_count.to_be_bytes());
+                b[80..88].copy_from_slice(&e.byte_count.to_be_bytes());
+                out.extend_from_slice(&b);
                 Action::write_list(&e.actions, out);
-                patch_len(out, entry_at, entry_at);
             }
         }
         StatsBody::PortRequest { port_no } => {
@@ -669,11 +730,12 @@ fn write_stats(body: &StatsBody, out: &mut Vec<u8>, is_request: bool) {
 }
 
 fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
-    if body.len() < 4 {
+    if body.len() < STATS_HEADER_LEN {
         return Err(WireError::Truncated);
     }
     let stype = u16::from_be_bytes([body[0], body[1]]);
-    let rest = &body[4..];
+    let flags = u16::from_be_bytes([body[2], body[3]]);
+    let rest = &body[STATS_HEADER_LEN..];
     match (stype, is_request) {
         (OFPST_FLOW, true) => {
             if rest.len() < OFP_MATCH_LEN + 4 {
@@ -709,7 +771,10 @@ fn parse_stats(body: &[u8], is_request: bool) -> Result<StatsBody, WireError> {
                 });
                 b = &b[entry_len..];
             }
-            Ok(StatsBody::FlowReply(entries))
+            Ok(StatsBody::FlowReply {
+                entries,
+                more: flags & OFPSF_REPLY_MORE != 0,
+            })
         }
         (OFPST_PORT, true) => {
             if rest.len() < 8 {
@@ -862,10 +927,10 @@ mod tests {
         round_trip(Message::PacketOut(PacketOut {
             buffer_id: 0xffff_ffff,
             in_port: 0xfff8,
-            actions: vec![Action::Output {
+            actions: ActionList::one(Action::Output {
                 port: 1,
                 max_len: 0,
-            }],
+            }),
             data: vec![0x55; 64],
         }));
     }
@@ -893,22 +958,12 @@ mod tests {
         round_trip(Message::StatsRequest(StatsBody::PortRequest {
             port_no: 0xffff,
         }));
-        round_trip(Message::StatsReply(StatsBody::FlowReply(vec![
-            FlowStatsEntry {
-                table_id: 0,
-                of_match: OfMatch::ipv4_dst(Ipv4Addr::new(1, 2, 3, 4)),
-                duration_sec: 3,
-                duration_nsec: 250_000,
-                priority: 9,
-                cookie: 0xabcd,
-                packet_count: 55,
-                byte_count: 7040,
-                actions: vec![Action::Output {
-                    port: 4,
-                    max_len: 0,
-                }],
-            },
-        ])));
+        for more in [false, true] {
+            round_trip(Message::StatsReply(StatsBody::FlowReply {
+                entries: vec![stats_entry(9)],
+                more,
+            }));
+        }
         round_trip(Message::StatsReply(StatsBody::PortReply(vec![
             PortStats {
                 port_no: 1,
@@ -921,6 +976,50 @@ mod tests {
             },
             PortStats::default(),
         ])));
+    }
+
+    fn stats_entry(priority: u16) -> FlowStatsEntry {
+        FlowStatsEntry {
+            table_id: 0,
+            of_match: OfMatch::ipv4_dst(Ipv4Addr::new(1, 2, 3, 4)),
+            duration_sec: 3,
+            duration_nsec: 250_000,
+            priority,
+            cookie: 0xabcd,
+            packet_count: 55,
+            byte_count: 7040,
+            actions: ActionList::one(Action::Output {
+                port: 4,
+                max_len: 0,
+            }),
+        }
+    }
+
+    #[test]
+    fn a_long_flow_reply_is_cut_into_parts_that_fit() {
+        // 96 bytes an entry: 682 fit behind the 12 bytes of headers.
+        let entries: Vec<_> = (0..1500).map(stats_entry).collect();
+        let parts = StatsBody::flow_reply_parts(entries.clone());
+        let mut back = Vec::new();
+        for (i, part) in parts.iter().enumerate() {
+            let StatsBody::FlowReply { entries, more } = part else {
+                panic!("not a flow reply: {part:?}");
+            };
+            assert_eq!(*more, i + 1 < parts.len());
+            assert_eq!(entries.len(), [682, 682, 136][i]);
+            back.extend(entries.iter().cloned());
+            let msg = Message::StatsReply(part.clone());
+            assert!(msg.wire_len() <= OFP_MAX_MESSAGE_LEN);
+            round_trip(msg);
+        }
+        assert_eq!(back, entries);
+        assert_eq!(
+            StatsBody::flow_reply_parts(Vec::new()),
+            [StatsBody::FlowReply {
+                entries: Vec::new(),
+                more: false
+            }]
+        );
     }
 
     #[test]

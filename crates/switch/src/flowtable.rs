@@ -12,7 +12,7 @@
 use crate::compiled::CompiledOfMatch;
 use crate::tuple_space::{Rank, TupleSpace};
 use osnt_openflow::match_field::wildcards;
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_packet::{FlowKey, ParsedPacket};
 use osnt_time::SimTime;
 
@@ -41,7 +41,7 @@ pub struct FlowEntry {
     /// Priority (higher wins among overlapping entries).
     pub priority: u16,
     /// Actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// Controller cookie.
     pub cookie: u64,
     /// Flow-mod flag bits (bit 0 = send FLOW_REMOVED).
@@ -62,11 +62,16 @@ pub struct FlowEntry {
 
 impl FlowEntry {
     /// A fresh entry installed at `now`.
-    pub fn new(of_match: OfMatch, priority: u16, actions: Vec<Action>, now: SimTime) -> Self {
+    pub fn new(
+        of_match: OfMatch,
+        priority: u16,
+        actions: impl Into<ActionList>,
+        now: SimTime,
+    ) -> Self {
         FlowEntry {
             of_match,
             priority,
-            actions,
+            actions: actions.into(),
             cookie: 0,
             flags: 0,
             idle_timeout: 0,
@@ -295,7 +300,7 @@ impl FlowTable {
         if strict {
             return match self.find_strict(of_match, priority) {
                 Some(i) => {
-                    self.entries[i].actions = actions.to_vec();
+                    self.entries[i].actions = actions.into();
                     1
                 }
                 None => 0,
@@ -304,7 +309,7 @@ impl FlowTable {
         let mut n = 0;
         for e in &mut self.entries {
             if covers(of_match, &e.of_match) {
-                e.actions = actions.to_vec();
+                e.actions = actions.into();
                 n += 1;
             }
         }
@@ -462,8 +467,8 @@ mod tests {
             .build()
     }
 
-    fn out(port: u16) -> Vec<Action> {
-        vec![Action::Output { port, max_len: 0 }]
+    fn out(port: u16) -> ActionList {
+        ActionList::one(Action::Output { port, max_len: 0 })
     }
 
     #[test]

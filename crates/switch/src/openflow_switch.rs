@@ -109,7 +109,8 @@ impl Default for OfSwitchConfig {
 /// Work items for the serial management CPU.
 #[derive(Debug)]
 enum CpuJob {
-    FlowMod(FlowMod, u32),
+    /// The xid of the flow_mod at `mods[hw_pending]`.
+    FlowMod(u32),
     Barrier(u32),
     Echo(EchoData, u32),
     Features(u32),
@@ -124,12 +125,6 @@ enum CpuJob {
     },
 }
 
-/// Hardware-table commits in flight between CPU and TCAM.
-#[derive(Debug)]
-struct HwCommit {
-    flow_mod: FlowMod,
-}
-
 /// The switch component. Kernel port layout: `0..n_ports` are data
 /// ports, `n_ports` is the control channel.
 pub struct OpenFlowSwitch {
@@ -139,7 +134,11 @@ pub struct OpenFlowSwitch {
     pipeline: ForwardingPipeline,
     cpu_fifo: VecDeque<CpuJob>,
     cpu_busy_until: SimTime,
-    hw_fifo: VecDeque<HwCommit>,
+    /// Every flow_mod from arrival to its hardware commit, in order: it
+    /// is moved in once and out once. The first `hw_pending` have passed
+    /// the CPU and wait for the TCAM; the rest wait for the CPU.
+    mods: VecDeque<FlowMod>,
+    hw_pending: usize,
     last_hw_commit: SimTime,
     barrier_fifo: VecDeque<u32>,
     /// Logical table occupancy as the CPU sees it (hardware length plus
@@ -163,7 +162,8 @@ impl OpenFlowSwitch {
             pipeline: ForwardingPipeline::new(),
             cpu_fifo: VecDeque::new(),
             cpu_busy_until: SimTime::ZERO,
-            hw_fifo: VecDeque::new(),
+            mods: VecDeque::new(),
+            hw_pending: 0,
             last_hw_commit: SimTime::ZERO,
             barrier_fifo: VecDeque::new(),
             logical_len: 0,
@@ -229,7 +229,8 @@ impl OpenFlowSwitch {
             }
             Message::FlowMod(fm) => {
                 let proc = self.config.flowmod_proc;
-                self.enqueue_cpu(kernel, me, CpuJob::FlowMod(fm, xid), proc);
+                self.mods.push_back(fm);
+                self.enqueue_cpu(kernel, me, CpuJob::FlowMod(xid), proc);
             }
             Message::BarrierRequest => {
                 // The barrier itself is cheap; ordering is the point.
@@ -281,12 +282,15 @@ impl OpenFlowSwitch {
                 });
                 self.send_control(kernel, me, reply, xid);
             }
-            CpuJob::FlowMod(fm, xid) => {
+            CpuJob::FlowMod(xid) => {
+                let fm = &self.mods[self.hw_pending];
                 // Table-full is detected by the CPU against its logical
                 // view (hardware length + in-flight deltas).
                 match fm.command {
                     FlowModCommand::Add => {
                         if self.logical_len >= self.config.table_capacity {
+                            let specificity = fm.of_match.specificity();
+                            self.mods.remove(self.hw_pending);
                             self.flow_mods_rejected += 1;
                             self.send_control(
                                 kernel,
@@ -294,7 +298,7 @@ impl OpenFlowSwitch {
                                 Message::Error {
                                     err_type: 3, // OFPET_FLOW_MOD_FAILED
                                     code: 0,     // OFPFMFC_ALL_TABLES_FULL
-                                    data: fm.of_match.specificity().to_be_bytes().to_vec(),
+                                    data: specificity.to_be_bytes().to_vec(),
                                 },
                                 xid,
                             );
@@ -310,9 +314,9 @@ impl OpenFlowSwitch {
                     _ => {}
                 }
                 self.flow_mods_accepted += 1;
+                self.hw_pending += 1;
                 let commit_at = kernel.now() + self.config.hw_install_delay;
                 self.last_hw_commit = self.last_hw_commit.max(commit_at);
-                self.hw_fifo.push_back(HwCommit { flow_mod: fm });
                 kernel.schedule_timer_at(me, commit_at, TAG_HW);
             }
             CpuJob::Barrier(xid) => {
@@ -325,6 +329,7 @@ impl OpenFlowSwitch {
                 }
             }
             CpuJob::StatsFlow(filter, xid) => {
+                // One reply, in as many parts as the length field needs.
                 let now = kernel.now();
                 let entries: Vec<FlowStatsEntry> = self
                     .table
@@ -342,12 +347,9 @@ impl OpenFlowSwitch {
                         actions: e.actions.clone(),
                     })
                     .collect();
-                self.send_control(
-                    kernel,
-                    me,
-                    Message::StatsReply(StatsBody::FlowReply(entries)),
-                    xid,
-                );
+                for part in StatsBody::flow_reply_parts(entries) {
+                    self.send_control(kernel, me, Message::StatsReply(part), xid);
+                }
             }
             CpuJob::StatsPort(which, xid) => {
                 let mut entries = Vec::new();
@@ -404,7 +406,8 @@ impl OpenFlowSwitch {
     }
 
     fn commit_hw(&mut self, kernel: &mut Kernel, me: ComponentId) {
-        let HwCommit { flow_mod: fm } = self.hw_fifo.pop_front().expect("HW timer without commit");
+        let fm = self.mods.pop_front().expect("HW timer without commit");
+        self.hw_pending -= 1;
         let now = kernel.now();
         match fm.command {
             FlowModCommand::Add => {

@@ -23,7 +23,7 @@
 //! would merge them.
 
 use osnt_openflow::match_field::wildcards;
-use osnt_openflow::{Action, OfMatch};
+use osnt_openflow::{Action, ActionList, OfMatch};
 use osnt_packet::{FlowKey, MacAddr, Packet, PacketBuilder};
 use osnt_switch::flowtable::{covers, FlowEntry, FlowTable, RemovalReason};
 use osnt_time::{SimDuration, SimTime};
@@ -136,8 +136,8 @@ fn udp_frame(dst_ip: Ipv4Addr, dst_port: u16) -> Packet {
         .build()
 }
 
-fn out(port: u16) -> Vec<Action> {
-    vec![Action::Output { port, max_len: 0 }]
+fn out(port: u16) -> ActionList {
+    ActionList::one(Action::Output { port, max_len: 0 })
 }
 
 /// The naive model: entries in a plain vector beside their installation
@@ -269,7 +269,7 @@ fn new_entry(s: &MatchSpec, i: usize, now: SimTime) -> FlowEntry {
     e
 }
 
-fn modify_actions(i: usize) -> Vec<Action> {
+fn modify_actions(i: usize) -> ActionList {
     out((i as u16).wrapping_add(10_000))
 }
 

@@ -277,7 +277,7 @@ fn packet_out_emits_on_requested_port() {
         Message::PacketOut(PacketOut {
             buffer_id: 0xffff_ffff,
             in_port: 0xfff8,
-            actions: out_port(3),
+            actions: out_port(3).into(),
             data: frame.data().to_vec(),
         }),
     )];
@@ -301,7 +301,7 @@ fn packet_out_applies_header_rewrites_before_output() {
         Message::PacketOut(PacketOut {
             buffer_id: 0xffff_ffff,
             in_port: 0xfff8,
-            actions: [vec![rewrite], out_port(2)].concat(),
+            actions: [vec![rewrite], out_port(2)].concat().into(),
             data,
         })
     };
@@ -347,7 +347,7 @@ fn flow_stats_report_match_counters() {
     let reply = log
         .iter()
         .find_map(|(_, m, _)| match m {
-            Message::StatsReply(StatsBody::FlowReply(e)) => Some(e.clone()),
+            Message::StatsReply(StatsBody::FlowReply { entries, .. }) => Some(entries.clone()),
             _ => None,
         })
         .expect("flow stats reply");
@@ -391,7 +391,7 @@ fn flow_stats_report_the_entry_age_in_whole_seconds_and_nanoseconds() {
     let reply = log
         .iter()
         .find_map(|(_, m, _)| match m {
-            Message::StatsReply(StatsBody::FlowReply(e)) => Some(e.clone()),
+            Message::StatsReply(StatsBody::FlowReply { entries, .. }) => Some(entries.clone()),
             _ => None,
         })
         .expect("flow stats reply");

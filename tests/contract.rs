@@ -34,7 +34,10 @@
 //!   store-and-forward vs cut-through ablation at 64 and 1518 B, and a
 //!   miniature of the Part II churn (barrier-fenced flow_mod rounds on
 //!   the control-only testbed: per-round latencies, the control log and
-//!   the event count).
+//!   the event count);
+//! * a reply the OpenFlow length field cannot hold: a switch holding
+//!   1 000 rules answers one flow-stats request in parts that each
+//!   decode, flagged `more` but the last, whose entries sum to the table.
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
 use osnt::core::experiment::LatencyExperiment;
@@ -50,11 +53,13 @@ use osnt::netsim::{PortCounters, Sim};
 use osnt::oflops::modules::FlowChurnModule;
 use osnt::oflops::{Testbed, TestbedSpec};
 use osnt::openflow::match_field::wildcards;
-use osnt::openflow::messages::{FlowMod, Message};
+use osnt::openflow::messages::{FlowMod, Message, StatsBody};
 use osnt::openflow::{Action, OfMatch};
 use osnt::packet::hash::{crc32, crc32_update};
 use osnt::packet::{line_rate_pps, wire_bits, MacAddr, Packet, WildcardRule};
-use osnt::switch::{encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch};
+use osnt::switch::{
+    decap_control, encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch,
+};
 use osnt::time::{DriftModel, HwClock, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
@@ -601,4 +606,81 @@ fn flow_mod_churn_is_pinned_round_by_round() {
     assert_eq!(k.pending_events(), 5);
     // Every control-plane event waited in a lane; none fell back to the heap.
     assert_eq!(k.queue_counts().wheel_pushes, 0);
+}
+
+/// Loads `mods` at start, asks for every flow's counters at 100 ms and
+/// keeps each control message it gets back; each must decode.
+struct StatsPoller {
+    mods: Vec<FlowMod>,
+    replies: Rc<RefCell<Vec<(Message, u32)>>>,
+}
+
+/// The xid of the flow-stats request.
+const STATS_XID: u32 = 0x5747;
+
+impl Component for StatsPoller {
+    fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+        for (i, fm) in self.mods.iter().enumerate() {
+            let frame = encap_control(&Message::FlowMod(fm.clone()), i as u32 + 1);
+            let _ = k.transmit(me, 0, frame);
+        }
+        k.schedule_timer_at(me, SimTime::from_ms(100), 0);
+    }
+    fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, _: u64) {
+        let request = Message::StatsRequest(StatsBody::FlowRequest {
+            of_match: OfMatch::any(),
+            table_id: 0xff,
+        });
+        let _ = k.transmit(me, 0, encap_control(&request, STATS_XID));
+    }
+    fn on_packet(&mut self, _: &mut Kernel, _: ComponentId, _: usize, pkt: Packet) {
+        let reply = decap_control(&pkt).expect("a control frame");
+        self.replies
+            .borrow_mut()
+            .push(reply.expect("every reply decodes"));
+    }
+}
+
+#[test]
+fn a_flow_stats_reply_too_long_for_one_message_comes_in_parts() {
+    // 1 000 one-action entries are 96 000 bytes of reply, more than the
+    // 65 535 a message can state: 682 entries fit in one.
+    const RULES: u16 = 1_000;
+    let mods = (0..RULES)
+        .map(|i| FlowMod::add(flow_match(10_000 + i), 10, output(3)))
+        .collect();
+    let replies = Rc::new(RefCell::new(Vec::new()));
+    let poller = StatsPoller {
+        mods,
+        replies: Rc::clone(&replies),
+    };
+    let switch = OpenFlowSwitch::new(OfSwitchConfig::default());
+    let (ctrl_port, kernel_ports) = (switch.control_port(), switch.kernel_ports());
+    let mut b = SimBuilder::new();
+    let sw = b.add_component("switch", Box::new(switch), kernel_ports);
+    let ctl = b.add_component("ctl", Box::new(poller), 1);
+    b.connect(ctl, 0, sw, ctrl_port, LinkSpec::one_gig());
+    // 1 000 × 25 µs of CPU and 1 ms of install before the request; its
+    // 2.1 ms of CPU and 1.1 ms of reply on the wire after.
+    b.build().run_until(SimTime::from_ms(150));
+
+    let replies = replies.borrow();
+    let mut parts = Vec::new();
+    for reply in replies.iter() {
+        match reply {
+            (Message::StatsReply(StatsBody::FlowReply { entries, more }), xid) => {
+                assert_eq!(*xid, STATS_XID);
+                parts.push((entries, *more));
+            }
+            other => panic!("unexpected control message {other:?}"),
+        }
+    }
+    let sizes: Vec<(usize, bool)> = parts.iter().map(|(e, more)| (e.len(), *more)).collect();
+    assert_eq!(sizes, [(682, true), (318, false)]);
+    let mut ports: Vec<u16> = parts
+        .iter()
+        .flat_map(|(e, _)| e.iter().map(|e| e.of_match.tp_dst))
+        .collect();
+    ports.sort_unstable();
+    assert_eq!(ports, (10_000..10_000 + RULES).collect::<Vec<_>>());
 }
