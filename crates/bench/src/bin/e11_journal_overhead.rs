@@ -1,11 +1,12 @@
 //! E11 — run-journal overhead: the E5 latency sweep run twice, once as
 //! a plain unsupervised loop and once under the run supervisor
-//! (write-ahead journal + per-phase watchdog + progress heartbeats),
+//! (write-ahead journal + per-phase stall limit + progress heartbeats),
 //! and the wall-clock delta reported.
 //!
 //! The supervisor's pitch is "crash consistency for (almost) free": the
 //! journal batches fsyncs, samples are written once per phase, and the
-//! heartbeat is two relaxed atomic stores per dispatched event. This
+//! heartbeat is one atomic `fetch_max` and a stall check every 64th
+//! dispatched event, on the dispatch thread — no other thread runs. This
 //! bench is the receipt: it checks that both arms complete and prints
 //! the delta as a reading. Nothing is asserted on it — min-of-three
 //! wall times drift by more than the 5% budget between runs of one
@@ -25,8 +26,8 @@ const REPS: usize = 3;
 fn sweep_config() -> SweepConfig {
     // A paper-scale sweep (Fig. 2's load axis at the default 20 ms
     // phases), not a toy: per-run fixed costs (journal create, final
-    // fsync, watchdog threads) must amortize the way they would in a
-    // real campaign for the reading to mean anything.
+    // fsync) must amortize the way they would in a real campaign for the
+    // reading to mean anything.
     SweepConfig {
         frame_len: 512,
         probe_load: 0.02,

@@ -17,7 +17,7 @@ use osnt_mon::{FilterAction, FilterTable, MonConfig, MonitorPort, ThinConfig};
 use osnt_netsim::{Component, ComponentId, Kernel, LinkSpec, SimBuilder};
 use osnt_packet::{line_rate_pps, Packet, WildcardRule};
 use osnt_service::ServiceConfig;
-use osnt_supervisor::{SupervisorConfig, WatchdogConfig};
+use osnt_supervisor::SupervisorConfig;
 use osnt_switch::{LegacyConfig, OfSwitchConfig};
 use osnt_time::{HwClock, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -366,7 +366,7 @@ fn parse_loads(s: &str) -> Result<Vec<f64>, UsageError> {
 }
 
 /// `osnt run` — the supervised multi-load latency sweep: journaled,
-/// watchdogged, resumable. A fresh run needs `--journal <path>`; after a
+/// stall-limited, resumable. A fresh run needs `--journal <path>`; after a
 /// crash or abort, `--resume <path>` picks the campaign back up from the
 /// journal (the configuration comes from the journal header and is
 /// digest-verified) and produces a report byte-identical to an
@@ -387,10 +387,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     args.reject_unknown()?;
 
     let supervisor = SupervisorConfig {
-        watchdog: Some(WatchdogConfig {
-            stall_timeout: Duration::from_millis(stall_ms.max(1)),
-            poll_interval: Duration::from_millis((stall_ms / 4).clamp(1, 25)),
-        }),
+        stall_timeout: Some(Duration::from_millis(stall_ms.max(1))),
         ..SupervisorConfig::default()
     };
 

@@ -70,9 +70,10 @@ pub struct LatencyExperiment {
     /// in the report's fault accounting instead of aborting anything.
     pub probe_faults: Option<FaultConfig>,
     /// Supervisor heartbeat (`None` = unsupervised). When set, the
-    /// dispatch loop bumps the probe's simulated-time high-water mark
-    /// on every event and honours its abort flag; an aborted run
-    /// returns [`OsntError::RunAborted`] instead of a report.
+    /// dispatch loop publishes its simulated-time high-water mark into
+    /// the probe every 64th event and stops once one of the probe's
+    /// limits fires; an aborted run returns [`OsntError::RunAborted`]
+    /// instead of a report.
     pub progress: Option<std::sync::Arc<osnt_time::ProgressProbe>>,
     /// Also return the per-sample raw latencies (picoseconds) in the
     /// report — the supervisor journals them so a resumed run can

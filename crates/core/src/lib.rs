@@ -23,7 +23,7 @@
 //!   MAC-level timestamping buys (experiment E8).
 //! * [`sweep`] — the supervised campaign driver: a multi-load latency
 //!   sweep run under the `osnt-supervisor` lifecycle (per-phase
-//!   watchdogs, crash-consistent journal, resume with byte-identical
+//!   stall limits, crash-consistent journal, resume with byte-identical
 //!   reports).
 
 pub mod baseline;

@@ -2,7 +2,7 @@
 //!
 //! The standard multi-phase campaign — the load/latency curve of the
 //! paper's Fig. 2 — run under the [`osnt_supervisor`] lifecycle: one
-//! supervisor phase per background load, each phase watchdogged,
+//! supervisor phase per background load, each phase stall-limited,
 //! journaled, and resumable.
 //!
 //! The determinism contract does the heavy lifting: every phase is a
@@ -250,7 +250,7 @@ impl PhasePayload for LatencyReport {
 /// zero-delay timer forever, dispatching events without ever advancing
 /// simulated time. Exactly the livelock class only a simulated-time
 /// heartbeat can detect — event counts keep climbing. Demo/test
-/// component for the watchdog path (`--wedge-at-phase`).
+/// component for the stall-limit path (`--wedge-at-phase`).
 pub struct WedgeDut;
 
 impl Component for WedgeDut {
@@ -275,7 +275,7 @@ impl Component for WedgeDut {
 pub struct SupervisedSweep {
     /// What to measure.
     pub config: SweepConfig,
-    /// Supervisor tuning (watchdog timeout, fsync batching).
+    /// Supervisor tuning (stall timeout, fsync batching).
     pub supervisor: SupervisorConfig,
     /// Crash injection: `abort()` the whole process immediately after
     /// this phase's start record hits the journal — deterministic
@@ -284,7 +284,7 @@ pub struct SupervisedSweep {
     /// resumed run must match an uninterrupted one.
     pub kill_at_phase: Option<u16>,
     /// Wedge injection: run this phase against [`WedgeDut`] instead of
-    /// the legacy switch, livelocking it so the watchdog must abort.
+    /// the legacy switch, livelocking it so the stall limit must abort.
     /// Not part of the config digest either.
     pub wedge_at_phase: Option<u16>,
 }

@@ -5,7 +5,7 @@
 //!    and the rendered report is byte-identical to the uninterrupted
 //!    run's.
 //! 2. **A wedged phase cannot hang the campaign.** A DUT that livelocks
-//!    at frozen virtual time trips the watchdog, the run aborts into a
+//!    at frozen virtual time trips the stall limit, the run aborts into a
 //!    partial report with the stall as the recorded reason, and a later
 //!    resume (sans wedge) completes to the same byte-identical report.
 
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use osnt_core::sweep::{render_report, SupervisedSweep, SweepConfig};
-use osnt_supervisor::{journal, SupervisorConfig, WatchdogConfig};
+use osnt_supervisor::{journal, SupervisorConfig};
 use osnt_time::SimDuration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -36,10 +36,7 @@ fn small_config() -> SweepConfig {
 
 fn fast_supervisor() -> SupervisorConfig {
     SupervisorConfig {
-        watchdog: Some(WatchdogConfig {
-            stall_timeout: Duration::from_millis(400),
-            poll_interval: Duration::from_millis(10),
-        }),
+        stall_timeout: Some(Duration::from_millis(400)),
         sync_every_samples: 8,
         crash_after_appends: None,
     }

@@ -66,8 +66,8 @@ pub enum OsntError {
         /// The experiment or pipeline that came up empty.
         context: &'static str,
     },
-    /// A supervised run was aborted before completing — the watchdog
-    /// detected a stalled heartbeat, or the operator cancelled it. The
+    /// A supervised run was aborted before completing — a limit on its
+    /// progress probe fired (stall, sim budget, wall deadline). The
     /// phases finished before the abort are journaled and survive as a
     /// partial report.
     RunAborted {

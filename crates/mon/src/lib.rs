@@ -25,7 +25,6 @@ pub mod capture;
 pub mod filter;
 pub mod host;
 pub mod pipeline;
-pub mod rates;
 pub mod rxstamp;
 pub mod stats;
 pub mod thin;
@@ -34,6 +33,5 @@ pub use capture::{CaptureBuffer, CapturedPacket};
 pub use filter::{FilterAction, FilterProgram, FilterTable};
 pub use host::{HostPath, HostPathConfig};
 pub use pipeline::{MonConfig, MonitorPort};
-pub use rates::{RateEstimator, WindowSample};
 pub use stats::MonStats;
 pub use thin::{ThinConfig, Thinner};

@@ -4,13 +4,12 @@
 use crate::capture::{CaptureBuffer, CapturedPacket};
 use crate::filter::{FilterAction, FilterProgram, FilterTable};
 use crate::host::{HostPath, HostPathConfig};
-use crate::rates::RateEstimator;
 use crate::rxstamp::RxStamper;
 use crate::stats::MonStats;
 use crate::thin::{ThinConfig, Thinner};
 use osnt_netsim::{Component, ComponentId, Kernel};
 use osnt_packet::{FlowKey, Packet};
-use osnt_time::{HwClock, SimDuration};
+use osnt_time::HwClock;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -77,7 +76,6 @@ pub struct MonitorPort {
     host: HostPath,
     buffer: Rc<RefCell<CaptureBuffer>>,
     stats: Rc<RefCell<MonStats>>,
-    rates: Option<Rc<RefCell<RateEstimator>>>,
     capture_limit: Option<usize>,
 }
 
@@ -100,7 +98,6 @@ impl MonitorPort {
                 host: HostPath::new(config.host),
                 buffer: buffer.clone(),
                 stats: stats.clone(),
-                rates: None,
                 capture_limit: config.capture_limit,
             },
             buffer,
@@ -131,15 +128,6 @@ impl MonitorPort {
     pub fn filter(&self) -> &FilterTable {
         &self.filter
     }
-
-    /// Enable live rate estimation over fixed `window`s of simulated
-    /// time (what the OSNT GUI's per-port rate display reads). Returns
-    /// the shared estimator handle.
-    pub fn enable_rate_tracking(&mut self, window: SimDuration) -> Rc<RefCell<RateEstimator>> {
-        let est = Rc::new(RefCell::new(RateEstimator::new(window, 0.3)));
-        self.rates = Some(est.clone());
-        est
-    }
 }
 
 impl Component for MonitorPort {
@@ -151,9 +139,6 @@ impl Component for MonitorPort {
             let mut s = self.stats.borrow_mut();
             s.rx_frames += 1;
             s.rx_bytes += packet.frame_len() as u64;
-        }
-        if let Some(rates) = &self.rates {
-            rates.borrow_mut().record(now, packet.frame_len());
         }
         // 2. FCS check at the MAC: corrupted frames are counted, never
         // delivered (the fault-injection layer clears `fcs_ok`).
@@ -358,45 +343,6 @@ mod tests {
         // Delivery ratio ≈ 8 / 9.87.
         let ratio = s.host_delivery_ratio().unwrap();
         assert!((ratio - 8.0 / 9.87).abs() < 0.05, "delivery ratio {ratio}");
-    }
-
-    #[test]
-    fn rate_tracking_reports_offered_load() {
-        // 100 kpps of 512 B frames for 20 ms → every 1 ms window holds
-        // 100 frames.
-        let clock_tx = Rc::new(RefCell::new(HwClock::ideal()));
-        let clock_rx = Rc::new(RefCell::new(HwClock::ideal()));
-        let (gen, _gs) = GeneratorPort::new(
-            Box::new(FixedTemplate::new(FixedTemplate::udp_frame(512))),
-            GenConfig {
-                schedule: Schedule::ConstantPps(100_000.0),
-                stop_at: Some(SimTime::from_ms(20)),
-                ..GenConfig::default()
-            },
-            clock_tx,
-        );
-        let (mut mon, _buffer, _stats) = MonitorPort::new(
-            MonConfig {
-                host: HostPathConfig::unlimited(),
-                ..MonConfig::default()
-            },
-            clock_rx,
-        );
-        let rates = mon.enable_rate_tracking(osnt_time::SimDuration::from_ms(1));
-        let mut b = osnt_netsim::SimBuilder::new();
-        let g = b.add_component("gen", Box::new(gen), 1);
-        let m = b.add_component("mon", Box::new(mon), 1);
-        b.connect(g, 0, m, 0, osnt_netsim::LinkSpec::ten_gig());
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_ms(25));
-        let est = rates.borrow();
-        // Interior windows carry exactly 100 frames = 100 kpps and
-        // 512 B × 100 × 8 = 409.6 kb per ms window.
-        let w = &est.history[5];
-        assert_eq!(w.frames, 100);
-        assert!((w.pps() - 100_000.0).abs() < 1e-6);
-        assert!((w.bps() - 409_600_000.0).abs() < 1e-3);
-        assert!(est.pps().unwrap() > 90_000.0);
     }
 
     #[test]

@@ -231,10 +231,10 @@ fn deliver_burst(
 /// hanging.
 ///
 /// When a [`osnt_time::ProgressProbe`] is attached the loop publishes
-/// its simulated-time high-water mark and honours the probe's
-/// cooperative abort flag: a raised flag stops dispatch at the next
-/// heartbeat, which is what lets a watchdog unwedge a livelocked
-/// simulation — events that never advance virtual time still pass
+/// its simulated-time high-water mark, which checks the probe's stall,
+/// sim-limit and wall-deadline limits on this thread, and stops at the
+/// heartbeat where one fires. That is what unwedges a livelocked
+/// simulation: events that never advance virtual time still pass
 /// through this check.
 fn run_kernel_until(
     kernel: &mut Kernel,
@@ -243,12 +243,12 @@ fn run_kernel_until(
     max_events: u64,
 ) -> u64 {
     // Heartbeat amortization: publishing through the shared probe costs
-    // two lock-prefixed RMWs, which at multi-Mpps dispatch rates is a
-    // measurable tax (the e11 bench gates it). Beating every 64th event
-    // keeps the watchdog's wall-clock resolution microscopic while
-    // making the common-case event free of shared-cacheline traffic.
-    // The event budget is checked on the same stride, so it costs the
-    // per-event path nothing.
+    // a lock-prefixed RMW (and, with limits set, a clock read), which at
+    // multi-Mpps dispatch rates is a measurable tax (the e11 bench reads
+    // it). Beating every 64th event keeps the limits' wall-clock
+    // resolution microscopic while making the common-case event free
+    // of shared-cacheline traffic. The event budget is checked on the
+    // same stride, so it costs the per-event path nothing.
     const HEARTBEAT_EVERY: u64 = 64;
     let check_budget = |n: u64| {
         assert!(
@@ -267,11 +267,9 @@ fn run_kernel_until(
         let dispatched = kernel.events_dispatched - start;
         if dispatched - beat_mark >= HEARTBEAT_EVERY {
             check_budget(dispatched);
-            let since_beat = dispatched - beat_mark;
             beat_mark = dispatched;
             if let Some(probe) = kernel.progress.as_ref() {
                 probe.advance_time(time.as_ps());
-                probe.tick_by(since_beat);
                 if probe.abort_requested() {
                     break;
                 }
@@ -309,13 +307,12 @@ fn run_kernel_until(
     let aborted = kernel.abort_requested();
     kernel.retire_through(if aborted { kernel.now() } else { limit });
     let dispatched = kernel.events_dispatched - start;
-    // Flush the residual beat so `last_progress` in abort reports (and
-    // any final watchdog observation) reflects the true high-water mark
-    // (`now` is the instant of the last thing that happened).
+    // Flush the residual beat so `last_progress` in abort reports
+    // reflects the true high-water mark (`now` is the instant of the
+    // last thing that happened).
     if let Some(probe) = kernel.progress.as_ref() {
         if dispatched > beat_mark {
             probe.advance_time(kernel.now().as_ps());
-            probe.tick_by(dispatched - beat_mark);
         }
     }
     check_budget(dispatched);
@@ -356,8 +353,9 @@ impl Sim {
     }
 
     /// Attach a supervision probe: the dispatch loop publishes its
-    /// simulated-time high-water mark into it and stops early (without
-    /// advancing the clock) once the probe's abort flag is raised.
+    /// simulated-time high-water mark into it, which checks the probe's
+    /// limits, and stops early (without advancing the clock) once one
+    /// has fired.
     pub fn attach_progress(&mut self, probe: std::sync::Arc<osnt_time::ProgressProbe>) {
         self.kernel.progress = Some(probe);
     }

@@ -281,7 +281,7 @@ pub struct Kernel {
     /// ports[component][port]
     pub(crate) ports: Vec<Vec<OutPort>>,
     pub(crate) events_dispatched: u64,
-    /// Supervision heartbeat + cooperative abort flag — `None` on
+    /// Supervision heartbeat, limits and abort verdict — `None` on
     /// unsupervised runs, so the dispatch loop pays one branch.
     pub(crate) progress: Option<std::sync::Arc<osnt_time::ProgressProbe>>,
     /// Reusable arrival buffer for batch delivery (capacity persists

@@ -322,9 +322,6 @@ pub struct OflopsController {
     /// at the controller boundary and the module gets no further
     /// callbacks (its internal state is unknowable mid-unwind).
     module_poisoned: bool,
-    /// Control-channel heartbeat for the supervisor's watchdog: bumped
-    /// on every control event the controller processes.
-    progress: Option<std::sync::Arc<osnt_time::ProgressProbe>>,
 }
 
 impl OflopsController {
@@ -351,7 +348,6 @@ impl OflopsController {
                 next_xid: 1,
                 handshake_done: false,
                 module_poisoned: false,
-                progress: None,
             },
             log,
         )
@@ -363,25 +359,10 @@ impl OflopsController {
         self.errors.clone()
     }
 
-    /// Attach a supervisor heartbeat: every control event the
-    /// controller processes bumps the probe's simulated-time high-water
-    /// mark, so a watchdog can tell a dead control channel from a slow
-    /// one.
-    pub fn attach_progress(&mut self, probe: std::sync::Arc<osnt_time::ProgressProbe>) {
-        self.progress = Some(probe);
-    }
-
     /// Whether a module callback panicked (the module is no longer
     /// receiving callbacks; the error log has the detail).
     pub fn module_poisoned(&self) -> bool {
         self.module_poisoned
-    }
-
-    fn beat(&self, kernel: &Kernel) {
-        if let Some(probe) = &self.progress {
-            probe.advance_time(kernel.now().as_ps());
-            probe.tick();
-        }
     }
 
     fn contain_module_panic(
@@ -456,7 +437,6 @@ use contained_call;
 
 impl Component for OflopsController {
     fn on_start(&mut self, kernel: &mut Kernel, me: ComponentId) {
-        self.beat(kernel);
         let mut ctx = ctx_parts!(self, kernel, me);
         ctx.send(Message::Hello);
         // The handshake itself is tracked: a switch that boots with its
@@ -465,7 +445,6 @@ impl Component for OflopsController {
     }
 
     fn on_packet(&mut self, kernel: &mut Kernel, me: ComponentId, _port: usize, packet: Packet) {
-        self.beat(kernel);
         let (message, xid) = match decap_control(&packet) {
             Some(Ok(ok)) => ok,
             Some(Err(e)) => {
@@ -505,7 +484,6 @@ impl Component for OflopsController {
     }
 
     fn on_timer(&mut self, kernel: &mut Kernel, me: ComponentId, tag: u64) {
-        self.beat(kernel);
         if tag < TAG_CTRL_TIMEOUT_BASE {
             contained_call!(self, kernel, me, "measurement module on_timer", |ctx| self
                 .module

@@ -52,9 +52,9 @@ pub struct TestbedSpec {
     pub control_faults: Option<ControlFaultConfig>,
     /// Timeout/retry budget for tracked control requests.
     pub retry: RetryPolicy,
-    /// Supervisor heartbeat: when set, the controller bumps this probe
-    /// on every control event it processes, and the simulation's
-    /// dispatch loop both heartbeats it and honours its abort flag.
+    /// Supervisor heartbeat: when set, the simulation's dispatch loop
+    /// beats it and stops once one of its limits fires. Control events
+    /// are events of that loop, so they beat it too.
     pub progress: Option<std::sync::Arc<osnt_time::ProgressProbe>>,
 }
 
@@ -115,11 +115,8 @@ impl Testbed {
         let kernel_ports = switch.kernel_ports();
         let sw = b.add_component("of-switch", Box::new(switch), kernel_ports);
 
-        let (mut controller, control_log) = OflopsController::with_policy(module, spec.retry);
+        let (controller, control_log) = OflopsController::with_policy(module, spec.retry);
         let control_errors = controller.errors_handle();
-        if let Some(probe) = &spec.progress {
-            controller.attach_progress(std::sync::Arc::clone(probe));
-        }
         let ctl = b.add_component("controller", Box::new(controller), 1);
         let control_fault_stats = match spec.control_faults {
             Some(cfg) => {

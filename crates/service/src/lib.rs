@@ -16,9 +16,9 @@
 //!   queueing across tenants in integer virtual time; dispatch order
 //!   is a deterministic function of the submission sequence.
 //! * **Per-session quotas** ([`service`]) — a simulated-time budget, a
-//!   wall deadline, and a capture-memory cap. The quota monitor
-//!   escalates by cancelling *the offending session only*; siblings on
-//!   the same pool never feel it.
+//!   wall deadline, and a capture-memory cap. The first two ride on
+//!   the session's own progress probes, so an over-quota session stops
+//!   *itself*; siblings on the same pool never feel it.
 //! * **Crash retry** ([`service`]) — a worker crash re-queues the
 //!   session with decorrelated-jitter backoff; the retry resumes from
 //!   the session journal and reports **byte-identically** to an

@@ -5,19 +5,21 @@
 //! ## Threading model
 //!
 //! Everything shared lives behind one mutex (`State`); the pieces that
-//! block are condvars. There is no async runtime — `workers` OS
+//! block are condvars. There is no async runtime — exactly `workers` OS
 //! threads pull sessions from the [`Scheduler`] (picks are serialised
 //! under the lock, so dispatch *order* is a pure function of the
-//! submission sequence even with a racing pool), and one quota-monitor
-//! thread polls the running sessions' progress probes.
+//! submission sequence even with a racing pool). No other thread runs.
 //!
 //! ## Cancellation is per session
 //!
-//! The quota monitor escalates by calling `request_abort` on the
-//! offending session's probe — and only that probe. A sibling session
-//! on the next worker is untouched (the grouped-ownership discipline
-//! the supervisor watchdog uses for phases, applied to sessions;
-//! pinned by `tests/service_sessions.rs`).
+//! A session's quotas travel on its own phases' progress probes: each
+//! phase's probe carries what is left of the sim budget as its sim
+//! limit and the session's wall deadline, and the phase's dispatch loop
+//! checks them at every heartbeat on the worker thread running it. An
+//! over-quota session therefore stops itself; a sibling session on the
+//! next worker has its own probes and never feels it (pinned by
+//! `tests/service_sessions.rs`). A sim-budget abort lands on a fixed
+//! heartbeat, so its journaled reason is the same on every run.
 //!
 //! ## Crash retry and at-most-once publication
 //!
@@ -40,14 +42,13 @@ use osnt_core::sweep::fault_counters;
 use osnt_core::{render_report, LatencyExperiment, LatencyReport};
 use osnt_error::OsntError;
 use osnt_supervisor::{journal, PhaseCtx, Supervisor, SupervisorConfig};
-use osnt_time::{DriftModel, ProgressProbe};
+use osnt_time::DriftModel;
 
 use crate::scheduler::{AdmitDecision, Queued, Scheduler};
 use crate::session::{Admission, SessionId, SessionOutcome, SessionRecord, SessionSpec};
 
 /// Service tuning. The defaults are sized for tests and the e16 bench
-/// (small backoffs, fast quota polling); a long-lived deployment would
-/// raise them.
+/// (small backoffs); a long-lived deployment would raise them.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker pool size (≥ 1): the concurrency bound.
@@ -69,8 +70,6 @@ pub struct ServiceConfig {
     pub retry_base: Duration,
     /// Total dispatch attempts per session (first + crash retries).
     pub max_attempts: u32,
-    /// Quota monitor poll interval.
-    pub quota_poll: Duration,
     /// Per-session cost estimate used for the honest
     /// `Rejected{retry_after}`: backlog ahead ÷ workers × this.
     pub est_session_cost: Duration,
@@ -88,29 +87,9 @@ impl Default for ServiceConfig {
             seed: 1,
             retry_base: Duration::from_millis(2),
             max_attempts: 4,
-            quota_poll: Duration::from_millis(1),
             est_session_cost: Duration::from_millis(20),
         }
     }
-}
-
-/// A running session's quota bookkeeping, updated by the phase
-/// closure and read by the monitor thread.
-#[derive(Debug)]
-struct QuotaWatch {
-    /// The *current phase's* probe (replaced at each phase start).
-    probe: Arc<ProgressProbe>,
-    /// Simulated time already consumed by earlier phases of this
-    /// session (resumed/replayed phases are journal replays, not
-    /// re-execution, so they cost nothing — the budget meters work
-    /// actually performed).
-    base_ps: u64,
-    /// First-dispatch instant: the wall-deadline anchor.
-    started: Instant,
-    sim_budget_ps: Option<u64>,
-    deadline: Option<Duration>,
-    /// Which quota fired, once: `Some("sim-budget: …")` etc.
-    fired: Option<String>,
 }
 
 #[derive(Debug)]
@@ -128,7 +107,6 @@ struct State {
     paused: bool,
     shutdown: bool,
     retries: Vec<RetryEntry>,
-    watches: HashMap<SessionId, QuotaWatch>,
     finished: HashMap<SessionId, SessionRecord>,
     publications: Vec<(SessionId, String)>,
     dispatch_log: Vec<SessionId>,
@@ -201,8 +179,8 @@ pub struct RunService {
 }
 
 impl RunService {
-    /// Start the service: create the spool directory, spawn the worker
-    /// pool and the quota monitor.
+    /// Start the service: create the spool directory and spawn the
+    /// worker pool.
     pub fn start(cfg: ServiceConfig) -> Result<RunService, OsntError> {
         if cfg.workers == 0 {
             return Err(OsntError::config("service", "workers must be ≥ 1"));
@@ -226,10 +204,6 @@ impl RunService {
         for _ in 0..inner.cfg.workers {
             let inner = Arc::clone(&inner);
             threads.push(std::thread::spawn(move || worker_loop(&inner)));
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || monitor_loop(&inner)));
         }
         Ok(RunService { inner, threads })
     }
@@ -388,42 +362,6 @@ impl Drop for RunService {
     }
 }
 
-/// The quota monitor: polls every running session's probe and
-/// escalates on the *offending session only*.
-fn monitor_loop(inner: &Arc<Inner>) {
-    loop {
-        std::thread::sleep(inner.cfg.quota_poll);
-        let mut st = inner.lock();
-        if st.shutdown {
-            return;
-        }
-        for (id, w) in st.watches.iter_mut() {
-            if w.fired.is_some() {
-                continue;
-            }
-            if let Some(budget) = w.sim_budget_ps {
-                let used = w.base_ps.saturating_add(w.probe.now_ps());
-                if used > budget {
-                    w.fired = Some(format!(
-                        "sim-budget: session {id} used {used} ps of {budget} ps"
-                    ));
-                    w.probe.request_abort();
-                    continue;
-                }
-            }
-            if let Some(deadline) = w.deadline {
-                let elapsed = w.started.elapsed();
-                if elapsed > deadline {
-                    w.fired = Some(format!(
-                        "wall-deadline: session {id} ran {elapsed:?} of {deadline:?}"
-                    ));
-                    w.probe.request_abort();
-                }
-            }
-        }
-    }
-}
-
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let entry = {
@@ -504,29 +442,12 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
         }
     }
 
-    // Register the session with the quota monitor.
-    {
-        let mut st = inner.lock();
-        st.watches.insert(
-            id,
-            QuotaWatch {
-                probe: ProgressProbe::new(), // replaced at phase start
-                base_ps: 0,
-                started: first_dispatch,
-                sim_budget_ps: entry.spec.quota.sim_budget.map(|d| d.as_ps()),
-                deadline: entry.spec.quota.wall_deadline,
-                fired: None,
-            },
-        );
-    }
-
     let journal_path = inner.cfg.spool.join(format!("s{id:06}.journal"));
     let header = entry.spec.sweep.header();
     let sup = Supervisor::new(SupervisorConfig {
-        // Stall detection is the quota monitor's job here (wall
-        // deadline subsumes it); the supervisor still journals and
-        // resumes.
-        watchdog: None,
+        // The session's quotas bound it (the wall deadline subsumes
+        // stall detection); the supervisor still journals and resumes.
+        stall_timeout: None,
         // Crash injection arms the first attempt only: the session
         // must *survive* the crash, not relive it forever.
         crash_after_appends: if attempt == 1 {
@@ -538,16 +459,17 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
     });
 
     let spec = entry.spec.clone();
-    let inner_ref = Arc::clone(inner);
+    // Simulated time this attempt's earlier phases consumed. Phases
+    // replayed from the journal never reach the closure, so they cost
+    // nothing: the budget meters work actually performed.
+    let mut used_ps = 0u64;
     let phase_fn = move |phase: u16, ctx: &mut PhaseCtx| -> Result<LatencyReport, OsntError> {
-        // Hand this phase's probe to the monitor, folding the previous
-        // phase's simulated time into the session's running total.
-        {
-            let mut st = inner_ref.lock();
-            if let Some(w) = st.watches.get_mut(&id) {
-                w.base_ps = w.base_ps.saturating_add(w.probe.now_ps());
-                w.probe = Arc::clone(&ctx.probe);
-            }
+        if let Some(budget) = spec.quota.sim_budget {
+            ctx.probe
+                .set_sim_limit_ps(budget.as_ps().saturating_sub(used_ps));
+        }
+        if let Some(deadline) = spec.quota.wall_deadline {
+            ctx.probe.set_deadline(first_dispatch + deadline);
         }
         let exp = LatencyExperiment {
             frame_len: spec.sweep.frame_len,
@@ -566,6 +488,7 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
             shard_stats_sink: None,
         };
         let report = exp.run_legacy(osnt_switch::LegacyConfig::default())?;
+        used_ps = used_ps.saturating_add(ctx.probe.now_ps());
         if let Some(raw) = &report.raw_latencies_ps {
             ctx.journal_samples(raw)?;
         }
@@ -589,12 +512,6 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
         sup.run(&journal_path, &header, phase_fn)
     };
 
-    // Collect what the monitor saw, and stop watching.
-    let fired = {
-        let mut st = inner.lock();
-        st.watches.remove(&id).and_then(|w| w.fired)
-    };
-
     match result {
         Ok(outcome) if outcome.is_complete() => {
             let report = render_report(&entry.spec.sweep, &outcome);
@@ -607,12 +524,12 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
             );
         }
         Ok(outcome) => {
-            let reason = match fired {
-                Some(q) => format!("quota {q}"),
-                None => outcome
-                    .aborted
-                    .map(|a| a.reason)
-                    .unwrap_or_else(|| "aborted without a journaled reason".into()),
+            // The supervisor journals a fired limit as the reason; the
+            // service sets no stall limit, so a limit here is a quota.
+            let reason = match outcome.aborted {
+                Some(a) if a.limit.is_some() => format!("quota {}", a.reason),
+                Some(a) => a.reason,
+                None => "aborted without a journaled reason".into(),
             };
             finish(
                 inner,
@@ -658,14 +575,12 @@ fn run_session(inner: &Arc<Inner>, mut entry: Queued) {
             inner.work_cv.notify_all();
         }
         Err(e) => {
-            let reason = match fired {
-                Some(q) => format!("quota {q}"),
-                None => e.to_string(),
-            };
             finish(
                 inner,
                 &entry,
-                SessionOutcome::Failed { reason },
+                SessionOutcome::Failed {
+                    reason: e.to_string(),
+                },
                 attempt,
                 None,
             );

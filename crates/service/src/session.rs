@@ -34,10 +34,10 @@ pub type SessionId = u64;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SessionQuota {
     /// Cumulative simulated-time budget across all of the session's
-    /// phases (the discrete-event analogue of a CPU quota). Enforced by
-    /// the quota monitor via the per-phase progress probe; an
-    /// over-budget session is cooperatively aborted and classed
-    /// `Failed`. `None` = unmetered.
+    /// phases (the discrete-event analogue of a CPU quota). Each phase's
+    /// progress probe carries what is left of it as its sim limit, so an
+    /// over-budget session aborts at its own next heartbeat and is
+    /// classed `Failed`. `None` = unmetered.
     pub sim_budget: Option<SimDuration>,
     /// Wall-clock deadline measured from the session's first dispatch
     /// (crash backoff and retries count against it). `None` = no
@@ -120,7 +120,7 @@ pub enum SessionOutcome {
         /// Which policy decision shed it (stable, machine-matchable).
         reason: String,
     },
-    /// Cancelled (quota escalation, watchdog abort) or crash retries
+    /// Cancelled (quota escalation, stall abort) or crash retries
     /// exhausted.
     Failed {
         /// Root cause, e.g. `quota sim-budget: …`.

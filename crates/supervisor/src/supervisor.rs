@@ -2,9 +2,10 @@
 //!
 //! Drives a multi-phase campaign under three guarantees:
 //!
-//! 1. **Watchdog** — each phase runs with a fresh [`ProgressProbe`]
-//!    monitored by a [`Watchdog`]; a phase whose simulated time stops
-//!    advancing is cooperatively aborted and journaled as such.
+//! 1. **Stall limit** — each phase runs with a fresh [`ProgressProbe`]
+//!    carrying the stall timeout; a phase whose simulated time stops
+//!    advancing aborts itself at its next heartbeat, and the limit that
+//!    fired is journaled as the reason. No thread watches the run.
 //! 2. **Journal** — every lifecycle transition is appended to the
 //!    crash-consistent [`journal`](crate::journal) *before* the next
 //!    step runs, so a SIGKILL loses at most the executing phase.
@@ -16,12 +17,12 @@
 
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 use osnt_error::OsntError;
-use osnt_time::ProgressProbe;
+use osnt_time::{ProgressProbe, Verdict};
 
 use crate::journal::{self, JournalWriter, RunHeader};
-use crate::watchdog::{Watchdog, WatchdogConfig};
 use crate::wire::{Dec, Enc};
 
 /// A phase result that can round-trip through the journal. Encoding
@@ -37,9 +38,10 @@ pub trait PhasePayload: Sized {
 /// Supervisor tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Watchdog settings; `None` disables stall detection (the journal
-    /// and resume still work).
-    pub watchdog: Option<WatchdogConfig>,
+    /// How long a phase's simulated time may stay flat (wall clock)
+    /// before the phase is aborted as stalled; `None` disables stall
+    /// detection (the journal and resume still work).
+    pub stall_timeout: Option<Duration>,
     /// Fsync batch size for bulk sample records
     /// (see [`JournalWriter::create`]).
     pub sync_every_samples: usize,
@@ -54,7 +56,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            watchdog: Some(WatchdogConfig::default()),
+            stall_timeout: Some(Duration::from_secs(30)),
             // Big enough that a typical multi-phase campaign (~3 batched
             // records per phase) reaches its terminal fsync without an
             // intermediate one: on ext4 each fsync costs ~1 ms, which
@@ -70,9 +72,11 @@ impl Default for SupervisorConfig {
 /// What a phase body gets from the supervisor: the progress probe it
 /// must wire into its simulation, and journal access for bulk data.
 pub struct PhaseCtx<'a> {
-    /// Heartbeat + cooperative-abort channel. The phase **must** attach
-    /// this to its simulation (`Sim::attach_progress`), or the watchdog
-    /// will see a flat heartbeat and abort a perfectly healthy run.
+    /// Heartbeat, limits and cooperative-abort channel, with the stall
+    /// timeout already set. The phase attaches it to its simulation
+    /// (`Sim::attach_progress`), whose dispatch loop beats it and checks
+    /// its limits; the phase may add a sim limit or a deadline. A
+    /// phase that never beats it is never stopped by it.
     pub probe: Arc<ProgressProbe>,
     journal: &'a mut JournalWriter,
     phase: u16,
@@ -99,8 +103,11 @@ pub struct AbortInfo {
     pub phase: String,
     /// Simulated-time high-water mark (ps) when the run died.
     pub last_progress: u64,
-    /// Journaled cause (watchdog stall report or panic message).
+    /// Journaled cause: the probe's verdict (stall, sim budget, wall
+    /// deadline) with the phase named, or the phase's error.
     pub reason: String,
+    /// The probe limit that stopped the phase, if one did.
+    pub limit: Option<Verdict>,
 }
 
 /// The result of a supervised run: the phases that completed (in
@@ -231,18 +238,9 @@ impl Supervisor {
         for phase in resumed..total {
             journal.phase_start(phase)?;
             let probe = ProgressProbe::new();
-            let dog = self.cfg.watchdog.map(|w| {
-                // Thread the phase identity (index + header name) into
-                // the watchdog: the stall report must name the absolute
-                // phase even when this is a resumed run, where "first
-                // phase executed" and "phase 0" differ.
-                Watchdog::spawn_in_phase(
-                    w,
-                    phase,
-                    header.phases[phase as usize].clone(),
-                    vec![("sim".into(), Arc::clone(&probe))],
-                )
-            });
+            if let Some(t) = self.cfg.stall_timeout {
+                probe.set_stall_timeout(t);
+            }
             let result = {
                 let mut ctx = PhaseCtx {
                     probe: Arc::clone(&probe),
@@ -251,7 +249,6 @@ impl Supervisor {
                 };
                 phase_fn(phase, &mut ctx)
             };
-            let stall = dog.and_then(Watchdog::stop);
             match result {
                 Ok(r) => {
                     let mut e = Enc::new();
@@ -261,11 +258,15 @@ impl Supervisor {
                 }
                 Err(err) => {
                     let last_progress = probe.now_ps();
-                    // When the watchdog fired, its stall report is the
-                    // root cause; the error the phase returned is just
-                    // the abort's echo through the dispatch loop.
-                    let reason = match &stall {
-                        Some(s) => s.reason(),
+                    let name = &header.phases[phase as usize];
+                    // When a limit fired, it is the root cause; the
+                    // error the phase returned is just the abort's echo
+                    // through the dispatch loop. The reason names the
+                    // absolute phase, which a resumed run needs: there
+                    // "first phase executed" and "phase 0" differ.
+                    let limit = probe.verdict();
+                    let reason = match limit {
+                        Some(v) => format!("{}: phase {phase} ({name}): {v}", v.tag()),
                         None => err.to_string(),
                     };
                     journal.aborted(phase, last_progress, &reason)?;
@@ -276,9 +277,10 @@ impl Supervisor {
                                 resumed_phases: resumed,
                                 aborted: Some(AbortInfo {
                                     phase_index: phase,
-                                    phase: header.phases[phase as usize].clone(),
+                                    phase: name.clone(),
                                     last_progress,
                                     reason,
+                                    limit,
                                 }),
                             })
                         }
@@ -329,9 +331,9 @@ mod tests {
         }
     }
 
-    fn no_watchdog() -> Supervisor {
+    fn no_stall_limit() -> Supervisor {
         Supervisor::new(SupervisorConfig {
-            watchdog: None,
+            stall_timeout: None,
             ..SupervisorConfig::default()
         })
     }
@@ -348,7 +350,7 @@ mod tests {
     #[test]
     fn clean_run_completes_every_phase() {
         let path = temp_path("clean");
-        let outcome = no_watchdog()
+        let outcome = no_stall_limit()
             .run::<DemoResult, _>(&path, &demo_header(), |phase, ctx| {
                 ctx.probe.advance_time(u64::from(phase + 1) * 1_000);
                 ctx.journal_samples(&[u64::from(phase), 99])?;
@@ -373,7 +375,7 @@ mod tests {
         let header = demo_header();
 
         // First attempt dies (cooperative abort) during phase "b".
-        let outcome = no_watchdog()
+        let outcome = no_stall_limit()
             .run::<DemoResult, _>(&path, &header, |phase, ctx| {
                 ctx.probe.advance_time(5_000);
                 if phase == 1 {
@@ -400,7 +402,7 @@ mod tests {
 
         // Resume must not re-execute phase a.
         let mut executed = Vec::new();
-        let (rec_header, outcome) = no_watchdog()
+        let (rec_header, outcome) = no_stall_limit()
             .resume::<DemoResult, _>(&path, Some(&header), |phase, ctx| {
                 executed.push(phase);
                 ctx.probe.advance_time(9_000);
@@ -439,7 +441,7 @@ mod tests {
     #[test]
     fn resume_refuses_a_different_config() {
         let path = temp_path("digest");
-        no_watchdog()
+        no_stall_limit()
             .run::<DemoResult, _>(&path, &demo_header(), |phase, _| {
                 Ok(DemoResult {
                     phase,
@@ -449,7 +451,7 @@ mod tests {
             .unwrap();
         let mut other = demo_header();
         other.seed = 8; // different seed → different digest
-        let err = no_watchdog()
+        let err = no_stall_limit()
             .resume::<DemoResult, _>(&path, Some(&other), |phase, _| {
                 Ok(DemoResult {
                     phase,
@@ -466,26 +468,23 @@ mod tests {
     fn watchdog_aborts_a_wedged_phase() {
         let path = temp_path("wedged");
         let sup = Supervisor::new(SupervisorConfig {
-            watchdog: Some(WatchdogConfig {
-                stall_timeout: std::time::Duration::from_millis(50),
-                poll_interval: std::time::Duration::from_millis(5),
-            }),
+            stall_timeout: Some(Duration::from_millis(50)),
             ..SupervisorConfig::default()
         });
         let outcome = sup
             .run::<DemoResult, _>(&path, &demo_header(), |phase, ctx| {
                 ctx.probe.advance_time(1_234);
                 if phase == 1 {
-                    // Wedge: spin (bounded) until the watchdog requests
-                    // the abort, then surface it as the dispatch loop
-                    // would.
+                    // Wedge: beat (bounded) at frozen simulated time, as
+                    // a livelocked dispatch loop does, until the stall
+                    // limit aborts, then surface it as the loop would.
                     let start = std::time::Instant::now();
                     while !ctx.probe.abort_requested() {
                         assert!(
-                            start.elapsed() < std::time::Duration::from_secs(10),
-                            "watchdog never fired"
+                            start.elapsed() < Duration::from_secs(10),
+                            "stall limit never fired"
                         );
-                        std::thread::yield_now();
+                        ctx.probe.advance_time(1_234);
                     }
                     return Err(OsntError::RunAborted {
                         phase: "b".into(),
@@ -528,7 +527,7 @@ mod tests {
         // Reference: uninterrupted run, to learn the append count and
         // the expected results.
         let ref_path = temp_path("crash-ref");
-        let reference = no_watchdog()
+        let reference = no_stall_limit()
             .run::<DemoResult, _>(&ref_path, &header, body)
             .unwrap();
         let total_appends = recover(&ref_path).unwrap().frames;
@@ -540,7 +539,7 @@ mod tests {
         for k in 1..=total_appends {
             let path = temp_path(&format!("crash-k{k}"));
             let sup = Supervisor::new(SupervisorConfig {
-                watchdog: None,
+                stall_timeout: None,
                 crash_after_appends: Some(k),
                 ..SupervisorConfig::default()
             });
@@ -557,12 +556,12 @@ mod tests {
             if k == 1 {
                 // Not even the header landed; resume must refuse with a
                 // typed error, not a panic.
-                let err = no_watchdog()
+                let err = no_stall_limit()
                     .resume::<DemoResult, _>(&path, Some(&header), body)
                     .unwrap_err();
                 assert!(matches!(err, OsntError::Decode { .. }));
             } else {
-                let (h, outcome) = no_watchdog()
+                let (h, outcome) = no_stall_limit()
                     .resume::<DemoResult, _>(&path, Some(&header), body)
                     .unwrap();
                 assert_eq!(h, header);
@@ -581,7 +580,7 @@ mod tests {
         let header = demo_header();
 
         // Die cooperatively in phase 1 so the journal holds phase 0.
-        no_watchdog()
+        no_stall_limit()
             .run::<DemoResult, _>(&path, &header, |phase, ctx| {
                 ctx.probe.advance_time(1_000);
                 if phase == 1 {
@@ -597,15 +596,12 @@ mod tests {
             })
             .unwrap();
 
-        // Resume with a fast watchdog and wedge phase 2 ("c"): the
+        // Resume with a short stall limit and wedge phase 2 ("c"): the
         // stall fires *during resume*, and the journaled reason must
         // still name the absolute phase — index 2, name "c" — not just
         // a probe label.
         let sup = Supervisor::new(SupervisorConfig {
-            watchdog: Some(WatchdogConfig {
-                stall_timeout: std::time::Duration::from_millis(50),
-                poll_interval: std::time::Duration::from_millis(5),
-            }),
+            stall_timeout: Some(Duration::from_millis(50)),
             ..SupervisorConfig::default()
         });
         let (_, outcome) = sup
@@ -615,10 +611,10 @@ mod tests {
                     let start = std::time::Instant::now();
                     while !ctx.probe.abort_requested() {
                         assert!(
-                            start.elapsed() < std::time::Duration::from_secs(10),
-                            "watchdog never fired"
+                            start.elapsed() < Duration::from_secs(10),
+                            "stall limit never fired"
                         );
-                        std::thread::yield_now();
+                        ctx.probe.advance_time(2_000);
                     }
                     return Err(OsntError::RunAborted {
                         phase: "c".into(),
@@ -651,7 +647,7 @@ mod tests {
     #[test]
     fn non_supervised_errors_propagate_after_journaling() {
         let path = temp_path("bug");
-        let err = no_watchdog()
+        let err = no_stall_limit()
             .run::<DemoResult, _>(&path, &demo_header(), |phase, _| {
                 if phase == 0 {
                     return Err(OsntError::config("demo", "bad knob"));

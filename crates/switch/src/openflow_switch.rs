@@ -71,12 +71,6 @@ pub struct OfSwitchConfig {
     pub packet_in_proc: SimDuration,
     /// Dataplane fabric/lookup latency (the fixed part).
     pub lookup_latency: SimDuration,
-    /// Additional dataplane latency per *unit of classification work*:
-    /// distinct tuples probed ([`FlowTable::lookup_cost_units`]). This
-    /// makes simulated DUT latency track the classification structure —
-    /// a million-rule table with ten masks costs ten units, not a
-    /// million. Zero (the default) keeps the flat-latency model.
-    pub lookup_per_unit: SimDuration,
     /// Output buffer per data port, bytes.
     pub output_buffer_bytes: usize,
     /// Bytes of a punted frame included in PACKET_IN.
@@ -99,7 +93,6 @@ impl Default for OfSwitchConfig {
             packet_out_proc: SimDuration::from_us(15),
             packet_in_proc: SimDuration::from_us(20),
             lookup_latency: SimDuration::from_ns(900),
-            lookup_per_unit: SimDuration::ZERO,
             output_buffer_bytes: 512 * 1024,
             miss_send_len: 128,
         }
@@ -499,17 +492,6 @@ impl OpenFlowSwitch {
         );
     }
 
-    /// The full dataplane lookup delay for the current table state:
-    /// fixed fabric latency plus the per-unit charge for the tuples a
-    /// lookup probes ([`FlowTable::lookup_cost_units`]).
-    pub fn lookup_delay(&self) -> SimDuration {
-        self.config.lookup_latency
-            + self
-                .config
-                .lookup_per_unit
-                .saturating_mul(self.table.lookup_cost_units() as u64)
-    }
-
     /// Send `packet` where one `OUTPUT` action points: the controller, a
     /// flood, the learning path or one data port.
     fn output(
@@ -529,7 +511,7 @@ impl OpenFlowSwitch {
             wire_port => {
                 let idx = wire_port as usize;
                 if idx >= 1 && idx <= self.config.n_ports {
-                    let latency = self.lookup_delay();
+                    let latency = self.config.lookup_latency;
                     self.pipeline
                         .submit(kernel, me, latency, idx - 1, packet.clone());
                 }
@@ -539,7 +521,7 @@ impl OpenFlowSwitch {
 
     /// Copy `packet` to every data port but the one it came in on.
     fn flood(&mut self, kernel: &mut Kernel, me: ComponentId, in_port_wire: u16, packet: &Packet) {
-        let latency = self.lookup_delay();
+        let latency = self.config.lookup_latency;
         for p in 1..=self.config.n_ports {
             if p != in_port_wire as usize {
                 self.pipeline
@@ -605,7 +587,7 @@ impl OpenFlowSwitch {
         match self.cam.lookup(dst) {
             Some(out) if dst.is_unicast() => {
                 if out + 1 != in_port_wire as usize {
-                    let latency = self.lookup_delay();
+                    let latency = self.config.lookup_latency;
                     self.pipeline
                         .submit(kernel, me, latency, out, packet.clone());
                 }
@@ -785,40 +767,6 @@ mod tests {
         // Stripping an untagged frame is a no-op.
         let out2 = strip_vlan(out.clone());
         assert_eq!(out2, out);
-    }
-
-    #[test]
-    fn lookup_delay_charges_per_tuple_probed() {
-        use osnt_openflow::OfMatch;
-        let per_unit = SimDuration::from_ns(10);
-        let mut sw = OpenFlowSwitch::new(OfSwitchConfig {
-            lookup_per_unit: per_unit,
-            table_capacity: 64,
-            ..OfSwitchConfig::default()
-        });
-        // 32 rules over 2 distinct wildcard masks: two units.
-        for p in 0..16u16 {
-            for m in [
-                OfMatch::udp_dst_port(p),
-                OfMatch::ipv4_dst(std::net::Ipv4Addr::new(10, 0, 0, p as u8)),
-            ] {
-                sw.table
-                    .add(FlowEntry::new(m, 5, vec![], SimTime::ZERO))
-                    .unwrap();
-            }
-        }
-        assert_eq!(
-            sw.lookup_delay(),
-            SimDuration::from_ns(900) + per_unit.saturating_mul(2)
-        );
-    }
-
-    #[test]
-    fn default_per_unit_charge_is_zero() {
-        // The seed model (flat lookup latency) must survive the cost
-        // model unchanged unless a config opts in.
-        let sw = OpenFlowSwitch::new(OfSwitchConfig::default());
-        assert_eq!(sw.lookup_delay(), sw.config.lookup_latency);
     }
 
     // Full switch behaviour (control channel, barriers, install delay,

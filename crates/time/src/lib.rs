@@ -36,7 +36,7 @@ pub use gps::{
     run_pps_session, run_pps_session_with_signal, DisciplineState, GpsDiscipline, PpsSample,
     ServoGains,
 };
-pub use progress::ProgressProbe;
+pub use progress::{ProgressProbe, Verdict};
 pub use signal::GpsSignal;
 pub use timestamp::HwTimestamp;
 

@@ -3,8 +3,9 @@
 # with no Actions runner: build, tests and their release leg, fmt,
 # clippy, the E0 correctness gate (the benchmark built from scratch and
 # run in both trace modes), the chaos campaign and the digest-asserting
-# experiment bins. Fresh BENCH_*.json land in a temporary directory; the
-# committed ones are not touched.
+# experiment bins, the run service's storm digest among them. Fresh
+# BENCH_*.json land in a temporary directory; the committed ones are not
+# touched.
 #
 # Exits non-zero at the first failing step.
 set -euo pipefail
@@ -62,5 +63,11 @@ step "E13 burst sweep (one committed digest at every burst size)"
 bin e13_burst -- --frames 100000 --json "$out/BENCH_burst.json"
 step "E15 flow table (verdict digests)"
 bin e15_flowtable -- --json "$out/BENCH_e15.json"
+step "E16 run service (storm digest 2685be61, deterministic)"
+bin e16_service -- --json "$out/BENCH_e16.json"
+grep -q '"digest":"2685be61","deterministic":true' "$out/BENCH_e16.json" || {
+    echo "e16: the storm's decision digest is not 2685be61 on both runs" >&2
+    exit 1
+}
 
 printf '\nci_local: all gate steps passed\n'

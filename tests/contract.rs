@@ -37,10 +37,15 @@
 //!   the event count);
 //! * a reply the OpenFlow length field cannot hold: a switch holding
 //!   1 000 rules answers one flow-stats request in parts that each
-//!   decode, flagged `more` but the last, whose entries sum to the table.
+//!   decode, flagged `more` but the last, whose entries sum to the table;
+//! * a run stops itself at its probe's limits, on its own thread: a
+//!   latency run over a sim limit aborts at the same heartbeat on every
+//!   run, and a livelocked DUT under a 50 ms stall timeout returns
+//!   `RunAborted` well inside ten seconds.
 
 use osnt::chaos::{classifier_parity_audit, InvariantAuditor};
 use osnt::core::experiment::LatencyExperiment;
+use osnt::core::sweep::WedgeDut;
 use osnt::gen::txstamp::extract_at;
 use osnt::gen::workload::FixedTemplate;
 use osnt::gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
@@ -60,10 +65,12 @@ use osnt::packet::{line_rate_pps, wire_bits, MacAddr, Packet, WildcardRule};
 use osnt::switch::{
     decap_control, encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch,
 };
-use osnt::time::{DriftModel, HwClock, SimDuration, SimTime};
+use osnt::time::{DriftModel, HwClock, ProgressProbe, SimDuration, SimTime, Verdict};
 use std::cell::{Cell, RefCell};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn flow_table_index_answers_like_the_interpreter_after_every_flow_mod() {
@@ -683,4 +690,69 @@ fn a_flow_stats_reply_too_long_for_one_message_comes_in_parts() {
         .collect();
     ports.sort_unstable();
     assert_eq!(ports, (10_000..10_000 + RULES).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_sim_limit_aborts_at_the_same_beat_every_run() {
+    // 5 ms into a 20 ms run: the limit is checked at the dispatch
+    // loop's heartbeat, whose place in the event stream is fixed, so the
+    // abort lands on the same event every time — not wherever a
+    // wall-clock poll happens to fall.
+    const LIMIT_PS: u64 = 5_000_000_000;
+    let run = || {
+        let probe = ProgressProbe::new();
+        probe.set_sim_limit_ps(LIMIT_PS);
+        let exp = LatencyExperiment {
+            background_load: 0.3,
+            progress: Some(Arc::clone(&probe)),
+            ..LatencyExperiment::default()
+        };
+        let err = exp
+            .run_legacy(LegacyConfig::default())
+            .expect_err("the limit must stop the run");
+        (err.to_string(), probe.now_ps(), probe.verdict())
+    };
+    let (text, at_ps, verdict) = run();
+    assert_eq!(run(), (text.clone(), at_ps, verdict), "two runs differ");
+    assert_eq!(
+        verdict,
+        Some(Verdict::SimLimit {
+            at_ps,
+            limit_ps: LIMIT_PS
+        })
+    );
+    assert_eq!(at_ps, 5_002_615_304, "the first beat past the limit");
+    assert!(
+        text.starts_with("run aborted") && text.contains(&format!("simulated {at_ps} ps")),
+        "{text}"
+    );
+}
+
+#[test]
+fn a_wedged_run_stops_itself_at_its_stall_limit() {
+    // A DUT that livelocks at frozen simulated time. The stall limit is
+    // checked by the loop that spins, so nothing else has to run for
+    // the run to end; the thread here only bounds a hang.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let start = Instant::now();
+    std::thread::spawn(move || {
+        let probe = ProgressProbe::new();
+        probe.set_stall_timeout(Duration::from_millis(50));
+        let exp = LatencyExperiment {
+            progress: Some(Arc::clone(&probe)),
+            ..LatencyExperiment::default()
+        };
+        let result = exp.run_boxed(Box::new(WedgeDut), 3).map(|_| ());
+        let _ = tx.send((result.map_err(|e| e.to_string()), probe.verdict()));
+    });
+    let (result, verdict) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a wedged run must stop itself within 10 s");
+    let err = result.expect_err("a wedged run cannot report");
+    assert!(err.starts_with("run aborted"), "{err}");
+    assert!(
+        matches!(verdict, Some(Verdict::Stall { flat_for, .. }) if flat_for >= Duration::from_millis(50)),
+        "{verdict:?}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(10));
 }
