@@ -25,11 +25,14 @@
 use osnt_bench::Table;
 use osnt_gen::workload::FixedTemplate;
 use osnt_gen::{GenConfig, GeneratorPort, Schedule, StampConfig};
-use osnt_mon::{FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort};
+use osnt_mon::{
+    CapturedPacket, FilterAction, FilterTable, HostPathConfig, MonConfig, MonStats, MonitorPort,
+};
 use osnt_netsim::{Component, ComponentId, FaultConfig, FaultyLink, Kernel, LinkSpec, SimBuilder};
 use osnt_openflow::match_field::wildcards;
 use osnt_openflow::messages::{FlowMod, Message};
 use osnt_openflow::{Action, ActionList, OfMatch};
+use osnt_packet::hash::crc32_update;
 use osnt_packet::{MacAddr, Packet, WildcardRule};
 use osnt_switch::{encap_control, OfSwitchConfig, OpenFlowSwitch};
 use osnt_time::{HwClock, SimDuration, SimTime};
@@ -200,8 +203,24 @@ fn run(frames: u64, burst: u32) -> RunOut {
         wall_s,
         stats: stats_copy,
         captured: buf.len(),
-        digest: osnt_bench::capture_digest(&buf.packets),
+        digest: capture_digest(&buf.packets),
     }
+}
+
+/// CRC-32 over a capture in order: each record's hardware
+/// stamp, true arrival instant, stored bytes, original length, and
+/// frame hash where the monitor took one.
+pub fn capture_digest(packets: &[CapturedPacket]) -> u32 {
+    packets.iter().fold(0, |mut digest, cap| {
+        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
+        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
+        digest = crc32_update(digest, cap.packet.data());
+        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
+        match cap.hash {
+            Some(hash) => crc32_update(digest, &hash.to_le_bytes()),
+            None => digest,
+        }
+    })
 }
 
 fn main() {

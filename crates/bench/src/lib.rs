@@ -1,15 +1,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-//! # osnt-bench — experiment harnesses
+//! # osnt-bench — the benchmark and two experiment harnesses
 //!
-//! One binary per experiment that writes a `BENCH_*.json` artifact (E1,
-//! E11–E16, see `EXPERIMENTS.md`; E2–E9 are tier-1 tests). They
-//! assert deterministic values — digests, counts, line rate, fairness,
-//! zero violations — and print wall-clock readings for information
-//! only: `e0_pipeline` is the one program in this repository that
-//! times anything to a protocol. What the binaries share lives here:
-//! the command line, the `--json` artifact with its host stamp, the
-//! capture digest and table printing.
+//! `e0_pipeline` is the benchmark, the one program in this repository
+//! that times anything to a protocol. `e13_burst` and `e15_flowtable`
+//! each write a `BENCH_*.json` artifact (see `EXPERIMENTS.md`): they
+//! assert a digest and print wall-clock readings for information only.
+//! Every other experiment is a workspace test. What the two harnesses
+//! share lives here: the command line, the `--json` artifact with its
+//! host stamp, and table printing.
 
 pub mod table;
 
@@ -21,9 +20,6 @@ mod host;
 
 pub use osnt_cli::{Args, UsageError};
 pub use table::Table;
-
-use osnt_mon::CapturedPacket;
-use osnt_packet::hash::crc32_update;
 
 /// Where `--json PATH` sends a run's record, if anywhere.
 #[derive(Debug)]
@@ -82,18 +78,30 @@ pub fn flags_or_exit<T>(
     })
 }
 
-/// CRC-32 over a capture buffer in order: each record's hardware
-/// stamp, true arrival instant, stored bytes, original length, and
-/// frame hash where the monitor took one.
-pub fn capture_digest(packets: &[CapturedPacket]) -> u32 {
-    packets.iter().fold(0, |mut digest, cap| {
-        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
-        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
-        digest = crc32_update(digest, cap.packet.data());
-        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
-        match cap.hash {
-            Some(hash) => crc32_update(digest, &hash.to_le_bytes()),
-            None => digest,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Option<u64>, String> {
+        parse_flags(argv.iter().map(|s| s.to_string()), |args| {
+            args.get_opt("frames")
+        })
+        .map(|(frames, _)| frames)
+        .map_err(|e| e.to_string())
+    }
+
+    /// What a harness exits 2 on: the error `flags_or_exit` would print.
+    #[test]
+    fn a_bad_command_line_is_a_usage_error() {
+        assert_eq!(parse(&["--frames", "7", "--json=x"]), Ok(Some(7)));
+        assert_eq!(parse(&[]), Ok(None));
+        for (argv, message) in [
+            (&["--bogus", "1"][..], "unknown option --bogus"),
+            (&["--frames", "many"], "invalid value for --frames: many"),
+            (&["--frames"], "--frames needs a value"),
+            (&["--frames", "--json", "x"], "unexpected argument x"),
+        ] {
+            assert_eq!(parse(argv), Err(message.to_string()), "{argv:?}");
         }
-    })
+    }
 }

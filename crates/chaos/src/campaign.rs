@@ -731,6 +731,22 @@ mod tests {
         );
     }
 
+    /// What `osnt chaos` runs by default, at one seed: every scenario of
+    /// the built-in corpus, crash-point sweeps and journal torture
+    /// included, audited clean.
+    #[test]
+    fn the_builtin_corpus_has_no_violations() {
+        let report = run_campaign(&CampaignConfig {
+            seeds: 1,
+            ..CampaignConfig::default()
+        })
+        .unwrap();
+        assert!(report.is_clean(), "violations: {:?}", report.violations);
+        assert_eq!(report.runs(), ChaosPlan::builtin().scenarios.len() as u64);
+        assert!(report.scenarios.iter().any(|s| s.crash.is_some()));
+        assert!(report.scenarios.iter().any(|s| s.torture.is_some()));
+    }
+
     #[test]
     fn campaign_rejects_a_broken_shape() {
         let mut cfg = one_scenario(ChaosScenario::default());

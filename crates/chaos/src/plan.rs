@@ -139,6 +139,11 @@ impl Episode {
     }
 }
 
+/// The most a probe-path fault may delay one frame (delay, jitter and
+/// reorder hold together): half the 10 ms a latency run drains after
+/// its generators stop, so every frame let through lands in the run.
+pub const MAX_FAULT_DELAY: SimDuration = SimDuration::from_ms(5);
+
 /// One scenario: a data-plane run shape plus its episode list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScenario {
@@ -217,7 +222,7 @@ impl ChaosScenario {
         let mut faults: Option<FaultConfig> = None;
         let mut outages: Vec<(SimTime, SimTime)> = Vec::new();
         let mut control: Option<ControlFaultConfig> = None;
-        let horizon = SimTime::from_ms(1) + self.duration + SimDuration::from_ms(10);
+        let horizon = SimTime::from_ms(11).saturating_add(self.duration);
 
         fn fc(faults: &mut Option<FaultConfig>, seed: u64) -> &mut FaultConfig {
             faults.get_or_insert_with(|| FaultConfig {
@@ -292,21 +297,21 @@ impl ChaosScenario {
                     if length == SimDuration::ZERO {
                         return Err(self.conflict("zero-length GPS outage"));
                     }
-                    outages.push((start, start + length));
+                    outages.push((start, start.saturating_add(length)));
                 }
                 Episode::ControlStall { start, length } => {
                     if start >= horizon {
                         return Err(self.conflict("control stall starts after the run horizon"));
                     }
-                    ctl(&mut control, seed).stalls.push((start, start + length));
+                    let end = start.saturating_add(length);
+                    ctl(&mut control, seed).stalls.push((start, end));
                 }
                 Episode::ControlDown { start, length } => {
                     if start >= horizon {
                         return Err(self.conflict("control outage starts after the run horizon"));
                     }
-                    ctl(&mut control, seed)
-                        .disconnects
-                        .push((start, start + length));
+                    let end = start.saturating_add(length);
+                    ctl(&mut control, seed).disconnects.push((start, end));
                 }
                 Episode::ControlTruncate { probability } => {
                     let c = ctl(&mut control, seed);
@@ -343,6 +348,13 @@ impl ChaosScenario {
 
         if let Some(f) = &faults {
             f.validate()?;
+            let held = (f.reorder_probability > 0.0).then_some(f.reorder_hold);
+            let delay = [f.extra_delay, f.jitter, held.unwrap_or(SimDuration::ZERO)]
+                .iter()
+                .fold(0u64, |sum, d| sum.saturating_add(d.as_ps()));
+            if delay > MAX_FAULT_DELAY.as_ps() {
+                return Err(self.conflict("probe-path delay past half the run's 10 ms drain"));
+            }
         }
         if let Some(c) = &control {
             c.validate()?;
@@ -427,11 +439,12 @@ impl ChaosPlan {
                             .to_string(),
                         ..ChaosScenario::default()
                     };
-                    if let Some(ms) = table.u64_of("duration_ms")? {
-                        sc.duration = SimDuration::from_ms(ms);
+                    let ms = SimDuration::from_ms(1);
+                    if let Some(d) = table.duration_of("duration_ms", ms)? {
+                        sc.duration = d;
                     }
-                    if let Some(ms) = table.u64_of("warmup_ms")? {
-                        sc.warmup = SimDuration::from_ms(ms);
+                    if let Some(d) = table.duration_of("warmup_ms", ms)? {
+                        sc.warmup = d;
                     }
                     if let Some(l) = table.f64_of("background_load")? {
                         sc.background_load = l;
@@ -635,7 +648,12 @@ fn parse_episode(t: &TomlTable) -> Result<Episode, OsntError> {
     };
     let p = |key: &str| -> Result<f64, OsntError> { t.f64_of(key)?.ok_or_else(|| missing(key)) };
     let us = |key: &str, default: u64| -> Result<SimDuration, OsntError> {
-        Ok(SimDuration::from_us(t.u64_of(key)?.unwrap_or(default)))
+        let d = t.duration_of(key, SimDuration::from_us(1))?;
+        Ok(d.unwrap_or(SimDuration::from_us(default)))
+    };
+    let start = || -> Result<SimTime, OsntError> {
+        let d = t.duration_of("start_us", SimDuration::from_us(1))?;
+        Ok(SimTime::ZERO + d.ok_or_else(|| missing("start_us"))?)
     };
     let ep = match kind {
         "loss-burst" => Episode::LossBurst {
@@ -647,7 +665,7 @@ fn parse_episode(t: &TomlTable) -> Result<Episode, OsntError> {
         },
         "corrupt" => Episode::Corrupt {
             probability: p("probability")?,
-            bits: t.u64_of("bits")?.unwrap_or(1) as u32,
+            bits: t.u32_of("bits")?.unwrap_or(1),
         },
         "reorder" => Episode::Reorder {
             probability: p("probability")?,
@@ -661,15 +679,15 @@ fn parse_episode(t: &TomlTable) -> Result<Episode, OsntError> {
             jitter: us("jitter_us", 0)?,
         },
         "gps-outage" => Episode::GpsOutage {
-            start: SimTime::from_us(t.u64_of("start_us")?.ok_or_else(|| missing("start_us"))?),
+            start: start()?,
             length: us("length_us", 1_000)?,
         },
         "control-stall" => Episode::ControlStall {
-            start: SimTime::from_us(t.u64_of("start_us")?.ok_or_else(|| missing("start_us"))?),
+            start: start()?,
             length: us("length_us", 100)?,
         },
         "control-down" => Episode::ControlDown {
-            start: SimTime::from_us(t.u64_of("start_us")?.ok_or_else(|| missing("start_us"))?),
+            start: start()?,
             length: us("length_us", 100)?,
         },
         "control-truncate" => Episode::ControlTruncate {
@@ -682,7 +700,7 @@ fn parse_episode(t: &TomlTable) -> Result<Episode, OsntError> {
         },
         "overload-storm" => Episode::OverloadStorm {
             factor: t.f64_of("factor")?.unwrap_or(2.0),
-            burst: t.u64_of("burst")?.unwrap_or(16) as u32,
+            burst: t.u32_of("burst")?.unwrap_or(16),
         },
         other => {
             return Err(OsntError::config(
@@ -698,6 +716,50 @@ fn parse_episode(t: &TomlTable) -> Result<Episode, OsntError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A valid plan: a wire scenario of six episodes, a service one of two.
+    const PLAN: &str = r#"name = "mutants"
+base_seed = 7
+[[scenario]]
+name = "wire"
+background_load = 0.4
+duration_ms = 6
+warmup_ms = 1
+capture_limit = 64
+[[scenario.episode]]
+kind = "loss-burst"
+enter_probability = 0.02
+mean_burst_frames = 6.0
+[[scenario.episode]]
+kind = "corrupt"
+probability = 0.01
+bits = 3
+[[scenario.episode]]
+kind = "reorder"
+probability = 0.01
+hold_us = 50
+[[scenario.episode]]
+kind = "jitter"
+extra_delay_us = 2
+jitter_us = 1
+[[scenario.episode]]
+kind = "gps-outage"
+start_us = 2000
+length_us = 1500
+[[scenario.episode]]
+kind = "control-down"
+start_us = 300
+length_us = 200
+[[scenario]]
+name = "svc"
+[[scenario.episode]]
+kind = "worker-kill"
+after_appends = 4
+[[scenario.episode]]
+kind = "overload-storm"
+factor = 2.5
+burst = 8
+"#;
 
     #[test]
     fn builtin_plan_is_valid_and_broad() {
@@ -832,11 +894,8 @@ mod tests {
         };
         assert!(matches!(twice.lower(1), Err(OsntError::Config { .. })));
         // And they parse from TOML like every other kind.
-        let parsed = ChaosPlan::parse(
-            "[[scenario]]\nname=\"svc\"\n[[scenario.episode]]\nkind=\"worker-kill\"\nafter_appends=4\n[[scenario.episode]]\nkind=\"overload-storm\"\nfactor=2.5\nburst=8",
-        )
-        .unwrap();
-        let low = parsed.scenarios[0].lower(1).unwrap();
+        let parsed = ChaosPlan::parse(PLAN).unwrap();
+        let low = parsed.scenarios[1].lower(1).unwrap();
         assert_eq!(low.worker_kill, Some(4));
         assert_eq!(
             low.overload_storm,
@@ -888,5 +947,107 @@ background_load = 1.0
         );
         assert!(ChaosPlan::parse("[[scenario.episode]]\nkind=\"crash-sweep\"").is_err());
         assert!(ChaosPlan::parse("[[scenario]]\nname=\"a\"\n\n[[scenario]]\nname=\"a\"").is_err());
+    }
+
+    #[test]
+    fn numbers_past_their_type_are_typed_errors() {
+        let scenario = |keys: &str| format!("[[scenario]]\nname = \"x\"\n{keys}\n");
+        let episode = |kind: &str, keys: &str| {
+            format!(
+                "{}[[scenario.episode]]\nkind = \"{kind}\"\n{keys}\n",
+                scenario("")
+            )
+        };
+        for (src, key) in [
+            (scenario("duration_ms = 20000000000"), "duration_ms"),
+            (scenario("warmup_ms = 20000000000"), "warmup_ms"),
+            (
+                episode("reorder", "probability = 0.1\nhold_us = 20000000000000"),
+                "hold_us",
+            ),
+            (
+                episode("gps-outage", "start_us = 20000000000000"),
+                "start_us",
+            ),
+            (
+                episode("corrupt", "probability = 0.1\nbits = 4294967297"),
+                "bits",
+            ),
+            (episode("overload-storm", "burst = 4294967297"), "burst"),
+            (scenario("duration_ms = 18446744073"), "duration_ms"),
+            (scenario("duration_ms = 3600001"), "duration_ms"),
+            (
+                episode("jitter", "extra_delay_us = 3600000001"),
+                "extra_delay_us",
+            ),
+        ] {
+            let err = ChaosPlan::parse(&src).expect_err(&src);
+            assert!(
+                matches!(err, OsntError::Config { .. }) && err.to_string().contains(key),
+                "{src}: {err}"
+            );
+        }
+        // Past MAX_FAULT_DELAY a plan parses but does not lower; at it,
+        // one seed runs clean.
+        let run = |keys: &str| {
+            let plan = ChaosPlan::parse(&episode("jitter", keys))?;
+            crate::campaign::run_campaign(&crate::campaign::CampaignConfig {
+                plan,
+                seeds: 1,
+                crash_points: false,
+                scratch_dir: std::env::temp_dir(),
+            })
+        };
+        let err = run("extra_delay_us = 3600000000").unwrap_err();
+        assert!(err.to_string().contains("drain"), "{err}");
+        let report = run("extra_delay_us = 3000\njitter_us = 2000").unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.runs(), 1);
+        let long = ChaosPlan::parse(&scenario("duration_ms = 3600000")).unwrap();
+        assert_eq!(long.scenarios[0].duration, crate::toml::MAX_PLAN_SPAN);
+        long.validate().unwrap();
+    }
+
+    /// Seeded mutants of one valid plan: every prefix, byte flips, and
+    /// each number swapped for an extreme. Each parses or is refused
+    /// with an error; none panics.
+    #[test]
+    fn a_mutated_plan_parses_or_is_refused() {
+        ChaosPlan::parse(PLAN).expect("the unmutated plan is valid");
+        let mut mutants: Vec<String> = (0..PLAN.len()).map(|n| PLAN[..n].to_string()).collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..2_000 {
+            let mut bytes = PLAN.as_bytes().to_vec();
+            for _ in 0..=next() % 3 {
+                let at = next() as usize % bytes.len();
+                bytes[at] ^= next() as u8 | 1;
+            }
+            mutants.push(String::from_utf8_lossy(&bytes).into_owned());
+        }
+        let mut at = 0;
+        while let Some(off) = PLAN[at..].find(|c: char| c.is_ascii_digit()) {
+            let start = at + off;
+            let len = PLAN[start..]
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap_or(PLAN.len() - start);
+            for extreme in ["9223372036854775807", "-1", "nan", "inf"] {
+                mutants.push(format!(
+                    "{}{extreme}{}",
+                    &PLAN[..start],
+                    &PLAN[start + len..]
+                ));
+            }
+            at = start + len;
+        }
+        for mutant in &mutants {
+            let parsed = std::panic::catch_unwind(|| ChaosPlan::parse(mutant));
+            assert!(parsed.is_ok(), "panicked on {mutant:?}");
+        }
     }
 }

@@ -13,6 +13,13 @@
 //! line, not a silent misparse.
 
 use osnt_error::OsntError;
+use osnt_time::SimDuration;
+
+/// The longest time any plan key may name: one simulated hour. A run
+/// adds a few such spans to its millisecond start (window, drain,
+/// delay, jitter, hold), and even all of them together stay far inside
+/// `SimTime`'s ~5 000 hours.
+pub const MAX_PLAN_SPAN: SimDuration = SimDuration::from_secs(3_600);
 
 /// A parsed scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +90,29 @@ impl TomlTable {
             Some(TomlValue::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
             Some(_) => Err(self.err(key, "non-negative integer")),
         }
+    }
+
+    /// An optional non-negative integer key that fits a `u32`.
+    pub fn u32_of(&self, key: &str) -> Result<Option<u32>, OsntError> {
+        self.u64_of(key)?
+            .map(|n| u32::try_from(n).map_err(|_| self.err(key, "32-bit unsigned integer")))
+            .transpose()
+    }
+
+    /// An optional count of `unit`s (`duration_ms`, `hold_us`, …) as a
+    /// duration; a count past [`MAX_PLAN_SPAN`] is an error.
+    pub fn duration_of(
+        &self,
+        key: &str,
+        unit: SimDuration,
+    ) -> Result<Option<SimDuration>, OsntError> {
+        self.u64_of(key)?
+            .map(|n| {
+                unit.checked_mul(n)
+                    .filter(|d| *d <= MAX_PLAN_SPAN)
+                    .ok_or_else(|| self.err(key, "duration of at most one simulated hour"))
+            })
+            .transpose()
     }
 
     /// An optional boolean key.

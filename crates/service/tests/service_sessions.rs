@@ -1,16 +1,18 @@
 //! End-to-end contracts of the multi-tenant run service: admission
-//! honesty, deterministic shedding, per-session quota cancellation,
-//! crash-retry byte-identity, weighted-fair dispatch, and a ledger
-//! that balances under all of it.
+//! honesty, deterministic shedding (the service chaos plan's storm
+//! pinned by CRC), per-session quota cancellation, crash-retry
+//! byte-identity, weighted-fair dispatch, and a ledger that balances
+//! under all of it.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use osnt_chaos::InvariantAuditor;
+use osnt_chaos::{ChaosPlan, InvariantAuditor};
 use osnt_core::SweepConfig;
 use osnt_service::{
     Admission, RunService, ServiceConfig, SessionOutcome, SessionQuota, SessionSpec,
 };
+use osnt_supervisor::crc32;
 use osnt_time::SimDuration;
 
 fn spool(name: &str) -> PathBuf {
@@ -194,6 +196,75 @@ fn overload_storm_sheds_deterministically_with_full_accounting() {
         (shed_ids, rejected)
     };
     assert_eq!(run_storm("storm-a"), run_storm("storm-b"));
+}
+
+/// The service plan's `overload-storm-2x` into a two-worker service
+/// with 16 queue slots, dispatch paused: `factor` × capacity sessions
+/// from two tenants alternating every `burst`, three priority classes.
+/// Every admit/reject answer, then the ids the storm displaced, go into
+/// one CRC; the shed counter must match those ids and the ledger audit
+/// (admitted + rejected = submitted, every admitted session ended) must
+/// pass.
+#[test]
+fn the_service_plans_storm_has_its_pinned_decision_crc() {
+    let plan = ChaosPlan::service();
+    let storm = plan
+        .scenarios
+        .iter()
+        .find(|s| s.name == "overload-storm-2x")
+        .and_then(|s| s.lower(plan.base_seed).ok())
+        .and_then(|l| l.overload_storm)
+        .expect("the service plan carries an overload storm");
+    let cfg = ServiceConfig {
+        queue_cap: 16,
+        tenant_queue_cap: 8,
+        ..cfg("storm")
+    };
+    let service = RunService::start(cfg.clone()).unwrap();
+    service.pause();
+    let total = ((cfg.queue_cap + cfg.workers) as f64 * storm.factor).ceil() as u64;
+    let mut decisions = Vec::new();
+    let mut admitted = Vec::new();
+    for i in 0..total {
+        let tenant = ["alpha", "beta"][(i / u64::from(storm.burst) % 2) as usize];
+        let s = SessionSpec {
+            priority: (i % 3) as u8,
+            ..spec(tenant, i + 1)
+        };
+        match service.submit(s).unwrap() {
+            Admission::Admitted { session } => {
+                decisions.push(b'A');
+                admitted.push(session);
+            }
+            Admission::Rejected { .. } => decisions.push(b'R'),
+        }
+    }
+    // Everything admitted-then-displaced has its Shed record already.
+    let mut shed = 0;
+    for id in admitted {
+        if matches!(
+            service.record(id).map(|r| r.outcome),
+            Some(SessionOutcome::Shed { .. })
+        ) {
+            decisions.extend_from_slice(&id.to_le_bytes());
+            shed += 1;
+        }
+    }
+    assert_eq!(crc32(&decisions), 0x2685_be61);
+    service.resume_dispatch();
+    service.drain();
+    let counts = service.counts();
+    assert_eq!(counts.submitted, total);
+    assert_eq!(counts.shed, shed, "every shed session has a Shed record");
+    let mut auditor = InvariantAuditor::new();
+    service.audit(&mut auditor, "storm");
+    assert!(
+        auditor.violations().is_empty(),
+        "{:?}",
+        auditor.violations()
+    );
+    service.shutdown();
+    cleanup(&cfg);
 }
 
 #[test]
@@ -396,6 +467,47 @@ fn dispatch_order_follows_tenant_weights() {
         heavy_early, 8,
         "weight 4:1 must serve 8:2 over the contended prefix — got {order:?}"
     );
+    service.shutdown();
+    cleanup(&cfg);
+}
+
+/// Three backlogged tenants weighted 1:2:4: over the first half of the
+/// dispatch log, while all three still wait, each tenant's dispatches
+/// per unit of weight are near-equal (Jain's index of them > 0.95).
+#[test]
+fn weighted_dispatch_shares_are_fair() {
+    let cfg = ServiceConfig {
+        queue_cap: 64,
+        ..cfg("jain")
+    };
+    let service = RunService::start(cfg.clone()).unwrap();
+    service.pause();
+    let weights = [1u32, 2, 4];
+    let mut tenant_of = std::collections::HashMap::new();
+    for round in 0..10u64 {
+        for (t, weight) in (0..).zip(weights) {
+            let s = SessionSpec {
+                weight,
+                ..spec(["bronze", "silver", "gold"][t], round + 1)
+            };
+            let Admission::Admitted { session } = service.submit(s).unwrap() else {
+                panic!("admission expected");
+            };
+            tenant_of.insert(session, t);
+        }
+    }
+    service.resume_dispatch();
+    service.drain();
+    let order = service.dispatch_order();
+    assert_eq!(order.len(), 30);
+    let mut share = [0f64; 3];
+    for id in &order[..15] {
+        let t = tenant_of[id];
+        share[t] += 1.0 / f64::from(weights[t]);
+    }
+    let sum: f64 = share.iter().sum();
+    let jain = sum * sum / (3.0 * share.iter().map(|x| x * x).sum::<f64>());
+    assert!(jain > 0.95, "Jain {jain:.4} over {share:?}");
     service.shutdown();
     cleanup(&cfg);
 }

@@ -276,7 +276,7 @@ impl JournalWriter {
     /// process, and an OS/power crash at worst drops the unsynced tail,
     /// which the CRC-framed recovery trims cleanly — costing a phase
     /// re-run, never a corrupt journal. Syncing each of these records
-    /// was measured (bench `e11_journal_overhead`) at ~1 ms apiece on
+    /// was measured (EXPERIMENTS.md E11) at ~1 ms apiece on
     /// ext4, which dominated the entire supervision overhead budget.
     pub fn header(&mut self, header: &RunHeader) -> Result<(), OsntError> {
         self.append_batched(&header.encode())

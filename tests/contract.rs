@@ -9,10 +9,13 @@
 //!   `crates/switch/tests/classifier_equivalence.rs`);
 //! * burst size is unobservable: the E13 pipeline (gen → fault-free
 //!   `FaultyLink` → `OpenFlowSwitch`, 257 rules → `MonitorPort`) at
-//!   generator burst 1, 8 and 32, and the E12 wiring (gen straight into a
-//!   filtering, thinning monitor) at batch 1 and 32, each capture the
-//!   same packets with the same counters — the `DeliverBurst` →
-//!   scalar-replay route into switch and monitor, in small;
+//!   generator burst 1, 8, 32 and 128, and the E12 wiring (gen straight
+//!   into a filtering, thinning monitor) at batch 1 and 32, each capture
+//!   the same packets with the same counters — the `DeliverBurst` →
+//!   scalar-replay route into switch and monitor, in small; E13's
+//!   capture digest is pinned;
+//! * E12's capture datapath, a 257-rule monitor table every frame pays
+//!   in full, cut and hashed, pinned by capture digest;
 //! * the paper's four ports are independent on one kernel: four
 //!   generator → digest-sink ports run together read, port by port,
 //!   what each reads alone on a kernel of its own;
@@ -22,7 +25,7 @@
 //!   slices or drained;
 //! * the paper's headline claim, E1 in small: a generator holds 10 GbE
 //!   line rate at 64, 512 and 1518 B, frame by frame and in bursts of
-//!   32, to the picosecond;
+//!   32, alone and as one of four ports on a card, to the picosecond;
 //! * stamps from a drifting, jittered clock: 20 000 frames from
 //!   generator through a link to a capture-all monitor on one
 //!   `commodity_xo` card, every embedded TX stamp and every RX stamp
@@ -60,14 +63,17 @@ use osnt::oflops::{Testbed, TestbedSpec};
 use osnt::openflow::match_field::wildcards;
 use osnt::openflow::messages::{FlowMod, Message, StatsBody};
 use osnt::openflow::{Action, OfMatch};
+use osnt::packet::ethernet::ethertype;
 use osnt::packet::hash::{crc32, crc32_update};
+use osnt::packet::ipv4::protocol;
+use osnt::packet::wildcard::IpPrefix;
 use osnt::packet::{line_rate_pps, wire_bits, MacAddr, Packet, WildcardRule};
 use osnt::switch::{
     decap_control, encap_control, LegacyConfig, LegacySwitch, OfSwitchConfig, OpenFlowSwitch,
 };
 use osnt::time::{DriftModel, HwClock, ProgressProbe, SimDuration, SimTime, Verdict};
 use std::cell::{Cell, RefCell};
-use std::net::Ipv4Addr;
+use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -210,56 +216,106 @@ fn generator_burst_size_is_unobservable_behind_link_and_switch() {
     assert_eq!(punts, 0, "the live rule must forward every frame");
     assert_eq!(reference.len(), 2_000);
     assert_eq!(stats.host_frames, 2_000);
-    for burst in [8, 32] {
+    for burst in [8, 32, 128] {
         let (packets, burst_stats, punts) = pipeline_run(burst);
         assert_eq!(punts, 0, "burst {burst}");
         assert_eq!(burst_stats, stats, "burst {burst}");
         assert!(packets == reference, "burst {burst}: capture diverged");
     }
+    assert_eq!(capture_digest(&reference), 0xda9d_6236);
 }
 
-/// E12 in small: 1 000 back-to-back frames, `batch` per generator event,
-/// straight into a monitor with decoy rules, thinning and a capture
-/// bound.
-fn capture_run(batch: u64) -> (Vec<CapturedPacket>, MonStats) {
-    let mut filter = FilterTable::drop_by_default();
-    filter.push(WildcardRule::any().with_dst_port(7), FilterAction::Drop);
-    filter.push(
+/// E12's wiring: `frames` back-to-back frames of `frame_len` B, `batch`
+/// per generator event, straight into a monitor whose drop-by-default
+/// table holds `decoys` ahead of the capture rule, cutting at 60 B (the
+/// TX stamp survives) and hashing each frame.
+fn capture_run(
+    mut decoys: FilterTable,
+    batch: u64,
+    frames: u64,
+    frame_len: usize,
+    capture_limit: Option<usize>,
+) -> (Vec<CapturedPacket>, MonStats) {
+    decoys.push(
         WildcardRule::any().with_dst_port(9001),
         FilterAction::Capture,
     );
     let (mon, buffer, stats) = MonitorPort::new(
         MonConfig {
-            filter,
+            filter: decoys,
             thin: ThinConfig::cut_with_hash(60),
             host: HostPathConfig::unlimited(),
-            capture_limit: Some(701),
+            capture_limit,
         },
         clock(),
     );
     let mut b = SimBuilder::new();
-    let g = b.add_component(
-        "gen",
-        Box::new(generator(1_000, batch, 256, SimTime::ZERO)),
-        1,
-    );
+    let gen = generator(frames, batch, frame_len, SimTime::ZERO);
+    let g = b.add_component("gen", Box::new(gen), 1);
     let m = b.add_component("mon", Box::new(mon), 1);
     b.connect(g, 0, m, 0, LinkSpec::ten_gig());
-    b.build().run_until(SimTime::from_ms(2));
+    b.build().run_to_quiescence(frames * 8 + 1_000);
     let packets = buffer.borrow().packets.clone();
     let stats = *stats.borrow();
     (packets, stats)
 }
 
+/// E12 in small, behind one decoy and a capture bound.
 #[test]
 fn monitor_captures_a_burst_like_its_frames_one_by_one() {
-    let (scalar, scalar_stats) = capture_run(1);
-    let (burst, burst_stats) = capture_run(32);
+    let run = |batch| {
+        let mut decoy = FilterTable::drop_by_default();
+        decoy.push(WildcardRule::any().with_dst_port(7), FilterAction::Drop);
+        capture_run(decoy, batch, 1_000, 256, Some(701))
+    };
+    let (scalar, scalar_stats) = run(1);
+    let (burst, burst_stats) = run(32);
     assert_eq!(scalar_stats, burst_stats);
     assert_eq!(scalar_stats.capture_shed, 299);
     assert_eq!(scalar_stats.thinned, 1_000);
     assert_eq!(scalar.len(), 701);
     assert!(scalar == burst, "capture diverged between batch 1 and 32");
+}
+
+/// E12 itself at 20 000 frames: 256 decoys, each agreeing with the
+/// traffic on every field but the destination port, so every frame
+/// pays the whole table.
+#[test]
+fn a_dense_rule_table_captures_the_pinned_bytes() {
+    let host = |ip| IpPrefix::host(IpAddr::V4(ip));
+    let mut decoys = FilterTable::drop_by_default();
+    for i in 0..256 {
+        let decoy = WildcardRule::any()
+            .with_src_mac(MacAddr::local(1))
+            .with_dst_mac(MacAddr::local(2))
+            .with_ethertype(ethertype::IPV4)
+            .with_src_ip(host(Ipv4Addr::new(10, 0, 0, 1)))
+            .with_dst_ip(host(Ipv4Addr::new(10, 0, 0, 2)))
+            .with_ip_protocol(protocol::UDP)
+            .with_src_port(5001)
+            .with_dst_port(10_000 + i);
+        decoys.push(decoy, FilterAction::Drop);
+    }
+    let (packets, stats) = capture_run(decoys, 32, 20_000, 128, None);
+    assert_eq!((stats.rx_frames, packets.len()), (20_000, 20_000));
+    // What the E12 harness printed at 20 000 frames.
+    assert_eq!(capture_digest(&packets), 0xda80_0339);
+}
+
+/// CRC-32 over a capture in order: each record's hardware stamp, true
+/// arrival instant, stored bytes, original length, and frame hash where
+/// the monitor took one — the digest the E12 and E13 harnesses print.
+fn capture_digest(packets: &[CapturedPacket]) -> u32 {
+    packets.iter().fold(0, |mut digest, cap| {
+        digest = crc32_update(digest, &cap.rx_stamp.to_ps().to_le_bytes());
+        digest = crc32_update(digest, &cap.rx_true.as_ps().to_le_bytes());
+        digest = crc32_update(digest, cap.packet.data());
+        digest = crc32_update(digest, &(cap.orig_len as u64).to_le_bytes());
+        match cap.hash {
+            Some(hash) => crc32_update(digest, &hash.to_le_bytes()),
+            None => digest,
+        }
+    })
 }
 
 /// `(frames, digest)` of one [`DigestSink`].
@@ -383,11 +439,6 @@ fn tail_drop_run(drive: impl FnOnce(&mut Sim) -> u64) -> TailDropRun {
     assert_eq!(returned, k.events_dispatched(), "Σ of returned counts");
     assert_eq!(k.pending_events(), 0, "nothing left to happen");
     let capture = capture.borrow();
-    let capture_digest = capture.packets.iter().fold(0, |d, cap| {
-        let d = crc32_update(d, &cap.rx_true.as_ps().to_le_bytes());
-        let d = crc32_update(d, &cap.rx_stamp.to_ps().to_le_bytes());
-        crc32_update(d, &crc32(cap.packet.data()).to_le_bytes())
-    });
     TailDropRun {
         events: k.events_dispatched(),
         timers: timers.get(),
@@ -398,7 +449,7 @@ fn tail_drop_run(drive: impl FnOnce(&mut Sim) -> u64) -> TailDropRun {
             k.counters(m, 0),
         ],
         captured: capture.len() as u64,
-        capture_digest,
+        capture_digest: capture_digest(&capture.packets),
     }
 }
 
@@ -440,35 +491,45 @@ fn generator_holds_line_rate_at_every_frame_size() {
         // 10 Gb/s is 100 ps a bit: 67.2 ns a slot at 64 B.
         let slot_ps = wire_bits(frame_len) * 100;
         let theory = line_rate_pps(10_000_000_000, frame_len);
-        for batch in [1u64, 32] {
-            let (gen, stats) = GeneratorPort::new(
-                Box::new(FixedTemplate::new(FixedTemplate::udp_frame(frame_len))),
-                GenConfig {
-                    count: Some(FRAMES),
-                    schedule: Schedule::BackToBack,
-                    batch,
-                    ..GenConfig::default()
-                },
-                clock(),
-            );
-            let arrived = Rc::new(Cell::new((0, 0)));
+        for (batch, ports) in [(1u64, 1), (32, 1), (32, 4)] {
+            // The card's ports share one clock and one kernel.
+            let card = clock();
             let mut b = SimBuilder::new();
-            let g = b.add_component("gen", Box::new(gen), 1);
-            let s = b.add_component("sink", Box::new(DigestSink(arrived.clone())), 1);
-            b.connect(g, 0, s, 0, LinkSpec::ten_gig());
-            b.build().run_to_quiescence(FRAMES * 4 + 1_000);
+            let runs: Vec<_> = (0..ports)
+                .map(|i| {
+                    let (gen, stats) = GeneratorPort::new(
+                        Box::new(FixedTemplate::new(FixedTemplate::udp_frame(frame_len))),
+                        GenConfig {
+                            count: Some(FRAMES),
+                            schedule: Schedule::BackToBack,
+                            batch,
+                            ..GenConfig::default()
+                        },
+                        Rc::clone(&card),
+                    );
+                    let arrived = Rc::new(Cell::new((0, 0)));
+                    let g = b.add_component(&format!("gen{i}"), Box::new(gen), 1);
+                    let sink = DigestSink(arrived.clone());
+                    let s = b.add_component(&format!("sink{i}"), Box::new(sink), 1);
+                    b.connect(g, 0, s, 0, LinkSpec::ten_gig());
+                    (stats, arrived)
+                })
+                .collect();
+            b.build().run_to_quiescence(FRAMES * ports * 4 + 1_000);
 
-            let stats = stats.borrow();
-            let case = format!("{frame_len} B, batch {batch}");
-            assert_eq!((stats.sent_frames, stats.dropped), (FRAMES, 0), "{case}");
-            assert_eq!(arrived.get().0, FRAMES, "{case}");
-            let span = stats.last_tx.expect("sent") - stats.first_tx.expect("sent");
-            assert_eq!(span.as_ps(), (FRAMES - 1) * slot_ps, "{case}");
-            let achieved = stats.achieved_pps().expect("two frames left");
-            assert!(
-                (achieved - theory).abs() <= theory * 1e-12,
-                "{case}: {achieved} pps, line rate is {theory}"
-            );
+            for (port, (stats, arrived)) in runs.iter().enumerate() {
+                let stats = stats.borrow();
+                let case = format!("{frame_len} B, batch {batch}, port {port} of {ports}");
+                assert_eq!((stats.sent_frames, stats.dropped), (FRAMES, 0), "{case}");
+                assert_eq!(arrived.get().0, FRAMES, "{case}");
+                let span = stats.last_tx.expect("sent") - stats.first_tx.expect("sent");
+                assert_eq!(span.as_ps(), (FRAMES - 1) * slot_ps, "{case}");
+                let achieved = stats.achieved_pps().expect("two frames left");
+                assert!(
+                    (achieved - theory).abs() <= theory * 1e-12,
+                    "{case}: {achieved} pps, line rate is {theory}"
+                );
+            }
         }
     }
 }
