@@ -215,8 +215,9 @@ mod tests {
         assert_eq!(t.classify(&other.parse()), FilterAction::Drop);
     }
 
+    /// The key the monitor's datapath classifies by.
     fn key(p: &osnt_packet::Packet) -> FlowKey {
-        FlowKey::extract(&p.parse())
+        FlowKey::of_bytes(p.data())
     }
 
     #[test]
@@ -230,12 +231,32 @@ mod tests {
         );
         let mut compiled = interp.clone();
         let program = compiled.compile();
-        for port in [80, 81, 9001, 0] {
-            let p = udp(port);
+        // At port 81 a frame keyed with its IPv4 header is captured and
+        // one keyed without it is dropped by default: a keying slip
+        // changes the verdict.
+        let mut truncated = udp(81);
+        truncated.truncate(14 + 19);
+        let mut bad_checksum = udp(81);
+        bad_checksum.data_mut()[14 + 10] ^= 0xff;
+        let vlan = PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
+            .vlan(7)
+            .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            .udp(1000, 81)
+            .build();
+        let inputs = [
+            ("port 80", udp(80)),
+            ("port 81", udp(81)),
+            ("port 9001", udp(9001)),
+            ("port 0", udp(0)),
+            ("truncated IPv4", truncated),
+            ("bad IPv4 checksum", bad_checksum),
+            ("VLAN-tagged", vlan),
+        ];
+        for (what, p) in inputs {
             assert_eq!(
                 compiled.classify_compiled(&program, &key(&p)),
                 interp.classify(&p.parse()),
-                "port {port}"
+                "{what}"
             );
         }
         assert_eq!(compiled.entries()[0].hits, interp.entries()[0].hits);

@@ -116,12 +116,12 @@ impl MonitorPort {
         packet: &Packet,
     ) -> FilterAction {
         // No rule to match (capture-all, drop-all): the verdict is the
-        // default action and needs no parse.
+        // default action and needs no key.
         if program.is_empty() {
             filter.default_hits += 1;
             return filter.default_action;
         }
-        filter.classify_compiled(program, &FlowKey::extract(&packet.parse()))
+        filter.classify_compiled(program, &FlowKey::of_bytes(packet.data()))
     }
 
     /// Read access to the filter table (hit counters).

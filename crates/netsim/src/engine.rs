@@ -43,6 +43,11 @@ impl SimBuilder {
 
     /// Wire `a`'s port `pa` to `b`'s port `pb` with a symmetric
     /// full-duplex link (the same spec in each simplex direction).
+    ///
+    /// # Panics
+    ///
+    /// When a port is already connected, or when a direction's line
+    /// rate has no whole-picosecond byte time ([`LinkSpec::ps_per_byte`]).
     pub fn connect(
         &mut self,
         a: ComponentId,
@@ -57,7 +62,8 @@ impl SimBuilder {
     /// Wire `a`'s port `pa` to `b`'s port `pb` with an asymmetric
     /// full-duplex link: `spec_ab` governs the `a → b` direction,
     /// `spec_ba` the `b → a` direction (e.g. a 10G downstream / 1G
-    /// upstream pair, or unequal cable runs).
+    /// upstream pair, or unequal cable runs). Panics as
+    /// [`SimBuilder::connect`] does.
     pub fn connect_asym(
         &mut self,
         a: ComponentId,

@@ -99,9 +99,14 @@ impl Completion {
 #[derive(Debug)]
 #[repr(align(64))]
 pub(crate) struct OutPort {
-    /// The link out of this port. Its far end is the lane queue's to
-    /// know ([`LaneQueue::connect`]).
-    wire: Option<LinkSpec>,
+    /// Whole picoseconds one byte takes on the link out of this port
+    /// ([`LinkSpec::ps_per_byte`], worked out once at connect time), so
+    /// the MAC times a frame with a multiply; 0 while the port is not
+    /// connected. The link's far end is the lane queue's to know
+    /// ([`LaneQueue::connect`]).
+    ps_per_byte: u64,
+    /// The link's one-way propagation delay.
+    propagation: SimDuration,
     /// Instant the MAC becomes free to start another frame (includes the
     /// inter-frame gap of the previous frame).
     busy_until: SimTime,
@@ -135,21 +140,23 @@ struct Slot {
     delivery: SimTime,
 }
 
-/// Serialisation times memoised for the last wire length seen, as
-/// `(wire_len, visible, visible + IFG)`: runs are overwhelmingly
-/// same-sized frames.
-type SerMemo = Option<(usize, SimDuration, SimDuration)>;
-
 impl OutPort {
     fn new() -> Self {
         OutPort {
-            wire: None,
+            ps_per_byte: 0,
+            propagation: SimDuration::ZERO,
             busy_until: SimTime::ZERO,
             queued_bytes: 0,
             completions: VecDeque::new(),
             buffer_bytes: None,
             counters: PortCounters::default(),
         }
+    }
+
+    /// True once [`Kernel::connect_simplex`] gave this port a link.
+    #[inline]
+    fn connected(&self) -> bool {
+        self.ps_per_byte != 0
     }
 
     /// Retire completions off the front for as long as `due` says so:
@@ -185,41 +192,28 @@ impl OutPort {
     /// wire slot — it starts when the port is free, is visible on the
     /// wire for preamble + frame, and holds the port for the
     /// inter-frame gap after that. Every transmit entry point goes
-    /// through here, so this is the one copy of the arithmetic.
+    /// through here, so this is the one copy of the arithmetic: a
+    /// wire length times the port's whole picoseconds per byte, which
+    /// is exactly `bytes · 8·10¹² / bandwidth_bps`.
     #[inline]
-    fn reserve(
-        &mut self,
-        wire: &LinkSpec,
-        earliest: SimTime,
-        frame_len: usize,
-        wire_len: usize,
-        memo: &mut SerMemo,
-    ) -> Option<Slot> {
+    fn reserve(&mut self, earliest: SimTime, frame_len: usize, wire_len: usize) -> Option<Slot> {
         if let Some(cap) = self.buffer_bytes {
             if self.queued_bytes + frame_len > cap {
                 self.counters.tx_drops += 1;
                 return None;
             }
         }
-        let (ser_visible, ser_total) = match *memo {
-            Some((len, vis, tot)) if len == wire_len => (vis, tot),
-            _ => {
-                let vis = wire.serialization(wire_len - IFG_LEN);
-                let tot = wire.serialization(wire_len);
-                *memo = Some((wire_len, vis, tot));
-                (vis, tot)
-            }
-        };
+        let byte_time = |bytes: usize| SimDuration::from_ps(bytes as u64 * self.ps_per_byte);
         let tx_start = earliest.max(self.busy_until);
-        let tx_end = tx_start + ser_visible;
-        self.busy_until = tx_start + ser_total;
+        let tx_end = tx_start + byte_time(wire_len - IFG_LEN);
+        self.busy_until = tx_start + byte_time(wire_len);
         self.queued_bytes += frame_len;
         self.counters.tx_frames += 1;
         self.counters.tx_bytes += frame_len as u64;
         Some(Slot {
             tx_start,
             tx_end,
-            delivery: tx_end + wire.propagation,
+            delivery: tx_end + self.propagation,
         })
     }
 }
@@ -324,11 +318,12 @@ impl Kernel {
     ) {
         let port = self.out_port_mut(src, src_port);
         assert!(
-            port.wire.is_none(),
+            !port.connected(),
             "port {src_port} of component {} already connected",
             src.0
         );
-        port.wire = Some(spec);
+        port.ps_per_byte = spec.ps_per_byte();
+        port.propagation = spec.propagation;
         self.queue.connect(src.0, src_port, (dst, dst_port));
     }
 
@@ -463,11 +458,11 @@ impl Kernel {
             ..
         } = self;
         let p = port_mut(ports, me, port);
-        let Some(wire) = p.wire else {
+        if !p.connected() {
             return TxResult::NotConnected;
-        };
+        }
         *events_dispatched += p.retire_before(here);
-        let Some(slot) = p.reserve(&wire, earliest, frame_len, wire_len, &mut None) else {
+        let Some(slot) = p.reserve(earliest, frame_len, wire_len) else {
             return TxResult::Dropped;
         };
         // The completion's key first, then the delivery's: the order
@@ -560,7 +555,7 @@ impl Kernel {
         let p = &self.ports[me.0][port];
         // (An unconnected port goes to the run routine too, which
         // reports it.)
-        if p.wire.is_none() || p.buffer_bytes.is_none() {
+        if !p.connected() || p.buffer_bytes.is_none() {
             return self.transmit_run(me, port, |_| frames.next(), None);
         }
         let mut out = BatchTx::default();
@@ -594,7 +589,7 @@ impl Kernel {
         let mut out = BatchTx::default();
         let now = self.now;
         let here = self.here();
-        // The port, wire and event-queue borrows are hoisted/split so
+        // The port and event-queue borrows are hoisted/split so
         // the loop body touches disjoint fields instead of re-resolving
         // the port per frame.
         let Kernel {
@@ -605,13 +600,12 @@ impl Kernel {
             ..
         } = self;
         let p = &mut ports[me.0][port];
-        let Some(wire) = p.wire else {
+        if !p.connected() {
             out.not_connected = true;
             return out;
-        };
+        }
         // Once for the run: `here` does not move while it is built.
         *events_dispatched += p.retire_before(here);
-        let mut memo = None;
         let mut last_tx_end = None;
         let mut burst: Option<Box<PacketBurst>> = None;
         while let Some((earliest, packet)) = next(p.busy_until) {
@@ -620,8 +614,7 @@ impl Kernel {
                 "transmit: earliest start {earliest} is in the past (now {now})"
             );
             let frame_len = packet.frame_len();
-            let Some(slot) = p.reserve(&wire, earliest, frame_len, packet.wire_len(), &mut memo)
-            else {
+            let Some(slot) = p.reserve(earliest, frame_len, packet.wire_len()) else {
                 out.dropped += 1;
                 continue;
             };
@@ -1130,6 +1123,56 @@ mod tests {
         let d = b.add_component("d", Box::new(Sink), 1);
         b.connect(a, 0, c, 0, crate::link::LinkSpec::ten_gig());
         b.connect(a, 0, d, 0, crate::link::LinkSpec::ten_gig());
+    }
+
+    /// Two one-port components wired together at `bandwidth_bps`.
+    fn wired_at(bandwidth_bps: u64) -> crate::Sim {
+        let mut b = SimBuilder::new();
+        let a = b.add_component("a", Box::new(Sink), 1);
+        let c = b.add_component("c", Box::new(Sink), 1);
+        let spec = crate::link::LinkSpec {
+            bandwidth_bps,
+            ..crate::link::LinkSpec::ten_gig()
+        };
+        b.connect(a, 0, c, 0, spec);
+        b.build()
+    }
+
+    #[test]
+    fn reserve_times_every_wire_length_exactly() {
+        for bandwidth_bps in [1_000_000_000u64, 10_000_000_000] {
+            let mut sim = wired_at(bandwidth_bps);
+            let p = &mut sim.kernel_mut().ports[0][0];
+            let exact =
+                |bytes: usize| (bytes as u128 * 8_000_000_000_000 / bandwidth_bps as u128) as u64;
+            for wire_len in (24..=9_038).chain([65_555]) {
+                let before = p.busy_until;
+                let slot = p
+                    .reserve(before, wire_len - osnt_packet::WIRE_OVERHEAD, wire_len)
+                    .expect("uncapped port");
+                assert_eq!(slot.tx_start, before);
+                let visible = (slot.tx_end - slot.tx_start).as_ps();
+                let total = (p.busy_until - slot.tx_start).as_ps();
+                assert_eq!(
+                    visible,
+                    exact(wire_len - IFG_LEN),
+                    "{bandwidth_bps} b/s, {wire_len} B"
+                );
+                assert_eq!(total, exact(wire_len), "{bandwidth_bps} b/s, {wire_len} B");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 3000000000 b/s link has no whole-picosecond byte time")]
+    fn connect_refuses_a_rate_without_a_whole_picosecond_byte() {
+        wired_at(3_000_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 0 b/s link")]
+    fn connect_refuses_a_zero_rate() {
+        wired_at(0);
     }
 
     #[test]

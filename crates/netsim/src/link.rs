@@ -36,20 +36,25 @@ impl LinkSpec {
         self
     }
 
-    /// Time to clock `bytes` onto the wire at this line rate. Exact
-    /// integer arithmetic (10 Gb/s → 800 ps per byte).
-    pub fn serialization(&self, bytes: usize) -> SimDuration {
-        let bits = bytes as u64 * 8;
-        // u64 arithmetic covers every realistic frame (overflow needs
-        // > ~280 MB of payload); the u128 fallback keeps the result
-        // exact beyond that.
-        match bits.checked_mul(1_000_000_000_000) {
-            Some(fs) => SimDuration::from_ps(fs / self.bandwidth_bps),
-            None => {
-                let ps = bits as u128 * 1_000_000_000_000u128 / self.bandwidth_bps as u128;
-                SimDuration::from_ps(ps as u64)
-            }
-        }
+    /// The whole picoseconds one byte takes on the wire:
+    /// 8·10¹² ÷ `bandwidth_bps` — 800 at 10 Gb/s, 8 000 at 1 Gb/s. A
+    /// frame's serialisation time is its byte count times this, exact
+    /// with no division per frame. Every Ethernet rate from 1 to
+    /// 800 Gb/s gives a whole number; simulated time resolves only to
+    /// 1 ps, so a rate that does not is refused rather than rounded.
+    ///
+    /// # Panics
+    ///
+    /// When `bandwidth_bps` is zero or does not divide 8·10¹².
+    pub fn ps_per_byte(&self) -> u64 {
+        const PS_PER_BYTE_AT_1_BPS: u64 = 8 * 1_000_000_000_000;
+        let bps = self.bandwidth_bps;
+        // `is_multiple_of(0)` is false here, so a zero rate is refused too.
+        assert!(
+            PS_PER_BYTE_AT_1_BPS.is_multiple_of(bps),
+            "a {bps} b/s link has no whole-picosecond byte time (8e12 / rate is not an integer)"
+        );
+        PS_PER_BYTE_AT_1_BPS / bps
     }
 }
 
@@ -59,26 +64,14 @@ mod tests {
 
     #[test]
     fn ten_gig_byte_is_800_ps() {
-        let l = LinkSpec::ten_gig();
-        assert_eq!(l.serialization(1).as_ps(), 800);
-        // The canonical 64B frame incl. overheads: 84 bytes = 67.2 ns.
-        assert_eq!(l.serialization(84).as_ps(), 67_200);
-        // 1538 bytes (1518 + 20) = 1230.4 ns.
-        assert_eq!(l.serialization(1538).as_ps(), 1_230_400);
+        assert_eq!(LinkSpec::ten_gig().ps_per_byte(), 800);
     }
 
     #[test]
     fn one_gig_is_ten_times_slower() {
-        let g1 = LinkSpec::one_gig();
-        let g10 = LinkSpec::ten_gig();
         assert_eq!(
-            g1.serialization(100).as_ps(),
-            10 * g10.serialization(100).as_ps()
+            LinkSpec::one_gig().ps_per_byte(),
+            10 * LinkSpec::ten_gig().ps_per_byte()
         );
-    }
-
-    #[test]
-    fn zero_bytes_take_zero_time() {
-        assert_eq!(LinkSpec::ten_gig().serialization(0), SimDuration::ZERO);
     }
 }

@@ -4,6 +4,7 @@
 use crate::cam::Cam;
 use crate::fabric::{ForwardingPipeline, TIMER_FORWARD};
 use osnt_netsim::{Component, ComponentId, Kernel};
+use osnt_packet::ethernet::EthernetHeader;
 use osnt_packet::Packet;
 use osnt_time::SimDuration;
 
@@ -123,10 +124,9 @@ impl Component for LegacySwitch {
 
     fn on_packet(&mut self, kernel: &mut Kernel, me: ComponentId, port: usize, packet: Packet) {
         self.rx_frames += 1;
-        let parsed = packet.parse();
-        let (src, dst) = match (parsed.src_mac(), parsed.dst_mac()) {
-            (Some(s), Some(d)) => (s, d),
-            _ => return, // runt/undecodable — drop silently like hardware
+        // The fabric reads the two MACs and nothing past them.
+        let Ok(EthernetHeader { src, dst, .. }) = EthernetHeader::parse(packet.data()) else {
+            return; // runt — drop silently like hardware
         };
         // Learn the source station.
         if src.is_unicast() {
@@ -340,6 +340,75 @@ mod tests {
         );
         assert!(ct_large < sf_large, "cut-through beats S&F for big frames");
         assert!(ct_small < sf_small + 1_000, "small frames pay no penalty");
+    }
+
+    /// Lends a switch to the sim and keeps a handle to read it after.
+    struct Lent(Rc<RefCell<LegacySwitch>>);
+    impl Component for Lent {
+        fn on_start(&mut self, k: &mut Kernel, me: ComponentId) {
+            self.0.borrow_mut().on_start(k, me);
+        }
+        fn on_packet(&mut self, k: &mut Kernel, me: ComponentId, port: usize, pkt: Packet) {
+            self.0.borrow_mut().on_packet(k, me, port, pkt);
+        }
+        fn on_timer(&mut self, k: &mut Kernel, me: ComponentId, tag: u64) {
+            self.0.borrow_mut().on_timer(k, me, tag);
+        }
+    }
+
+    #[test]
+    fn odd_frames_are_switched_by_their_macs_alone() {
+        let vlan = PacketBuilder::ethernet(MacAddr::local(1), MacAddr::local(2))
+            .vlan(7)
+            .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            .udp(1, 2)
+            .build();
+        let mut bad_checksum = frame(1, 2);
+        bad_checksum.data_mut()[14 + 10] ^= 0xff;
+        assert!(
+            bad_checksum.parse().l3.is_none(),
+            "the IPv4 header must not verify"
+        );
+        // The runt holds both MACs but not the EtherType after them.
+        let runt = Packet::from_vec(frame(1, 2).data()[..13].to_vec());
+        for (case, odd, switched) in [
+            ("13-byte runt", runt, false),
+            ("VLAN-tagged", vlan, true),
+            ("bad IPv4 checksum", bad_checksum, true),
+        ] {
+            // h0 sends the odd frame from MAC 1 to the unknown MAC 2;
+            // then h1 replies to MAC 1, which goes out port 0 alone only
+            // if the odd frame taught the switch where MAC 1 is.
+            let reply = frame(2, 1);
+            let sw = Rc::new(RefCell::new(LegacySwitch::new(LegacyConfig::default())));
+            let mut b = SimBuilder::new();
+            let sw_id = b.add_component("switch", Box::new(Lent(sw.clone())), 4);
+            let scripts = [
+                vec![(SimTime::ZERO, odd.clone())],
+                vec![(SimTime::from_us(100), reply.clone())],
+                vec![],
+            ];
+            let mut got = Vec::new();
+            for (i, script) in scripts.into_iter().enumerate() {
+                let (host, log) = Host::new(script);
+                let id = b.add_component(&format!("h{i}"), Box::new(host), 1);
+                b.connect(id, 0, sw_id, i, LinkSpec::ten_gig());
+                got.push(log);
+            }
+            b.build().run_until(SimTime::from_ms(1));
+            let frames = |h: usize| -> Vec<Packet> {
+                got[h].borrow().iter().map(|(_, p)| p.clone()).collect()
+            };
+            assert_eq!(sw.borrow().rx_frames, 2, "{case}: both frames counted");
+            assert_eq!(frames(0), vec![reply.clone()], "{case}");
+            if switched {
+                assert_eq!(frames(1), vec![odd.clone()], "{case}: flooded to h1");
+                assert_eq!(frames(2), vec![odd], "{case}: flooded to h2, reply unicast");
+            } else {
+                assert_eq!(frames(1), vec![], "{case}: not forwarded");
+                assert_eq!(frames(2), vec![reply], "{case}: not learned, reply flooded");
+            }
+        }
     }
 
     #[test]

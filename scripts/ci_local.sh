@@ -19,8 +19,8 @@ step "build"
 cargo build --workspace --all-targets
 step "test"
 cargo test --workspace -q
-step "bottom crates, codec, switch and controller in release (debug_assert! and overflow checks are off where the benchmark runs)"
-cargo test --release -q -p osnt-time -p osnt-packet -p osnt-netsim -p osnt-openflow -p osnt-switch -p oflops-turbo
+step "bottom crates, codec, switch, monitor and controller in release (debug_assert! and overflow checks are off where the benchmark runs)"
+cargo test --release -q -p osnt-time -p osnt-packet -p osnt-netsim -p osnt-openflow -p osnt-switch -p osnt-mon -p oflops-turbo
 step "rustfmt"
 cargo fmt --all --check
 step "clippy"
