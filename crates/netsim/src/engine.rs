@@ -187,7 +187,7 @@ fn deliver_burst(
         if let Some(tail) = burst.split_after(limit) {
             kernel.requeue_burst(dst, port, Box::new(tail));
         }
-        for (_, packet) in burst.members() {
+        for (_, packet) in burst.as_slice() {
             kernel.note_rx(dst, port, packet.frame_len());
         }
         kernel.events_dispatched += burst.len() as u64 - 1;
@@ -197,7 +197,7 @@ fn deliver_burst(
         // re-enters the queue, where `coalesce_arrivals` consumes it
         // member-at-a-time in exact total order.
         let lim = batch_limit(&*c, time, limit);
-        let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        let (t0, pkt0) = burst.next().expect("bursts are non-empty");
         kernel.note_rx(dst, port, pkt0.frame_len());
         if !burst.is_empty() {
             kernel.requeue_burst(dst, port, burst);
@@ -208,7 +208,7 @@ fn deliver_burst(
         // `(time, key)` slot, yielding to the queue head whenever that
         // would scalar-dispatch first (see `Kernel::pop_burst_member`).
         // Byte-identical total order.
-        let (_t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        let (_t0, pkt0) = burst.next().expect("bursts are non-empty");
         kernel.note_rx(dst, port, pkt0.frame_len());
         c.on_packet(kernel, dst, port, pkt0);
         while let Some((_, pkt)) = kernel.pop_burst_member(dst, port, &mut burst, limit) {

@@ -281,6 +281,10 @@ pub struct Kernel {
     /// Reusable arrival buffer for batch delivery (capacity persists
     /// across bursts; taken/restored around each `on_packet_batch`).
     pub(crate) batch_buf: Vec<(SimTime, Packet)>,
+    /// Reusable member buffer of `transmit_run` (capacity persists
+    /// across runs), so that a burst allocates its members once, at
+    /// their exact count, instead of growing a vector frame by frame.
+    run_buf: Vec<(SimTime, Packet)>,
 }
 
 impl Kernel {
@@ -294,6 +298,7 @@ impl Kernel {
             events_dispatched: 0,
             progress: None,
             batch_buf: Vec::new(),
+            run_buf: Vec::new(),
         }
     }
 
@@ -597,6 +602,7 @@ impl Kernel {
             comp_seq,
             queue,
             events_dispatched,
+            run_buf,
             ..
         } = self;
         let p = &mut ports[me.0][port];
@@ -607,7 +613,7 @@ impl Kernel {
         // Once for the run: `here` does not move while it is built.
         *events_dispatched += p.retire_before(here);
         let mut last_tx_end = None;
-        let mut burst: Option<Box<PacketBurst>> = None;
+        let mut first_key = None;
         while let Some((earliest, packet)) = next(p.busy_until) {
             assert!(
                 earliest >= now,
@@ -624,19 +630,19 @@ impl Kernel {
                 ts.push(slot.tx_start);
             }
             let key = next_key(comp_seq, me);
-            burst
-                .get_or_insert_with(|| Box::new(PacketBurst::new(key)))
-                .push(slot.delivery, packet);
+            first_key.get_or_insert(key);
+            run_buf.push((slot.delivery, packet));
         }
-        if let Some(mut b) = burst {
+        if let Some(key) = first_key {
             // A one-frame "burst" ships as a plain frame: same key, same
             // arrival, no box on the far side.
-            if b.len() == 1 {
-                let key = b.first_key();
-                let (time, packet) = b.pop_front().expect("len checked");
+            if run_buf.len() == 1 {
+                let (time, packet) = run_buf.pop().expect("len checked");
                 queue.push_frame(me.0, port, time, key, packet);
             } else {
-                queue.push_burst(me.0, port, b);
+                let mut members = Vec::with_capacity(run_buf.len());
+                members.append(run_buf);
+                queue.push_burst(me.0, port, Box::new(PacketBurst::new(key, members)));
             }
         }
         if let Some(tx_end) = last_tx_end {
@@ -676,7 +682,7 @@ impl Kernel {
         burst: &mut PacketBurst,
         limit: SimTime,
     ) -> Option<(SimTime, Packet)> {
-        let &(t_next, _) = burst.members().first()?;
+        let &(t_next, _) = burst.as_slice().first()?;
         if t_next > limit {
             return None;
         }
@@ -686,7 +692,7 @@ impl Kernel {
             }
         }
         self.cur_key = burst.first_key();
-        let (t, pkt) = burst.pop_front()?;
+        let (t, pkt) = burst.next()?;
         self.now = t;
         self.events_dispatched += 1;
         self.note_rx(dst, port, pkt.frame_len());
@@ -759,7 +765,7 @@ impl Kernel {
         mut burst: Box<PacketBurst>,
         batch: &mut Vec<(SimTime, Packet)>,
     ) {
-        let (t0, pkt0) = burst.pop_front().expect("bursts are non-empty");
+        let (t0, pkt0) = burst.next().expect("bursts are non-empty");
         debug_assert_eq!(t0, self.now, "burst scheduled at member 0's arrival");
         self.note_rx(dst, port, pkt0.frame_len());
         batch.push((t0, pkt0));

@@ -436,9 +436,9 @@ mod tests {
         }
     }
 
-    fn burst_taken(to: (ComponentId, usize), burst: Box<PacketBurst>) -> Taken {
+    fn burst_taken(to: (ComponentId, usize), burst: PacketBurst) -> Taken {
         let key = burst.first_key();
-        let members = burst.into_members().map(|(_, p)| p.into_vec());
+        let members = burst.into_iter().map(|(_, p)| p.into_vec());
         Taken::Burst(to, key, members.collect())
     }
 
@@ -456,14 +456,14 @@ mod tests {
             }
             Due::Burst => {
                 let to = q.to();
-                burst_taken(to, q.take_burst())
+                burst_taken(to, *q.take_burst())
             }
             Due::Fallback => match q.take_fallback() {
                 EventKind::Timer { target, tag } => Taken::Timer(target, tag),
                 EventKind::Deliver { dst, port, packet } => {
                     Taken::Frame((dst, port), packet.into_vec())
                 }
-                EventKind::DeliverBurst { dst, port, burst } => burst_taken((dst, port), burst),
+                EventKind::DeliverBurst { dst, port, burst } => burst_taken((dst, port), *burst),
             },
         }
     }
@@ -475,11 +475,10 @@ mod tests {
 
     /// A burst of `n` frames from `ps` on, 1 ns apart, keyed from `key`.
     fn burst(ps: u64, key: u64, n: u64) -> Box<PacketBurst> {
-        let mut b = Box::new(PacketBurst::new(key));
-        for i in 0..n {
-            b.push(SimTime::from_ps(ps + i * 1_000), frame(key + i));
-        }
-        b
+        let members = (0..n)
+            .map(|i| (SimTime::from_ps(ps + i * 1_000), frame(key + i)))
+            .collect();
+        Box::new(PacketBurst::new(key, members))
     }
 
     /// The reference: a heap on `(ps, key)` and what each key must

@@ -70,7 +70,7 @@ pub mod link;
 pub mod stats;
 pub mod wheel;
 
-pub use burst::{PacketBurst, BURST_INLINE};
+pub use burst::PacketBurst;
 pub use component::{Component, ComponentId};
 pub use engine::{Sim, SimBuilder};
 pub use fault::{FaultConfig, FaultStats, FaultyLink, GilbertElliott, LossModel};

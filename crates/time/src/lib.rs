@@ -112,11 +112,6 @@ impl SimTime {
     pub const fn as_ns(self) -> u64 {
         self.0 / PS_PER_NS
     }
-    /// Microseconds since the epoch (truncating).
-    #[inline]
-    pub const fn as_us(self) -> u64 {
-        self.0 / PS_PER_US
-    }
     /// Time as floating-point seconds (for reporting only — never for
     /// event arithmetic).
     #[inline]
